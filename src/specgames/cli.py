@@ -32,7 +32,7 @@ from .matrix_games import (
 )
 from .power_games import iterative_water_filling, stackelberg_leader_search, weighted_sum_optimize
 from .scenario import load_scenario
-from .spectrum import PowerBudget, water_fill
+from .spectrum import PowerBudget, _rate_raw, water_fill
 
 PROFILE_TOKENS = {
     "priv": "private",
@@ -109,12 +109,12 @@ def _cmd_waterfill(doc, args, out_dir):
         scen.budgets.budget[user],
         scen.grid,
     )
-    rate = scen.grid.bin_width * float(
-        np.log2(1.0 + row * scen.channels.gain2[user, user] / scen.noise.psd[user]).sum()
-    )
+    psd = np.zeros((scen.user_count, scen.grid.bin_count))
+    psd[user] = row  # the other users stay silent
+    rate = _rate_raw(user, psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
     rows = [(k, float(row[k])) for k in range(scen.grid.bin_count)]
     _emit(out_dir, doc.output_base("allocation"), args.format, ("bin", "psd"), rows)
-    print(f"user {args.user} single-user rate {rate!r}")
+    print(f"user {args.user} single-user rate {_fmt(rate)}")
     return 0
 
 
@@ -128,7 +128,7 @@ def _cmd_iw(doc, args, out_dir):
     ]
     _emit(out_dir, doc.output_base("allocation"), args.format, header, rows)
     rates = ", ".join(repr(float(r)) for r in res.rates)
-    print(f"converged={res.converged} iterations={res.iterations} residual={res.residual!r}")
+    print(f"converged={res.converged} iterations={res.iterations} residual={_fmt(res.residual)}")
     print(f"rates: {rates}")
     return 0
 
@@ -147,7 +147,7 @@ def _cmd_stackelberg(doc, args, out_dir):
     rows = [(k, float(psd[0, k]), float(psd[1, k])) for k in range(scen.grid.bin_count)]
     _emit(out_dir, doc.output_base("allocation"), args.format, header, rows)
     print(
-        f"leader={args.leader} rates=({res.rates[0]!r}, {res.rates[1]!r}) "
+        f"leader={args.leader} rates=({_fmt(res.rates[0])}, {_fmt(res.rates[1])}) "
         f"candidates={res.candidates_evaluated}"
     )
     return 0
@@ -167,7 +167,7 @@ def _cmd_pareto(doc, args, out_dir):
         ("method", "param1", "param2", "R_1", "R_2"), _region_rows(samples),
     )
     for s in samples:
-        print(f"weights={s.params} rates=({s.rates[0]!r}, {s.rates[1]!r})")
+        print(f"weights={s.params} rates=({_fmt(s.rates[0])}, {_fmt(s.rates[1])})")
     return 0
 
 
@@ -203,10 +203,10 @@ def _cmd_matrix_solve(doc, args, out_dir):
     try:
         s1, s2, utilities = mixed_nash_2x2(game)
         print(
-            f"mixed NE: p1={s1.probs[0]!r} p2={s2.probs[0]!r} "
-            f"value=({utilities[0]!r}, {utilities[1]!r})"
+            f"mixed NE: p1={_fmt(s1.probs[0])} p2={_fmt(s2.probs[0])} "
+            f"value=({_fmt(utilities[0])}, {_fmt(utilities[1])})"
         )
-        rows.append(("mixed_nash", f"{s1.probs[0]!r}/{s2.probs[0]!r}",
+        rows.append(("mixed_nash", f"{_fmt(s1.probs[0])}/{_fmt(s2.probs[0])}",
                      float(utilities[0]), float(utilities[1])))
     except (DegenerateGameError, ValueError):
         print("mixed NE: none (degenerate)")
@@ -215,7 +215,7 @@ def _cmd_matrix_solve(doc, args, out_dir):
         profile, utilities = stackelberg_finite(game, leader)
         print(
             f"stackelberg leader {leader + 1}: ({game.label(profile).replace('/', ', ')}) "
-            f"value=({utilities[0]!r}, {utilities[1]!r})"
+            f"value=({_fmt(utilities[0])}, {_fmt(utilities[1])})"
         )
         rows.append((f"stackelberg_{leader + 1}", game.label(profile),
                      float(utilities[0]), float(utilities[1])))
@@ -242,8 +242,8 @@ def _cmd_ce_check(doc, args, out_dir):
           ("record", "detail", "value_1", "value_2"),
           [("ce_check", "pass" if ok else "fail", float(violation), ""),
            ("ce_values", "", float(values[0]), float(values[1]))])
-    print(f"correlated equilibrium: {ok} (max violation {violation!r})")
-    print(f"expected utilities: ({values[0]!r}, {values[1]!r})")
+    print(f"correlated equilibrium: {ok} (max violation {_fmt(violation)})")
+    print(f"expected utilities: ({_fmt(values[0])}, {_fmt(values[1])})")
     return 0
 
 
@@ -253,7 +253,7 @@ def _cmd_ce_optimize(doc, args, out_dir):
     dist, value = optimize_ce(game, weights)
     _emit(out_dir, doc.output_base("distribution"), args.format,
           ("profile", "prob"), _distribution_rows(game, dist))
-    print(f"optimal CE value {value!r}")
+    print(f"optimal CE value {_fmt(value)}")
     return 0
 
 
@@ -318,7 +318,7 @@ def _cmd_ensemble(doc, args, out_dir):
           ("realization", "ratio_1", "ratio_2"), rows)
     print(
         f"realizations={report.realizations} skipped={report.skipped} "
-        f"mean ratios=({report.means[0]!r}, {report.means[1]!r})"
+        f"mean ratios=({_fmt(report.means[0])}, {_fmt(report.means[1])})"
     )
     return 0
 

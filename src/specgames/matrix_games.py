@@ -18,6 +18,7 @@ import numpy as np
 
 from . import simplex
 from .errors import DegenerateGameError, NoPureNashError, OracleScaleError
+from .power_games import _budget_splits
 from .spectrum import PowerAllocation, PowerScenario, all_rates, two_channel_scenario
 
 __all__ = [
@@ -190,16 +191,6 @@ def build_contention_game() -> NormalFormGame:
     return NormalFormGame(payoffs, action_labels=(("Aggress", "Backoff"), ("Aggress", "Backoff")))
 
 
-def _power_levels(total: int, parts: int):
-    """Integer compositions of `total` into `parts` parts, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _power_levels(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def discretize_power_game(scen: PowerScenario, levels: int = 10) -> NormalFormGame:
     """Finite abstraction of a power scenario on a budget-splitting grid.
 
@@ -210,7 +201,7 @@ def discretize_power_game(scen: PowerScenario, levels: int = 10) -> NormalFormGa
         raise ValueError("levels must be at least 1")
     df = scen.grid.bin_width
     k = scen.grid.bin_count
-    splits = list(_power_levels(levels, k))
+    splits = list(_budget_splits(levels, k, full_only=True))
     actions = []
     labels = []
     for n in range(scen.user_count):

@@ -26,8 +26,8 @@ from .spectrum import (
     PowerAllocation,
     PowerBudget,
     _effective_noise_raw,
-    _rate_raw,
-    water_fill,
+    _rates,
+    _water_fill_rows,
 )
 
 __all__ = [
@@ -79,12 +79,6 @@ class RegionSample:
     leader: int | None = None
 
 
-def _rates_for(psd, ch, noise, grid) -> np.ndarray:
-    return np.array(
-        [_rate_raw(n, psd, ch.gain2, noise.psd, grid.bin_width) for n in range(ch.user_count)]
-    )
-
-
 def iterative_water_filling(
     ch: ChannelSet,
     noise: NoiseProfile,
@@ -111,29 +105,41 @@ def iterative_water_filling(
         raise ValueError("inconsistent scenario dimensions")
 
     psd = np.zeros((n_users, k))
+
+    def reply(n):
+        floor = _effective_noise_raw(n, psd, ch.gain2, noise.psd)
+        return _water_fill_rows(ch.gain2[n, n], floor[None], budgets.budget[n], grid.bin_width)[0]
+
     converged = False
     residual = np.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         change = 0.0
         for n in range(n_users):
-            floor = _effective_noise_raw(n, psd, ch.gain2, noise.psd)
-            row = water_fill(ch.gain2[n, n], floor, budgets.budget[n], grid)
+            row = reply(n)
             change = max(change, float(np.abs(row - psd[n]).max()))
             psd[n] = row
         residual = change
         if change <= tol:
-            fixed_point_gap = 0.0
-            for n in range(n_users):
-                floor = _effective_noise_raw(n, psd, ch.gain2, noise.psd)
-                reply = water_fill(ch.gain2[n, n], floor, budgets.budget[n], grid)
-                fixed_point_gap = max(fixed_point_gap, float(np.abs(reply - psd[n]).max()))
+            fixed_point_gap = max(float(np.abs(reply(n) - psd[n]).max()) for n in range(n_users))
             if fixed_point_gap <= tol:
                 converged = True
                 break
     allocation = PowerAllocation(psd)
-    rates = _rates_for(psd, ch, noise, grid)
+    rates = _rates(psd, ch.gain2, noise.psd, grid.bin_width)
     return IwResult(allocation, rates, sweeps, converged, residual)
+
+
+def _follower_replies(leader, leader_rows, ch, noise, budgets, grid):
+    """Follower water-fill replies and joint rates for a batch of leader rows (B, K)."""
+    follower = 1 - leader
+    psd = np.zeros((len(leader_rows), 2, ch.bin_count))
+    psd[:, leader] = leader_rows
+    floors = _effective_noise_raw(follower, psd, ch.gain2, noise.psd)
+    psd[:, follower] = _water_fill_rows(
+        ch.gain2[follower, follower], floors, budgets.budget[follower], grid.bin_width
+    )
+    return psd[:, follower], _rates(psd, ch.gain2, noise.psd, grid.bin_width)
 
 
 def follower_response_rates(
@@ -151,14 +157,9 @@ def follower_response_rates(
     """
     if ch.user_count != 2:
         raise ValueError("follower response is defined for two-user scenarios")
-    follower = 1 - leader
-    leader_alloc = np.asarray(leader_alloc, dtype=float)
-    psd = np.zeros((2, ch.bin_count))
-    psd[leader] = leader_alloc
-    floor = _effective_noise_raw(follower, psd, ch.gain2, noise.psd)
-    reply = water_fill(ch.gain2[follower, follower], floor, budgets.budget[follower], grid)
-    psd[follower] = reply
-    return reply, _rates_for(psd, ch, noise, grid)
+    rows = np.asarray(leader_alloc, dtype=float)[None]
+    replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
+    return replies[0], rates[0]
 
 
 def _budget_splits(levels: int, bins: int, full_only: bool = False):
@@ -214,45 +215,38 @@ def stackelberg_leader_search(
         raise ValueError("the leader search is defined for two-user scenarios")
     if levels < 2:
         raise ValueError("levels must be at least 2")
-    df = grid.bin_width
     nash = iterative_water_filling(ch, noise, budgets, grid, tol=tol, max_iter=max_iter)
     ne_row = np.array(nash.allocation.psd[leader])
-
     evaluated = 0
 
-    def assess(row):
+    def best_of(rows):
+        # every row priced in one batch; ties keep the first row, as a scan
+        # accepting only strict improvements would
         nonlocal evaluated
-        evaluated += 1
-        reply, rates = follower_response_rates(leader, row, ch, noise, budgets, grid)
-        return reply, rates
-
-    best_row = ne_row
-    best_reply, best_rates = assess(ne_row)
+        evaluated += len(rows)
+        replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
+        i = int(np.argmax(rates[:, leader]))
+        return rows[i], replies[i], rates[i]
 
     if grid.bin_count <= 4:
-        for row in _candidate_rows(levels, grid, budgets.budget[leader]):
-            reply, rates = assess(row)
-            if rates[leader] > best_rates[leader]:
-                best_row, best_reply, best_rates = row, reply, rates
+        candidates = _candidate_rows(levels, grid, budgets.budget[leader])
+        best_row, best_reply, best_rates = best_of(np.vstack([ne_row, candidates]))
     else:
+        best_row, best_reply, best_rates = best_of(ne_row[None])
         # transfers are in PSD units so each move shifts budget/levels of power
-        step = budgets.budget[leader] / (levels * df)
+        step = budgets.budget[leader] / (levels * grid.bin_width)
+        bins = range(grid.bin_count)
+        pairs = np.array([(src, dst) for src in bins for dst in bins if dst != src])
         current_row, current_reply, current_rates = best_row, best_reply, best_rates
         for _ in range(refine_rounds):
-            move = None
-            for src in range(grid.bin_count):
-                if current_row[src] < step:
-                    continue
-                for dst in range(grid.bin_count):
-                    if dst == src:
-                        continue
-                    trial = np.array(current_row)
-                    trial[src] -= step
-                    trial[dst] += step
-                    reply, rates = assess(trial)
-                    if move is None or rates[leader] > move[2][leader]:
-                        move = (trial, reply, rates)
-            if move is None or move[2][leader] <= current_rates[leader]:
+            src, dst = pairs[current_row[pairs[:, 0]] >= step].T
+            if not len(src):
+                break
+            trials = np.repeat(current_row[None], len(src), axis=0)
+            trials[np.arange(len(src)), src] -= step
+            trials[np.arange(len(src)), dst] += step
+            move = best_of(trials)
+            if move[2][leader] <= current_rates[leader]:
                 break
             current_row, current_reply, current_rates = move
         if current_rates[leader] > best_rates[leader]:
@@ -262,9 +256,36 @@ def stackelberg_leader_search(
         leader=leader,
         leader_allocation=np.array(best_row),
         follower_allocation=np.array(best_reply),
-        rates=best_rates,
+        rates=np.array(best_rates),
         candidates_evaluated=evaluated,
     )
+
+
+def _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
+    """Rate pairs over the joint budget-splitting grid, one user-1 split at a time.
+
+    Every pair of splits (totals up to the budget, so silence is allowed) is
+    priced; each step yields the rates of both users for one user-1 split
+    against every user-2 split, in lexicographic order.
+    """
+    if ch.user_count != 2:
+        raise ValueError("the grid oracle is defined for two-user scenarios")
+    cands1 = _candidate_rows(levels, grid, budgets.budget[0])
+    cands2 = _candidate_rows(levels, grid, budgets.budget[1])
+    total = cands1.shape[0] * cands2.shape[0]
+    if total > max_evaluations:
+        raise OracleScaleError(
+            f"oracle scale exceeded: {total} joint evaluations over cap {max_evaluations}"
+        )
+    df = grid.bin_width
+    g11, g22 = ch.gain2[0, 0], ch.gain2[1, 1]
+    g12, g21 = ch.gain2[0, 1], ch.gain2[1, 0]
+    sigma1, sigma2 = noise.psd[0], noise.psd[1]
+    for row1 in cands1:
+        # user 1 suffers interference from every user-2 candidate at once
+        r1 = (np.log2(1.0 + row1 * g11 / (sigma1 + cands2 * g21))).sum(axis=1) * df
+        r2 = (np.log2(1.0 + cands2 * g22 / (sigma2 + row1 * g12))).sum(axis=1) * df
+        yield r1, r2
 
 
 def _pareto_argmax(
@@ -278,32 +299,14 @@ def _pareto_argmax(
 ):
     """Exhaustive weighted-sum maximization on the joint allocation grid.
 
-    Evaluates every pair of budget splits (totals up to the budget, so
-    silence is allowed) and returns, per weight vector, the best rate pair.
-    Ties break toward the lexicographically first pair of splits.  Shared
-    across weights so a frontier sweep prices the grid once.
+    Returns, per weight vector, the best value and rate pair.  Ties break
+    toward the lexicographically first pair of splits.  Shared across
+    weights so a frontier sweep prices the grid once.
     """
-    if ch.user_count != 2:
-        raise ValueError("the weighted-sum oracle is defined for two-user scenarios")
-    cands1 = _candidate_rows(levels, grid, budgets.budget[0])
-    cands2 = _candidate_rows(levels, grid, budgets.budget[1])
-    total = cands1.shape[0] * cands2.shape[0]
-    if total > max_evaluations:
-        raise OracleScaleError(
-            f"oracle scale exceeded: {total} joint evaluations over cap {max_evaluations}"
-        )
-    df = grid.bin_width
-    g11, g22 = ch.gain2[0, 0], ch.gain2[1, 1]
-    g12, g21 = ch.gain2[0, 1], ch.gain2[1, 0]
-    sigma1, sigma2 = noise.psd[0], noise.psd[1]
-
     weights = [np.asarray(w, dtype=float) for w in weight_list]
     best_val = [-np.inf] * len(weights)
     best_rates = [None] * len(weights)
-    for row1 in cands1:
-        # user 1 suffers interference from every user-2 candidate at once
-        r1 = (np.log2(1.0 + row1 * g11 / (sigma1 + cands2 * g21))).sum(axis=1) * df
-        r2 = (np.log2(1.0 + cands2 * g22 / (sigma2 + row1 * g12))).sum(axis=1) * df
+    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
         for wi, w in enumerate(weights):
             objective = w[0] * r1 + w[1] * r2
             j = int(np.argmax(objective))
@@ -330,21 +333,9 @@ def grid_dominance_margin(
     maximization, scanned with the max-min objective instead of a fixed
     weight.
     """
-    if ch.user_count != 2:
-        raise ValueError("the dominance oracle is defined for two-user scenarios")
     target = np.asarray(target_rates, dtype=float)
-    cands1 = _candidate_rows(levels, grid, budgets.budget[0])
-    cands2 = _candidate_rows(levels, grid, budgets.budget[1])
-    if cands1.shape[0] * cands2.shape[0] > max_evaluations:
-        raise OracleScaleError("oracle scale exceeded for the dominance check")
-    df = grid.bin_width
-    g11, g22 = ch.gain2[0, 0], ch.gain2[1, 1]
-    g12, g21 = ch.gain2[0, 1], ch.gain2[1, 0]
-    sigma1, sigma2 = noise.psd[0], noise.psd[1]
     best = -np.inf
-    for row1 in cands1:
-        r1 = (np.log2(1.0 + row1 * g11 / (sigma1 + cands2 * g21))).sum(axis=1) * df
-        r2 = (np.log2(1.0 + cands2 * g22 / (sigma2 + row1 * g12))).sum(axis=1) * df
+    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
         margin = np.minimum(r1 - target[0], r2 - target[1]).max()
         if margin > best:
             best = float(margin)

@@ -10,7 +10,11 @@ treated as noise, in bits/s (log base 2):
     R_n = sum_k df * log2(1 + P_n(k) g_nn(k) / (sigma_n(k) + sum_{j!=n} P_j(k) g_jn(k)))
 
 Single-user water-filling against a fixed noise-and-interference floor is
-solved by bisection on the water level.
+solved exactly in finitely many steps: sort the per-bin floors, read the
+wet support off their cumulative sums, then solve the water level on that
+support (Palomar & Fonollosa, IEEE TSP 2005).  The same kernel fills a
+whole batch of floor rows at once, and one broadcast rate kernel prices a
+batch of joint allocations psd[..., N, K].
 """
 
 from __future__ import annotations
@@ -195,8 +199,9 @@ def _check_consistent(user, alloc, channels, noise):
 
 
 def _effective_noise_raw(user: int, psd: np.ndarray, gain2: np.ndarray, noise_psd: np.ndarray) -> np.ndarray:
+    """Noise plus interference at one receiver for psd[..., N, K], per bin."""
     received = psd * gain2[:, user, :]
-    return noise_psd[user] + received.sum(axis=0) - received[user]
+    return noise_psd[user] + received.sum(axis=-2) - received[..., user, :]
 
 
 def effective_noise(user: int, alloc: PowerAllocation, channels: ChannelSet, noise: NoiseProfile) -> np.ndarray:
@@ -210,10 +215,16 @@ def effective_noise(user: int, alloc: PowerAllocation, channels: ChannelSet, noi
     return _effective_noise_raw(user, alloc.psd, channels.gain2, noise.psd)
 
 
-def _rate_raw(user, psd, gain2, noise_psd, bin_width) -> float:
+def _rate_raw(user, psd, gain2, noise_psd, bin_width) -> np.ndarray:
     floor = _effective_noise_raw(user, psd, gain2, noise_psd)
-    snr = psd[user] * gain2[user, user] / floor
-    return float(bin_width * np.log2(1.0 + snr).sum())
+    snr = psd[..., user, :] * gain2[user, user] / floor
+    return bin_width * np.log2(1.0 + snr).sum(axis=-1)
+
+
+def _rates(psd, gain2, noise_psd, bin_width) -> np.ndarray:
+    """Rate of every user for joint allocations psd[..., N, K]; shape [..., N]."""
+    users = range(psd.shape[-2])
+    return np.stack([_rate_raw(n, psd, gain2, noise_psd, bin_width) for n in users], axis=-1)
 
 
 def achievable_rate(
@@ -227,28 +238,63 @@ def achievable_rate(
     _check_consistent(user, alloc, channels, noise)
     if grid.bin_count != channels.bin_count:
         raise ValueError("grid bin count does not match channels")
-    return _rate_raw(user, alloc.psd, channels.gain2, noise.psd, grid.bin_width)
+    return float(_rate_raw(user, alloc.psd, channels.gain2, noise.psd, grid.bin_width))
 
 
 def all_rates(alloc: PowerAllocation, scen: PowerScenario) -> np.ndarray:
     """Rate vector for every user of a scenario under one allocation."""
-    return np.array(
-        [
-            _rate_raw(n, alloc.psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
-            for n in range(scen.user_count)
-        ]
-    )
+    return _rates(alloc.psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
+
+
+def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bin_width: float) -> np.ndarray:
+    """Water-fill every row of noise_rows (B, K) against one gain row.
+
+    A bin is usable when its floor noise/gain is finite, so zero and
+    vanishingly small gains get no power.  With the floors of a row sorted,
+    s_1 <= ... <= s_K, the wet support is the longest prefix with
+    s_m < (target + s_1 + ... + s_m) / m; the level is then solved exactly
+    on that support, summing the wet floors in bin order.
+    """
+    target = budget / bin_width  # total PSD mass to spend
+    with np.errstate(divide="ignore", over="ignore"):
+        floors = noise_rows / gain
+    ordered = np.sort(floors, axis=-1)
+    if ordered[:, 0].max() == np.inf:
+        raise NoUsableSpectrumError("no usable spectrum: every channel gain is zero or too small")
+    below = ordered < (target + ordered.cumsum(axis=-1)) / np.arange(1, floors.shape[-1] + 1)
+    # the highest floor of the support, or the lowest floor if none qualifies
+    prefix = np.logical_and.accumulate(below, axis=-1)
+    wet = floors <= np.where(prefix, ordered, ordered[:, :1]).max(axis=-1, keepdims=True)
+    count = wet.sum(axis=-1)
+
+    # Each sum runs over one row's wet floors alone, in bin order, exactly as
+    # a one-dimensional sum of that support; rows are grouped by its size.
+    sizes = set(count.tolist())
+    wet_sum = np.empty(len(floors))
+    for size in sizes:
+        rows = count == size if len(sizes) > 1 else slice(None)
+        wet_sum[rows] = floors[rows][wet[rows]].reshape(-1, size).sum(axis=-1)
+    level = (target + wet_sum) / count
+
+    # a wet floor tied at the water line can round to just above the level
+    filled = np.where(wet, np.maximum(level[:, None] - floors, 0.0), 0.0)
+    spent = filled.sum(axis=-1) * bin_width
+    miss = np.abs(spent - budget)
+    if miss.max() > BUDGET_RTOL * budget:
+        worst = int(np.argmax(miss))
+        raise ArithmeticError(f"water-filling failed: spent {float(spent[worst])!r} of {float(budget)!r}")
+    return filled
 
 
 def water_fill(gain, noise_psd, budget: float, grid: FrequencyGrid) -> np.ndarray:
     """Single-user water-filling against a fixed per-bin noise floor.
 
     Returns the PSD row maximizing sum_k df*log(1 + gain[k] P[k] / noise[k])
-    subject to sum_k P[k]*df == budget and P >= 0.  Bins with zero gain get
-    zero power and are excluded from the water-level computation.  The water
-    level is located by bisection (monotone in total spent power) and then
-    solved exactly on the identified support, so the budget is met to
-    machine precision.
+    subject to sum_k P[k]*df == budget and P >= 0.  Bins whose floor
+    noise/gain is not finite (zero or vanishingly small gain) get zero power
+    and are excluded from the water-level computation.  The wet support is
+    found in closed form from the sorted floors and the level is solved
+    exactly on it, so the budget is met to machine precision.
     """
     gain = np.asarray(gain, dtype=float)
     noise_psd = np.asarray(noise_psd, dtype=float)
@@ -260,51 +306,7 @@ def water_fill(gain, noise_psd, budget: float, grid: FrequencyGrid) -> np.ndarra
         raise ValueError("noise floor must be finite and strictly positive")
     if not np.isfinite(budget) or budget <= 0:
         raise ValueError("budget must be a positive real")
-
-    usable = gain > 0
-    if not usable.any():
-        raise NoUsableSpectrumError("no usable spectrum: all channel gains are zero")
-
-    df = grid.bin_width
-    floors = noise_psd[usable] / gain[usable]
-    target = budget / df  # total PSD mass to spend
-
-    lo = floors.min()
-    hi = lo + budget / (df * floors.size) + floors.max()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        spent = np.maximum(0.0, mid - floors).sum()
-        if abs(spent - target) * df <= 1e-12:
-            lo = hi = mid
-            break
-        if spent > target:
-            hi = mid
-        else:
-            lo = mid
-    level = 0.5 * (lo + hi)
-
-    # Exact water level on the support found by bisection.  If the boundary
-    # was degenerate (a floor sits exactly at the water line) the offending
-    # bins are dropped; they would have received ~0 power anyway.
-    wet = level > floors
-    if not wet.any():
-        wet = floors == floors.min()
-    while True:
-        level = (target + floors[wet].sum()) / wet.sum()
-        flooded = wet & (floors > level)
-        if not flooded.any():
-            break
-        wet &= ~flooded
-
-    filled = np.zeros_like(floors)
-    filled[wet] = level - floors[wet]
-    row = np.zeros_like(gain)
-    row[usable] = filled
-
-    spent = row.sum() * df
-    if abs(spent - budget) > BUDGET_RTOL * budget:
-        raise ArithmeticError(f"water level search failed: spent {spent!r} of {budget!r}")
-    return row
+    return _water_fill_rows(gain, noise_psd[None], budget, grid.bin_width)[0]
 
 
 def generate_multipath_channels(

@@ -4,6 +4,8 @@ import pytest
 
 from specgames.cli import main
 
+from test_acceptance import CLI_CASES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -240,3 +242,16 @@ def test_learn_on_power_game_with_grid_actions(tmp_path, scenario_dir, capsys):
     assert code == 0
     dist = read(tmp_path / "distribution.csv").decode().splitlines()
     assert len(dist) == 1 + 5 * 5  # five splits of the budget per user
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_numpy_reprs_in_output(tmp_path, scenario_dir, capsys, fmt):
+    cases = CLI_CASES + [("contention.json", ("matrix", "solve"))]
+    for index, (config, argv) in enumerate(cases):
+        out_dir = tmp_path / str(index)
+        code, out, err = run(capsys, *argv, "--config", str(scenario_dir / config),
+                             "--seed", "7", "--out", str(out_dir), "--format", fmt)
+        assert code == 0, argv
+        assert "np." not in out + err, (argv, out)
+        for path in out_dir.iterdir():
+            assert b"np." not in read(path), (argv, path.name)

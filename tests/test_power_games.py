@@ -5,10 +5,11 @@ import pytest
 
 import specgames as sg
 from specgames.errors import OracleScaleError
-from specgames.power_games import _budget_splits
-from specgames.spectrum import _effective_noise_raw
+from specgames.power_games import _budget_splits, _candidate_rows
+from specgames.scenario import load_scenario
+from specgames.spectrum import _effective_noise_raw, all_rates
 
-from conftest import ensemble_channels
+from conftest import SCENARIOS, ensemble_channels
 
 
 def flat_symmetric_scenario():
@@ -267,3 +268,89 @@ def test_determinism(two_channel):
                                      two_channel.budgets, two_channel.grid, levels=10)
     assert np.array_equal(a.leader_allocation, b.leader_allocation)
     assert np.array_equal(a.rates, b.rates)
+
+
+def scalar_leader_search(leader, scen, levels=10, refine_rounds=40):
+    """Reference: price one leader candidate at a time, keep strict improvements."""
+    ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
+    follower = 1 - leader
+    evaluated = 0
+
+    def assess(row):
+        nonlocal evaluated
+        evaluated += 1
+        psd = np.zeros((2, grid.bin_count))
+        psd[leader] = row
+        floor = _effective_noise_raw(follower, psd, ch.gain2, noise.psd)
+        psd[follower] = sg.water_fill(ch.gain2[follower, follower], floor,
+                                      budgets.budget[follower], grid)
+        return psd[follower], all_rates(sg.PowerAllocation(psd), scen)
+
+    nash = sg.iterative_water_filling(ch, noise, budgets, grid)
+    best_row = np.array(nash.allocation.psd[leader])
+    best_reply, best_rates = assess(best_row)
+    if grid.bin_count <= 4:
+        for row in _candidate_rows(levels, grid, budgets.budget[leader]):
+            reply, rates = assess(row)
+            if rates[leader] > best_rates[leader]:
+                best_row, best_reply, best_rates = row, reply, rates
+        return best_row, best_reply, best_rates, evaluated
+    step = budgets.budget[leader] / (levels * grid.bin_width)
+    current = (best_row, best_reply, best_rates)
+    for _ in range(refine_rounds):
+        move = None
+        for src in range(grid.bin_count):
+            if current[0][src] < step:
+                continue
+            for dst in range(grid.bin_count):
+                if dst != src:
+                    trial = np.array(current[0])
+                    trial[src] -= step
+                    trial[dst] += step
+                    reply, rates = assess(trial)
+                    if move is None or rates[leader] > move[2][leader]:
+                        move = (trial, reply, rates)
+        if move is None or move[2][leader] <= current[2][leader]:
+            break
+        current = move
+    if current[2][leader] > best_rates[leader]:
+        best_row, best_reply, best_rates = current
+    return best_row, best_reply, best_rates, evaluated
+
+
+def descent_scenario(index):
+    grid = sg.FrequencyGrid(8, 8.0)
+    return sg.PowerScenario(
+        grid=grid,
+        channels=ensemble_channels(2718, index, grid),
+        noise=sg.NoiseProfile.flat(1.0, 2, 8),
+        budgets=sg.PowerBudget(np.array([100.0, 100.0])),
+    )
+
+
+@pytest.mark.parametrize("draw,leader", [
+    ("fig6", 0), ("fig6", 1), ("mirror", 0), (0, 0), (4, 0), (5, 0), (5, 1),
+])
+def test_batched_leader_search_matches_scalar_loop(draw, leader):
+    # fig6 runs the grid branch; in the mirror-symmetric scenario the best
+    # leader rows tie exactly; the K=8 draws all run several descent rounds
+    if draw == "fig6":
+        scen = load_scenario(SCENARIOS / "fig6.json").power_scenario()
+    elif draw == "mirror":
+        scen = sg.two_channel_scenario(cross_12=(0.8, 0.8), cross_21=(0.8, 0.8))
+    else:
+        scen = descent_scenario(draw)
+    res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
+                                       scen.grid, levels=10)
+    row, reply, rates, evaluated = scalar_leader_search(leader, scen, levels=10)
+    assert np.array_equal(res.leader_allocation, row)
+    assert np.array_equal(res.follower_allocation, reply)
+    assert np.array_equal(res.rates, rates)
+    assert res.candidates_evaluated == evaluated
+    if draw == "mirror":
+        mirrored = sg.follower_response_rates(leader, row[::-1], scen.channels, scen.noise,
+                                              scen.budgets, scen.grid)[1]
+        assert mirrored[leader] == rates[leader] and not np.array_equal(row, row[::-1])
+    elif draw != "fig6":
+        nash = sg.iterative_water_filling(scen.channels, scen.noise, scen.budgets, scen.grid)
+        assert not np.array_equal(row, nash.allocation.psd[leader])

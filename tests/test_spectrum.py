@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import specgames as sg
 from specgames.errors import NoUsableSpectrumError
-from specgames.spectrum import all_rates
+from specgames.spectrum import _rates, _water_fill_rows, all_rates
 
 from conftest import random_instance
 
@@ -243,3 +244,114 @@ def test_all_rates_matches_per_user(two_channel):
     for n in range(2):
         assert vec[n] == sg.achievable_rate(n, alloc, two_channel.channels,
                                             two_channel.noise, two_channel.grid)
+
+
+def bisection_water_fill(gain, noise_psd, budget, grid):
+    """Reference: water level by bisection, then repaired on the found support."""
+    usable = gain > 0
+    df = grid.bin_width
+    floors = noise_psd[usable] / gain[usable]
+    target = budget / df
+    lo = floors.min()
+    hi = lo + budget / (df * floors.size) + floors.max()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        spent = np.maximum(0.0, mid - floors).sum()
+        if abs(spent - target) * df <= 1e-12:
+            lo = hi = mid
+            break
+        if spent > target:
+            hi = mid
+        else:
+            lo = mid
+    level = 0.5 * (lo + hi)
+    wet = level > floors
+    if not wet.any():
+        wet = floors == floors.min()
+    while True:
+        level = (target + floors[wet].sum()) / wet.sum()
+        flooded = wet & (floors > level)
+        if not flooded.any():
+            break
+        wet &= ~flooded
+    filled = np.zeros_like(floors)
+    filled[wet] = level - floors[wet]
+    row = np.zeros_like(gain)
+    row[usable] = filled
+    return row
+
+
+def kernel_instance(rng, bins):
+    """Random instance with dead bins and, often, runs of tied floors."""
+    gain, noise, budget = random_instance(rng, bins)
+    if bins > 1 and rng.random() < 0.5:
+        tied = rng.random(bins) < 0.4
+        gain[tied & (gain > 0)] = 1.0
+        noise[tied] = noise[0]
+    return gain, noise, budget
+
+
+def test_water_fill_matches_bisection_reference():
+    checked = identical = 0
+    for bins in (1, 2, 3, 5, 8, 13, 64, 257, 1024):
+        count = 60 if bins > 64 else 150
+        for idx in range(count):
+            rng = np.random.default_rng([4040, bins, idx])
+            gain, noise, budget = kernel_instance(rng, bins)
+            grid = sg.FrequencyGrid(bins, float(bins) * rng.choice([0.5, 1.0, 3.0]))
+            row = sg.water_fill(gain, noise, budget, grid)
+            ref = bisection_water_fill(gain, noise, budget, grid)
+            assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max(), (bins, idx)
+            checked += 1
+            identical += np.array_equal(row, ref)
+    assert checked >= 1000
+    # same support and the same summation order give the same bits
+    assert identical == checked
+
+
+@pytest.mark.parametrize("bins", [1, 3, 8, 17, 64])
+def test_water_fill_rows_equal_per_row_calls(bins):
+    rng = np.random.default_rng([5050, bins])
+    grid = sg.FrequencyGrid(bins, float(bins))
+    gain, _, budget = kernel_instance(rng, bins)
+    # floors spread over decades so the rows have different support sizes
+    noise_rows = rng.uniform(0.5, 2.0, (40, bins)) * 10.0 ** rng.uniform(-1, 2, (40, bins))
+    noise_rows[::7] = noise_rows[0]
+    rows = _water_fill_rows(gain, noise_rows, budget, grid.bin_width)
+    for b in range(len(noise_rows)):
+        assert np.array_equal(rows[b], sg.water_fill(gain, noise_rows[b], budget, grid))
+
+
+def test_water_fill_tiny_gain_is_unusable():
+    grid = sg.FrequencyGrid(3, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = sg.water_fill([1e-320, 1.0, 0.0], [1.0, 1.0, 1.0], 6.0, grid)
+        assert np.array_equal(row, [0.0, 6.0, 0.0])
+        with pytest.raises(NoUsableSpectrumError):
+            sg.water_fill([1e-320, 0.0, 5e-324], [1.0, 1.0, 1.0], 6.0, grid)
+        with pytest.raises(NoUsableSpectrumError):
+            _water_fill_rows(np.array([1e-300, 1.0]), np.array([[1.0, 1.0], [1e10, np.inf]]),
+                             1.0, 1.0)
+
+
+def test_rate_kernel_broadcasts_over_allocations():
+    rng = np.random.default_rng(6060)
+    for users in (1, 2, 3):
+        grid = sg.FrequencyGrid(5, 5.0)
+        scen = sg.PowerScenario(
+            grid=grid,
+            channels=sg.ChannelSet(rng.uniform(0.0, 2.0, (users, users, 5))),
+            noise=sg.NoiseProfile(rng.uniform(0.5, 2.0, (users, 5))),
+            budgets=sg.PowerBudget(np.full(users, 100.0)),
+        )
+        psd = rng.uniform(0.0, 4.0, (3, 7, users, 5))
+        rates = _rates(psd, scen.channels.gain2, scen.noise.psd, grid.bin_width)
+        assert rates.shape == (3, 7, users)
+        for i in range(3):
+            for j in range(7):
+                alloc = sg.PowerAllocation(psd[i, j])
+                assert np.array_equal(rates[i, j], all_rates(alloc, scen))
+                for n in range(users):
+                    assert rates[i, j, n] == sg.achievable_rate(
+                        n, alloc, scen.channels, scen.noise, grid)
