@@ -188,6 +188,9 @@ def _cmd_region(doc, args, out_dir):
 
 def _cmd_matrix_solve(doc, args, out_dir):
     game = doc.finite_game()
+    if game.player_count != 2:
+        raise ScenarioError("actions" if doc.kind == "matrix_game" else "budgets",
+                            f"matrix solve analyses two-player games, not {game.player_count}")
     rows = []
     nash_profiles = pure_nash(game)
     nash_text = ", ".join(f"({game.label(p).replace('/', ', ')})" for p in nash_profiles)
@@ -289,11 +292,15 @@ def _cmd_vok(doc, args, out_dir):
         profile = doc.knowledge_profile(levels)
     else:
         profile = doc.knowledge_profile()
+    start = doc.start_profile()
     if doc.kind == "matrix_game" or "actions" in doc.raw:
         scenario = doc.finite_game()
+        for n, (a, count) in enumerate(zip(start or (), scenario.action_counts)):
+            if a >= count:
+                raise ScenarioError(f"start_profile[{n}]", f"must be below the player's action count {count}")
     else:
         scenario = doc.power_scenario()
-    utilities = value_of_knowledge(scenario, profile, start_profile=doc.start_profile())
+    utilities = value_of_knowledge(scenario, profile, start_profile=start)
     rows = [(n + 1, profile.levels[n], float(u)) for n, u in enumerate(utilities)]
     _emit(out_dir, doc.output_base("solution"), args.format, ("user", "knowledge", "utility"), rows)
     print("utilities: (" + ", ".join(repr(float(u)) for u in utilities) + ")")
@@ -306,9 +313,21 @@ def _cmd_ensemble(doc, args, out_dir):
     realizations = args.realizations if args.realizations is not None else section.get("realizations")
     if realizations is None:
         raise ScenarioError("ensemble.realizations", "ensemble needs a realization count")
-    taps = section.get("taps", doc.raw["channels"].get("taps", 4))
+    channels = doc.raw["channels"]
+    if "gains" in channels:
+        raise ScenarioError("channels.gains", "the ensemble draws its own channels; give seed and taps")
+    if isinstance(doc.raw["noise"], list):
+        raise ScenarioError("noise", "the ensemble needs one scalar noise level")
+    if len(doc.raw["budgets"]) != 2:
+        raise ScenarioError("budgets", "the ensemble study has exactly two users")
     budgets = PowerBudget(np.asarray(doc.raw["budgets"], dtype=float))
-    report = channel_ensemble_study(int(realizations), args.seed, scen_grid, budgets, tap_count=taps)
+    report = channel_ensemble_study(
+        int(realizations), args.seed, scen_grid, budgets,
+        tap_count=section.get("taps", channels["taps"]),
+        noise_level=float(doc.raw["noise"]),
+        direct_power=float(channels.get("direct_power", 1.0)),
+        cross_power=float(channels.get("cross_power", 0.5)),
+    )
     rows = [
         (i, float(report.ratios[i, 0]), float(report.ratios[i, 1]))
         for i in range(report.realizations)

@@ -180,15 +180,14 @@ def channel_ensemble_study(
             stream, grid, tap_count, user_count=2,
             direct_power=direct_power, cross_power=cross_power,
         )
-        nash = iterative_water_filling(ch, noise, budgets, grid, tol=tol, max_iter=max_iter)
-        if not nash.converged:
-            skipped += 1
-            continue
         led = stackelberg_leader_search(
             leader, ch, noise, budgets, grid,
             levels=levels, refine_rounds=refine_rounds, tol=tol, max_iter=max_iter,
         )
-        ratios[collected] = led.rates / nash.rates
+        if not led.nash.converged:
+            skipped += 1
+            continue
+        ratios[collected] = led.rates / led.nash.rates
         collected += 1
     edges_counts = [_histogram(ratios[:, n]) for n in range(2)]
     return EnsembleReport(

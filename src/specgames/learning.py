@@ -5,15 +5,15 @@ profile is priced on the game, and each learner updates from what it is
 allowed to observe.  Regret-matching and fictitious-play learners observe
 the full joint action; reinforcement learners observe only their own
 realized payoff, which is what makes them deployable without any protocol
-for reading opponents.  The engine itself keeps referee-side regret
-accounting for every player, so traces carry regrets even for learners
-that could not compute them.
+for reading opponents.  After the run the engine derives every player's
+regrets from the recorded actions, so traces carry regrets even for
+learners that could not compute them.
 
 Regret of player n at time t for action a', relative to its realized play:
 
     r_t(a') = max(0, (1/t) * sum_{t'<=t} [u_n(a', a_-n^{t'}) - u_n(a_n^{t'}, a_-n^{t'})])
 
-maintained incrementally through cumulative difference accumulators.
+computed for all t at once as a running sum over the action record.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_games import JointDistribution, NormalFormGame
+from .matrix_games import JointDistribution, NormalFormGame, _own_payoffs
 
 __all__ = [
     "LEARNER_KINDS",
@@ -51,13 +51,7 @@ LEARNER_KINDS = (
 
 @dataclass
 class LearnerState:
-    """Mutable per-player learner state; only the fields of its kind are live.
-
-    The two belief placeholders stay None for every in-scope learner: the
-    shared resource is static and opponents' private state is unobservable,
-    so there is nothing to update.  They exist so the state mirrors the full
-    belief vector a learner could in principle carry.
-    """
+    """Mutable per-player learner state; only the fields of its kind are live."""
 
     kind: str
     player: int
@@ -79,9 +73,6 @@ class LearnerState:
     last_action: int | None = None
     rounds_seen: int = 0
     rng: np.random.Generator | None = None
-    inbox: object = None
-    resource_belief: object = None
-    private_state_belief: object = None
 
 
 def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, start_action=0) -> LearnerState:
@@ -127,7 +118,6 @@ def _reset(state: LearnerState):
     state.last_opponent_profile = None
     state.last_action = None
     state.rounds_seen = 0
-    state.inbox = None
 
 
 def _sample(probs, rng) -> int:
@@ -207,34 +197,18 @@ def reinforcement_update(state: LearnerState, action: int, payoff: float):
     state.rounds_seen += 1
 
 
-def _deviation_payoffs(game: NormalFormGame, player: int, profile) -> np.ndarray:
-    index = tuple(
-        slice(None) if p == player else int(profile[p]) for p in range(game.player_count)
-    )
-    return game.payoffs[index + (player,)]
-
-
 def _select(state: LearnerState, game: NormalFormGame):
     if state.kind == "fixed":
         return state.fixed_action
     if state.kind == "best_response_myopic":
         if state.last_opponent_profile is None:
             return state.start_action
-        u = _full_profile_payoffs(game, state.player, state.last_opponent_profile)
-        return int(np.argmax(u))
+        return int(np.argmax(_own_payoffs(game, state.player, state.last_opponent_profile)))
     if state.kind == "fictitious_play":
         return fictitious_play_step(state, game, state.player)
     if state.kind == "regret_matching":
         return regret_matching_step(state, state.rng)
     return reinforcement_step(state, state.rng)
-
-
-def _full_profile_payoffs(game, player, opponent_actions):
-    index = []
-    it = iter(opponent_actions)
-    for p in range(game.player_count):
-        index.append(slice(None) if p == player else int(next(it)))
-    return game.payoffs[tuple(index) + (player,)]
 
 
 def _observe(state: LearnerState, game: NormalFormGame, profile, payoff: float):
@@ -243,16 +217,15 @@ def _observe(state: LearnerState, game: NormalFormGame, profile, payoff: float):
         reinforcement_update(state, profile[state.player], payoff)
         return
     own = profile[state.player]
+    opponents = profile[:state.player] + profile[state.player + 1:]
     if state.kind == "regret_matching":
-        alternatives = _deviation_payoffs(game, state.player, profile)
+        alternatives = _own_payoffs(game, state.player, opponents)
         state.regret_sums += alternatives - alternatives[own]
     elif state.kind == "fictitious_play":
         for j, counts in state.opponent_counts.items():
             counts[profile[j]] += 1
     elif state.kind == "best_response_myopic":
-        state.last_opponent_profile = tuple(
-            profile[p] for p in range(game.player_count) if p != state.player
-        )
+        state.last_opponent_profile = opponents
     state.last_action = own
     state.rounds_seen += 1
 
@@ -280,15 +253,12 @@ def run_repeated_game(
     learners,
     rounds: int,
     seed: int,
-    info_channel=None,
 ) -> LearningTrace:
     """Play `rounds` rounds and record everything; deterministic per seed.
 
     Learner states are reset on entry and each player draws from its own rng
     stream derived from (seed, player index), so identical inputs give
-    identical traces.  `info_channel(t)` may inject per-player payloads each
-    round; they are delivered to the states' inbox and consumed by no
-    in-scope learner.
+    identical traces.
     """
     n = game.player_count
     if len(learners) != n:
@@ -303,53 +273,43 @@ def run_repeated_game(
 
     actions = np.zeros((rounds, n), dtype=int)
     utilities = np.zeros((rounds, n))
-    regret_records = tuple(np.zeros((rounds, game.action_counts[p])) for p in range(n))
-    referee = [np.zeros(game.action_counts[p]) for p in range(n)]
-
     for t in range(rounds):
         profile = tuple(_select(state, game) for state in learners)
         payoff = game.payoff_vector(profile)
         actions[t] = profile
         utilities[t] = payoff
-        for p in range(n):
-            alternatives = _deviation_payoffs(game, p, profile)
-            referee[p] += alternatives - alternatives[profile[p]]
-            np.maximum(0.0, referee[p] / (t + 1), out=regret_records[p][t])
-        payloads = info_channel(t) if info_channel is not None else None
         for p, state in enumerate(learners):
-            if payloads is not None:
-                state.inbox = payloads[p]
             _observe(state, game, profile, float(payoff[p]))
 
     return LearningTrace(
         actions=actions,
         utilities=utilities,
-        regrets=regret_records,
+        regrets=tuple(_regret_history(game, actions, p) for p in range(n)),
         rounds=rounds,
         action_counts=game.action_counts,
     )
+
+
+def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> np.ndarray:
+    """Regret vector of one player after each recorded round, shape (rounds, |A_n|).
+
+    The running sum adds the rounds' payoff differences left to right, so
+    row t equals an accumulator updated once per round.
+    """
+    rounds = len(actions)
+    opponents = [actions[:, q, None] for q in range(game.player_count) if q != player]
+    history = _own_payoffs(game, player, opponents)
+    history -= history[np.arange(rounds), actions[:, player], None]
+    np.cumsum(history, axis=0, out=history)
+    history /= np.arange(1, rounds + 1)[:, None]
+    return np.maximum(0.0, history, out=history)
 
 
 def regret_vector(trace: LearningTrace, game: NormalFormGame, player: int, t: int) -> np.ndarray:
     """Recompute the time-t regret vector of one player straight from a trace."""
     if not 1 <= t <= trace.rounds:
         raise ValueError("t must lie in [1, rounds]")
-    sums = np.zeros(game.action_counts[player])
-    if game.player_count == 2:
-        opp = 1 - player
-        opp_actions = trace.actions[:t, opp]
-        own_actions = trace.actions[:t, player]
-        if player == 0:
-            table = game.payoffs[:, :, 0][:, opp_actions]
-        else:
-            table = game.payoffs[:, :, 1][opp_actions, :].T
-        sums = (table - table[own_actions, np.arange(t)]).sum(axis=1)
-    else:
-        for step in range(t):
-            profile = trace.actions[step]
-            alternatives = _deviation_payoffs(game, player, profile)
-            sums += alternatives - alternatives[profile[player]]
-    return np.maximum(0.0, sums / t)
+    return _regret_history(game, trace.actions[:t], player)[-1]
 
 
 def empirical_joint_distribution(trace: LearningTrace) -> JointDistribution:

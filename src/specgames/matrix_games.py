@@ -19,7 +19,7 @@ import numpy as np
 from . import simplex
 from .errors import DegenerateGameError, NoPureNashError, OracleScaleError
 from .power_games import _budget_splits
-from .spectrum import PowerAllocation, PowerScenario, all_rates, two_channel_scenario
+from .spectrum import PowerScenario, _rates, two_channel_scenario
 
 __all__ = [
     "NormalFormGame",
@@ -138,13 +138,15 @@ def build_power_game_from_allocations(scen: PowerScenario, actions, labels) -> N
     """Finite game whose actions are fixed PSD rows evaluated on a scenario.
 
     `actions[n]` lists the candidate rows of user n; the payoff tensor holds
-    the rate vector of every joint choice.
+    the rate vector of every joint choice, all priced in one rate-kernel call.
     """
     counts = tuple(len(a) for a in actions)
-    payoffs = np.zeros(counts + (scen.user_count,))
-    for profile in itertools.product(*(range(c) for c in counts)):
-        psd = np.vstack([actions[n][profile[n]] for n in range(scen.user_count)])
-        payoffs[profile] = all_rates(PowerAllocation(psd), scen)
+    psd = np.empty(counts + (scen.user_count, scen.grid.bin_count))
+    for n, rows in enumerate(actions):
+        shape = [1] * len(counts) + [scen.grid.bin_count]
+        shape[n] = counts[n]  # user n's rows vary along profile axis n only
+        psd[..., n, :] = np.reshape(rows, shape)
+    payoffs = _rates(psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
     return NormalFormGame(payoffs, action_labels=labels)
 
 
@@ -211,26 +213,23 @@ def discretize_power_game(scen: PowerScenario, levels: int = 10) -> NormalFormGa
     return build_power_game_from_allocations(scen, actions, tuple(labels))
 
 
-def _others(game: NormalFormGame, player: int):
-    return [p for p in range(game.player_count) if p != player]
-
-
 def _own_payoffs(game: NormalFormGame, player: int, opponent_actions) -> np.ndarray:
-    """Utility of `player` for each own action, opponents' actions fixed."""
-    if isinstance(opponent_actions, (int, np.integer)):
-        opponent_actions = (int(opponent_actions),)
-    opponent_actions = tuple(int(a) for a in opponent_actions)
-    if len(opponent_actions) != game.player_count - 1:
-        raise ValueError("need one action per opponent")
-    index = []
-    it = iter(opponent_actions)
-    for p in range(game.player_count):
-        index.append(slice(None) if p == player else next(it))
+    """Utility of `player` for each own action, opponents' actions fixed.
+
+    Opponent entries are ints, or (T, 1) integer columns for T rows at once.
+    """
+    index = list(opponent_actions)
+    index.insert(player, np.arange(game.action_counts[player]))
     return game.payoffs[tuple(index) + (player,)]
 
 
 def best_response(game: NormalFormGame, player: int, opponent_actions) -> list:
     """All payoff-maximizing actions of one player, sorted by action index."""
+    if isinstance(opponent_actions, (int, np.integer)):
+        opponent_actions = (opponent_actions,)
+    opponent_actions = tuple(int(a) for a in opponent_actions)
+    if len(opponent_actions) != game.player_count - 1:
+        raise ValueError("need one action per opponent")
     u = _own_payoffs(game, player, opponent_actions)
     best = u.max()
     return [int(a) for a in np.flatnonzero(u == best)]

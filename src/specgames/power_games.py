@@ -67,6 +67,7 @@ class StackelbergResult:
     follower_allocation: np.ndarray
     rates: np.ndarray
     candidates_evaluated: int
+    nash: IwResult  # the iterative-water-filling outcome the search started from
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,6 +259,7 @@ def stackelberg_leader_search(
         follower_allocation=np.array(best_reply),
         rates=np.array(best_rates),
         candidates_evaluated=evaluated,
+        nash=nash,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ def _expect_int(value, path, minimum=None):
 def _expect_number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
+    if not math.isfinite(value):
+        _fail(path, "must be finite")
     if positive and value <= 0:
         _fail(path, "must be positive")
     return float(value)
@@ -169,7 +172,10 @@ class ScenarioDocument:
             _fail("actions", "a power_game needs an actions section for finite-game commands")
         scen = self.power_scenario()
         if actions["type"] == "concentrate_spread":
-            return concentrate_spread_game(scen)
+            try:
+                return concentrate_spread_game(scen)
+            except ValueError as exc:
+                _fail("actions.type", str(exc))
         return discretize_power_game(scen, levels=actions.get("levels", 10))
 
     def learners(self, game: NormalFormGame) -> list:
@@ -180,6 +186,12 @@ class ScenarioDocument:
             _fail("learners", f"expected one learner per player ({game.player_count})")
         out = []
         for p, entry in enumerate(spec):
+            count = game.action_counts[p]
+            for opt in ("action", "start"):
+                if entry.get(opt, 0) >= count:
+                    _fail(f"learners[{p}].{opt}", f"must be below the player's action count {count}")
+            if entry["kind"] == "fixed" and "action" not in entry:
+                _fail(f"learners[{p}].action", "a fixed learner needs an action")
             out.append(
                 make_learner(
                     entry["kind"],
@@ -195,7 +207,13 @@ class ScenarioDocument:
         levels = override if override is not None else self.raw.get("knowledge")
         if levels is None:
             _fail("knowledge", "this command needs knowledge levels (config key or --profile)")
-        return KnowledgeProfile(tuple(levels))
+        path = "knowledge" if override is None else "--profile"
+        if len(levels) != self.user_count():
+            _fail(path, f"expected one knowledge level per user ({self.user_count()})")
+        try:
+            return KnowledgeProfile(tuple(levels))
+        except ValueError as exc:
+            _fail(path, str(exc))
 
     def start_profile(self):
         value = self.raw.get("start_profile")
@@ -240,6 +258,9 @@ def _validate_power(doc: dict):
         _expect_keys(channels, "channels", {"seed", "taps"}, {"direct_power", "cross_power"})
         _expect_int(channels["seed"], "channels.seed", minimum=0)
         _expect_int(channels["taps"], "channels.taps", minimum=1)
+        for key in ("direct_power", "cross_power"):
+            if key in channels and _expect_number(channels[key], f"channels.{key}") < 0:
+                _fail(f"channels.{key}", "must be nonnegative")
 
     noise = doc["noise"]
     if isinstance(noise, (int, float)) and not isinstance(noise, bool):

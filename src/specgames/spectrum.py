@@ -43,12 +43,6 @@ __all__ = [
 BUDGET_RTOL = 1e-9
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Uniform discretization of the band [0, total_band] into bin_count bins."""

@@ -255,3 +255,79 @@ def test_no_numpy_reprs_in_output(tmp_path, scenario_dir, capsys, fmt):
         assert "np." not in out + err, (argv, out)
         for path in out_dir.iterdir():
             assert b"np." not in read(path), (argv, path.name)
+
+
+def _edit(doc, path, value):
+    """Set one field of a nested document, addressed by a tuple of keys."""
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+THREE_PLAYER = {
+    "version": 1,
+    "kind": "matrix_game",
+    "actions": [["a", "b"], ["c", "d"], ["e", "f"]],
+    "payoffs": [
+        [[[1, 2, 3], [0, 1, 2]], [[2, 2, 2], [1, 0, 1]]],
+        [[[0, 0, 1], [3, 1, 0]], [[1, 1, 1], [2, 0, 2]]],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "config, edits, argv, field",
+    [
+        ("contention.json", [(("learners", 0), {"kind": "fixed", "action": 5})], ("learn",),
+         "learners[0].action"),
+        ("contention.json", [(("learners", 1), {"kind": "best_response_myopic", "start": 2})],
+         ("learn",), "learners[1].start"),
+        ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("learn",),
+         "learners[0].action"),
+        ("contention.json", [(("start_profile",), [0, 7])], ("vok",), "start_profile[1]"),
+        ("contention.json", [(("knowledge",), ["heterogeneous_leader"] * 2)], ("vok",),
+         "knowledge"),
+        ("contention.json", [], ("vok", "--profile", "priv"), "--profile"),
+        ("fig6.json", [(("budgets", 0), float("nan"))], ("iw",), "budgets[0]"),
+        ("fig6.json", [(("noise",), float("inf"))], ("iw",), "noise"),
+        (THREE_PLAYER, [], ("matrix", "solve"), "actions"),
+        ("ensemble_default.json", [(("noise",), [[1.0] * 8] * 2)], ("ensemble",), "noise"),
+        ("fig6.json", [(("ensemble",), {"realizations": 2})], ("ensemble",), "channels.gains"),
+        ("ensemble_default.json", [(("channels", "cross_power"), -0.5)], ("ensemble",),
+         "channels.cross_power"),
+        ("ensemble_default.json", [(("budgets",), [100.0] * 3)], ("ensemble",), "budgets"),
+        ("ensemble_default.json", [(("actions",), {"type": "concentrate_spread"})],
+         ("matrix", "solve"), "actions.type"),
+    ],
+)
+def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, edits, argv, field):
+    if isinstance(config, dict):
+        doc = json.loads(json.dumps(config))
+    else:
+        doc = json.loads((scenario_dir / config).read_text())
+    for path, value in edits:
+        _edit(doc, path, value)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 1, err
+    assert f"config error: {field}:" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_ensemble_honours_document_channels_and_noise(tmp_path, scenario_dir, capsys):
+    doc = json.loads((scenario_dir / "ensemble_default.json").read_text())
+    doc["channels"]["cross_power"] = 0
+    doc["noise"] = 50
+    cfg = tmp_path / "decoupled.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, _ = run(capsys, "ensemble", "--config", str(cfg), "--out", str(tmp_path),
+                     "--realizations", "6", "--format", "json")
+    assert code == 0
+    rows = json.loads(read(tmp_path / "ensemble.json"))
+    assert len(rows) == 7
+    for row in rows:
+        # decoupled users: the leader cannot move the follower, so leading is Nash
+        assert abs(row["ratio_1"] - 1.0) <= 1e-12 and abs(row["ratio_2"] - 1.0) <= 1e-12, row

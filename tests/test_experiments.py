@@ -96,11 +96,15 @@ def test_ensemble_report_shape_and_determinism():
 def test_ensemble_unstable_error(monkeypatch):
     import specgames.experiments as exp
 
-    class FakeResult:
+    class FakeNash:
         converged = False
         rates = np.ones(2)
 
-    monkeypatch.setattr(exp, "iterative_water_filling", lambda *a, **k: FakeResult())
+    class FakeResult:
+        nash = FakeNash()
+        rates = np.ones(2)
+
+    monkeypatch.setattr(exp, "stackelberg_leader_search", lambda *a, **k: FakeResult())
     grid = sg.FrequencyGrid(4, 4.0)
     budgets = sg.PowerBudget(np.array([10.0, 10.0]))
     with pytest.raises(EnsembleUnstableError):

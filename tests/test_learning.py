@@ -3,6 +3,7 @@ import pytest
 
 import specgames as sg
 from specgames.learning import (
+    LEARNER_KINDS,
     _observe,
     make_learner,
     regret_matching_probabilities,
@@ -12,6 +13,33 @@ from specgames.learning import (
 
 def fixed_pair(game, actions):
     return [make_learner("fixed", game, p, fixed_action=a) for p, a in enumerate(actions)]
+
+
+def referee_regrets(game, actions):
+    """Reference regrets: one accumulator per player, updated once per round."""
+    rounds, n = actions.shape
+    records = tuple(np.zeros((rounds, game.action_counts[p])) for p in range(n))
+    referee = [np.zeros(game.action_counts[p]) for p in range(n)]
+    for t in range(rounds):
+        profile = tuple(int(a) for a in actions[t])
+        for p in range(n):
+            index = tuple(slice(None) if q == p else profile[q] for q in range(n))
+            alternatives = game.payoffs[index + (p,)]
+            referee[p] += alternatives - alternatives[profile[p]]
+            np.maximum(0.0, referee[p] / (t + 1), out=records[p][t])
+    return records
+
+
+def three_player_game():
+    rng = np.random.default_rng(404)
+    return sg.NormalFormGame(rng.uniform(-3.0, 5.0, size=(4, 2, 3, 3)))
+
+
+def learners_of(kind, game):
+    if kind == "fixed":
+        return [make_learner(kind, game, p, fixed_action=c - 1)
+                for p, c in enumerate(game.action_counts)]
+    return [make_learner(kind, game, p) for p in range(game.player_count)]
 
 
 def test_make_learner_kind_fields(contention):
@@ -52,13 +80,40 @@ def test_regret_vector_zero_for_constant_best_response(contention):
     assert sg.regret_vector(trace, contention, 0, 50) == pytest.approx([0.0, 0.0])
 
 
+def test_regret_vector_three_players():
+    game = three_player_game()
+    trace = sg.run_repeated_game(game, learners_of("regret_matching", game), 300, seed=3)
+    reference = referee_regrets(game, trace.actions)
+    for player in range(3):
+        for t in (1, 2, 50, 300):
+            direct = sg.regret_vector(trace, game, player, t)
+            assert np.array_equal(direct, reference[player][t - 1])
+    # a constant profile leaves the one-shot deviation gains as the regrets
+    trace = sg.run_repeated_game(game, learners_of("fixed", game), 4, seed=0)
+    gains = game.payoffs[:, 1, 2, 0] - game.payoffs[3, 1, 2, 0]
+    assert sg.regret_vector(trace, game, 0, 4) == pytest.approx(np.maximum(0.0, gains), abs=1e-12)
+
+
 def test_recorded_regrets_match_direct_recomputation(contention):
     learners = [make_learner("regret_matching", contention, p) for p in range(2)]
     trace = sg.run_repeated_game(contention, learners, 500, seed=11)
+    reference = referee_regrets(contention, trace.actions)
     for player in range(2):
         for t in (1, 7, 123, 500):
             direct = sg.regret_vector(trace, contention, player, t)
-            assert trace.regrets[player][t - 1] == pytest.approx(direct, abs=1e-9)
+            assert np.array_equal(direct, reference[player][t - 1])
+            assert np.array_equal(trace.regrets[player][t - 1], reference[player][t - 1])
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_recorded_regrets_equal_per_round_referee(kind, contention, two_channel):
+    grid_game = sg.discretize_power_game(two_channel, levels=7)
+    assert grid_game.action_counts == (8, 8)
+    for game in (contention, grid_game, three_player_game()):
+        trace = sg.run_repeated_game(game, learners_of(kind, game), 400, seed=13)
+        reference = referee_regrets(game, trace.actions)
+        for player in range(game.player_count):
+            assert np.array_equal(trace.regrets[player], reference[player])
 
 
 def test_regret_matching_probabilities_rule(contention):
@@ -176,15 +231,6 @@ def test_run_determinism(contention):
     assert np.array_equal(a.utilities, b.utilities)
     c = sg.run_repeated_game(contention, learners, 2000, seed=22)
     assert not np.array_equal(a.actions, c.actions)
-
-
-def test_info_channel_is_inert(contention):
-    learners = [make_learner("regret_matching", contention, p) for p in range(2)]
-    plain = sg.run_repeated_game(contention, learners, 500, seed=5)
-    chatty = sg.run_repeated_game(contention, learners, 500, seed=5,
-                                  info_channel=lambda t: [f"msg{t}"] * 2)
-    assert np.array_equal(plain.actions, chatty.actions)
-    assert learners[0].inbox == "msg499"
 
 
 def test_empirical_joint_distribution(contention):

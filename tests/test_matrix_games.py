@@ -6,6 +6,8 @@ import pytest
 
 import specgames as sg
 from specgames.errors import DegenerateGameError, NoPureNashError, OracleScaleError
+from specgames.power_games import _budget_splits
+from specgames.spectrum import all_rates
 
 FIG_PAYOFFS = {
     (0, 1): (2.12, 3.22),  # (Concentrate, Spread)
@@ -229,6 +231,45 @@ def test_discretize_power_game(two_channel):
     c1 = game.action_labels[0].index("10-0")
     c2 = game.action_labels[1].index("0-10")
     assert game.payoff_vector((c1, c2)) == pytest.approx([math.log2(11.0)] * 2, abs=1e-12)
+
+
+def looped_power_payoffs(scen, levels):
+    """Reference payoffs: every joint profile priced as its own allocation."""
+    splits = list(_budget_splits(levels, scen.grid.bin_count, full_only=True))
+    rows = [
+        [np.asarray(m, dtype=float) * (b / (levels * scen.grid.bin_width)) for m in splits]
+        for b in scen.budgets.budget
+    ]
+    counts = tuple(len(r) for r in rows)
+    payoffs = np.zeros(counts + (scen.user_count,))
+    for profile in itertools.product(*(range(c) for c in counts)):
+        psd = np.vstack([rows[n][profile[n]] for n in range(scen.user_count)])
+        payoffs[profile] = all_rates(sg.PowerAllocation(psd), scen)
+    return payoffs
+
+
+def multipath_scenario(bins, users, seed):
+    grid = sg.FrequencyGrid(bins, float(bins))
+    return sg.PowerScenario(
+        grid=grid,
+        channels=sg.generate_multipath_channels(seed, grid, 3, user_count=users),
+        noise=sg.NoiseProfile.flat(0.5, users, bins),
+        budgets=sg.PowerBudget(np.linspace(8.0, 12.0, users)),
+    )
+
+
+def test_discretized_payoffs_equal_per_profile_pricing(two_channel):
+    cases = [
+        (two_channel, 7),
+        (two_channel, 10),
+        (multipath_scenario(2, 2, seed=1), 7),
+        (multipath_scenario(2, 2, seed=2), 10),
+        (multipath_scenario(4, 2, seed=3), 5),
+        (multipath_scenario(2, 3, seed=4), 3),
+    ]
+    for scen, levels in cases:
+        game = sg.discretize_power_game(scen, levels=levels)
+        assert np.array_equal(game.payoffs, looped_power_payoffs(scen, levels))
 
 
 def test_joint_distribution_marginals(contention):

@@ -174,9 +174,13 @@ def test_leader_never_below_nash(bins):
     for idx in range(10):
         ch = ensemble_channels(606, idx, grid)
         nash = sg.iterative_water_filling(ch, noise, budgets, grid)
+        led = sg.stackelberg_leader_search(0, ch, noise, budgets, grid, levels=10)
+        # the search reports the very Nash outcome it started from
+        assert np.array_equal(led.nash.allocation.psd, nash.allocation.psd)
+        assert np.array_equal(led.nash.rates, nash.rates)
+        assert (led.nash.iterations, led.nash.converged) == (nash.iterations, nash.converged)
         if not nash.converged:
             continue
-        led = sg.stackelberg_leader_search(0, ch, noise, budgets, grid, levels=10)
         assert led.rates[0] >= nash.rates[0] - 1e-9
 
 
