@@ -58,7 +58,7 @@ from .power_games import (
     follower_response_rates,
     grid_dominance_margin,
     iterative_water_filling,
-    rate_region_sweep,
+    pareto_sweep,
     stackelberg_leader_search,
     weighted_sum_optimize,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .matrix_games import (
     stackelberg_finite,
     strictly_dominant_action,
 )
-from .power_games import iterative_water_filling, stackelberg_leader_search, weighted_sum_optimize
+from .power_games import iterative_water_filling, pareto_sweep, stackelberg_leader_search
 from .scenario import load_scenario
 from .spectrum import PowerBudget, _rate_raw, water_fill
 
@@ -81,6 +82,14 @@ def _emit(out_dir: Path, base: str, fmt: str, header, rows) -> Path:
             json.dump(records, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return path
+
+
+def _require_two_users(doc, command, path=None):
+    """Reject a document that does not have exactly two users, before any output."""
+    users = doc.user_count()
+    if users != 2:
+        path = path or ("budgets" if doc.kind == "power_game" else "actions")
+        raise ScenarioError(path, f"{command} needs exactly two users, not {users}")
 
 
 def _region_rows(samples):
@@ -135,6 +144,13 @@ def _cmd_iw(doc, args, out_dir):
 
 def _cmd_stackelberg(doc, args, out_dir):
     scen = doc.power_scenario()
+    _require_two_users(doc, "stackelberg")
+    if args.leader not in (1, 2):
+        raise ScenarioError("--leader", "leader must be in 1..2")
+    if args.levels < 2:
+        raise ScenarioError("--levels", "must be at least 2")
+    if args.refine < 0:
+        raise ScenarioError("--refine", "must be nonnegative")
     leader = args.leader - 1
     res = stackelberg_leader_search(
         leader, scen.channels, scen.noise, scen.budgets, scen.grid,
@@ -155,13 +171,11 @@ def _cmd_stackelberg(doc, args, out_dir):
 
 def _cmd_pareto(doc, args, out_dir):
     scen = doc.power_scenario()
+    _require_two_users(doc, "pareto")
     sweeps = doc.sweeps()
     weights = sweeps.get("weights", [[1.0, 1.0]])
     levels = sweeps.get("levels", 10)
-    samples = [
-        weighted_sum_optimize(w, scen.channels, scen.noise, scen.budgets, scen.grid, levels=levels)
-        for w in weights
-    ]
+    samples = pareto_sweep(weights, scen.channels, scen.noise, scen.budgets, scen.grid, levels=levels)
     _emit(
         out_dir, doc.output_base("region"), args.format,
         ("method", "param1", "param2", "R_1", "R_2"), _region_rows(samples),
@@ -173,10 +187,13 @@ def _cmd_pareto(doc, args, out_dir):
 
 def _cmd_region(doc, args, out_dir):
     scen = doc.power_scenario()
+    _require_two_users(doc, "region")
     sweeps = doc.sweeps()
     budget_pairs = sweeps.get("budget_pairs", [list(scen.budgets.budget)])
     weights = sweeps.get("weights", [[1.0, 1.0]])
     levels = sweeps.get("levels", 10)
+    if levels < 2:
+        raise ScenarioError("sweeps.levels", "region's leader search needs at least 2 levels")
     table = region_comparison(scen, budget_pairs, weights, levels=levels)
     _emit(
         out_dir, doc.output_base("region"), args.format,
@@ -187,10 +204,8 @@ def _cmd_region(doc, args, out_dir):
 
 
 def _cmd_matrix_solve(doc, args, out_dir):
+    _require_two_users(doc, "matrix solve")
     game = doc.finite_game()
-    if game.player_count != 2:
-        raise ScenarioError("actions" if doc.kind == "matrix_game" else "budgets",
-                            f"matrix solve analyses two-player games, not {game.player_count}")
     rows = []
     nash_profiles = pure_nash(game)
     nash_text = ", ".join(f"({game.label(p).replace('/', ', ')})" for p in nash_profiles)
@@ -228,6 +243,8 @@ def _cmd_matrix_solve(doc, args, out_dir):
 
 
 def _cmd_ce_check(doc, args, out_dir):
+    if not 0 <= args.tol < math.inf:
+        raise ScenarioError("--tol", "must be finite and nonnegative")
     game = doc.finite_game()
     section = doc.ce_section()
     if "distribution" not in section:
@@ -240,13 +257,13 @@ def _cmd_ce_check(doc, args, out_dir):
     except ValueError as exc:
         raise ScenarioError("ce.distribution", str(exc))
     ok, violation = is_correlated_equilibrium(game, dist, tol=args.tol)
-    values = dist.expected_utilities(game)
-    _emit(out_dir, doc.output_base("solution"), args.format,
-          ("record", "detail", "value_1", "value_2"),
-          [("ce_check", "pass" if ok else "fail", float(violation), ""),
-           ("ce_values", "", float(values[0]), float(values[1]))])
+    values = [float(v) for v in dist.expected_utilities(game)]
+    header = ("record", "detail") + tuple(f"value_{p + 1}" for p in range(game.player_count))
+    _emit(out_dir, doc.output_base("solution"), args.format, header,
+          [("ce_check", "pass" if ok else "fail", float(violation)) + ("",) * (len(values) - 1),
+           ("ce_values", "", *values)])
     print(f"correlated equilibrium: {ok} (max violation {_fmt(violation)})")
-    print(f"expected utilities: ({_fmt(values[0])}, {_fmt(values[1])})")
+    print(f"expected utilities: ({', '.join(_fmt(v) for v in values)})")
     return 0
 
 
@@ -261,6 +278,8 @@ def _cmd_ce_optimize(doc, args, out_dir):
 
 
 def _cmd_learn(doc, args, out_dir):
+    if args.rounds is not None and args.rounds < 1:
+        raise ScenarioError("--rounds", "must be at least 1")
     game = doc.finite_game()
     learners = doc.learners(game)
     rounds = args.rounds if args.rounds is not None else doc.rounds()
@@ -294,12 +313,16 @@ def _cmd_vok(doc, args, out_dir):
         profile = doc.knowledge_profile()
     start = doc.start_profile()
     if doc.kind == "matrix_game" or "actions" in doc.raw:
+        if profile.leader is not None:
+            path = "knowledge" if args.profile is None else "--profile"
+            _require_two_users(doc, "vok with a leader", path)
         scenario = doc.finite_game()
         for n, (a, count) in enumerate(zip(start or (), scenario.action_counts)):
             if a >= count:
                 raise ScenarioError(f"start_profile[{n}]", f"must be below the player's action count {count}")
     else:
         scenario = doc.power_scenario()
+        _require_two_users(doc, "vok on a power game")
     utilities = value_of_knowledge(scenario, profile, start_profile=start)
     rows = [(n + 1, profile.levels[n], float(u)) for n, u in enumerate(utilities)]
     _emit(out_dir, doc.output_base("solution"), args.format, ("user", "knowledge", "utility"), rows)
@@ -309,7 +332,10 @@ def _cmd_vok(doc, args, out_dir):
 
 def _cmd_ensemble(doc, args, out_dir):
     scen_grid = doc.grid()
+    _require_two_users(doc, "ensemble")
     section = doc.ensemble_section()
+    if args.realizations is not None and args.realizations < 1:
+        raise ScenarioError("--realizations", "must be at least 1")
     realizations = args.realizations if args.realizations is not None else section.get("realizations")
     if realizations is None:
         raise ScenarioError("ensemble.realizations", "ensemble needs a realization count")
@@ -318,8 +344,6 @@ def _cmd_ensemble(doc, args, out_dir):
         raise ScenarioError("channels.gains", "the ensemble draws its own channels; give seed and taps")
     if isinstance(doc.raw["noise"], list):
         raise ScenarioError("noise", "the ensemble needs one scalar noise level")
-    if len(doc.raw["budgets"]) != 2:
-        raise ScenarioError("budgets", "the ensemble study has exactly two users")
     budgets = PowerBudget(np.asarray(doc.raw["budgets"], dtype=float))
     report = channel_ensemble_study(
         int(realizations), args.seed, scen_grid, budgets,

@@ -19,7 +19,7 @@ from .matrix_games import NormalFormGame, best_response_dynamics, stackelberg_fi
 from .power_games import (
     RegionSample,
     iterative_water_filling,
-    rate_region_sweep,
+    pareto_sweep,
     stackelberg_leader_search,
     weighted_sum_optimize,
 )
@@ -212,21 +212,22 @@ def region_comparison(
 ) -> list:
     """Joined Nash / leadership / Pareto table for one scenario.
 
-    Nash and leadership samples sweep the budget pairs; Pareto samples sweep
-    the weight vectors at the scenario's own budgets.
+    Nash and leadership samples sweep the budget pairs, with one leader
+    search per pair: its Nash row is the iterative-water-filling point the
+    search starts from.  Pareto samples sweep the weight vectors at the
+    scenario's own budgets.
     """
     if scenario.user_count != 2:
         raise ValueError("region comparison supports two users")
     ch, noise, grid = scenario.channels, scenario.noise, scenario.grid
-    table: list[RegionSample] = []
-    table += rate_region_sweep(
-        "iw", ch, noise, grid, budget_pairs=budget_pairs, tol=tol, max_iter=max_iter
-    )
-    table += rate_region_sweep(
-        "stackelberg", ch, noise, grid, budget_pairs=budget_pairs, leader=leader,
-        levels=levels, refine_rounds=refine_rounds, tol=tol, max_iter=max_iter,
-    )
-    table += rate_region_sweep(
-        "pareto", ch, noise, grid, weights=weight_list, budgets=scenario.budgets, levels=levels
-    )
-    return table
+    nash: list[RegionSample] = []
+    led: list[RegionSample] = []
+    for pair in budget_pairs:
+        params = tuple(float(p) for p in pair)
+        res = stackelberg_leader_search(
+            leader, ch, noise, PowerBudget(np.asarray(pair, dtype=float)), grid,
+            levels=levels, refine_rounds=refine_rounds, tol=tol, max_iter=max_iter,
+        )
+        nash.append(RegionSample("iw", params, res.nash.rates))
+        led.append(RegionSample("stackelberg", params, res.rates, leader=leader))
+    return nash + led + pareto_sweep(weight_list, ch, noise, scenario.budgets, grid, levels=levels)

@@ -38,8 +38,8 @@ __all__ = [
     "follower_response_rates",
     "stackelberg_leader_search",
     "weighted_sum_optimize",
+    "pareto_sweep",
     "grid_dominance_margin",
-    "rate_region_sweep",
 ]
 
 # Joint grid evaluations allowed in the weighted-sum oracle before it
@@ -306,6 +306,8 @@ def _pareto_argmax(
     weights so a frontier sweep prices the grid once.
     """
     weights = [np.asarray(w, dtype=float) for w in weight_list]
+    if any(np.any(w < 0) or w.sum() <= 0 for w in weights):
+        raise ValueError("weights must be nonnegative with positive sum")
     best_val = [-np.inf] * len(weights)
     best_rates = [None] * len(weights)
     for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
@@ -344,6 +346,27 @@ def grid_dominance_margin(
     return best
 
 
+def pareto_sweep(
+    weight_list,
+    ch: ChannelSet,
+    noise: NoiseProfile,
+    budgets: PowerBudget,
+    grid: FrequencyGrid,
+    levels: int = 10,
+) -> list:
+    """Brute-force Pareto points: maximize w1*R1 + w2*R2 over the joint grid.
+
+    One RegionSample per weight vector, with the grid priced once for all of
+    them; no weights give no samples.  This is the certified desk-scale
+    oracle for the cooperative frontier, not a scalable solver.
+    """
+    weights = [tuple(float(x) for x in w) for w in weight_list]
+    if not weights:
+        return []
+    _, rate_list = _pareto_argmax(ch, noise, budgets, grid, levels, weights)
+    return [RegionSample("pareto", w, r) for w, r in zip(weights, rate_list)]
+
+
 def weighted_sum_optimize(
     weights,
     ch: ChannelSet,
@@ -352,61 +375,5 @@ def weighted_sum_optimize(
     grid: FrequencyGrid,
     levels: int = 10,
 ) -> RegionSample:
-    """Brute-force Pareto point: maximize w1*R1 + w2*R2 over the joint grid.
-
-    This is the certified desk-scale oracle for the cooperative frontier,
-    not a scalable solver.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
-    _, rates = _pareto_argmax(ch, noise, budgets, grid, levels, [weights])
-    return RegionSample(method="pareto", params=tuple(float(w) for w in weights), rates=rates[0])
-
-
-def rate_region_sweep(
-    method: str,
-    ch: ChannelSet,
-    noise: NoiseProfile,
-    grid: FrequencyGrid,
-    budget_pairs=None,
-    weights=None,
-    budgets: PowerBudget | None = None,
-    leader: int = 0,
-    levels: int = 10,
-    refine_rounds: int = 40,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> list:
-    """One RegionSample per sweep point for a chosen solution method.
-
-    iw and stackelberg sweep budget pairs; pareto sweeps weight vectors at
-    fixed budgets.  Empty sweeps give empty output.
-    """
-    samples = []
-    if method == "iw":
-        for pair in budget_pairs or []:
-            b = PowerBudget(np.asarray(pair, dtype=float))
-            res = iterative_water_filling(ch, noise, b, grid, tol=tol, max_iter=max_iter)
-            samples.append(RegionSample("iw", tuple(float(p) for p in pair), res.rates))
-    elif method == "stackelberg":
-        for pair in budget_pairs or []:
-            b = PowerBudget(np.asarray(pair, dtype=float))
-            res = stackelberg_leader_search(
-                leader, ch, noise, b, grid, levels=levels, refine_rounds=refine_rounds,
-                tol=tol, max_iter=max_iter,
-            )
-            samples.append(
-                RegionSample("stackelberg", tuple(float(p) for p in pair), res.rates, leader=leader)
-            )
-    elif method == "pareto":
-        weight_list = [np.asarray(w, dtype=float) for w in (weights or [])]
-        if weight_list:
-            if budgets is None:
-                raise ValueError("pareto sweeps need fixed budgets")
-            _, rate_list = _pareto_argmax(ch, noise, budgets, grid, levels, weight_list)
-            for w, r in zip(weight_list, rate_list):
-                samples.append(RegionSample("pareto", tuple(float(x) for x in w), r))
-    else:
-        raise ValueError(f"unknown sweep method {method!r}")
-    return samples
+    """One Pareto point of `pareto_sweep`, for a single weight vector."""
+    return pareto_sweep([weights], ch, noise, budgets, grid, levels=levels)[0]

@@ -130,12 +130,12 @@ class ScenarioDocument:
     # -- power-game accessors -------------------------------------------------
 
     def grid(self) -> FrequencyGrid:
+        if self.kind != "power_game":
+            _fail("kind", "this command needs a power_game scenario")
         g = self.raw["grid"]
         return FrequencyGrid(bin_count=g["bins"], total_band=float(g["band"]))
 
     def power_scenario(self) -> PowerScenario:
-        if self.kind != "power_game":
-            _fail("kind", "this command needs a power_game scenario")
         grid = self.grid()
         users = self.user_count()
         spec = self.raw["channels"]
@@ -287,8 +287,12 @@ def _validate_power(doc: dict):
             if key in sweeps:
                 for i, pair in enumerate(_expect_list(sweeps[key], f"sweeps.{key}")):
                     pair = _expect_list(pair, f"sweeps.{key}[{i}]", length=users)
-                    for j, v in enumerate(pair):
-                        _expect_number(v, f"sweeps.{key}[{i}][{j}]")
+                    values = [
+                        _expect_number(v, f"sweeps.{key}[{i}][{j}]", positive=key == "budget_pairs")
+                        for j, v in enumerate(pair)
+                    ]
+                    if key == "weights" and (min(values) < 0 or sum(values) <= 0):
+                        _fail(f"sweeps.weights[{i}]", "weights must be nonnegative with positive sum")
         if "levels" in sweeps:
             _expect_int(sweeps["levels"], "sweeps.levels", minimum=1)
 

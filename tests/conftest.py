@@ -2,11 +2,19 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import specgames as sg
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it finds in the tested source under its
+    # home directory (./.hypothesis by default) while collecting; keep that
+    # cache beside pytest's own, which is already ignored
+    set_hypothesis_home_dir(REPO / ".pytest_cache" / "hypothesis")
 
 
 @pytest.fixture(scope="session")

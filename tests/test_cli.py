@@ -1,8 +1,16 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgames.cli import main
+from specgames.experiments import KNOWLEDGE_LEVELS
 
 from test_acceptance import CLI_CASES
 
@@ -299,6 +307,30 @@ THREE_PLAYER = {
         ("ensemble_default.json", [(("budgets",), [100.0] * 3)], ("ensemble",), "budgets"),
         ("ensemble_default.json", [(("actions",), {"type": "concentrate_spread"})],
          ("matrix", "solve"), "actions.type"),
+        ("fig6.json", [(("sweeps", "weights"), [[-1.0, 2.0]])], ("pareto",), "sweeps.weights[0]"),
+        ("fig6.json", [(("sweeps", "weights"), [[0.0, 0.0]])], ("pareto",), "sweeps.weights[0]"),
+        ("fig6.json", [(("sweeps", "weights"), [[1.0, 0.0], [-1.0, 2.0]])], ("region",),
+         "sweeps.weights[1]"),
+        ("fig6.json", [(("sweeps", "weights"), [[0.0, 0.0]])], ("region",), "sweeps.weights[0]"),
+        ("fig6.json", [(("sweeps", "budget_pairs"), [[0.0, 10.0]])], ("region",),
+         "sweeps.budget_pairs[0][0]"),
+        ("fig6.json", [(("sweeps", "levels"), 1)], ("region",), "sweeps.levels"),
+        ("ensemble_default.json", [(("budgets",), [100.0] * 3)], ("stackelberg",), "budgets"),
+        ("ensemble_default.json", [(("budgets",), [100.0] * 3)], ("pareto",), "budgets"),
+        ("ensemble_default.json", [(("budgets",), [100.0] * 3)], ("region",), "budgets"),
+        ("ensemble_default.json", [(("budgets",), [100.0] * 3), (("knowledge",), ["private"] * 3)],
+         ("vok",), "budgets"),
+        (THREE_PLAYER, [(("knowledge",), ["heterogeneous_leader", "private", "private"])], ("vok",),
+         "knowledge"),
+        (THREE_PLAYER, [], ("vok", "--profile", "priv,heter,priv"), "--profile"),
+        ("contention.json", [], ("ensemble",), "kind"),
+        ("fig6.json", [], ("stackelberg", "--leader", "0"), "--leader"),
+        ("fig6.json", [], ("stackelberg", "--leader", "3"), "--leader"),
+        ("fig6.json", [], ("stackelberg", "--levels", "1"), "--levels"),
+        ("fig6.json", [], ("stackelberg", "--refine", "-1"), "--refine"),
+        ("contention.json", [], ("learn", "--rounds", "0"), "--rounds"),
+        ("ensemble_default.json", [], ("ensemble", "--realizations", "0"), "--realizations"),
+        ("contention.json", [], ("ce", "check", "--tol", "-1"), "--tol"),
     ],
 )
 def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, edits, argv, field):
@@ -331,3 +363,93 @@ def test_ensemble_honours_document_channels_and_noise(tmp_path, scenario_dir, ca
     for row in rows:
         # decoupled users: the leader cannot move the follower, so leading is Nash
         assert abs(row["ratio_1"] - 1.0) <= 1e-12 and abs(row["ratio_2"] - 1.0) <= 1e-12, row
+
+
+def test_ce_check_reports_every_player(tmp_path, capsys):
+    doc = dict(THREE_PLAYER, ce={"distribution": [0.125] * 8})
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "ce", "check", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    assert "expected utilities: (1.25, 0.875, 1.5)" in out
+    lines = read(tmp_path / "solution.csv").decode().splitlines()
+    assert lines[0] == "record,detail,value_1,value_2,value_3"
+    assert lines[2] == "ce_values,,1.25,0.875,1.5"
+
+
+def _fuzz_document(draw, users, matrix):
+    """A document for `users` users: a matrix game, or a power game on two bins."""
+    knowledge = [draw(st.sampled_from(KNOWLEDGE_LEVELS)) for _ in range(users)]
+    common = {
+        "knowledge": knowledge,
+        "start_profile": [0] * users,
+        "learners": [{"kind": "regret_matching"}] * users,
+        "rounds": 20,
+        "seed": 3,
+        "ce": {"distribution": [1.0 / 2 ** users] * 2 ** users},
+    }
+    if matrix:
+        payoffs = np.arange(2 ** users * users, dtype=float).reshape((2,) * users + (users,))
+        return dict(common, version=1, kind="matrix_game", actions=[["a", "b"]] * users,
+                    payoffs=(payoffs % 5).tolist())
+    # weight rows: three valid shapes, then a negative entry and a zero sum
+    weights = st.sampled_from([
+        [1.0] * users, [1.0] + [0.0] * (users - 1), [0.5] + [1.0] * (users - 1),
+        [-1.0] + [2.0] * (users - 1), [0.0] * users,
+    ])
+    return dict(
+        common, version=1, kind="power_game",
+        grid={"bins": 2, "band": 2.0},
+        channels={"seed": draw(st.integers(0, 5)), "taps": 2},
+        noise=1.0,
+        budgets=[10.0] * users,
+        actions={"type": "concentrate_spread"},
+        sweeps={
+            "budget_pairs": [[10.0] * users],
+            "weights": draw(st.lists(weights, max_size=2)),
+            "levels": draw(st.sampled_from([3, 1, 2])),
+        },
+        ensemble={"realizations": 2, "taps": 2},
+    )
+
+
+FINITE_COMMANDS = ("matrix solve", "ce check", "ce optimize", "learn", "vok")
+FUZZ_FLAGS = {
+    "waterfill": ("--user", [1, 0, 2, 4]),
+    "stackelberg": ("--leader", [1, 0, 2, 3]),
+    "learn": ("--rounds", [20, 0, 1]),
+    "ensemble": ("--realizations", [2, 0, 1]),
+    "ce check": ("--tol", [1e-9, -1.0, 0.0]),
+}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_never_escapes_with_a_traceback(data):
+    command = data.draw(st.sampled_from([
+        "waterfill", "iw", "stackelberg", "pareto", "region", "matrix solve",
+        "ce check", "ce optimize", "learn", "vok", "ensemble",
+    ]), label="command")
+    users = data.draw(st.sampled_from([2, 1, 3]), label="users")
+    # a matrix game only where the command can take one, so that most power
+    # commands reach their solvers
+    matrix = command in FINITE_COMMANDS and data.draw(st.booleans(), label="matrix")
+    doc = _fuzz_document(data.draw, users, matrix)
+    argv = command.split()
+    if command in FUZZ_FLAGS:
+        flag, values = FUZZ_FLAGS[command]
+        argv += [flag, str(data.draw(st.sampled_from(values), label=flag))]
+    if command == "vok":
+        tokens = st.lists(st.sampled_from(["heter", "priv", "comp"]), min_size=users, max_size=users)
+        argv += ["--profile", ",".join(data.draw(tokens, label="--profile"))]
+    if command == "stackelberg":
+        argv += ["--levels", str(data.draw(st.sampled_from([3, 1, 2]), label="--levels")),
+                 "--refine", str(data.draw(st.sampled_from([1, -1, 0]), label="--refine"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "doc.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

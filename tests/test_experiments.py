@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specgames as sg
+from specgames import experiments, power_games
 from specgames.errors import EnsembleUnstableError, NoPureNashError
 
 
@@ -139,3 +140,34 @@ def test_region_comparison_contains_corners(two_channel):
     pareto = [s for s in table if s.method == "pareto"]
     assert pareto[0].rates[1] == 0.0
     assert pareto[1].rates[0] == 0.0
+
+
+def test_region_comparison_rows(two_channel):
+    pairs = [[10.0, 10.0], [5.0, 20.0]]
+    table = sg.region_comparison(two_channel, pairs, [[0.5, 0.5]], levels=6)
+    assert [s.method for s in table] == ["iw", "iw", "stackelberg", "stackelberg", "pareto"]
+    assert [s.params for s in table[:4]] == [(10.0, 10.0), (5.0, 20.0)] * 2
+    assert [s.leader for s in table] == [None, None, 0, 0, None]
+
+
+def test_region_comparison_nash_rows_are_one_iw_run_per_pair(two_channel, monkeypatch):
+    pairs = [[10.0, 10.0], [20.0, 5.0], [5.0, 20.0]]
+    direct = [
+        sg.iterative_water_filling(two_channel.channels, two_channel.noise,
+                                   sg.PowerBudget(np.array(pair)), two_channel.grid).rates
+        for pair in pairs
+    ]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sg.iterative_water_filling(*args, **kwargs)
+
+    monkeypatch.setattr(power_games, "iterative_water_filling", counted)
+    monkeypatch.setattr(experiments, "iterative_water_filling", counted)
+    table = sg.region_comparison(two_channel, pairs, [[0.5, 0.5]], levels=10)
+    assert len(calls) == len(pairs)
+    nash_rows = [s for s in table if s.method == "iw"]
+    assert len(nash_rows) == len(pairs)
+    for row, rates in zip(nash_rows, direct):
+        assert np.array_equal(row.rates, rates)

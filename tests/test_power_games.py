@@ -211,10 +211,13 @@ def test_weighted_sum_covers_concentrate_pair(two_channel):
 
 def test_weighted_sum_validation(two_channel):
     args = (two_channel.channels, two_channel.noise, two_channel.budgets, two_channel.grid)
-    with pytest.raises(ValueError):
-        sg.weighted_sum_optimize([0.0, 0.0], *args)
-    with pytest.raises(ValueError):
-        sg.weighted_sum_optimize([-1.0, 1.0], *args)
+    for bad in ([0.0, 0.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError):
+            sg.weighted_sum_optimize(bad, *args)
+        with pytest.raises(ValueError):
+            sg.pareto_sweep([[1.0, 1.0], bad], *args)
+        with pytest.raises(ValueError):
+            sg.region_comparison(two_channel, [], [bad])
 
 
 def test_weighted_sum_scale_cap():
@@ -226,34 +229,19 @@ def test_weighted_sum_scale_cap():
         sg.weighted_sum_optimize([1.0, 1.0], scen_channels, noise, budgets, grid, levels=80)
 
 
-def test_rate_region_sweep_empty(two_channel):
-    assert sg.rate_region_sweep("iw", two_channel.channels, two_channel.noise,
-                                two_channel.grid, budget_pairs=[]) == []
-    assert sg.rate_region_sweep("pareto", two_channel.channels, two_channel.noise,
-                                two_channel.grid, weights=[], budgets=two_channel.budgets) == []
+def test_pareto_sweep_empty(two_channel):
+    args = (two_channel.channels, two_channel.noise, two_channel.budgets, two_channel.grid)
+    assert sg.pareto_sweep([], *args) == []
+    assert sg.region_comparison(two_channel, [], []) == []
 
 
-def test_rate_region_sweep_corners(two_channel):
-    samples = sg.rate_region_sweep("pareto", two_channel.channels, two_channel.noise,
-                                   two_channel.grid, weights=[[1.0, 0.0], [0.0, 1.0]],
-                                   budgets=two_channel.budgets, levels=10)
+def test_pareto_sweep_corners(two_channel):
+    samples = sg.pareto_sweep([[1.0, 0.0], [0.0, 1.0]], two_channel.channels, two_channel.noise,
+                              two_channel.budgets, two_channel.grid, levels=10)
     assert len(samples) == 2
+    assert [s.params for s in samples] == [(1.0, 0.0), (0.0, 1.0)]
     assert samples[0].rates[1] == 0.0
     assert samples[1].rates[0] == 0.0
-
-
-def test_rate_region_sweep_methods(two_channel):
-    pairs = [[10.0, 10.0], [5.0, 20.0]]
-    iw = sg.rate_region_sweep("iw", two_channel.channels, two_channel.noise,
-                              two_channel.grid, budget_pairs=pairs)
-    led = sg.rate_region_sweep("stackelberg", two_channel.channels, two_channel.noise,
-                               two_channel.grid, budget_pairs=pairs, levels=6)
-    assert [s.method for s in iw] == ["iw", "iw"]
-    assert [s.params for s in iw] == [(10.0, 10.0), (5.0, 20.0)]
-    assert all(s.leader == 0 for s in led)
-    with pytest.raises(ValueError):
-        sg.rate_region_sweep("newton", two_channel.channels, two_channel.noise,
-                             two_channel.grid)
 
 
 def test_grid_frontier_dominates_iw(two_channel):
