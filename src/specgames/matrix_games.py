@@ -201,16 +201,10 @@ def discretize_power_game(scen: PowerScenario, levels: int = 10) -> NormalFormGa
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    df = scen.grid.bin_width
-    k = scen.grid.bin_count
-    splits = list(_budget_splits(levels, k, full_only=True))
-    actions = []
-    labels = []
-    for n in range(scen.user_count):
-        unit = scen.budgets.budget[n] / (levels * df)
-        actions.append([np.asarray(m, dtype=float) * unit for m in splits])
-        labels.append(tuple("-".join(str(v) for v in m) for m in splits))
-    return build_power_game_from_allocations(scen, actions, tuple(labels))
+    splits = _budget_splits(levels, scen.grid.bin_count, full_only=True)
+    actions = [splits * (b / (levels * scen.grid.bin_width)) for b in scen.budgets.budget]
+    labels = tuple("-".join(map(str, m)) for m in splits.tolist())
+    return build_power_game_from_allocations(scen, actions, (labels,) * scen.user_count)
 
 
 def _own_payoffs(game: NormalFormGame, player: int, opponent_actions) -> np.ndarray:

@@ -45,6 +45,8 @@ __all__ = [
 # Joint grid evaluations allowed in the weighted-sum oracle before it
 # refuses; covers two users, four bins, twenty levels.
 MAX_ORACLE_EVALUATIONS = 4_000_000
+# Joint pairs or leader candidates priced per numpy call (temporaries ~128 KB).
+BLOCK_SIZE = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,32 +165,21 @@ def follower_response_rates(
     return replies[0], rates[0]
 
 
-def _budget_splits(levels: int, bins: int, full_only: bool = False):
-    """Integer splits of the budget over bins, lexicographic.
+def _budget_splits(levels: int, bins: int, full_only: bool = False) -> np.ndarray:
+    """Integer splits of the budget over bins, one row each, lexicographic.
 
     With full_only the splits sum to exactly `levels`; otherwise any total
     up to `levels` is allowed, so staying (partly) silent is a candidate.
     """
-
-    def rec(remaining, parts):
-        if parts == 1:
-            if full_only:
-                yield (remaining,)
-            else:
-                for v in range(remaining + 1):
-                    yield (v,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, parts - 1):
-                yield (first,) + rest
-
-    yield from rec(levels, bins)
-
-
-def _candidate_rows(levels: int, grid: FrequencyGrid, budget: float, full_only=False) -> np.ndarray:
-    unit = budget / (levels * grid.bin_width)
-    splits = list(_budget_splits(levels, grid.bin_count, full_only=full_only))
-    return np.asarray(splits, dtype=float) * unit
+    table = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(bins - 1 if full_only else bins):
+        # each prefix once per next-bin value 0..(levels - prefix sum)
+        room = levels + 1 - table.sum(axis=1)
+        column = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        table = np.column_stack([np.repeat(table, room, axis=0), column])
+    if full_only:
+        table = np.column_stack([table, levels - table.sum(axis=1)])
+    return table
 
 
 def stackelberg_leader_search(
@@ -218,40 +209,41 @@ def stackelberg_leader_search(
         raise ValueError("levels must be at least 2")
     nash = iterative_water_filling(ch, noise, budgets, grid, tol=tol, max_iter=max_iter)
     ne_row = np.array(nash.allocation.psd[leader])
+    # budget/levels of power in PSD units: the grid step and the descent move
+    step = budgets.budget[leader] / (levels * grid.bin_width)
     evaluated = 0
 
     def best_of(rows):
-        # every row priced in one batch; ties keep the first row, as a scan
-        # accepting only strict improvements would
+        # priced in blocks of BLOCK_SIZE rows; ties keep the first row, as a
+        # scan accepting only strict improvements would
         nonlocal evaluated
         evaluated += len(rows)
-        replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
-        i = int(np.argmax(rates[:, leader]))
-        return rows[i], replies[i], rates[i]
+        best = None
+        for start in range(0, len(rows), BLOCK_SIZE):
+            replies, rates = _follower_replies(leader, rows[start:start + BLOCK_SIZE], ch, noise, budgets, grid)
+            i = int(np.argmax(rates[:, leader]))
+            if best is None or rates[i, leader] > best[2][leader]:
+                best = rows[start + i], replies[i], rates[i]
+        return best
 
     if grid.bin_count <= 4:
-        candidates = _candidate_rows(levels, grid, budgets.budget[leader])
+        candidates = _budget_splits(levels, grid.bin_count) * step
         best_row, best_reply, best_rates = best_of(np.vstack([ne_row, candidates]))
     else:
         best_row, best_reply, best_rates = best_of(ne_row[None])
-        # transfers are in PSD units so each move shifts budget/levels of power
-        step = budgets.budget[leader] / (levels * grid.bin_width)
         bins = range(grid.bin_count)
         pairs = np.array([(src, dst) for src in bins for dst in bins if dst != src])
-        current_row, current_reply, current_rates = best_row, best_reply, best_rates
         for _ in range(refine_rounds):
-            src, dst = pairs[current_row[pairs[:, 0]] >= step].T
+            src, dst = pairs[best_row[pairs[:, 0]] >= step].T
             if not len(src):
                 break
-            trials = np.repeat(current_row[None], len(src), axis=0)
+            trials = np.repeat(best_row[None], len(src), axis=0)
             trials[np.arange(len(src)), src] -= step
             trials[np.arange(len(src)), dst] += step
             move = best_of(trials)
-            if move[2][leader] <= current_rates[leader]:
+            if move[2][leader] <= best_rates[leader]:
                 break
-            current_row, current_reply, current_rates = move
-        if current_rates[leader] > best_rates[leader]:
-            best_row, best_reply, best_rates = current_row, current_reply, current_rates
+            best_row, best_reply, best_rates = move
 
     return StackelbergResult(
         leader=leader,
@@ -264,30 +256,37 @@ def stackelberg_leader_search(
 
 
 def _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
-    """Rate pairs over the joint budget-splitting grid, one user-1 split at a time.
+    """Rate pairs over the joint budget-splitting grid, in bounded blocks.
 
     Every pair of splits (totals up to the budget, so silence is allowed) is
-    priced; each step yields the rates of both users for one user-1 split
-    against every user-2 split, in lexicographic order.
+    priced from per-bin (K, L+1, L+1) tables of log2 terms, summed in bin
+    order; each step yields both users' rates (B, M) for B user-1 splits by
+    all M user-2 splits, lexicographic, with B*M about BLOCK_SIZE.
     """
     if ch.user_count != 2:
         raise ValueError("the grid oracle is defined for two-user scenarios")
-    cands1 = _candidate_rows(levels, grid, budgets.budget[0])
-    cands2 = _candidate_rows(levels, grid, budgets.budget[1])
-    total = cands1.shape[0] * cands2.shape[0]
+    splits = _budget_splits(levels, grid.bin_count)
+    total = len(splits) ** 2
     if total > max_evaluations:
         raise OracleScaleError(
             f"oracle scale exceeded: {total} joint evaluations over cap {max_evaluations}"
         )
     df = grid.bin_width
-    g11, g22 = ch.gain2[0, 0], ch.gain2[1, 1]
-    g12, g21 = ch.gain2[0, 1], ch.gain2[1, 0]
-    sigma1, sigma2 = noise.psd[0], noise.psd[1]
-    for row1 in cands1:
-        # user 1 suffers interference from every user-2 candidate at once
-        r1 = (np.log2(1.0 + row1 * g11 / (sigma1 + cands2 * g21))).sum(axis=1) * df
-        r2 = (np.log2(1.0 + cands2 * g22 / (sigma2 + row1 * g12))).sum(axis=1) * df
-        yield r1, r2
+    p1, p2 = (np.arange(levels + 1) * (b / (levels * df)) for b in budgets.budget)
+    g, sigma, p1 = ch.gain2[..., None, None], noise.psd[..., None, None], p1[:, None]
+    # term[k, a, b] for bin k, user 1 at level a, user 2 at level b; each
+    # bin's user-2 columns are gathered once, then rows per block
+    terms = (np.log2(1.0 + p1 * g[0, 0] / (sigma[0] + p2 * g[1, 0])),
+             np.log2(1.0 + p2 * g[1, 1] / (sigma[1] + p1 * g[0, 1])))
+    columns = [[t[k][:, col] for k, col in enumerate(splits.T)] for t in terms]
+    rows = max(1, BLOCK_SIZE // len(splits))
+    for block in np.split(splits.T, range(rows, len(splits), rows), axis=1):
+        rates = [cols[0][block[0]] for cols in columns]
+        for r, cols in zip(rates, columns):
+            for col, user1_levels in zip(cols[1:], block[1:]):
+                r += col[user1_levels]
+            r *= df
+        yield rates
 
 
 def _pareto_argmax(
@@ -302,8 +301,8 @@ def _pareto_argmax(
     """Exhaustive weighted-sum maximization on the joint allocation grid.
 
     Returns, per weight vector, the best value and rate pair.  Ties break
-    toward the lexicographically first pair of splits.  Shared across
-    weights so a frontier sweep prices the grid once.
+    toward the lexicographically first pair of splits (first maximum of a
+    block, strict gains across blocks).  Shared across weights.
     """
     weights = [np.asarray(w, dtype=float) for w in weight_list]
     if any(np.any(w < 0) or w.sum() <= 0 for w in weights):
@@ -314,9 +313,9 @@ def _pareto_argmax(
         for wi, w in enumerate(weights):
             objective = w[0] * r1 + w[1] * r2
             j = int(np.argmax(objective))
-            if objective[j] > best_val[wi]:
-                best_val[wi] = float(objective[j])
-                best_rates[wi] = np.array([r1[j], r2[j]])
+            if objective.flat[j] > best_val[wi]:
+                best_val[wi] = float(objective.flat[j])
+                best_rates[wi] = np.array([r1.flat[j], r2.flat[j]])
     return best_val, best_rates
 
 
@@ -333,9 +332,9 @@ def grid_dominance_margin(
 
     Returns max over all grid allocation pairs of min_n (R_n - target_n); a
     nonnegative value certifies that the cooperative grid frontier weakly
-    dominates the target point.  Same exhaustive oracle as the weighted-sum
-    maximization, scanned with the max-min objective instead of a fixed
-    weight.
+    dominates the target point.  Same exhaustive oracle and bounded blocks
+    as the weighted-sum maximization, scanned with the max-min objective
+    instead of a fixed weight.
     """
     target = np.asarray(target_rates, dtype=float)
     best = -np.inf

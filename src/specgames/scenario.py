@@ -49,6 +49,9 @@ _COMMON_KEYS = {
 }
 _POWER_KEYS = _COMMON_KEYS | {"grid", "channels", "noise", "budgets", "actions", "sweeps", "ensemble"}
 _MATRIX_KEYS = _COMMON_KEYS | {"actions", "payoffs"}
+# The rate kernel adds and subtracts a user's own signal around its noise
+# floor, keeping about 16 - log10(SNR) digits of it; past this SNR, under 4.
+MAX_PEAK_SNR = 1e12
 
 
 def _fail(path, message):
@@ -150,16 +153,19 @@ class ScenarioDocument:
                 direct_power=float(spec.get("direct_power", 1.0)),
                 cross_power=float(spec.get("cross_power", 0.5)),
             )
-        noise_raw = self.raw["noise"]
-        if isinstance(noise_raw, (int, float)):
-            noise = NoiseProfile.flat(float(noise_raw), users, grid.bin_count)
-        else:
-            noise = NoiseProfile(np.asarray(noise_raw, dtype=float))
+        noise_psd = np.asarray(self.raw["noise"], dtype=float)  # a scalar is flat over users and bins
+        noise = NoiseProfile(np.broadcast_to(noise_psd, (users, grid.bin_count)))
         budgets = PowerBudget(np.asarray(self.raw["budgets"], dtype=float))
         try:
-            return PowerScenario(grid=grid, channels=channels, noise=noise, budgets=budgets)
+            scen = PowerScenario(grid=grid, channels=channels, noise=noise, budgets=budgets)
         except ValueError as exc:
             _fail("channels", str(exc))
+        with np.errstate(over="ignore", invalid="ignore"):  # a whole budget in one bin
+            snr = budgets.budget[:, None] / grid.bin_width * np.diagonal(channels.gain2).T / noise.psd
+        n, k = np.unravel_index(np.argmax(snr), snr.shape)
+        if not snr[n, k] <= MAX_PEAK_SNR:
+            _fail(f"budgets[{n}]", f"peak SNR {snr[n, k]:.3g} in bin {k + 1} is over {MAX_PEAK_SNR:.0e}")
+        return scen
 
     # -- finite-game accessors ------------------------------------------------
 
@@ -253,7 +259,8 @@ def _validate_power(doc: dict):
             for j, cell in enumerate(row):
                 cell = _expect_list(cell, f"channels.gains[{i}][{j}]", length=bins)
                 for k, v in enumerate(cell):
-                    _expect_number(v, f"channels.gains[{i}][{j}][{k}]")
+                    if _expect_number(v, f"channels.gains[{i}][{j}][{k}]") < 0:
+                        _fail(f"channels.gains[{i}][{j}][{k}]", "must be nonnegative")
     else:
         _expect_keys(channels, "channels", {"seed", "taps"}, {"direct_power", "cross_power"})
         _expect_int(channels["seed"], "channels.seed", minimum=0)

@@ -331,6 +331,10 @@ THREE_PLAYER = {
         ("contention.json", [], ("learn", "--rounds", "0"), "--rounds"),
         ("ensemble_default.json", [], ("ensemble", "--realizations", "0"), "--realizations"),
         ("contention.json", [], ("ce", "check", "--tol", "-1"), "--tol"),
+        ("fig6.json", [(("channels", "gains", 1, 0, 1), -0.4)], ("iw",), "channels.gains[1][0][1]"),
+        ("fig6.json", [(("channels", "gains", 1, 1, 0), 1e300)], ("iw",), "budgets[1]"),
+        ("fig6.json", [(("budgets", 0), 1e300)], ("waterfill",), "budgets[0]"),
+        ("ensemble_default.json", [(("budgets", 0), 1e14)], ("stackelberg",), "budgets[0]"),
     ],
 )
 def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, edits, argv, field):
@@ -453,3 +457,70 @@ def test_cli_never_escapes_with_a_traceback(data):
             code = main([*argv, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+SCENARIO_COMMANDS = {
+    "fig6.json": ("waterfill", "iw", "stackelberg", "pareto", "region", "matrix solve",
+                  "ce check", "ce optimize", "learn", "vok"),
+    "contention.json": ("matrix solve", "ce check", "ce optimize", "learn", "vok"),
+    "ensemble_default.json": ("ensemble", "waterfill", "iw", "stackelberg", "pareto", "region"),
+}
+
+
+def _field_paths(node, prefix=()):
+    """Every field of a JSON document as a key/index path, parents first."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _mutated(value, kind, retype):
+    if kind == "retype":
+        return retype
+    if kind == "nan":
+        return float("nan")
+    if kind == "huge":
+        return 1e300
+    if kind == "empty list":
+        return []
+    # negative: flip a positive number, otherwise -1
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return -value if number and value > 0 else -1
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_scenario_mutations_never_escape(scenario_dir, data):
+    # one field of a shipped scenario dropped, retyped, or set to NaN, a
+    # negative or huge number, or an empty list; "huge" is a float, so
+    # integer counts are retyped rather than made unbounded
+    name = data.draw(st.sampled_from(sorted(SCENARIO_COMMANDS)), label="scenario")
+    doc = json.loads((scenario_dir / name).read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+    kind = data.draw(st.sampled_from(["drop", "retype", "nan", "negative", "huge", "empty list"]),
+                     label="mutation")
+    retype = data.draw(st.sampled_from(["text", True, None, {"x": 1}]), label="retype")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _mutated(parent[path[-1]], kind, retype)
+    argv = data.draw(st.sampled_from(SCENARIO_COMMANDS[name]), label="command").split()
+    if argv == ["ensemble"]:
+        argv += ["--realizations", "2"]  # the document's count is still validated
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "doc.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), (path, kind, argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

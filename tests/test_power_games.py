@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import specgames as sg
+from specgames import power_games
 from specgames.errors import OracleScaleError
-from specgames.power_games import _budget_splits, _candidate_rows
+from specgames.power_games import _budget_splits, _joint_grid_rates, _pareto_argmax
 from specgames.scenario import load_scenario
 from specgames.spectrum import _effective_noise_raw, all_rates
 
@@ -185,10 +186,44 @@ def test_leader_never_below_nash(bins):
 
 
 def test_budget_splits_order_and_silence():
-    splits = list(_budget_splits(2, 2))
-    assert splits == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-    full = list(_budget_splits(2, 2, full_only=True))
-    assert full == [(0, 2), (1, 1), (2, 0)]
+    splits = _budget_splits(2, 2).tolist()
+    assert splits == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]]
+    full = _budget_splits(2, 2, full_only=True).tolist()
+    assert full == [[0, 2], [1, 1], [2, 0]]
+
+
+def reference_budget_splits(levels, bins, full_only=False):
+    """Reference: the recursive generator of splits, one tuple at a time."""
+
+    def rec(remaining, parts):
+        if parts == 1:
+            if full_only:
+                yield (remaining,)
+            else:
+                for v in range(remaining + 1):
+                    yield (v,)
+            return
+        for first in range(remaining + 1):
+            for rest in rec(remaining - first, parts - 1):
+                yield (first,) + rest
+
+    yield from rec(levels, bins)
+
+
+def reference_candidate_rows(levels, grid, budget):
+    unit = budget / (levels * grid.bin_width)
+    return np.asarray(list(reference_budget_splits(levels, grid.bin_count)), dtype=float) * unit
+
+
+@pytest.mark.parametrize("full_only", [False, True])
+def test_budget_split_table_matches_recursive_generator(full_only):
+    for levels in range(13):
+        for bins in range(1, 7):
+            table = _budget_splits(levels, bins, full_only=full_only)
+            expect = list(reference_budget_splits(levels, bins, full_only=full_only))
+            assert table.dtype.kind == "i"
+            assert table.shape == (len(expect), bins)
+            assert table.tolist() == [list(row) for row in expect]
 
 
 def test_weighted_sum_single_user_corners(two_channel):
@@ -282,7 +317,7 @@ def scalar_leader_search(leader, scen, levels=10, refine_rounds=40):
     best_row = np.array(nash.allocation.psd[leader])
     best_reply, best_rates = assess(best_row)
     if grid.bin_count <= 4:
-        for row in _candidate_rows(levels, grid, budgets.budget[leader]):
+        for row in reference_candidate_rows(levels, grid, budgets.budget[leader]):
             reply, rates = assess(row)
             if rates[leader] > best_rates[leader]:
                 best_row, best_reply, best_rates = row, reply, rates
@@ -329,7 +364,7 @@ def test_batched_leader_search_matches_scalar_loop(draw, leader):
     if draw == "fig6":
         scen = load_scenario(SCENARIOS / "fig6.json").power_scenario()
     elif draw == "mirror":
-        scen = sg.two_channel_scenario(cross_12=(0.8, 0.8), cross_21=(0.8, 0.8))
+        scen = mirror_scenario()
     else:
         scen = descent_scenario(draw)
     res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
@@ -346,3 +381,158 @@ def test_batched_leader_search_matches_scalar_loop(draw, leader):
     elif draw != "fig6":
         nash = sg.iterative_water_filling(scen.channels, scen.noise, scen.budgets, scen.grid)
         assert not np.array_equal(row, nash.allocation.psd[leader])
+
+
+def grid_scenario(bins, seed):
+    grid = sg.FrequencyGrid(bins, 1.5 * bins)
+    return sg.PowerScenario(
+        grid=grid,
+        channels=ensemble_channels(seed, bins, grid),
+        noise=sg.NoiseProfile(np.random.default_rng(seed).uniform(0.3, 2.0, (2, bins))),
+        budgets=sg.PowerBudget(np.array([7.0, 12.5])),
+    )
+
+
+def mirror_scenario():
+    # symmetric across users and bins, so weighted optima tie exactly
+    return sg.two_channel_scenario(cross_12=(0.8, 0.8), cross_21=(0.8, 0.8))
+
+
+@pytest.mark.parametrize("block", [None, 64, 1])
+@pytest.mark.parametrize("draw,leader", [("fig6", 0), ("fig6", 1), ("mirror", 0), (0, 0), (1, 1)])
+def test_blocked_leader_grid_matches_scalar_loop(monkeypatch, draw, leader, block):
+    # the K=4 draws price 1,002 rows: one block by default, 16 or 1,002 here
+    if block is not None:
+        monkeypatch.setattr(power_games, "BLOCK_SIZE", block)
+    if draw == "fig6":
+        scen = load_scenario(SCENARIOS / "fig6.json").power_scenario()
+    elif draw == "mirror":
+        scen = mirror_scenario()
+    else:
+        scen = grid_scenario(4, 4040 + draw)
+    res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
+                                       scen.grid, levels=10)
+    row, reply, rates, evaluated = scalar_leader_search(leader, scen, levels=10)
+    assert np.array_equal(res.leader_allocation, row)
+    assert np.array_equal(res.follower_allocation, reply)
+    assert np.array_equal(res.rates, rates)
+    assert res.candidates_evaluated == evaluated
+
+
+def test_leader_grid_prices_bounded_blocks(monkeypatch):
+    scen = grid_scenario(4, 4242)
+    args = (0, scen.channels, scen.noise, scen.budgets, scen.grid)
+    seen = []
+    replies = power_games._follower_replies
+
+    def counted(leader, rows, *rest):
+        seen.append(len(rows))
+        return replies(leader, rows, *rest)
+
+    monkeypatch.setattr(power_games, "_follower_replies", counted)
+    res = sg.stackelberg_leader_search(*args, levels=40)
+    assert res.candidates_evaluated == math.comb(44, 4) + 1 == sum(seen)
+    assert max(seen) <= power_games.BLOCK_SIZE and len(seen) > 1
+    # one unbounded call picks the same leader row
+    monkeypatch.setattr(power_games, "BLOCK_SIZE", res.candidates_evaluated)
+    whole = sg.stackelberg_leader_search(*args, levels=40)
+    assert np.array_equal(whole.leader_allocation, res.leader_allocation)
+    assert np.array_equal(whole.follower_allocation, res.follower_allocation)
+    assert np.array_equal(whole.rates, res.rates)
+    assert whole.candidates_evaluated == res.candidates_evaluated
+
+
+def reference_joint_grid_rates(scen, levels):
+    """Reference: one user-1 split at a time, every bin term recomputed."""
+    ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
+    cands1 = reference_candidate_rows(levels, grid, budgets.budget[0])
+    cands2 = reference_candidate_rows(levels, grid, budgets.budget[1])
+    df = grid.bin_width
+    g11, g22 = ch.gain2[0, 0], ch.gain2[1, 1]
+    g12, g21 = ch.gain2[0, 1], ch.gain2[1, 0]
+    sigma1, sigma2 = noise.psd[0], noise.psd[1]
+    for row1 in cands1:
+        r1 = (np.log2(1.0 + row1 * g11 / (sigma1 + cands2 * g21))).sum(axis=1) * df
+        r2 = (np.log2(1.0 + cands2 * g22 / (sigma2 + row1 * g12))).sum(axis=1) * df
+        yield r1, r2
+
+
+def reference_pareto_argmax(scen, levels, weight_list):
+    """Reference: row-at-a-time argmax, strict improvements across rows."""
+    weights = [np.asarray(w, dtype=float) for w in weight_list]
+    best_val = [-np.inf] * len(weights)
+    best_rates = [None] * len(weights)
+    for r1, r2 in reference_joint_grid_rates(scen, levels):
+        for wi, w in enumerate(weights):
+            objective = w[0] * r1 + w[1] * r2
+            j = int(np.argmax(objective))
+            if objective[j] > best_val[wi]:
+                best_val[wi] = float(objective[j])
+                best_rates[wi] = np.array([r1[j], r2[j]])
+    return best_val, best_rates
+
+
+def reference_dominance_margin(target, scen, levels):
+    best = -np.inf
+    for r1, r2 in reference_joint_grid_rates(scen, levels):
+        margin = np.minimum(r1 - target[0], r2 - target[1]).max()
+        if margin > best:
+            best = float(margin)
+    return best
+
+
+ORACLE_WEIGHTS = [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.7], [0.75, 0.25]]
+
+
+def assert_oracle_matches_reference(scen, levels, target):
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
+    blocks = list(_joint_grid_rates(*args, power_games.MAX_ORACLE_EVALUATIONS))
+    rows = list(reference_joint_grid_rates(scen, levels))
+    for user in range(2):
+        assert np.array_equal(np.vstack([b[user] for b in blocks]),
+                              np.vstack([r[user] for r in rows]))
+    assert all(b[0].size <= max(power_games.BLOCK_SIZE, len(rows)) for b in blocks)
+    values, rates = _pareto_argmax(*args, ORACLE_WEIGHTS)
+    ref_values, ref_rates = reference_pareto_argmax(scen, levels, ORACLE_WEIGHTS)
+    assert values == ref_values
+    assert all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
+    assert sg.grid_dominance_margin(target, *args) == reference_dominance_margin(target, scen, levels)
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 4])
+def test_blocked_oracle_matches_row_loop(bins):
+    for levels in range(2, 11):
+        assert_oracle_matches_reference(grid_scenario(bins, 900 + levels), levels, [0.8, 1.3])
+
+
+def test_blocked_oracle_ties_across_blocks(monkeypatch):
+    # one user-1 split per block, so tied optima in different rows straddle
+    # a block boundary and the strict cross-block test must keep the first
+    monkeypatch.setattr(power_games, "BLOCK_SIZE", 1)
+    scen = mirror_scenario()
+    for levels in (4, 10):
+        # the sum rate peaks at a pair and at its user-swapped mirror
+        objective = np.vstack([r1 + r2 for r1, r2 in reference_joint_grid_rates(scen, levels)])
+        tied = np.argwhere(objective == objective.max())
+        assert len(tied) == 2 and tied[0, 0] != tied[1, 0]
+        assert_oracle_matches_reference(scen, levels, [1.5, 1.5])
+
+
+@pytest.mark.parametrize("bins,levels", [(8, 2), (8, 3), (11, 2)])
+def test_blocked_oracle_many_bins_within_rounding(bins, levels):
+    # numpy sums eight or more terms pairwise, the blocks add them in bin
+    # order, so the last bit of a rate may differ
+    scen = grid_scenario(bins, 77)
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
+    blocks = list(_joint_grid_rates(*args, power_games.MAX_ORACLE_EVALUATIONS))
+    rows = list(reference_joint_grid_rates(scen, levels))
+    for user in range(2):
+        np.testing.assert_allclose(np.vstack([b[user] for b in blocks]),
+                                   np.vstack([r[user] for r in rows]), rtol=1e-12, atol=0)
+    values, rates = _pareto_argmax(*args, ORACLE_WEIGHTS)
+    ref_values, ref_rates = reference_pareto_argmax(scen, levels, ORACLE_WEIGHTS)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=1e-12)
+    target = [0.8, 1.3]
+    assert sg.grid_dominance_margin(target, *args) == pytest.approx(
+        reference_dominance_margin(target, scen, levels), rel=1e-12, abs=1e-12)
