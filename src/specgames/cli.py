@@ -33,7 +33,7 @@ from .matrix_games import (
 )
 from .power_games import iterative_water_filling, pareto_sweep, stackelberg_leader_search
 from .scenario import load_scenario
-from .spectrum import PowerBudget, _rate_raw, water_fill
+from .spectrum import _rate_raw, water_fill
 
 PROFILE_TOKENS = {
     "priv": "private",
@@ -331,7 +331,7 @@ def _cmd_vok(doc, args, out_dir):
 
 
 def _cmd_ensemble(doc, args, out_dir):
-    scen_grid = doc.grid()
+    scen = doc.power_scenario()
     _require_two_users(doc, "ensemble")
     section = doc.ensemble_section()
     if args.realizations is not None and args.realizations < 1:
@@ -344,11 +344,10 @@ def _cmd_ensemble(doc, args, out_dir):
         raise ScenarioError("channels.gains", "the ensemble draws its own channels; give seed and taps")
     if isinstance(doc.raw["noise"], list):
         raise ScenarioError("noise", "the ensemble needs one scalar noise level")
-    budgets = PowerBudget(np.asarray(doc.raw["budgets"], dtype=float))
     report = channel_ensemble_study(
-        int(realizations), args.seed, scen_grid, budgets,
+        int(realizations), args.seed, scen.grid, scen.budgets,
         tap_count=section.get("taps", channels["taps"]),
-        noise_level=float(doc.raw["noise"]),
+        noise_level=float(scen.noise.psd[0, 0]),
         direct_power=float(channels.get("direct_power", 1.0)),
         cross_power=float(channels.get("cross_power", 0.5)),
     )

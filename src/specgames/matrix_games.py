@@ -201,7 +201,8 @@ def discretize_power_game(scen: PowerScenario, levels: int = 10) -> NormalFormGa
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    splits = _budget_splits(levels, scen.grid.bin_count, full_only=True)
+    head = _budget_splits(levels, scen.grid.bin_count - 1)
+    splits = np.column_stack([head, levels - head.sum(axis=1)])  # the last bin takes the rest
     actions = [splits * (b / (levels * scen.grid.bin_width)) for b in scen.budgets.budget]
     labels = tuple("-".join(map(str, m)) for m in splits.tolist())
     return build_power_game_from_allocations(scen, actions, (labels,) * scen.user_count)
@@ -364,20 +365,15 @@ def is_correlated_equilibrium(game: NormalFormGame, dist: JointDistribution, tol
 
 
 def _ce_constraint_rows(game: NormalFormGame):
+    profiles = game.payoffs[..., 0].size
     rows = []
-    for n in range(game.player_count):
+    for n, k in enumerate(game.action_counts):
         u = np.moveaxis(game.payoffs[..., n], n, 0)
-        for a in range(game.action_counts[n]):
-            for a2 in range(game.action_counts[n]):
-                if a2 == a:
-                    continue
-                block = np.zeros(game.action_counts)
-                moved = np.moveaxis(block, n, 0)
-                moved[a] = u[a2] - u[a]  # deviation gain coefficients
-                rows.append(block.reshape(-1))
-    if not rows:
-        return None
-    return np.array(rows)
+        a, a2 = np.nonzero(~np.eye(k, dtype=bool))  # each a, then each a2 != a
+        block = np.zeros((a.size,) + u.shape)
+        block[np.arange(a.size), a] = u[a2] - u[a]  # deviation gain coefficients
+        rows.append(np.moveaxis(block, 1, n + 1).reshape(a.size, profiles))
+    return np.concatenate(rows)
 
 
 def optimize_ce(game: NormalFormGame, weights=None):
@@ -401,7 +397,7 @@ def optimize_ce(game: NormalFormGame, weights=None):
     result = simplex.solve_lp(
         c,
         a_ub=a_ub,
-        b_ub=None if a_ub is None else np.zeros(a_ub.shape[0]),
+        b_ub=np.zeros(a_ub.shape[0]),
         a_eq=np.ones((1, m)),
         b_eq=np.array([1.0]),
         maximize=True,

@@ -165,20 +165,18 @@ def follower_response_rates(
     return replies[0], rates[0]
 
 
-def _budget_splits(levels: int, bins: int, full_only: bool = False) -> np.ndarray:
+def _budget_splits(levels: int, bins: int) -> np.ndarray:
     """Integer splits of the budget over bins, one row each, lexicographic.
 
-    With full_only the splits sum to exactly `levels`; otherwise any total
-    up to `levels` is allowed, so staying (partly) silent is a candidate.
+    Any total up to `levels` is allowed, so staying (partly) silent is a
+    candidate.
     """
     table = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(bins - 1 if full_only else bins):
+    for _ in range(bins):
         # each prefix once per next-bin value 0..(levels - prefix sum)
         room = levels + 1 - table.sum(axis=1)
         column = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
         table = np.column_stack([np.repeat(table, room, axis=0), column])
-    if full_only:
-        table = np.column_stack([table, levels - table.sum(axis=1)])
     return table
 
 

@@ -1,11 +1,11 @@
 """Dense two-phase simplex for small linear programs.
 
 Solves   max (or min)  c.x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-entirely in dense numpy tableaus.  Pivoting uses Bland's rule (lowest
-eligible index enters, lowest basic index leaves on ratio ties), which rules
-out cycling on the degenerate programs that equilibrium polytopes produce.
-Intended for desk-scale problems (tens of variables), not as a general LP
-package.
+entirely in dense numpy tableaus.  Pivoting uses Dantzig's rule (most
+negative reduced cost enters) with the lexicographic ratio test of Dantzig,
+Orden & Wolfe, which rules out cycling on the degenerate programs that
+equilibrium polytopes produce.  Intended for desk-scale problems (tens of
+variables), not as a general LP package.
 """
 
 from __future__ import annotations
@@ -31,50 +31,46 @@ class LpResult:
 
 def _pivot(tableau, cost, basis, row, col):
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    if cost[col] != 0.0:
-        cost -= cost[col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    cost -= cost[col] * tableau[row]
     basis[row] = col
 
 
-def _run_simplex(tableau, cost, basis, allowed):
+def _run_simplex(tableau, cost, basis, allowed, lex_cols):
     """Minimize cost over the tableau; returns status.
 
     `allowed` masks columns eligible to enter the basis (artificials are
-    barred in phase two).  Bland's rule: the entering column is the lowest
-    allowed index with a negative reduced cost; the leaving row minimizes the
-    ratio with ties broken by the lowest basic variable index.
+    barred in phase two).  Dantzig's rule: the allowed column with the most
+    negative reduced cost enters.  Lexicographic ratio test: the rows with
+    the least ratio in the first of `lex_cols` (the right-hand side, then
+    the starting basis columns) stay candidates, and later columns break
+    the ties until one row is left.
     """
-    m = tableau.shape[0]
     for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(tableau.shape[1] - 1):
-            if allowed[j] and cost[j] < -_TOL:
-                enter = j
-                break
-        if enter < 0:
+        reduced = np.where(allowed, cost[:-1], np.inf)
+        enter = int(np.argmin(reduced))
+        if reduced[enter] >= -_TOL:
             return OPTIMAL
-        leave = -1
-        best_ratio = np.inf
-        for r in range(m):
-            a = tableau[r, enter]
-            if a > _TOL:
-                ratio = tableau[r, -1] / a
-                if ratio < best_ratio - _TOL or (
-                    abs(ratio - best_ratio) <= _TOL and (leave < 0 or basis[r] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = r
-        if leave < 0:
+        column = tableau[:, enter]
+        rows = np.flatnonzero(column > _TOL)
+        if rows.size == 0:
             return UNBOUNDED
-        _pivot(tableau, cost, basis, leave, enter)
+        for key in lex_cols:
+            ratios = tableau[rows, key] / column[rows]
+            rows = rows[ratios <= ratios.min() + _TOL]
+            if rows.size == 1:
+                break
+        _pivot(tableau, cost, basis, rows[0], enter)
     raise ArithmeticError("simplex failed to terminate within the pivot cap")
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=False) -> LpResult:
-    """Solve a small dense LP; see module docstring for the standard form."""
+    """Solve a small dense LP; see module docstring for the standard form.
+
+    Raises ArithmeticError if the optimum it found misses the constraints.
+    """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     rows = []
@@ -99,62 +95,54 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=False) -> L
     if a.shape[1] != n:
         raise ValueError("constraint width does not match the objective length")
 
-    # Equality form with slacks on the <= rows, then flip rows to b >= 0.
-    full = np.zeros((m, n + n_ub))
-    full[:, :n] = a
-    for i in range(n_ub):
-        full[i, n + i] = 1.0
+    # Equality form with slacks on the <= rows, rows flipped to b >= 0.  Rows
+    # that kept a +1 slack start basic on it; the rest take artificials.
     flip = b < 0
-    full[flip] *= -1.0
-    b = np.where(flip, -b, b)
-
-    # Rows that kept a +1 slack start basic on it; the rest take artificials.
-    needs_art = [i for i in range(m) if i >= n_ub or flip[i]]
-    n_cols = n + n_ub + len(needs_art)
-    tableau = np.zeros((m, n_cols + 1))
-    tableau[:, : n + n_ub] = full
-    tableau[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = n + i if i < n_ub and not flip[i] else -1
-    for k, i in enumerate(needs_art):
-        col = n + n_ub + k
-        tableau[i, col] = 1.0
-        basis[i] = col
-
+    art_rows = np.flatnonzero(flip | (np.arange(m) >= n_ub))
+    n_real = n + n_ub
+    n_cols = n_real + art_rows.size
+    row_sign = np.where(flip, -1.0, 1.0)[:, None]
+    tableau = np.hstack(
+        [a * row_sign, np.eye(m, n_ub) * row_sign, np.eye(m)[:, art_rows], b[:, None] * row_sign]
+    )
+    basis = n + np.arange(m)
+    basis[art_rows] = n_real + np.arange(art_rows.size)
+    lex_cols = [n_cols, *basis.tolist()]
     allowed = np.ones(n_cols, dtype=bool)
 
-    if needs_art:
+    if art_rows.size:
         phase1 = np.zeros(n_cols + 1)
-        phase1[n + n_ub :][: len(needs_art)] = 1.0
-        for i in needs_art:
-            phase1 -= tableau[i]  # price out the artificial basis
-        status = _run_simplex(tableau, phase1, basis, allowed)
+        phase1[n_real:-1] = 1.0
+        phase1 -= tableau[art_rows].sum(axis=0)  # price out the artificial basis
+        status = _run_simplex(tableau, phase1, basis, allowed, lex_cols)
         if status != OPTIMAL or -phase1[-1] > 1e-7:
             return LpResult(INFEASIBLE, None, None)
         # Drive any zero-level artificial out of the basis; a row with no
         # real pivot left is redundant and harmlessly keeps its artificial
         # pinned at zero (its column is barred from re-entering below).
-        for r in range(m):
-            if basis[r] >= n + n_ub:
-                for j in range(n + n_ub):
-                    if abs(tableau[r, j]) > _TOL:
-                        _pivot(tableau, phase1, basis, r, j)
-                        break
-        allowed[n + n_ub :] = False
+        for r in np.flatnonzero(basis >= n_real):
+            pivots = np.flatnonzero(np.abs(tableau[r, :n_real]) > _TOL)
+            if pivots.size:
+                _pivot(tableau, phase1, basis, r, pivots[0])
+        allowed[n_real:] = False
 
     sign = -1.0 if maximize else 1.0
     cost = np.zeros(n_cols + 1)
     cost[:n] = sign * c
-    for r in range(m):
+    for r in range(m):  # row by row, not through BLAS, so the summation order is fixed
         if cost[basis[r]] != 0.0:
             cost -= cost[basis[r]] * tableau[r]
-    status = _run_simplex(tableau, cost, basis, allowed)
+    status = _run_simplex(tableau, cost, basis, allowed, lex_cols)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
 
     x = np.zeros(n_cols)
     x[basis] = tableau[:, -1]
     x = x[:n]
+    miss = a @ x - b
+    miss[n_ub:] = np.abs(miss[n_ub:])
+    worst = max(miss.max(initial=0.0), -x.min(initial=0.0))
+    if worst > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
+        raise ArithmeticError(f"simplex optimum misses its constraints by {worst:.3g}")
     value = float(c @ x)
     return LpResult(OPTIMAL, x, value)

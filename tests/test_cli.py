@@ -13,6 +13,7 @@ from specgames.cli import main
 from specgames.experiments import KNOWLEDGE_LEVELS
 
 from test_acceptance import CLI_CASES
+from test_simplex import simplex_grid_document
 
 
 def run(capsys, *argv):
@@ -227,6 +228,15 @@ def test_seeded_outputs_are_byte_identical_matrix(tmp_path, scenario_dir, capsys
     assert outs[0] == outs[1]
 
 
+def test_ce_optimize_on_degenerate_simplex_grid_draw(tmp_path, capsys):
+    # channel seed 88 made the Bland's-rule simplex report the CE polytope empty
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(simplex_grid_document(88)), encoding="utf-8")
+    code, out, err = run(capsys, "ce", "optimize", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0, err
+    assert out
+
+
 def test_seeded_outputs_are_byte_identical_ensemble(tmp_path, scenario_dir, capsys):
     outs = []
     for tag in ("a", "b"):
@@ -335,6 +345,8 @@ THREE_PLAYER = {
         ("fig6.json", [(("channels", "gains", 1, 1, 0), 1e300)], ("iw",), "budgets[1]"),
         ("fig6.json", [(("budgets", 0), 1e300)], ("waterfill",), "budgets[0]"),
         ("ensemble_default.json", [(("budgets", 0), 1e14)], ("stackelberg",), "budgets[0]"),
+        ("ensemble_default.json", [(("budgets",), [1e300, 100.0])],
+         ("ensemble", "--realizations", "3"), "budgets[0]"),
     ],
 )
 def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, edits, argv, field):

@@ -235,7 +235,8 @@ def test_discretize_power_game(two_channel):
 
 def looped_power_payoffs(scen, levels):
     """Reference payoffs: every joint profile priced as its own allocation."""
-    splits = list(_budget_splits(levels, scen.grid.bin_count, full_only=True))
+    head = _budget_splits(levels, scen.grid.bin_count - 1)
+    splits = list(np.column_stack([head, levels - head.sum(axis=1)]))
     rows = [
         [np.asarray(m, dtype=float) * (b / (levels * scen.grid.bin_width)) for m in splits]
         for b in scen.budgets.budget

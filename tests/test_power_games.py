@@ -188,8 +188,14 @@ def test_leader_never_below_nash(bins):
 def test_budget_splits_order_and_silence():
     splits = _budget_splits(2, 2).tolist()
     assert splits == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]]
-    full = _budget_splits(2, 2, full_only=True).tolist()
+    full = full_budget_splits(2, 2).tolist()
     assert full == [[0, 2], [1, 1], [2, 0]]
+
+
+def full_budget_splits(levels, bins):
+    """Splits that spend the whole budget, built as discretize_power_game does."""
+    head = _budget_splits(levels, bins - 1)
+    return np.column_stack([head, levels - head.sum(axis=1)])
 
 
 def reference_budget_splits(levels, bins, full_only=False):
@@ -219,7 +225,7 @@ def reference_candidate_rows(levels, grid, budget):
 def test_budget_split_table_matches_recursive_generator(full_only):
     for levels in range(13):
         for bins in range(1, 7):
-            table = _budget_splits(levels, bins, full_only=full_only)
+            table = (full_budget_splits if full_only else _budget_splits)(levels, bins)
             expect = list(reference_budget_splits(levels, bins, full_only=full_only))
             assert table.dtype.kind == "i"
             assert table.shape == (len(expect), bins)

@@ -4,6 +4,21 @@ import numpy as np
 import pytest
 
 from specgames import simplex
+from specgames.matrix_games import _ce_constraint_rows, is_correlated_equilibrium, optimize_ce
+from specgames.scenario import parse_scenario
+
+
+def simplex_grid_document(channel_seed):
+    """A two-user power game on 2 bins with simplex_grid actions at levels 7 (8x8)."""
+    return {
+        "version": 1,
+        "kind": "power_game",
+        "grid": {"bins": 2, "band": 2.0},
+        "channels": {"seed": channel_seed, "taps": 4},
+        "noise": 1.0,
+        "budgets": [10.0, 10.0],
+        "actions": {"type": "simplex_grid", "levels": 7},
+    }
 
 
 def brute_force_max(c, a_ub, b_ub, a_eq=None, b_eq=None):
@@ -142,3 +157,39 @@ def test_random_lps_with_equalities():
             assert res.status == simplex.OPTIMAL
             assert res.value == pytest.approx(oracle, abs=1e-7)
             assert abs(res.x.sum() - 1.0) <= 1e-9
+
+
+def test_ce_program_matches_highs_on_degenerate_draws():
+    # every CE inequality has right-hand side 0; seeds 18, 93 and 166 made
+    # Bland's rule cycle to the pivot cap and seed 88 reported infeasible
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    misses = []
+    for seed in range(200):
+        game = parse_scenario(simplex_grid_document(seed)).finite_game()
+        rows = _ce_constraint_rows(game)
+        c = game.payoffs.sum(axis=-1).reshape(-1)
+        ref = linprog(-c, A_ub=rows, b_ub=np.zeros(len(rows)), A_eq=np.ones((1, c.size)),
+                      b_eq=[1.0], method="highs")
+        assert ref.status == 0
+        try:
+            dist, value = optimize_ce(game, weights=[1.0, 1.0])
+        except ArithmeticError as exc:
+            misses.append((seed, str(exc)))
+            continue
+        ok, violation = is_correlated_equilibrium(game, dist, tol=1e-9)
+        if abs(value + ref.fun) > 1e-9 or not ok:
+            misses.append((seed, value, -ref.fun, violation))
+    assert not misses, f"CE LP misses HiGHS (watch seeds 18, 88, 93, 166): {misses}"
+
+
+def test_optimum_is_checked_against_the_constraints(monkeypatch):
+    # a pivot that corrupts the tableau must not come back as optimal
+    pivot = simplex._pivot
+
+    def skewed(tableau, cost, basis, row, col):
+        pivot(tableau, cost, basis, row, col)
+        tableau[:, -1] *= 1.5
+
+    monkeypatch.setattr(simplex, "_pivot", skewed)
+    with pytest.raises(ArithmeticError, match="misses its constraints"):
+        simplex.solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], maximize=True)
