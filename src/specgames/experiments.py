@@ -82,27 +82,20 @@ def value_of_knowledge(
     scenario,
     profile: KnowledgeProfile,
     start_profile=None,
-    weights=None,
-    levels: int = 10,
-    refine_rounds: int = 40,
-    tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> np.ndarray:
     """Utility vector induced when each user plays what its knowledge supports.
 
     Finite games: all-private runs best-response dynamics from the configured
     start; a leader plays the commitment equilibrium; complete knowledge
-    plays the profile maximizing the (weighted) utility sum.  Continuous
-    power scenarios: iterative water-filling, the leader-commitment search,
-    and the weighted rate-sum oracle respectively.
+    plays the profile maximizing the utility sum, lexicographically first
+    on ties.  Continuous power scenarios: iterative water-filling, the
+    leader-commitment search, and the equal-weight rate-sum oracle
+    respectively, each at its own default settings.
     """
     if isinstance(scenario, NormalFormGame):
         if profile.complete:
-            w = np.ones(scenario.player_count) if weights is None else np.asarray(weights, float)
-            best = max(
-                scenario.profiles(),
-                key=lambda pr: (float(w @ scenario.payoff_vector(pr)), tuple(-a for a in pr)),
-            )
+            welfare = scenario.payoffs.sum(axis=-1)
+            best = np.unravel_index(np.argmax(welfare), scenario.action_counts)
             return scenario.payoff_vector(best)
         if profile.leader is not None:
             _, utilities = stackelberg_finite(scenario, profile.leader)
@@ -116,25 +109,20 @@ def value_of_knowledge(
         raise ValueError("continuous knowledge evaluation supports two users")
     ch, noise, budgets, grid = scenario.channels, scenario.noise, scenario.budgets, scenario.grid
     if profile.complete:
-        w = np.ones(2) if weights is None else np.asarray(weights, float)
-        return weighted_sum_optimize(w, ch, noise, budgets, grid, levels=levels).rates
+        return weighted_sum_optimize(np.ones(2), ch, noise, budgets, grid).rates
     if profile.leader is not None:
-        res = stackelberg_leader_search(
-            profile.leader, ch, noise, budgets, grid,
-            levels=levels, refine_rounds=refine_rounds, tol=tol, max_iter=max_iter,
-        )
-        return res.rates
-    res = iterative_water_filling(ch, noise, budgets, grid, tol=tol, max_iter=max_iter)
+        return stackelberg_leader_search(profile.leader, ch, noise, budgets, grid).rates
+    res = iterative_water_filling(ch, noise, budgets, grid)
     if not res.converged:
         raise SpectrumGameError("iterative water-filling did not converge on this scenario")
     return res.rates
 
 
-def _histogram(values: np.ndarray, bins: int = 20):
+def _histogram(values: np.ndarray):
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(values, bins=20, range=(lo, hi))
     return edges, counts
 
 
@@ -148,10 +136,6 @@ def channel_ensemble_study(
     direct_power: float = 1.0,
     cross_power: float = 0.5,
     leader: int = 0,
-    levels: int = 10,
-    refine_rounds: int = 40,
-    tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> EnsembleReport:
     """Leadership-versus-Nash rate ratios over random multipath channels.
 
@@ -160,7 +144,8 @@ def channel_ensemble_study(
     iterative water-filling fails to converge are skipped and redrawn (with
     the skip counted); once skips exceed the requested count the ensemble is
     declared unstable.  Each draw derives its own stream from (seed, attempt
-    index), so reports are reproducible.
+    index), so reports are reproducible; the leader search runs at its
+    default settings.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -180,10 +165,7 @@ def channel_ensemble_study(
             stream, grid, tap_count, user_count=2,
             direct_power=direct_power, cross_power=cross_power,
         )
-        led = stackelberg_leader_search(
-            leader, ch, noise, budgets, grid,
-            levels=levels, refine_rounds=refine_rounds, tol=tol, max_iter=max_iter,
-        )
+        led = stackelberg_leader_search(leader, ch, noise, budgets, grid)
         if not led.nash.converged:
             skipped += 1
             continue
@@ -206,16 +188,14 @@ def region_comparison(
     weight_list,
     leader: int = 0,
     levels: int = 10,
-    refine_rounds: int = 40,
-    tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> list:
     """Joined Nash / leadership / Pareto table for one scenario.
 
     Nash and leadership samples sweep the budget pairs, with one leader
     search per pair: its Nash row is the iterative-water-filling point the
     search starts from.  Pareto samples sweep the weight vectors at the
-    scenario's own budgets.
+    scenario's own budgets.  `levels` sets both grids; the leader search
+    keeps its other defaults.
     """
     if scenario.user_count != 2:
         raise ValueError("region comparison supports two users")
@@ -225,8 +205,7 @@ def region_comparison(
     for pair in budget_pairs:
         params = tuple(float(p) for p in pair)
         res = stackelberg_leader_search(
-            leader, ch, noise, PowerBudget(np.asarray(pair, dtype=float)), grid,
-            levels=levels, refine_rounds=refine_rounds, tol=tol, max_iter=max_iter,
+            leader, ch, noise, PowerBudget(np.asarray(pair, dtype=float)), grid, levels=levels
         )
         nash.append(RegionSample("iw", params, res.nash.rates))
         led.append(RegionSample("stackelberg", params, res.rates, leader=leader))

@@ -56,6 +56,8 @@ class NormalFormGame:
             raise ValueError("payoff tensor must map profiles to utility vectors")
         if p.shape[-1] != p.ndim - 1:
             raise ValueError("last payoff axis must hold one utility per player")
+        if 0 in p.shape[:-1]:
+            raise ValueError("every player needs at least one action")
         if not np.all(np.isfinite(p)):
             raise ValueError("payoffs must be finite")
         p.setflags(write=False)
@@ -231,40 +233,47 @@ def best_response(game: NormalFormGame, player: int, opponent_actions) -> list:
 
 
 def strictly_dominant_action(game: NormalFormGame, player: int):
-    """The action strictly better than all others against every opponent profile, if any."""
-    counts = game.action_counts
-    if counts[player] == 1:
-        return 0
-    u = np.moveaxis(game.payoffs[..., player], player, 0).reshape(counts[player], -1)
-    for a in range(counts[player]):
-        rivals = np.delete(u, a, axis=0)
-        if np.all(u[a] > rivals):
-            return a
+    """The action strictly better than all others against every opponent profile, if any.
+
+    That is the only maximum of every column of the player's (own action x
+    opponent profile) payoff table.
+    """
+    u = np.moveaxis(game.payoffs[..., player], player, 0).reshape(game.action_counts[player], -1)
+    top = u == u.max(axis=0)
+    winners = np.flatnonzero(top.all(axis=1))
+    if len(winners) == 1 and top.sum() == top.shape[1]:
+        return int(winners[0])
     return None
 
 
 def pure_nash(game: NormalFormGame) -> list:
-    """All profiles where every player plays a best response, lexicographic."""
-    out = []
-    for profile in game.profiles():
-        if all(
-            profile[p] in best_response(game, p, tuple(a for q, a in enumerate(profile) if q != p))
-            for p in range(game.player_count)
-        ):
-            out.append(profile)
-    return out
+    """All profiles where every player plays a best response, lexicographic.
+
+    Each player's payoff must be the maximum along its own action axis.
+    """
+    stable = np.ones(game.action_counts, dtype=bool)
+    for n in range(game.player_count):
+        u = game.payoffs[..., n]
+        stable &= u == u.max(axis=n, keepdims=True)
+    return [tuple(p) for p in np.argwhere(stable).tolist()]
 
 
 def best_response_dynamics(game: NormalFormGame, start_profile=None) -> tuple:
     """Sequential best-reply updates until a pure Nash equilibrium is reached.
 
     Players revise in index order, each moving to its lowest-index best
-    response.  Raises NoPureNashError (listing the cycle) if no stable
-    profile appears within 4x the number of joint profiles.
+    response.  start_profile (default all zeros) needs one action index per
+    player, each below its action count, else ValueError.  Raises
+    NoPureNashError (listing the cycle) if no stable profile appears within
+    4x the number of joint profiles.
     """
     if start_profile is None:
         start_profile = (0,) * game.player_count
     profile = tuple(int(a) for a in start_profile)
+    if len(profile) != game.player_count or not all(
+        0 <= a < k for a, k in zip(profile, game.action_counts)
+    ):
+        raise ValueError("start_profile needs one action per player, each below its action count")
     cap = 4 * int(np.prod(game.action_counts))
     visited = [profile]
     for _ in range(cap):
@@ -312,31 +321,22 @@ def stackelberg_finite(game: NormalFormGame, leader: int):
     """Leader-commitment outcome of a two-player game.
 
     For each leader action the follower best-responds; follower ties break
-    in the leader's favor.  Returns (profile, utilities) maximizing the
-    leader's payoff, lowest leader action on ties.
+    in the leader's favor, lowest reply index among equals.  Returns
+    (profile, utilities) maximizing the leader's payoff, lowest leader
+    action on ties.  leader must be 0 or 1.
     """
     if game.player_count != 2:
         raise ValueError("stackelberg_finite supports exactly two players")
-    follower = 1 - leader
-    best = None
-    for a in range(game.action_counts[leader]):
-        replies = best_response(game, follower, (a,))
-        profile = [0, 0]
-        profile[leader] = a
-        # optimistic tie-break: follower picks the reply the leader prefers
-        reply = max(replies, key=lambda r: game.utility(leader, _with(profile, follower, r)))
-        profile[follower] = reply
-        value = game.utility(leader, profile)
-        if best is None or value > best[0]:
-            best = (value, tuple(profile))
-    profile = best[1]
+    if leader not in (0, 1):
+        raise ValueError("leader must be 0 or 1")
+    # (leader action, follower action) tables of both players' payoffs
+    lead, follow = (np.moveaxis(game.payoffs[..., n], leader, 0) for n in (leader, 1 - leader))
+    # the leader's payoff where the follower best-replies, -inf elsewhere
+    value = np.where(follow == follow.max(axis=1, keepdims=True), lead, -np.inf)
+    a = int(np.argmax(value.max(axis=1)))
+    reply = int(np.argmax(value[a]))
+    profile = (a, reply) if leader == 0 else (reply, a)
     return profile, game.payoff_vector(profile)
-
-
-def _with(profile, player, action):
-    out = list(profile)
-    out[player] = action
-    return tuple(out)
 
 
 def is_correlated_equilibrium(game: NormalFormGame, dist: JointDistribution, tol: float = 1e-9):
@@ -345,22 +345,20 @@ def is_correlated_equilibrium(game: NormalFormGame, dist: JointDistribution, tol
     For every player and recommended action, the expected payoff of obeying
     must be at least that of any fixed deviation, weighted by the
     distribution restricted to that recommendation.  max_violation is the
-    largest deviation gain found, floored at zero.
+    largest deviation gain found, floored at zero; all deviations from one
+    recommendation are priced in one pass over the payoff table.
     """
     if dist.probs.shape != game.action_counts:
         raise ValueError("distribution shape does not match the game")
     worst = 0.0
-    for n in range(game.player_count):
+    for n, k in enumerate(game.action_counts):
         mu = np.moveaxis(dist.probs, n, 0)
         u = np.moveaxis(game.payoffs[..., n], n, 0)
-        for a in range(game.action_counts[n]):
-            obey = float((mu[a] * u[a]).sum())
-            for a2 in range(game.action_counts[n]):
-                if a2 == a:
-                    continue
-                gain = float((mu[a] * u[a2]).sum()) - obey
-                if gain > worst:
-                    worst = gain
+        for a in range(k):
+            # expected payoff of every action a2 under the recommendation a;
+            # a C-ordered product keeps each row's summation order fixed
+            values = np.multiply(mu[a], u, order="C").reshape(k, -1).sum(axis=1)
+            worst = max(worst, float((values - values[a]).max()))
     return worst <= tol, worst
 
 

@@ -188,8 +188,6 @@ def stackelberg_leader_search(
     grid: FrequencyGrid,
     levels: int = 10,
     refine_rounds: int = 40,
-    tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> StackelbergResult:
     """Sub-optimal global search for the best leader commitment.
 
@@ -200,12 +198,16 @@ def stackelberg_leader_search(
     iterative-water-filling allocation, moving budget/levels of power
     between bin pairs while any move helps.  The Nash allocation is always
     the first candidate, so the leader never finishes below its Nash rate.
+    The Nash point is iterative water-filling at its default settings;
+    leader must be 0 or 1.
     """
     if ch.user_count != 2:
         raise ValueError("the leader search is defined for two-user scenarios")
+    if leader not in (0, 1):
+        raise ValueError("leader must be 0 or 1")
     if levels < 2:
         raise ValueError("levels must be at least 2")
-    nash = iterative_water_filling(ch, noise, budgets, grid, tol=tol, max_iter=max_iter)
+    nash = iterative_water_filling(ch, noise, budgets, grid)
     ne_row = np.array(nash.allocation.psd[leader])
     # budget/levels of power in PSD units: the grid step and the descent move
     step = budgets.budget[leader] / (levels * grid.bin_width)
@@ -253,21 +255,22 @@ def stackelberg_leader_search(
     )
 
 
-def _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
+def _joint_grid_rates(ch, noise, budgets, grid, levels):
     """Rate pairs over the joint budget-splitting grid, in bounded blocks.
 
     Every pair of splits (totals up to the budget, so silence is allowed) is
     priced from per-bin (K, L+1, L+1) tables of log2 terms, summed in bin
     order; each step yields both users' rates (B, M) for B user-1 splits by
-    all M user-2 splits, lexicographic, with B*M about BLOCK_SIZE.
+    all M user-2 splits, lexicographic, with B*M about BLOCK_SIZE.  Grids
+    over MAX_ORACLE_EVALUATIONS pairs are refused with OracleScaleError.
     """
     if ch.user_count != 2:
         raise ValueError("the grid oracle is defined for two-user scenarios")
     splits = _budget_splits(levels, grid.bin_count)
     total = len(splits) ** 2
-    if total > max_evaluations:
+    if total > MAX_ORACLE_EVALUATIONS:
         raise OracleScaleError(
-            f"oracle scale exceeded: {total} joint evaluations over cap {max_evaluations}"
+            f"oracle scale exceeded: {total} joint evaluations over cap {MAX_ORACLE_EVALUATIONS}"
         )
     df = grid.bin_width
     p1, p2 = (np.arange(levels + 1) * (b / (levels * df)) for b in budgets.budget)
@@ -294,20 +297,20 @@ def _pareto_argmax(
     grid: FrequencyGrid,
     levels: int,
     weight_list,
-    max_evaluations: int = MAX_ORACLE_EVALUATIONS,
 ):
     """Exhaustive weighted-sum maximization on the joint allocation grid.
 
     Returns, per weight vector, the best value and rate pair.  Ties break
     toward the lexicographically first pair of splits (first maximum of a
-    block, strict gains across blocks).  Shared across weights.
+    block, strict gains across blocks).  Shared across weights; capped at
+    MAX_ORACLE_EVALUATIONS joint pairs.
     """
     weights = [np.asarray(w, dtype=float) for w in weight_list]
     if any(np.any(w < 0) or w.sum() <= 0 for w in weights):
         raise ValueError("weights must be nonnegative with positive sum")
     best_val = [-np.inf] * len(weights)
     best_rates = [None] * len(weights)
-    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
+    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels):
         for wi, w in enumerate(weights):
             objective = w[0] * r1 + w[1] * r2
             j = int(np.argmax(objective))
@@ -324,19 +327,18 @@ def grid_dominance_margin(
     budgets: PowerBudget,
     grid: FrequencyGrid,
     levels: int = 10,
-    max_evaluations: int = MAX_ORACLE_EVALUATIONS,
 ) -> float:
     """Best componentwise improvement over target_rates on the joint grid.
 
     Returns max over all grid allocation pairs of min_n (R_n - target_n); a
     nonnegative value certifies that the cooperative grid frontier weakly
-    dominates the target point.  Same exhaustive oracle and bounded blocks
-    as the weighted-sum maximization, scanned with the max-min objective
-    instead of a fixed weight.
+    dominates the target point.  Same exhaustive oracle, bounded blocks
+    and MAX_ORACLE_EVALUATIONS cap as the weighted-sum maximization,
+    scanned with the max-min objective instead of a fixed weight.
     """
     target = np.asarray(target_rates, dtype=float)
     best = -np.inf
-    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, max_evaluations):
+    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels):
         margin = np.minimum(r1 - target[0], r2 - target[1]).max()
         if margin > best:
             best = float(margin)

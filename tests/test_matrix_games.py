@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specgames as sg
 from specgames.errors import DegenerateGameError, NoPureNashError, OracleScaleError
 from specgames.power_games import _budget_splits
+from specgames.scenario import parse_scenario
 from specgames.spectrum import all_rates
 
 FIG_PAYOFFS = {
@@ -54,6 +57,11 @@ def test_contention_game_matrix(contention):
         assert contention.utility(0, (a, b)) == contention.utility(1, (b, a))
 
 
+def test_game_needs_an_action_per_player():
+    with pytest.raises(ValueError, match="at least one action"):
+        sg.NormalFormGame(np.zeros((0, 2, 2)))
+
+
 def test_best_response(contention):
     assert sg.best_response(contention, 0, (0,)) == [1]  # vs Aggress -> Backoff
     assert sg.best_response(contention, 0, (1,)) == [0]  # vs Backoff -> Aggress
@@ -88,6 +96,12 @@ def test_best_response_dynamics(two_channel_game, contention):
     )  # matching pennies has no pure NE
     with pytest.raises(NoPureNashError):
         sg.best_response_dynamics(cycle, (0, 0))
+
+
+@pytest.mark.parametrize("start", [(0, -1), (0, 5), (0,), (0, 0, 0)])
+def test_best_response_dynamics_rejects_bad_start(contention, start):
+    with pytest.raises(ValueError, match="start_profile"):
+        sg.best_response_dynamics(contention, start)
 
 
 def test_mixed_nash_contention(contention):
@@ -279,3 +293,165 @@ def test_joint_distribution_marginals(contention):
     assert dist.marginal(1) == pytest.approx([0.4, 0.6])
     with pytest.raises(ValueError):
         sg.JointDistribution.from_flat([0.5, 0.2, 0.2, 0.2], (2, 2))
+
+
+# Per-profile loop definitions of the solution concepts; the array forms in
+# matrix_games and the complete-knowledge branch of value_of_knowledge must
+# reproduce them exactly, ties and summation order included.
+
+
+def reference_pure_nash(game):
+    out = []
+    for profile in game.profiles():
+        if all(
+            profile[p] in sg.best_response(game, p, profile[:p] + profile[p + 1:])
+            for p in range(game.player_count)
+        ):
+            out.append(profile)
+    return out
+
+
+def reference_strictly_dominant_action(game, player):
+    counts = game.action_counts
+    if counts[player] == 1:
+        return 0
+    u = np.moveaxis(game.payoffs[..., player], player, 0).reshape(counts[player], -1)
+    for a in range(counts[player]):
+        if np.all(u[a] > np.delete(u, a, axis=0)):
+            return a
+    return None
+
+
+def reference_stackelberg_finite(game, leader):
+    best = None
+    for a in range(game.action_counts[leader]):
+        def with_reply(r):
+            return (a, r) if leader == 0 else (r, a)
+
+        replies = sg.best_response(game, 1 - leader, (a,))
+        reply = max(replies, key=lambda r: game.utility(leader, with_reply(r)))
+        value = game.utility(leader, with_reply(reply))
+        if best is None or value > best[0]:
+            best = (value, with_reply(reply))
+    return best[1], game.payoff_vector(best[1])
+
+
+def reference_ce_violation(game, dist):
+    worst = 0.0
+    for n in range(game.player_count):
+        mu = np.moveaxis(dist.probs, n, 0)
+        u = np.moveaxis(game.payoffs[..., n], n, 0)
+        for a in range(game.action_counts[n]):
+            obey = float((mu[a] * u[a]).sum())
+            for a2 in range(game.action_counts[n]):
+                if a2 != a:
+                    worst = max(worst, float((mu[a] * u[a2]).sum()) - obey)
+    return worst
+
+
+def reference_welfare_profile(game):
+    w = np.ones(game.player_count)
+    return max(
+        game.profiles(),
+        key=lambda pr: (float(w @ game.payoff_vector(pr)), tuple(-a for a in pr)),
+    )
+
+
+def assert_concepts_match_references(game, dists):
+    nash = sg.pure_nash(game)
+    assert nash == reference_pure_nash(game)
+    assert all(type(a) is int for profile in nash for a in profile)
+    for player in range(game.player_count):
+        action = sg.strictly_dominant_action(game, player)
+        assert action == reference_strictly_dominant_action(game, player)
+        assert action is None or type(action) is int
+    if game.player_count == 2:
+        for leader in (0, 1):
+            profile, utilities = sg.stackelberg_finite(game, leader)
+            ref_profile, ref_utilities = reference_stackelberg_finite(game, leader)
+            assert profile == ref_profile and all(type(a) is int for a in profile)
+            assert np.array_equal(utilities, ref_utilities)
+    complete = sg.KnowledgeProfile(("complete",) * game.player_count)
+    welfare = sg.value_of_knowledge(game, complete)
+    assert np.array_equal(welfare, game.payoff_vector(reference_welfare_profile(game)))
+    for dist in dists:
+        _, violation = sg.is_correlated_equilibrium(game, dist)
+        assert violation == reference_ce_violation(game, dist)
+
+
+def sweep_game(rng, kind):
+    counts = tuple(int(k) for k in rng.integers(1, 6, size=rng.integers(2, 4)))
+    shape = counts + (len(counts),)
+    if kind == "tied":
+        return sg.NormalFormGame(rng.integers(0, 3, size=shape).astype(float))
+    payoffs = rng.uniform(-5.0, 5.0, size=shape)
+    if kind == "dominant":
+        # lift one action of one player above everything else; on odd draws
+        # only up to the column maxima, a weak (tied) dominance
+        n = int(rng.integers(len(counts)))
+        u = np.moveaxis(payoffs[..., n], n, 0)
+        a = int(rng.integers(counts[n]))
+        u[a] = u.max(axis=0) + (1.0 if rng.integers(2) else 0.0)
+    return sg.NormalFormGame(payoffs)
+
+
+def sweep_distributions(game, rng):
+    counts = game.action_counts
+    size = int(np.prod(counts))
+    point = np.zeros(size)
+    point[rng.integers(size)] = 1.0
+    sparse = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.5)
+    sparse = sparse / sparse.sum() if sparse.sum() > 0 else point
+    return [
+        sg.JointDistribution.from_flat(p, counts)
+        for p in (rng.dirichlet(np.ones(size)), point, sparse, np.full(size, 1.0 / size))
+    ]
+
+
+@pytest.mark.parametrize("kind", ["tied", "uniform", "dominant"])
+def test_concepts_equal_reference_loops_on_seeded_sweep(kind):
+    dominant = 0
+    for idx in range(400):
+        rng = np.random.default_rng([41, idx])
+        game = sweep_game(rng, kind)
+        assert_concepts_match_references(game, sweep_distributions(game, rng))
+        dominant += any(
+            sg.strictly_dominant_action(game, n) is not None for n in range(game.player_count)
+        )
+    assert dominant > 0
+
+
+def test_concepts_equal_reference_loops_on_286_action_game():
+    # the 4-bin, levels-10 budget-splitting abstraction of a drawn channel
+    doc = parse_scenario({
+        "version": 1,
+        "kind": "power_game",
+        "grid": {"bins": 4, "band": 4.0},
+        "channels": {"seed": 7, "taps": 4},
+        "noise": 1.0,
+        "budgets": [10.0, 10.0],
+        "actions": {"type": "simplex_grid", "levels": 10},
+    })
+    game = doc.finite_game()
+    assert game.action_counts == (286, 286)
+    rng = np.random.default_rng(286)
+    dist = sg.JointDistribution(rng.dirichlet(np.ones(game.payoffs[..., 0].size)).reshape(286, 286))
+    assert_concepts_match_references(game, [dist])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_concepts_equal_reference_loops_property(data):
+    counts = tuple(data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=3)))
+    shape = counts + (len(counts),)
+    size = int(np.prod(counts))
+    if data.draw(st.booleans()):
+        values = st.integers(0, 2).map(float)  # small integers force ties
+    else:
+        values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    payoffs = data.draw(st.lists(values, min_size=size * len(counts), max_size=size * len(counts)))
+    game = sg.NormalFormGame(np.reshape(payoffs, shape))
+    mass = np.array(data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), float)
+    if mass.sum() == 0:
+        mass[0] = 1.0
+    assert_concepts_match_references(game, [sg.JointDistribution.from_flat(mass / mass.sum(), counts)])

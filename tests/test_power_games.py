@@ -122,6 +122,20 @@ def test_follower_response_at_nash(two_channel):
     assert row == pytest.approx(res.allocation.psd[1], abs=1e-7)
 
 
+@pytest.mark.parametrize("leader", [2, -1])
+def test_leader_outside_two_players_rejected(two_channel, two_channel_game, leader, monkeypatch):
+    with pytest.raises(ValueError, match="leader must be 0 or 1"):
+        sg.stackelberg_finite(two_channel_game, leader)
+
+    def no_iw(*args, **kwargs):
+        raise AssertionError("iterative water-filling ran before the leader was checked")
+
+    monkeypatch.setattr(power_games, "iterative_water_filling", no_iw)
+    with pytest.raises(ValueError, match="leader must be 0 or 1"):
+        sg.stackelberg_leader_search(leader, two_channel.channels, two_channel.noise,
+                                     two_channel.budgets, two_channel.grid)
+
+
 def test_leader_search_two_channel(two_channel):
     res = sg.stackelberg_leader_search(0, two_channel.channels, two_channel.noise,
                                        two_channel.budgets, two_channel.grid, levels=2)
@@ -492,7 +506,7 @@ ORACLE_WEIGHTS = [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.7], [0.75, 0.25]]
 
 def assert_oracle_matches_reference(scen, levels, target):
     args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
-    blocks = list(_joint_grid_rates(*args, power_games.MAX_ORACLE_EVALUATIONS))
+    blocks = list(_joint_grid_rates(*args))
     rows = list(reference_joint_grid_rates(scen, levels))
     for user in range(2):
         assert np.array_equal(np.vstack([b[user] for b in blocks]),
@@ -530,7 +544,7 @@ def test_blocked_oracle_many_bins_within_rounding(bins, levels):
     # order, so the last bit of a rate may differ
     scen = grid_scenario(bins, 77)
     args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
-    blocks = list(_joint_grid_rates(*args, power_games.MAX_ORACLE_EVALUATIONS))
+    blocks = list(_joint_grid_rates(*args))
     rows = list(reference_joint_grid_rates(scen, levels))
     for user in range(2):
         np.testing.assert_allclose(np.vstack([b[user] for b in blocks]),
