@@ -16,6 +16,7 @@ from .errors import (
     SpectrumGameError,
 )
 from .experiments import (
+    KNOWLEDGE_LEVELS,
     EnsembleReport,
     KnowledgeProfile,
     channel_ensemble_study,
@@ -23,14 +24,16 @@ from .experiments import (
     value_of_knowledge,
 )
 from .learning import (
+    LEARNER_KINDS,
     LearnerState,
     LearningTrace,
     empirical_joint_distribution,
     fictitious_play_step,
     make_learner,
-    regret_matching_step,
+    regret_matching_probabilities,
     regret_vector,
     reinforcement_step,
+    reinforcement_update,
     run_repeated_game,
     value_of_learning,
 )

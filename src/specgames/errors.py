@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SpectrumGameError", "NoUsableSpectrumError", "OracleScaleError", "DegenerateGameError",
+    "NoPureNashError", "EnsembleUnstableError", "ScenarioError",
+]
+
 
 class SpectrumGameError(Exception):
     """Base class for domain errors raised by this package."""

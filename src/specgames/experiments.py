@@ -70,12 +70,16 @@ class KnowledgeProfile:
 class EnsembleReport:
     """Rate ratios of leadership over Nash across channel realizations."""
 
-    realizations: int
+    ratios: np.ndarray  # (realizations, 2): each user's leader rate over its Nash rate
     skipped: int
-    ratios: np.ndarray
-    means: np.ndarray
-    hist_edges: tuple
-    hist_counts: tuple
+
+    @property
+    def realizations(self) -> int:
+        return len(self.ratios)
+
+    @property
+    def means(self) -> np.ndarray:
+        return self.ratios.mean(axis=0)
 
 
 def value_of_knowledge(
@@ -116,14 +120,6 @@ def value_of_knowledge(
     if not res.converged:
         raise SpectrumGameError("iterative water-filling did not converge on this scenario")
     return res.rates
-
-
-def _histogram(values: np.ndarray):
-    lo, hi = float(values.min()), float(values.max())
-    if hi - lo < 1e-12:
-        lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(values, bins=20, range=(lo, hi))
-    return edges, counts
 
 
 def channel_ensemble_study(
@@ -171,15 +167,7 @@ def channel_ensemble_study(
             continue
         ratios[collected] = led.rates / led.nash.rates
         collected += 1
-    edges_counts = [_histogram(ratios[:, n]) for n in range(2)]
-    return EnsembleReport(
-        realizations=realizations,
-        skipped=skipped,
-        ratios=ratios,
-        means=ratios.mean(axis=0),
-        hist_edges=tuple(e for e, _ in edges_counts),
-        hist_counts=tuple(c for _, c in edges_counts),
-    )
+    return EnsembleReport(ratios=ratios, skipped=skipped)
 
 
 def region_comparison(
@@ -208,5 +196,5 @@ def region_comparison(
             leader, ch, noise, PowerBudget(np.asarray(pair, dtype=float)), grid, levels=levels
         )
         nash.append(RegionSample("iw", params, res.nash.rates))
-        led.append(RegionSample("stackelberg", params, res.rates, leader=leader))
+        led.append(RegionSample("stackelberg", params, res.rates))
     return nash + led + pareto_sweep(weight_list, ch, noise, scenario.budgets, grid, levels=levels)

@@ -5,9 +5,9 @@ profile is priced on the game, and each learner updates from what it is
 allowed to observe.  Regret-matching and fictitious-play learners observe
 the full joint action; reinforcement learners observe only their own
 realized payoff, which is what makes them deployable without any protocol
-for reading opponents.  After the run the engine derives every player's
-regrets from the recorded actions, so traces carry regrets even for
-learners that could not compute them.
+for reading opponents.  A trace stores the game and the action record; the
+utilities and every player's regrets are read off it on first access, so
+traces carry regrets even for learners that could not compute them.
 
 Regret of player n at time t for action a', relative to its realized play:
 
@@ -19,6 +19,7 @@ computed for all t at once as a running sum over the action record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "make_learner",
     "regret_vector",
     "regret_matching_probabilities",
-    "regret_matching_step",
     "fictitious_play_step",
     "reinforcement_step",
     "reinforcement_update",
@@ -64,7 +64,6 @@ class LearnerState:
     # reinforcement
     propensities: np.ndarray | None = None
     payoff_shift: float | None = None
-    propensity_floor: float | None = None
     # best_response_myopic / fixed
     fixed_action: int | None = None
     start_action: int | None = None
@@ -82,21 +81,7 @@ def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, sta
     if not 0 <= player < game.player_count:
         raise ValueError("player index out of range")
     state = LearnerState(kind=kind, player=player, action_count=game.action_counts[player])
-    span = game.payoff_span()
-    if kind == "regret_matching":
-        state.regret_sums = np.zeros(state.action_count)
-        state.inertia = 2.0 * (max(game.action_counts) - 1) * span
-    elif kind == "fictitious_play":
-        state.opponent_counts = {
-            j: np.zeros(game.action_counts[j]) for j in range(game.player_count) if j != player
-        }
-    elif kind == "reinforcement":
-        # payoffs are shifted to be nonnegative inside the learner; the
-        # uniform initial propensity is the exploration floor
-        state.payoff_shift = -float(game.payoffs.min())
-        state.propensity_floor = span
-        state.propensities = np.full(state.action_count, span)
-    elif kind == "best_response_myopic":
+    if kind == "best_response_myopic":
         if not 0 <= start_action < state.action_count:
             raise ValueError("start_action out of range")
         state.start_action = int(start_action)
@@ -104,17 +89,25 @@ def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, sta
         if fixed_action is None or not 0 <= fixed_action < state.action_count:
             raise ValueError("a fixed learner needs a valid fixed_action")
         state.fixed_action = int(fixed_action)
+    _start(state, game)
     return state
 
 
-def _reset(state: LearnerState):
-    """Clear everything a run accumulates, keeping the learner's parameters."""
-    if state.regret_sums is not None:
-        state.regret_sums = np.zeros_like(state.regret_sums)
-    if state.opponent_counts is not None:
-        state.opponent_counts = {j: np.zeros_like(v) for j, v in state.opponent_counts.items()}
-    if state.propensities is not None:
-        state.propensities = np.full(state.action_count, state.propensity_floor)
+def _start(state: LearnerState, game: NormalFormGame):
+    """Set the game-derived constants and fresh accumulators, keeping the kind's arguments."""
+    span = game.payoff_span()
+    if state.kind == "regret_matching":
+        state.regret_sums = np.zeros(state.action_count)
+        state.inertia = 2.0 * (max(game.action_counts) - 1) * span
+    elif state.kind == "fictitious_play":
+        state.opponent_counts = {
+            j: np.zeros(game.action_counts[j]) for j in range(game.player_count) if j != state.player
+        }
+    elif state.kind == "reinforcement":
+        # payoffs are shifted to be nonnegative inside the learner; the
+        # uniform initial propensity is the exploration floor
+        state.payoff_shift = -float(game.payoffs.min())
+        state.propensities = np.full(state.action_count, span)
     state.last_opponent_profile = None
     state.last_action = None
     state.rounds_seen = 0
@@ -151,11 +144,7 @@ def regret_matching_probabilities(state: LearnerState) -> np.ndarray:
     return probs
 
 
-def regret_matching_step(state: LearnerState, rng) -> int:
-    return _sample(regret_matching_probabilities(state), rng)
-
-
-def fictitious_play_step(state: LearnerState, game: NormalFormGame, player: int) -> int:
+def fictitious_play_step(state: LearnerState, game: NormalFormGame) -> int:
     """Best response to the empirical frequencies of every opponent's play.
 
     Opponents are modeled independently; an empty history means a uniform
@@ -164,6 +153,7 @@ def fictitious_play_step(state: LearnerState, game: NormalFormGame, player: int)
     """
     if state.kind != "fictitious_play":
         raise ValueError("state is not a fictitious-play learner")
+    player = state.player
     expected = np.moveaxis(game.payoffs[..., player], player, 0)
     opponents = [j for j in range(game.player_count) if j != player]
     for j in reversed(opponents):
@@ -205,9 +195,9 @@ def _select(state: LearnerState, game: NormalFormGame):
             return state.start_action
         return int(np.argmax(_own_payoffs(game, state.player, state.last_opponent_profile)))
     if state.kind == "fictitious_play":
-        return fictitious_play_step(state, game, state.player)
+        return fictitious_play_step(state, game)
     if state.kind == "regret_matching":
-        return regret_matching_step(state, state.rng)
+        return _sample(regret_matching_probabilities(state), state.rng)
     return reinforcement_step(state, state.rng)
 
 
@@ -232,20 +222,34 @@ def _observe(state: LearnerState, game: NormalFormGame, profile, payoff: float):
 
 @dataclass(frozen=True, eq=False)
 class LearningTrace:
-    """Recorded repeated-game run: actions, utilities, regrets per round."""
+    """Recorded repeated-game run: the game and each round's joint action."""
 
+    game: NormalFormGame
     actions: np.ndarray
-    utilities: np.ndarray
-    regrets: tuple
-    rounds: int
-    action_counts: tuple
 
     def __post_init__(self):
-        if self.actions.shape[0] != self.rounds or self.utilities.shape != self.actions.shape:
-            raise ValueError("trace arrays must share the round count")
-        for p, r in enumerate(self.regrets):
-            if r.shape != (self.rounds, self.action_counts[p]):
-                raise ValueError("regret arrays must be rounds x action_count")
+        a = self.actions
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu" and a.shape[1:] == (self.game.player_count,)
+                and len(a) >= 1 and a.min() >= 0 and np.all(a.max(axis=0) < self.game.action_counts)):
+            raise ValueError("actions must be an integer (rounds >= 1, player_count) array of valid actions")
+
+    @property
+    def rounds(self) -> int:
+        return len(self.actions)
+
+    @property
+    def action_counts(self) -> tuple:
+        return self.game.action_counts
+
+    @cached_property
+    def utilities(self) -> np.ndarray:
+        """Every player's utility per round, shape (rounds, player_count)."""
+        return self.game.payoffs[tuple(self.actions.T)]
+
+    @cached_property
+    def regrets(self) -> tuple:
+        """Each player's regret vector after each round, shape (rounds, |A_n|)."""
+        return tuple(_regret_history(self.game, self.actions, p) for p in range(self.game.player_count))
 
 
 def run_repeated_game(
@@ -254,9 +258,9 @@ def run_repeated_game(
     rounds: int,
     seed: int,
 ) -> LearningTrace:
-    """Play `rounds` rounds and record everything; deterministic per seed.
+    """Play `rounds` rounds and record the joint actions; deterministic per seed.
 
-    Learner states are reset on entry and each player draws from its own rng
+    Learner states are restarted on entry and each player draws from its own rng
     stream derived from (seed, player index), so identical inputs give
     identical traces.
     """
@@ -268,26 +272,17 @@ def run_repeated_game(
     for p, state in enumerate(learners):
         if state.player != p:
             raise ValueError(f"learner {p} was built for player {state.player}")
-        _reset(state)
+        _start(state, game)
         state.rng = np.random.default_rng([int(seed), p])
 
     actions = np.zeros((rounds, n), dtype=int)
-    utilities = np.zeros((rounds, n))
     for t in range(rounds):
         profile = tuple(_select(state, game) for state in learners)
         payoff = game.payoff_vector(profile)
         actions[t] = profile
-        utilities[t] = payoff
         for p, state in enumerate(learners):
             _observe(state, game, profile, float(payoff[p]))
-
-    return LearningTrace(
-        actions=actions,
-        utilities=utilities,
-        regrets=tuple(_regret_history(game, actions, p) for p in range(n)),
-        rounds=rounds,
-        action_counts=game.action_counts,
-    )
+    return LearningTrace(game, actions)
 
 
 def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> np.ndarray:
@@ -305,11 +300,11 @@ def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> n
     return np.maximum(0.0, history, out=history)
 
 
-def regret_vector(trace: LearningTrace, game: NormalFormGame, player: int, t: int) -> np.ndarray:
+def regret_vector(trace: LearningTrace, player: int, t: int) -> np.ndarray:
     """Recompute the time-t regret vector of one player straight from a trace."""
     if not 1 <= t <= trace.rounds:
         raise ValueError("t must lie in [1, rounds]")
-    return _regret_history(game, trace.actions[:t], player)[-1]
+    return _regret_history(trace.game, trace.actions[:t], player)[-1]
 
 
 def empirical_joint_distribution(trace: LearningTrace) -> JointDistribution:

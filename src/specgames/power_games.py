@@ -79,7 +79,6 @@ class RegionSample:
     method: str
     params: tuple
     rates: np.ndarray
-    leader: int | None = None
 
 
 def iterative_water_filling(

@@ -136,7 +136,10 @@ class ScenarioDocument:
         if self.kind != "power_game":
             _fail("kind", "this command needs a power_game scenario")
         g = self.raw["grid"]
-        return FrequencyGrid(bin_count=g["bins"], total_band=float(g["band"]))
+        try:
+            return FrequencyGrid(bin_count=g["bins"], total_band=float(g["band"]))
+        except ValueError as exc:  # a subnormal band loses its width to rounding
+            _fail("grid.band", str(exc))
 
     def power_scenario(self) -> PowerScenario:
         grid = self.grid()
@@ -285,6 +288,8 @@ def _validate_power(doc: dict):
         if actions["type"] not in ("concentrate_spread", "simplex_grid"):
             _fail("actions.type", "must be 'concentrate_spread' or 'simplex_grid'")
         if "levels" in actions:
+            if actions["type"] != "simplex_grid":
+                _fail("actions.levels", "only a simplex_grid action set takes levels")
             _expect_int(actions["levels"], "actions.levels", minimum=1)
 
     if "sweeps" in doc:
@@ -344,8 +349,10 @@ def _validate_common(doc: dict):
             _expect_keys(entry, f"learners[{p}]", {"kind"}, {"action", "start"})
             if entry["kind"] not in LEARNER_KINDS:
                 _fail(f"learners[{p}].kind", f"must be one of {LEARNER_KINDS}")
-            for opt in ("action", "start"):
+            for opt, kind in (("action", "fixed"), ("start", "best_response_myopic")):
                 if opt in entry:
+                    if entry["kind"] != kind:
+                        _fail(f"learners[{p}].{opt}", f"only a {kind} learner takes {opt}")
                     _expect_int(entry[opt], f"learners[{p}].{opt}", minimum=0)
     if "knowledge" in doc:
         levels = _expect_list(doc["knowledge"], "knowledge", length=users)

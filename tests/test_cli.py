@@ -347,6 +347,13 @@ THREE_PLAYER = {
         ("ensemble_default.json", [(("budgets", 0), 1e14)], ("stackelberg",), "budgets[0]"),
         ("ensemble_default.json", [(("budgets",), [1e300, 100.0])],
          ("ensemble", "--realizations", "3"), "budgets[0]"),
+        ("ensemble_default.json", [(("grid",), {"bins": 3, "band": 1e-320})], ("iw",), "grid.band"),
+        ("contention.json", [(("learners", 0), {"kind": "regret_matching", "action": 1})],
+         ("learn",), "learners[0].action"),
+        ("contention.json", [(("learners", 1), {"kind": "fixed", "action": 0, "start": 1})],
+         ("learn",), "learners[1].start"),
+        ("fig6.json", [(("actions",), {"type": "concentrate_spread", "levels": 7})],
+         ("matrix", "solve"), "actions.levels"),
     ],
 )
 def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, edits, argv, field):
@@ -499,6 +506,8 @@ def _mutated(value, kind, retype):
         return float("nan")
     if kind == "huge":
         return 1e300
+    if kind == "tiny":
+        return 5e-324
     if kind == "empty list":
         return []
     # negative: flip a positive number, otherwise -1
@@ -510,12 +519,12 @@ def _mutated(value, kind, retype):
 @given(data=st.data())
 def test_scenario_mutations_never_escape(scenario_dir, data):
     # one field of a shipped scenario dropped, retyped, or set to NaN, a
-    # negative or huge number, or an empty list; "huge" is a float, so
-    # integer counts are retyped rather than made unbounded
+    # negative, huge or subnormal number, or an empty list; "huge" is a
+    # float, so integer counts are retyped rather than made unbounded
     name = data.draw(st.sampled_from(sorted(SCENARIO_COMMANDS)), label="scenario")
     doc = json.loads((scenario_dir / name).read_text(encoding="utf-8"))
     path = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
-    kind = data.draw(st.sampled_from(["drop", "retype", "nan", "negative", "huge", "empty list"]),
+    kind = data.draw(st.sampled_from(["drop", "retype", "nan", "negative", "huge", "tiny", "empty list"]),
                      label="mutation")
     retype = data.draw(st.sampled_from(["text", True, None, {"x": 1}]), label="retype")
     parent = doc

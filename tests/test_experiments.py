@@ -89,8 +89,6 @@ def test_ensemble_report_shape_and_determinism():
     assert np.array_equal(a.ratios, b.ratios)
     assert a.realizations == 10
     for n in range(2):
-        assert a.hist_counts[n].sum() == 10
-        assert len(a.hist_edges[n]) == 21
         assert a.means[n] == pytest.approx(a.ratios[:, n].mean())
 
 
@@ -147,7 +145,6 @@ def test_region_comparison_rows(two_channel):
     table = sg.region_comparison(two_channel, pairs, [[0.5, 0.5]], levels=6)
     assert [s.method for s in table] == ["iw", "iw", "stackelberg", "stackelberg", "pareto"]
     assert [s.params for s in table[:4]] == [(10.0, 10.0), (5.0, 20.0)] * 2
-    assert [s.leader for s in table] == [None, None, 0, 0, None]
 
 
 def test_region_comparison_nash_rows_are_one_iw_run_per_pair(two_channel, monkeypatch):

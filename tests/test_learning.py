@@ -58,7 +58,7 @@ def test_make_learner_kind_fields(contention):
 
 def test_regret_vector_single_round(contention):
     trace = sg.run_repeated_game(contention, fixed_pair(contention, (0, 0)), 1, seed=0)
-    r = sg.regret_vector(trace, contention, 0, 1)
+    r = sg.regret_vector(trace, 0, 1)
     assert r == pytest.approx([0.0, 2.0])  # switching to Backoff would have earned 2
 
 
@@ -70,14 +70,14 @@ def test_regret_vector_two_rounds(contention):
     ]
     trace = sg.run_repeated_game(contention, learners, 2, seed=0)
     assert trace.actions[:, 1].tolist() == [0, 1]
-    r = sg.regret_vector(trace, contention, 0, 2)
+    r = sg.regret_vector(trace, 0, 2)
     assert r == pytest.approx([0.0, 0.5])  # ((2-0) + (6-7)) / 2
 
 
 def test_regret_vector_zero_for_constant_best_response(contention):
     trace = sg.run_repeated_game(contention, fixed_pair(contention, (0, 1)), 50, seed=0)
     # player 1 always played Aggress against Backoff, its unique best response
-    assert sg.regret_vector(trace, contention, 0, 50) == pytest.approx([0.0, 0.0])
+    assert sg.regret_vector(trace, 0, 50) == pytest.approx([0.0, 0.0])
 
 
 def test_regret_vector_three_players():
@@ -86,12 +86,12 @@ def test_regret_vector_three_players():
     reference = referee_regrets(game, trace.actions)
     for player in range(3):
         for t in (1, 2, 50, 300):
-            direct = sg.regret_vector(trace, game, player, t)
+            direct = sg.regret_vector(trace, player, t)
             assert np.array_equal(direct, reference[player][t - 1])
     # a constant profile leaves the one-shot deviation gains as the regrets
     trace = sg.run_repeated_game(game, learners_of("fixed", game), 4, seed=0)
     gains = game.payoffs[:, 1, 2, 0] - game.payoffs[3, 1, 2, 0]
-    assert sg.regret_vector(trace, game, 0, 4) == pytest.approx(np.maximum(0.0, gains), abs=1e-12)
+    assert sg.regret_vector(trace, 0, 4) == pytest.approx(np.maximum(0.0, gains), abs=1e-12)
 
 
 def test_recorded_regrets_match_direct_recomputation(contention):
@@ -100,7 +100,7 @@ def test_recorded_regrets_match_direct_recomputation(contention):
     reference = referee_regrets(contention, trace.actions)
     for player in range(2):
         for t in (1, 7, 123, 500):
-            direct = sg.regret_vector(trace, contention, player, t)
+            direct = sg.regret_vector(trace, player, t)
             assert np.array_equal(direct, reference[player][t - 1])
             assert np.array_equal(trace.regrets[player][t - 1], reference[player][t - 1])
 
@@ -109,11 +109,31 @@ def test_recorded_regrets_match_direct_recomputation(contention):
 def test_recorded_regrets_equal_per_round_referee(kind, contention, two_channel):
     grid_game = sg.discretize_power_game(two_channel, levels=7)
     assert grid_game.action_counts == (8, 8)
-    for game in (contention, grid_game, three_player_game()):
+    wide_game = sg.discretize_power_game(two_channel, levels=10)
+    assert wide_game.action_counts == (11, 11)
+    for game in (contention, grid_game, wide_game, three_player_game()):
         trace = sg.run_repeated_game(game, learners_of(kind, game), 400, seed=13)
+        utilities = np.array([game.payoff_vector(profile) for profile in trace.actions])
+        assert np.array_equal(trace.utilities, utilities)
         reference = referee_regrets(game, trace.actions)
+        regrets = trace.regrets
+        assert trace.regrets is regrets  # derived once, then kept
         for player in range(game.player_count):
-            assert np.array_equal(trace.regrets[player], reference[player])
+            assert np.array_equal(regrets[player], reference[player])
+            for t in (1, 37, 400):
+                assert np.array_equal(sg.regret_vector(trace, player, t), regrets[player][t - 1])
+
+
+def test_trace_refuses_malformed_record(contention):
+    for actions in (
+        np.zeros((5, 3), dtype=int),  # one column too many
+        np.array([[0, 1], [2, 0]]),  # player 1 has no action 2
+        np.array([[0, -1]]),
+        np.zeros((0, 2), dtype=int),  # no rounds
+        np.zeros((5, 2)),  # float record
+    ):
+        with pytest.raises(ValueError):
+            sg.LearningTrace(contention, actions)
 
 
 def test_regret_matching_probabilities_rule(contention):
@@ -141,11 +161,11 @@ def test_regret_matching_first_round_uniform(contention):
 def test_fictitious_play_steps(contention):
     state = make_learner("fictitious_play", contention, 0)
     # empty history: uniform belief -> (0+7)/2 vs (2+6)/2 -> Backoff
-    assert sg.fictitious_play_step(state, contention, 0) == 1
+    assert sg.fictitious_play_step(state, contention) == 1
     state.opponent_counts[1][:] = [10, 0]
-    assert sg.fictitious_play_step(state, contention, 0) == 1
+    assert sg.fictitious_play_step(state, contention) == 1
     state.opponent_counts[1][:] = [1, 2]  # exact indifference point
-    assert sg.fictitious_play_step(state, contention, 0) == 0
+    assert sg.fictitious_play_step(state, contention) == 0
 
 
 def test_fictitious_play_frequencies_approach_mixed_nash(contention):
@@ -248,13 +268,7 @@ def test_empirical_joint_distribution(contention):
 
 def test_alternating_profile_distribution(contention):
     actions = np.array([[0, 1], [1, 0]] * 8)
-    trace = sg.LearningTrace(
-        actions=actions,
-        utilities=np.array([contention.payoff_vector(p) for p in actions]),
-        regrets=(np.zeros((16, 2)), np.zeros((16, 2))),
-        rounds=16,
-        action_counts=(2, 2),
-    )
+    trace = sg.LearningTrace(contention, actions)
     dist = sg.empirical_joint_distribution(trace)
     assert dist.probs.reshape(-1) == pytest.approx([0.0, 0.5, 0.5, 0.0])
 
@@ -274,16 +288,9 @@ def test_value_of_learning_mixed_nash_play(contention):
     rng = np.random.default_rng(17)
     rounds = 100_000
     acts = rng.choice(2, size=(rounds, 2), p=[1.0 / 3.0, 2.0 / 3.0])
-    utilities = np.array([contention.payoff_vector(p) for p in acts])
-    trace = sg.LearningTrace(
-        actions=acts,
-        utilities=utilities,
-        regrets=(np.zeros((rounds, 2)), np.zeros((rounds, 2))),
-        rounds=rounds,
-        action_counts=(2, 2),
-    )
+    trace = sg.LearningTrace(contention, acts)
     avg = sg.value_of_learning(trace, (0, rounds))
-    sigma = np.std(utilities, axis=0) / np.sqrt(rounds)
+    sigma = np.std(trace.utilities, axis=0) / np.sqrt(rounds)
     for n in range(2):
         assert abs(avg[n] - 14.0 / 3.0) <= 3.0 * sigma[n]
 
