@@ -286,12 +286,7 @@ def _cmd_learn(doc, args, out_dir):
     trace = run_repeated_game(game, learners, rounds, args.seed)
     n = game.player_count
     header = ("t",) + tuple(f"action_{p + 1}" for p in range(n)) + tuple(f"u_{p + 1}" for p in range(n))
-    rows = [
-        (t,)
-        + tuple(int(a) for a in trace.actions[t])
-        + tuple(float(u) for u in trace.utilities[t])
-        for t in range(trace.rounds)
-    ]
+    rows = [(t, *a, *u) for t, (a, u) in enumerate(zip(trace.actions.tolist(), trace.utilities.tolist()))]
     _emit(out_dir, doc.output_base("trace"), args.format, header, rows)
     dist = empirical_joint_distribution(trace)
     _emit(out_dir, doc.output_base("distribution"), args.format,

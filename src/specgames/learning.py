@@ -14,12 +14,24 @@ Regret of player n at time t for action a', relative to its realized play:
     r_t(a') = max(0, (1/t) * sum_{t'<=t} [u_n(a', a_-n^{t'}) - u_n(a_n^{t'}, a_-n^{t'})])
 
 computed for all t at once as a running sum over the action record.
+
+The round loop is plain Python over lists.  Each player reads its payoffs
+from a list of own-action rows, one per opponent profile, and keeps its
+accumulators as Python floats; its uniforms come from its own rng in blocks
+of at most _DRAW_BLOCK rounds, the same stream as one `random()` per round.
+Elementwise float arithmetic is the same IEEE operation in Python and numpy,
+and the one reduction, `1 - probs.sum()`, goes through `_np_sum`, which pins
+numpy's summation order in code; so traces do not depend on how numpy sums.
+Fictitious play is the exception: its belief-weighted payoffs go through a
+numpy matrix product every round, whose summation order is BLAS's.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +51,8 @@ __all__ = [
     "empirical_joint_distribution",
     "value_of_learning",
 ]
+
+_DRAW_BLOCK = 4096  # rounds of uniform draws a player holds at once
 
 LEARNER_KINDS = (
     "regret_matching",
@@ -74,23 +88,42 @@ class LearnerState:
     rng: np.random.Generator | None = None
 
 
-def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, start_action=0) -> LearnerState:
-    """Create a fresh learner of one of the supported kinds."""
+def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, start_action=None) -> LearnerState:
+    """Create a fresh learner of one of the supported kinds.
+
+    `fixed_action` belongs to fixed learners and `start_action` (default 0)
+    to myopic best responders; any other kind refuses them.
+    """
     if kind not in LEARNER_KINDS:
         raise ValueError(f"unknown learner kind {kind!r}")
     if not 0 <= player < game.player_count:
         raise ValueError("player index out of range")
+    if fixed_action is not None and kind != "fixed":
+        raise ValueError(f"fixed_action applies to fixed learners, not {kind!r}")
+    if start_action is not None and kind != "best_response_myopic":
+        raise ValueError(f"start_action applies to best_response_myopic learners, not {kind!r}")
     state = LearnerState(kind=kind, player=player, action_count=game.action_counts[player])
     if kind == "best_response_myopic":
-        if not 0 <= start_action < state.action_count:
-            raise ValueError("start_action out of range")
-        state.start_action = int(start_action)
+        state.start_action = 0 if start_action is None else int(start_action)
     elif kind == "fixed":
-        if fixed_action is None or not 0 <= fixed_action < state.action_count:
-            raise ValueError("a fixed learner needs a valid fixed_action")
+        if fixed_action is None:
+            raise ValueError("a fixed learner needs a fixed_action")
         state.fixed_action = int(fixed_action)
+    _check(state, game)
     _start(state, game)
     return state
+
+
+def _check(state: LearnerState, game: NormalFormGame):
+    """Refuse a learner whose actions do not fit its player in `game`."""
+    p = state.player
+    count = game.action_counts[p]
+    if state.action_count != count:
+        raise ValueError(f"learner {p} has {state.action_count} actions; player {p} of this game has {count}")
+    for name in ("fixed_action", "start_action"):
+        action = getattr(state, name)
+        if action is not None and not 0 <= action < count:
+            raise ValueError(f"learner {p}: {name} {action} is outside 0..{count - 1}")
 
 
 def _start(state: LearnerState, game: NormalFormGame):
@@ -113,14 +146,56 @@ def _start(state: LearnerState, game: NormalFormGame):
     state.rounds_seen = 0
 
 
-def _sample(probs, rng) -> int:
-    draw = rng.random()
+def _np_sum(values) -> float:
+    """Sum a list of floats in the order np.add.reduce sums a contiguous float64 vector.
+
+    Fewer than 8 entries add in sequence; up to 128 entries add into 8
+    interleaved accumulators, combined as a tree, then the tail; longer
+    vectors split in two at a multiple of 8.  Every branch starts from 0.0,
+    as numpy adds its pairwise sum to the identity 0.0.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        m = n - n % 8
+        r = values[:8]
+        for i in range(8, m, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+        for v in values[m:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _np_sum(values[:half]) + _np_sum(values[half:])
+
+
+def _sample(probs, draw: float) -> int:
+    """First action whose cumulative probability exceeds the uniform draw, else the last."""
     acc = 0.0
     for a, p in enumerate(probs):
         acc += p
         if draw < acc:
             return a
     return len(probs) - 1
+
+
+def _regret_matching_probs(sums, seen: int, last, inertia: float) -> list:
+    k = len(sums)
+    if seen == 0 or last is None:
+        return [1.0 / k] * k
+    if inertia > 0.0:
+        # max(0, s / seen) / inertia: a positive sum stays positive or underflows to 0
+        probs = [s / seen / inertia if s > 0.0 else 0.0 for s in sums]
+    else:
+        probs = [0.0] * k
+    probs[last] = 0.0
+    probs[last] = 1.0 - _np_sum(probs)
+    return probs
 
 
 def regret_matching_probabilities(state: LearnerState) -> np.ndarray:
@@ -133,15 +208,8 @@ def regret_matching_probabilities(state: LearnerState) -> np.ndarray:
     """
     if state.kind != "regret_matching":
         raise ValueError("state is not a regret-matching learner")
-    if state.rounds_seen == 0 or state.last_action is None:
-        return np.full(state.action_count, 1.0 / state.action_count)
-    probs = np.zeros(state.action_count)
-    if state.inertia > 0.0:
-        regrets = np.maximum(0.0, state.regret_sums / state.rounds_seen)
-        probs = regrets / state.inertia
-    probs[state.last_action] = 0.0
-    probs[state.last_action] = 1.0 - probs.sum()
-    return probs
+    return np.array(_regret_matching_probs(
+        state.regret_sums.tolist(), state.rounds_seen, state.last_action, state.inertia))
 
 
 def fictitious_play_step(state: LearnerState, game: NormalFormGame) -> int:
@@ -166,14 +234,27 @@ def fictitious_play_step(state: LearnerState, game: NormalFormGame) -> int:
     return int(np.flatnonzero(expected >= best - slack)[0])
 
 
+def _reinforcement_pick(props, rng, draw=None) -> int:
+    """Sample proportionally to the propensities, uniformly while they are all zero.
+
+    `draw` is the round's uniform if the caller drew it ahead, else it is
+    drawn from `rng` here.
+    """
+    total = _np_sum(props)
+    if total <= 0.0:
+        return int(rng.integers(len(props)))
+    return _sample([w / total for w in props], rng.random() if draw is None else draw)
+
+
 def reinforcement_step(state: LearnerState, rng) -> int:
     """Sample an action with probability proportional to its propensity."""
     if state.kind != "reinforcement":
         raise ValueError("state is not a reinforcement learner")
-    total = state.propensities.sum()
-    if total <= 0.0:
-        return int(rng.integers(state.action_count))
-    return _sample(state.propensities / total, rng)
+    return _reinforcement_pick(state.propensities.tolist(), rng)
+
+
+def _reinforce(props, action: int, payoff: float, shift: float):
+    props[action] += payoff + shift
 
 
 def reinforcement_update(state: LearnerState, action: int, payoff: float):
@@ -182,41 +263,8 @@ def reinforcement_update(state: LearnerState, action: int, payoff: float):
     This is the entire update: it reads nothing but the learner's own action
     and realized payoff.
     """
-    state.propensities[action] += payoff + state.payoff_shift
+    _reinforce(state.propensities, action, payoff, state.payoff_shift)
     state.last_action = int(action)
-    state.rounds_seen += 1
-
-
-def _select(state: LearnerState, game: NormalFormGame):
-    if state.kind == "fixed":
-        return state.fixed_action
-    if state.kind == "best_response_myopic":
-        if state.last_opponent_profile is None:
-            return state.start_action
-        return int(np.argmax(_own_payoffs(game, state.player, state.last_opponent_profile)))
-    if state.kind == "fictitious_play":
-        return fictitious_play_step(state, game)
-    if state.kind == "regret_matching":
-        return _sample(regret_matching_probabilities(state), state.rng)
-    return reinforcement_step(state, state.rng)
-
-
-def _observe(state: LearnerState, game: NormalFormGame, profile, payoff: float):
-    """Update a learner from the round's outcome, per its observation rights."""
-    if state.kind == "reinforcement":
-        reinforcement_update(state, profile[state.player], payoff)
-        return
-    own = profile[state.player]
-    opponents = profile[:state.player] + profile[state.player + 1:]
-    if state.kind == "regret_matching":
-        alternatives = _own_payoffs(game, state.player, opponents)
-        state.regret_sums += alternatives - alternatives[own]
-    elif state.kind == "fictitious_play":
-        for j, counts in state.opponent_counts.items():
-            counts[profile[j]] += 1
-    elif state.kind == "best_response_myopic":
-        state.last_opponent_profile = opponents
-    state.last_action = own
     state.rounds_seen += 1
 
 
@@ -262,7 +310,7 @@ def run_repeated_game(
 
     Learner states are restarted on entry and each player draws from its own rng
     stream derived from (seed, player index), so identical inputs give
-    identical traces.
+    identical traces.  The final accumulators are written back to the states.
     """
     n = game.player_count
     if len(learners) != n:
@@ -272,17 +320,124 @@ def run_repeated_game(
     for p, state in enumerate(learners):
         if state.player != p:
             raise ValueError(f"learner {p} was built for player {state.player}")
+        _check(state, game)
         _start(state, game)
         state.rng = np.random.default_rng([int(seed), p])
+    drawers, choosers, observers, finishers = zip(*(_player(state, game) for state in learners))
+    observers = [observe for observe in observers if observe is not None]
 
-    actions = np.zeros((rounds, n), dtype=int)
-    for t in range(rounds):
-        profile = tuple(_select(state, game) for state in learners)
-        payoff = game.payoff_vector(profile)
-        actions[t] = profile
-        for p, state in enumerate(learners):
-            _observe(state, game, profile, float(payoff[p]))
+    actions = np.empty((rounds, n), dtype=int)
+    for start in range(0, rounds, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, rounds)
+        block = []
+        for drawn in zip(*(draws(stop - start) for draws in drawers)):
+            profile = [choose(draw) for choose, draw in zip(choosers, drawn)]
+            for observe in observers:
+                observe(profile)
+            block.append(profile)
+        actions[start:stop] = block
+
+    for p, (state, finish) in enumerate(zip(learners, finishers)):
+        state.last_action = profile[p]
+        state.rounds_seen = rounds
+        if finish is not None:
+            finish(profile)
     return LearningTrace(game, actions)
+
+
+def _player(state: LearnerState, game: NormalFormGame):
+    """One learner as plain-Python closures over list state.
+
+    Returns (draws, choose, observe, finish): `draws(m)` gives the player's
+    next m uniforms (or m Nones for a player that draws none ahead),
+    `choose(draw)` picks the round's action, `observe(profile)` updates from
+    the joint action and `finish(profile)` writes the accumulators back into
+    `state` after the last round; `observe` and `finish` may be None.
+    """
+    p, kind, rng = state.player, state.kind, state.rng
+
+    def ahead(m):
+        return rng.random(m).tolist()  # the same stream as one random() per round
+
+    def none_ahead(m):
+        return itertools.repeat(None, m)
+
+    if kind == "fixed":
+        action = state.fixed_action
+        return none_ahead, lambda draw: action, None, None
+
+    if kind == "fictitious_play":
+        counts = state.opponent_counts
+
+        def observe(profile):
+            for j, c in counts.items():
+                c[profile[j]] += 1
+        return none_ahead, lambda draw: fictitious_play_step(state, game), observe, None
+
+    rows, opponents = _own_rows(game, p)
+    if kind == "best_response_myopic":
+        last_row = None
+
+        def choose(draw):
+            if last_row is None:
+                return state.start_action
+            return last_row.index(max(last_row))  # the first maximum, as np.argmax
+
+        def observe(profile):
+            nonlocal last_row
+            last_row = rows[opponents(profile)]
+
+        def finish(profile):
+            state.last_opponent_profile = tuple(profile[:p] + profile[p + 1:])
+        return none_ahead, choose, observe, finish
+
+    if kind == "reinforcement":
+        props = state.propensities.tolist()
+        shift = state.payoff_shift
+
+        def observe(profile):
+            own = profile[p]
+            _reinforce(props, own, rows[opponents(profile)][own], shift)
+
+        def finish(profile):
+            state.propensities = np.array(props)
+        # a zero-span game keeps every propensity at zero, so every round
+        # draws through rng.integers, which cannot be drawn ahead
+        draws = ahead if _np_sum(props) > 0.0 else none_ahead
+        return draws, lambda draw: _reinforcement_pick(props, rng, draw), observe, finish
+
+    sums = state.regret_sums.tolist()
+    seen, last, inertia = 0, None, state.inertia
+
+    def choose(draw):
+        return _sample(_regret_matching_probs(sums, seen, last, inertia), draw)
+
+    def observe(profile):
+        nonlocal sums, seen, last
+        row = rows[opponents(profile)]
+        last = profile[p]
+        u = row[last]
+        sums = [s + (x - u) for s, x in zip(sums, row)]
+        seen += 1
+
+    def finish(profile):
+        state.regret_sums = np.array(sums)
+    return ahead, choose, observe, finish
+
+
+def _own_rows(game: NormalFormGame, player: int):
+    """The player's own-action payoff rows and a map from a profile to its row's key.
+
+    There is one row per opponent profile: a list indexed by the opponent's
+    action in a two-player game, else a dict keyed by the opponents' tuple.
+    """
+    k = game.action_counts[player]
+    rows = np.moveaxis(game.payoffs[..., player], player, -1).reshape(-1, k).tolist()
+    others = [q for q in range(game.player_count) if q != player]
+    if len(others) == 1:
+        return rows, itemgetter(others[0])
+    keys = itertools.product(*(range(game.action_counts[q]) for q in others))
+    return dict(zip(keys, rows)), (itemgetter(*others) if others else lambda profile: ())
 
 
 def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> np.ndarray:

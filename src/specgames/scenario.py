@@ -49,6 +49,8 @@ _COMMON_KEYS = {
 }
 _POWER_KEYS = _COMMON_KEYS | {"grid", "channels", "noise", "budgets", "actions", "sweeps", "ensemble"}
 _MATRIX_KEYS = _COMMON_KEYS | {"actions", "payoffs"}
+# learner entry key -> make_learner keyword
+_LEARNER_OPTIONS = {"action": "fixed_action", "start": "start_action"}
 # The rate kernel adds and subtracts a user's own signal around its noise
 # floor, keeping about 16 - log10(SNR) digits of it; past this SNR, under 4.
 MAX_PEAK_SNR = 1e12
@@ -201,15 +203,8 @@ class ScenarioDocument:
                     _fail(f"learners[{p}].{opt}", f"must be below the player's action count {count}")
             if entry["kind"] == "fixed" and "action" not in entry:
                 _fail(f"learners[{p}].action", "a fixed learner needs an action")
-            out.append(
-                make_learner(
-                    entry["kind"],
-                    game,
-                    p,
-                    fixed_action=entry.get("action"),
-                    start_action=entry.get("start", 0),
-                )
-            )
+            options = {_LEARNER_OPTIONS[key]: value for key, value in entry.items() if key in _LEARNER_OPTIONS}
+            out.append(make_learner(entry["kind"], game, p, **options))
         return out
 
     def knowledge_profile(self, override=None) -> KnowledgeProfile:

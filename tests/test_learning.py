@@ -2,13 +2,92 @@ import numpy as np
 import pytest
 
 import specgames as sg
+from specgames import learning
 from specgames.learning import (
     LEARNER_KINDS,
-    _observe,
+    _np_sum,
+    _start,
     make_learner,
     regret_matching_probabilities,
     reinforcement_update,
 )
+from specgames.matrix_games import _own_payoffs
+
+
+# Reference engine: the numpy per-round loop that the list-based loop of
+# run_repeated_game replaces, kept here to pin its traces bit for bit.
+
+def _sample(probs, rng) -> int:
+    draw = rng.random()
+    acc = 0.0
+    for a, p in enumerate(probs):
+        acc += p
+        if draw < acc:
+            return a
+    return len(probs) - 1
+
+
+def _regret_matching_probabilities(state):
+    if state.rounds_seen == 0 or state.last_action is None:
+        return np.full(state.action_count, 1.0 / state.action_count)
+    probs = np.zeros(state.action_count)
+    if state.inertia > 0.0:
+        regrets = np.maximum(0.0, state.regret_sums / state.rounds_seen)
+        probs = regrets / state.inertia
+    probs[state.last_action] = 0.0
+    probs[state.last_action] = 1.0 - probs.sum()
+    return probs
+
+
+def _select(state, game):
+    if state.kind == "fixed":
+        return state.fixed_action
+    if state.kind == "best_response_myopic":
+        if state.last_opponent_profile is None:
+            return state.start_action
+        return int(np.argmax(_own_payoffs(game, state.player, state.last_opponent_profile)))
+    if state.kind == "fictitious_play":
+        return sg.fictitious_play_step(state, game)
+    if state.kind == "regret_matching":
+        return _sample(_regret_matching_probabilities(state), state.rng)
+    total = state.propensities.sum()
+    if total <= 0.0:
+        return int(state.rng.integers(state.action_count))
+    return _sample(state.propensities / total, state.rng)
+
+
+def _observe(state, game, profile, payoff):
+    own = profile[state.player]
+    if state.kind == "reinforcement":
+        state.propensities[own] += payoff + state.payoff_shift
+        state.last_action = int(own)
+        state.rounds_seen += 1
+        return
+    opponents = profile[:state.player] + profile[state.player + 1:]
+    if state.kind == "regret_matching":
+        alternatives = _own_payoffs(game, state.player, opponents)
+        state.regret_sums += alternatives - alternatives[own]
+    elif state.kind == "fictitious_play":
+        for j, counts in state.opponent_counts.items():
+            counts[profile[j]] += 1
+    elif state.kind == "best_response_myopic":
+        state.last_opponent_profile = opponents
+    state.last_action = own
+    state.rounds_seen += 1
+
+
+def reference_run(game, learners, rounds, seed):
+    for p, state in enumerate(learners):
+        _start(state, game)
+        state.rng = np.random.default_rng([int(seed), p])
+    actions = np.zeros((rounds, game.player_count), dtype=int)
+    for t in range(rounds):
+        profile = tuple(_select(state, game) for state in learners)
+        payoff = game.payoff_vector(profile)
+        actions[t] = profile
+        for p, state in enumerate(learners):
+            _observe(state, game, profile, float(payoff[p]))
+    return actions
 
 
 def fixed_pair(game, actions):
@@ -311,3 +390,118 @@ def test_learner_player_mismatch(contention):
                 make_learner("fixed", contention, 0, fixed_action=0)]
     with pytest.raises(ValueError):
         sg.run_repeated_game(contention, learners, 5, seed=0)
+
+
+def test_make_learner_refuses_options_of_other_kinds(contention):
+    for kind in LEARNER_KINDS:
+        if kind != "fixed":
+            with pytest.raises(ValueError, match="fixed_action"):
+                make_learner(kind, contention, 0, fixed_action=1)
+        if kind != "best_response_myopic":
+            options = {"fixed_action": 1} if kind == "fixed" else {}
+            with pytest.raises(ValueError, match="start_action"):
+                make_learner(kind, contention, 0, start_action=1, **options)
+    assert make_learner("best_response_myopic", contention, 0).start_action == 0
+    assert make_learner("best_response_myopic", contention, 0, start_action=1).start_action == 1
+    for options in ({"kind": "best_response_myopic", "start_action": 2}, {"kind": "fixed", "fixed_action": -1}):
+        with pytest.raises(ValueError, match="outside"):
+            make_learner(game=contention, player=0, **options)
+
+
+def test_run_refuses_learners_built_for_another_game(contention, two_channel):
+    grid_game = sg.discretize_power_game(two_channel, levels=7)
+    for kind in LEARNER_KINDS:
+        with pytest.raises(ValueError, match="learner 0 has 2 actions"):
+            sg.run_repeated_game(grid_game, learners_of(kind, contention), 5, seed=0)
+    fixed = fixed_pair(contention, (0, 1))
+    fixed[1].fixed_action = 2
+    myopic = [make_learner("best_response_myopic", contention, p) for p in range(2)]
+    myopic[0].start_action = 5
+    for learners, message in ((fixed, "learner 1: fixed_action 2"), (myopic, "learner 0: start_action 5")):
+        with pytest.raises(ValueError, match=message):
+            sg.run_repeated_game(contention, learners, 5, seed=0)
+
+
+def test_np_sum_matches_numpy_summation_order():
+    # sequential below 8 entries, 8 accumulators up to 128, pairwise above
+    rng = np.random.default_rng(2024)
+    for n in range(1, 301):
+        for _ in range(3):
+            x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-12, 13, n)
+            x[rng.random(n) < 0.1] = -0.0
+            assert np.float64(_np_sum(x.tolist())).tobytes() == np.add.reduce(x).tobytes(), n
+
+
+ENGINE_GAMES = ("2x2", "8x8", "11x11", "4x2x3", "zero-span")
+# one learner kind per player, cycled over the players of the game
+MIXES = [(kind,) for kind in LEARNER_KINDS] + [
+    ("fictitious_play", "regret_matching"),
+    ("reinforcement", "best_response_myopic"),
+    ("fixed", "regret_matching"),
+    ("regret_matching", "reinforcement", "fictitious_play"),
+]
+
+
+@pytest.fixture(scope="module")
+def engine_games(contention, two_channel):
+    return {
+        "2x2": contention,
+        "8x8": sg.discretize_power_game(two_channel, levels=7),
+        "11x11": sg.discretize_power_game(two_channel, levels=10),
+        "4x2x3": three_player_game(),
+        # every payoff equal: reinforcement draws through rng.integers
+        "zero-span": sg.NormalFormGame(np.full((3, 2, 2), 1.5)),
+    }
+
+
+def mixed_learners(game, mix):
+    learners = []
+    for p in range(game.player_count):
+        kind, last = mix[p % len(mix)], game.action_counts[p] - 1
+        options = {"fixed": {"fixed_action": last}, "best_response_myopic": {"start_action": last}}
+        learners.append(make_learner(kind, game, p, **options.get(kind, {})))
+    return learners
+
+
+def assert_same_states(ours, reference):
+    for a, b in zip(ours, reference):
+        for name in ("kind", "player", "action_count", "inertia", "payoff_shift", "fixed_action",
+                     "start_action", "last_opponent_profile", "last_action", "rounds_seen"):
+            assert getattr(a, name) == getattr(b, name), name
+        for name in ("regret_sums", "propensities"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or (x.dtype == y.dtype and x.tobytes() == y.tobytes()), name
+        if b.opponent_counts is not None:
+            assert a.opponent_counts.keys() == b.opponent_counts.keys()
+            for j, counts in b.opponent_counts.items():
+                assert a.opponent_counts[j].tobytes() == counts.tobytes()
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def assert_matches_reference(game, mix, rounds, seed):
+    ours, reference = mixed_learners(game, mix), mixed_learners(game, mix)
+    trace = sg.run_repeated_game(game, ours, rounds, seed)
+    expected = reference_run(game, reference, rounds, seed)
+    assert trace.actions.dtype == expected.dtype and trace.actions.tobytes() == expected.tobytes()
+    assert_same_states(ours, reference)
+    return trace
+
+
+@pytest.mark.parametrize("mix", MIXES, ids="+".join)
+@pytest.mark.parametrize("name", ENGINE_GAMES)
+def test_engine_matches_reference_loop(name, mix, engine_games, monkeypatch):
+    monkeypatch.setattr(learning, "_DRAW_BLOCK", 64)  # many draw blocks in a short run
+    for seed in (0, 1, 2):
+        assert_matches_reference(engine_games[name], mix, 200, seed)
+
+
+@pytest.mark.parametrize("mix", [("regret_matching",), ("reinforcement", "fictitious_play")], ids="+".join)
+def test_engine_matches_reference_across_draw_blocks(mix, contention):
+    assert_matches_reference(contention, mix, 2 * learning._DRAW_BLOCK + 5, seed=4)
+
+
+def test_zero_span_reinforcement_plays_uniformly(engine_games):
+    trace = assert_matches_reference(engine_games["zero-span"], ("reinforcement",), 300, seed=5)
+    for p, count in enumerate(trace.action_counts):
+        share = np.bincount(trace.actions[:, p], minlength=count) / trace.rounds
+        assert share == pytest.approx(np.full(count, 1.0 / count), abs=0.1)
