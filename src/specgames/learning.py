@@ -36,6 +36,7 @@ from operator import itemgetter
 import numpy as np
 
 from .matrix_games import JointDistribution, NormalFormGame, _own_payoffs
+from .spectrum import _np_sum
 
 __all__ = [
     "LEARNER_KINDS",
@@ -146,34 +147,6 @@ def _start(state: LearnerState, game: NormalFormGame):
     state.rounds_seen = 0
 
 
-def _np_sum(values) -> float:
-    """Sum a list of floats in the order np.add.reduce sums a contiguous float64 vector.
-
-    Fewer than 8 entries add in sequence; up to 128 entries add into 8
-    interleaved accumulators, combined as a tree, then the tail; longer
-    vectors split in two at a multiple of 8.  Every branch starts from 0.0,
-    as numpy adds its pairwise sum to the identity 0.0.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        m = n - n % 8
-        r = values[:8]
-        for i in range(8, m, 8):
-            r = [a + b for a, b in zip(r, values[i:i + 8])]
-        total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-        for v in values[m:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _np_sum(values[:half]) + _np_sum(values[half:])
-
-
 def _sample(probs, draw: float) -> int:
     """First action whose cumulative probability exceeds the uniform draw, else the last."""
     acc = 0.0
@@ -222,10 +195,14 @@ def fictitious_play_step(state: LearnerState, game: NormalFormGame) -> int:
     if state.kind != "fictitious_play":
         raise ValueError("state is not a fictitious-play learner")
     player = state.player
-    expected = np.moveaxis(game.payoffs[..., player], player, 0)
-    opponents = [j for j in range(game.player_count) if j != player]
-    for j in reversed(opponents):
-        counts = state.opponent_counts[j]
+    return _fictitious_play_pick(np.moveaxis(game.payoffs[..., player], player, 0), state.opponent_counts)
+
+
+def _fictitious_play_pick(table: np.ndarray, opponent_counts: dict) -> int:
+    """Best response to the beliefs, given the payoff table with the player's own action first."""
+    expected = table
+    for j in sorted(opponent_counts, reverse=True):
+        counts = opponent_counts[j]
         total = counts.sum()
         belief = counts / total if total > 0 else np.full(counts.size, 1.0 / counts.size)
         expected = expected @ belief
@@ -368,11 +345,12 @@ def _player(state: LearnerState, game: NormalFormGame):
 
     if kind == "fictitious_play":
         counts = state.opponent_counts
+        table = np.moveaxis(game.payoffs[..., p], p, 0)  # built once per run
 
         def observe(profile):
             for j, c in counts.items():
                 c[profile[j]] += 1
-        return none_ahead, lambda draw: fictitious_play_step(state, game), observe, None
+        return none_ahead, lambda draw: _fictitious_play_pick(table, counts), observe, None
 
     rows, opponents = _own_rows(game, p)
     if kind == "best_response_myopic":

@@ -26,7 +26,9 @@ from .spectrum import (
     PowerAllocation,
     PowerBudget,
     _effective_noise_raw,
+    _np_sum,
     _rates,
+    _water_fill_row,
     _water_fill_rows,
 )
 
@@ -51,13 +53,20 @@ BLOCK_SIZE = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class IwResult:
-    """Outcome of iterative water-filling."""
+    """Outcome of iterative water-filling.
+
+    `residual` is the last sweep's max-norm PSD change.  `fixed_point_gap` is
+    the largest max-norm distance of a user's row from its best response to
+    the state after the last sweep that moved by at most tol (the final
+    state when converged), and inf when no sweep did.
+    """
 
     allocation: PowerAllocation
     rates: np.ndarray
     iterations: int
     converged: bool
     residual: float
+    fixed_point_gap: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +105,8 @@ def iterative_water_filling(
     every user's row is within tol of its water-fill best response to the
     final state, which makes a converged result a certified fixed point.
     Non-convergence within max_iter is reported in the result, not raised:
-    strong interference can cycle.
+    strong interference can cycle.  Each reply is sequential, so the loop
+    runs on Python floats through the single-row water-fill kernel.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -106,30 +116,43 @@ def iterative_water_filling(
     if noise.psd.shape != (n_users, k) or budgets.user_count != n_users or grid.bin_count != k:
         raise ValueError("inconsistent scenario dimensions")
 
-    psd = np.zeros((n_users, k))
+    gain2, sigma, budget = ch.gain2.tolist(), noise.psd.tolist(), budgets.budget.tolist()
+    psd = [[0.0] * k for _ in range(n_users)]
 
     def reply(n):
-        floor = _effective_noise_raw(n, psd, ch.gain2, noise.psd)
-        return _water_fill_rows(ch.gain2[n, n], floor[None], budgets.budget[n], grid.bin_width)[0]
+        # the floor in numpy's order, sigma + (r_0 + r_1 + ...) - r_n: numpy
+        # sums a single bin's column pairwise, several bins row after row
+        received = [[p * g for p, g in zip(psd[j], gain2[j][n])] for j in range(n_users)]
+        if k == 1:
+            total = [_np_sum([r[0] for r in received])]
+        else:
+            total = received[0]
+            for r in received[1:]:
+                total = [a + b for a, b in zip(total, r)]
+        floor = [s + t - r for s, t, r in zip(sigma[n], total, received[n])]
+        return _water_fill_row(gain2[n][n], floor, budget[n], grid.bin_width)
+
+    def moved(n, row):
+        return max(abs(a - b) for a, b in zip(row, psd[n]))
 
     converged = False
-    residual = np.inf
+    residual = fixed_point_gap = np.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         change = 0.0
         for n in range(n_users):
             row = reply(n)
-            change = max(change, float(np.abs(row - psd[n]).max()))
+            change = max(change, moved(n, row))
             psd[n] = row
         residual = change
         if change <= tol:
-            fixed_point_gap = max(float(np.abs(reply(n) - psd[n]).max()) for n in range(n_users))
+            fixed_point_gap = max(moved(n, reply(n)) for n in range(n_users))
             if fixed_point_gap <= tol:
                 converged = True
                 break
-    allocation = PowerAllocation(psd)
+    psd = np.array(psd)
     rates = _rates(psd, ch.gain2, noise.psd, grid.bin_width)
-    return IwResult(allocation, rates, sweeps, converged, residual)
+    return IwResult(PowerAllocation(psd), rates, sweeps, converged, residual, fixed_point_gap)
 
 
 def _follower_replies(leader, leader_rows, ch, noise, budgets, grid):

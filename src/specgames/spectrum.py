@@ -12,14 +12,25 @@ treated as noise, in bits/s (log base 2):
 Single-user water-filling against a fixed noise-and-interference floor is
 solved exactly in finitely many steps: sort the per-bin floors, read the
 wet support off their cumulative sums, then solve the water level on that
-support (Palomar & Fonollosa, IEEE TSP 2005).  The same kernel fills a
-whole batch of floor rows at once, and one broadcast rate kernel prices a
-batch of joint allocations psd[..., N, K].
+support (Palomar & Fonollosa, IEEE TSP 2005).  Two kernels share that
+algorithm and its arithmetic bit for bit:
+
+* `_water_fill_rows` fills a whole batch of floor rows (B, K) in numpy; the
+  follower replies, the leader's candidate grid and the descent trials use
+  it, as their rows are independent;
+* `_water_fill_row` fills one row on Python floats; the public `water_fill`
+  and iterative water-filling use it, where each reply waits on the last
+  and numpy's per-call overhead would cost more than the arithmetic.
+
+The single-row kernel's sums go through `_np_sum`, which pins numpy's
+summation order in code.  One broadcast rate kernel prices a batch of
+joint allocations psd[..., N, K].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -41,6 +52,34 @@ __all__ = [
 
 # Relative slack allowed on the per-user power budget of any allocation.
 BUDGET_RTOL = 1e-9
+
+
+def _np_sum(values) -> float:
+    """Sum a list of floats in the order np.add.reduce sums a contiguous float64 vector.
+
+    Fewer than 8 entries add in sequence; up to 128 entries add into 8
+    interleaved accumulators, combined as a tree, then the tail; longer
+    vectors split in two at a multiple of 8.  Every branch starts from 0.0,
+    as numpy adds its pairwise sum to the identity 0.0.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        m = n - n % 8
+        r = values[:8]
+        for i in range(8, m, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+        for v in values[m:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _np_sum(values[:half]) + _np_sum(values[half:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +115,7 @@ class ChannelSet:
     gain2: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gain2, dtype=float)
+        g = np.array(self.gain2, dtype=float) + 0.0  # -0.0 becomes 0.0, whose floor is +inf
         if g.ndim != 3 or g.shape[0] != g.shape[1]:
             raise ValueError("gain2 must have shape (N, N, K)")
         if not np.all(np.isfinite(g)) or np.any(g < 0):
@@ -280,6 +319,37 @@ def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bi
     return filled
 
 
+def _water_fill_row(gain, noise, budget: float, bin_width: float) -> list:
+    """Water-fill one floor row against one gain row, both lists of floats.
+
+    One row of `_water_fill_rows` on Python floats, with the same arithmetic
+    in the same order (a running sum scans the sorted floors, both sums go
+    through `_np_sum` in bin order), so the two agree bit for bit.
+    """
+    target = budget / bin_width
+    floors = [s / g if g > 0.0 else inf for s, g in zip(noise, gain)]
+    ordered = sorted(floors)
+    if ordered[0] == inf:
+        raise NoUsableSpectrumError("no usable spectrum: every channel gain is zero or too small")
+    # the highest floor of the support, or the lowest floor if none qualifies
+    line = ordered[0]
+    total = 0.0
+    for m, s in enumerate(ordered, 1):
+        total += s
+        if not s < (target + total) / m:
+            break
+        line = s
+    wet = [f for f in floors if f <= line]
+    level = (target + _np_sum(wet)) / len(wet)
+    # a wet floor tied at the water line can round to just above the level;
+    # max(d, 0.0) clips it exactly as np.maximum(d, 0.0) does, NaN included
+    filled = [max(level - f, 0.0) if f <= line else 0.0 for f in floors]
+    spent = _np_sum(filled) * bin_width
+    if abs(spent - budget) > BUDGET_RTOL * budget:
+        raise ArithmeticError(f"water-filling failed: spent {spent!r} of {float(budget)!r}")
+    return filled
+
+
 def water_fill(gain, noise_psd, budget: float, grid: FrequencyGrid) -> np.ndarray:
     """Single-user water-filling against a fixed per-bin noise floor.
 
@@ -300,7 +370,7 @@ def water_fill(gain, noise_psd, budget: float, grid: FrequencyGrid) -> np.ndarra
         raise ValueError("noise floor must be finite and strictly positive")
     if not np.isfinite(budget) or budget <= 0:
         raise ValueError("budget must be a positive real")
-    return _water_fill_rows(gain, noise_psd[None], budget, grid.bin_width)[0]
+    return np.array(_water_fill_row(gain.tolist(), noise_psd.tolist(), budget, grid.bin_width))
 
 
 def generate_multipath_channels(

@@ -5,13 +5,13 @@ import specgames as sg
 from specgames import learning
 from specgames.learning import (
     LEARNER_KINDS,
-    _np_sum,
     _start,
     make_learner,
     regret_matching_probabilities,
     reinforcement_update,
 )
 from specgames.matrix_games import _own_payoffs
+from specgames.spectrum import _np_sum
 
 
 # Reference engine: the numpy per-round loop that the list-based loop of

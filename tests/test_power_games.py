@@ -8,7 +8,7 @@ from specgames import power_games
 from specgames.errors import OracleScaleError
 from specgames.power_games import _budget_splits, _joint_grid_rates, _pareto_argmax
 from specgames.scenario import load_scenario
-from specgames.spectrum import _effective_noise_raw, all_rates
+from specgames.spectrum import _effective_noise_raw, _rates, _water_fill_rows, all_rates
 
 from conftest import SCENARIOS, ensemble_channels
 
@@ -92,6 +92,83 @@ def test_iw_non_convergence_is_data(two_channel):
     assert res.iterations == 1
     assert res.residual > 1e-12
     res.allocation.check_budget(two_channel.grid, two_channel.budgets)
+
+
+def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
+    """The numpy Gauss-Seidel loop that iterative_water_filling must reproduce bit for bit."""
+    n_users, k = ch.user_count, ch.bin_count
+    psd = np.zeros((n_users, k))
+
+    def reply(n):
+        floor = _effective_noise_raw(n, psd, ch.gain2, noise.psd)
+        return _water_fill_rows(ch.gain2[n, n], floor[None], budgets.budget[n], grid.bin_width)[0]
+
+    converged = False
+    residual = gap = np.inf
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        change = 0.0
+        for n in range(n_users):
+            row = reply(n)
+            change = max(change, float(np.abs(row - psd[n]).max()))
+            psd[n] = row
+        residual = change
+        if change <= tol:
+            gap = max(float(np.abs(reply(n) - psd[n]).max()) for n in range(n_users))
+            if gap <= tol:
+                converged = True
+                break
+    return psd, _rates(psd, ch.gain2, noise.psd, grid.bin_width), sweeps, converged, residual, gap
+
+
+def assert_iw_matches_reference(ch, noise, budgets, grid, **kwargs):
+    res = sg.iterative_water_filling(ch, noise, budgets, grid, **kwargs)
+    psd, rates, sweeps, converged, residual, gap = reference_iw(ch, noise, budgets, grid, **kwargs)
+    assert res.allocation.psd.tobytes() == psd.tobytes()
+    assert res.rates.tobytes() == rates.tobytes()
+    assert (res.iterations, res.converged) == (sweeps, converged)
+    assert np.float64(res.residual).tobytes() == np.float64(residual).tobytes()
+    assert np.float64(res.fixed_point_gap).tobytes() == np.float64(gap).tobytes()
+    return res
+
+
+@pytest.mark.parametrize("bins", [1, 2, 4, 8, 16, 64])
+def test_iw_matches_reference_loop(bins):
+    grid = sg.FrequencyGrid(bins, float(bins))
+    noise = sg.NoiseProfile.flat(1.0, 2, bins)
+    outcomes = set()
+    for idx in range(30):
+        ch = ensemble_channels(9090, idx, grid, cross_power=[0.5, 2.0][idx % 2])
+        budgets = sg.PowerBudget(np.array([100.0, [100.0, 10.0, 1000.0][idx % 3]]))
+        max_iter = (1, 3, 500, 500)[idx % 4]  # some runs stop short
+        res = assert_iw_matches_reference(ch, noise, budgets, grid, max_iter=max_iter)
+        outcomes.add(res.converged)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("users, bins", [(3, 8), (9, 1), (9, 2)])
+def test_iw_matches_reference_loop_many_users(users, bins):
+    # with one bin numpy sums the interference column pairwise from 8 users on
+    grid = sg.FrequencyGrid(bins, float(bins))
+    noise = sg.NoiseProfile(np.random.default_rng([9191, users, bins]).uniform(0.5, 2.0, (users, bins)))
+    budgets = sg.PowerBudget(np.linspace(10.0, 100.0, users))
+    for idx in range(10):
+        ch = ensemble_channels(9191, idx, grid, taps=3, user_count=users, cross_power=0.05)
+        assert_iw_matches_reference(ch, noise, budgets, grid, max_iter=50)
+
+
+def test_iw_non_convergence_matches_reference_loop(two_channel):
+    res = assert_iw_matches_reference(two_channel.channels, two_channel.noise, two_channel.budgets,
+                                      two_channel.grid, tol=1e-12, max_iter=1)
+    assert not res.converged
+    assert res.fixed_point_gap == np.inf
+
+
+def test_iw_reports_its_fixed_point_gap(two_channel):
+    res = sg.iterative_water_filling(two_channel.channels, two_channel.noise,
+                                     two_channel.budgets, two_channel.grid)
+    assert res.converged
+    assert 0.0 <= res.fixed_point_gap <= 1e-8
 
 
 def test_follower_response_silent_leader(two_channel):

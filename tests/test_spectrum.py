@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import specgames as sg
 from specgames.errors import NoUsableSpectrumError
-from specgames.spectrum import _rates, _water_fill_rows, all_rates
+from specgames.spectrum import _rates, _water_fill_row, _water_fill_rows, all_rates
 
 from conftest import random_instance
 
@@ -320,6 +321,79 @@ def test_water_fill_rows_equal_per_row_calls(bins):
     rows = _water_fill_rows(gain, noise_rows, budget, grid.bin_width)
     for b in range(len(noise_rows)):
         assert np.array_equal(rows[b], sg.water_fill(gain, noise_rows[b], budget, grid))
+
+
+def assert_row_kernel_matches_batch(gain, noise, budget, width):
+    """The single-row kernel equals row 0 of the batch kernel bit for bit, or raises as it does."""
+    try:
+        with np.errstate(invalid="ignore"):  # an infinite level minus infinite dry floors
+            expect = _water_fill_rows(np.array(gain), np.array([noise]), budget, width)[0]
+    except (NoUsableSpectrumError, ArithmeticError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as info:
+            _water_fill_row(gain, noise, budget, width)
+        assert type(info.value) is type(exc)
+        return type(exc)
+    row = _water_fill_row(gain, noise, budget, width)
+    assert np.array(row).tobytes() == expect.tobytes(), (gain, noise, budget, width)
+    return None
+
+
+def test_single_row_kernel_matches_batch_kernel():
+    # every _np_sum branch: sequential below 8 bins, 8 accumulators to 128, split above
+    for bins in range(1, 301):
+        for idx in range(3):
+            rng = np.random.default_rng([7070, bins, idx])
+            gain, noise, budget = kernel_instance(rng, bins)
+            noise *= 10.0 ** rng.uniform(-3.0, 3.0, bins)  # support sizes over the whole range
+            gain[rng.random(bins) < 0.05] = rng.choice([1e-300, 1e-320, 5e-324])  # floors overflow
+            width = float(rng.choice([0.25, 1.0, 3.0]))
+            assert assert_row_kernel_matches_batch(gain.tolist(), noise.tolist(), budget, width) is None
+
+
+def test_single_row_kernel_ties_at_the_water_line():
+    # runs of tied floors and a budget that puts the level on a floor, up to
+    # rounding, which can leave a wet floor just above the level
+    rng = np.random.default_rng(7171)
+    for idx in range(400):
+        bins = int(rng.integers(2, 20))
+        noise = rng.uniform(0.5, 2.0, bins)
+        noise[rng.random(bins) < 0.5] = noise.max()
+        if idx % 2:
+            noise = np.round(noise * 4.0)  # integer floors: the level is exact
+        width = float(rng.choice([0.5, 1.0, 2.0]))
+        line = noise.max() if idx % 4 == 0 else rng.choice(noise)
+        budget = float(np.maximum(line - noise, 0.0).sum()) * width or width
+        gain = np.where(rng.random(bins) < 0.1, 0.0, 1.0)
+        gain[0] = 1.0
+        assert assert_row_kernel_matches_batch(gain.tolist(), noise.tolist(), budget, width) is None
+
+
+def test_single_row_kernel_raises_as_batch_kernel():
+    cases = [
+        ([0.0, 0.0], [1.0, 1.0], 4.0, 1.0, NoUsableSpectrumError),
+        ([1e-320, 0.0, 5e-324], [1.0, 1.0, 1.0], 6.0, 1.0, NoUsableSpectrumError),
+        # the budget is lost against floors 20 decades higher
+        ([1.0, 1.0], [1e20, 3e20], 1.0, 1.0, ArithmeticError),
+        # the level overflows and the spend is infinite
+        ([1.0, 2.0, 0.0], [1.0, 1.0, 1.0], 1e308, 1e-10, ArithmeticError),
+    ]
+    for gain, noise, budget, width, kind in cases:
+        assert assert_row_kernel_matches_batch(gain, noise, budget, width) is kind
+    # budgets missed by about 1e-5 against floors 10 decades higher, over 8 to 300 bins
+    rng = np.random.default_rng(7272)
+    for idx in range(40):
+        bins = int(rng.integers(8, 300))
+        noise = 1e8 + rng.uniform(0.0, 1e-3, bins)
+        budget = float(rng.uniform(0.01, 0.1))
+        assert assert_row_kernel_matches_batch([1.0] * bins, noise.tolist(), budget, 1.0) is ArithmeticError
+
+
+def test_negative_zero_gain_is_a_zero_gain():
+    grid = sg.FrequencyGrid(2, 2.0)
+    assert np.array_equal(sg.water_fill([-0.0, 1.0], [1.0, 1.0], 4.0, grid), [0.0, 4.0])
+    gain2 = np.full((1, 1, 2), -0.0)
+    gain2[0, 0, 1] = 1.0
+    assert np.signbit(sg.ChannelSet(gain2).gain2).sum() == 0
 
 
 def test_water_fill_tiny_gain_is_unusable():
