@@ -25,15 +25,11 @@ from .experiments import (
 )
 from .learning import (
     LEARNER_KINDS,
-    LearnerState,
+    Learner,
     LearningTrace,
     empirical_joint_distribution,
-    fictitious_play_step,
     make_learner,
-    regret_matching_probabilities,
     regret_vector,
-    reinforcement_step,
-    reinforcement_update,
     run_repeated_game,
     value_of_learning,
 )

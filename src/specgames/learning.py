@@ -1,13 +1,16 @@
 """Repeated-game engine with per-player adaptive learners.
 
-Every round each learner maps its internal state to an action, the joint
-profile is priced on the game, and each learner updates from what it is
-allowed to observe.  Regret-matching and fictitious-play learners observe
-the full joint action; reinforcement learners observe only their own
-realized payoff, which is what makes them deployable without any protocol
-for reading opponents.  A trace stores the game and the action record; the
-utilities and every player's regrets are read off it on first access, so
-traces carry regrets even for learners that could not compute them.
+A learner is a frozen spec (`make_learner`): its kind, player, action count
+and the kind's fixed or start action.  `run_repeated_game` owns all learner
+state for one run.  Every round each learner maps its state to an action,
+the joint profile is priced on the game, and each learner updates from what
+it is allowed to observe.  Regret-matching and fictitious-play learners
+observe the full joint action; reinforcement learners observe only their
+own realized payoff, which is what makes them deployable without any
+protocol for reading opponents.  A trace stores the game and the action
+record; the utilities and every player's regrets are read off it on first
+access, so traces carry regrets even for learners that could not compute
+them.
 
 Regret of player n at time t for action a', relative to its realized play:
 
@@ -40,14 +43,10 @@ from .spectrum import _np_sum
 
 __all__ = [
     "LEARNER_KINDS",
-    "LearnerState",
+    "Learner",
     "LearningTrace",
     "make_learner",
     "regret_vector",
-    "regret_matching_probabilities",
-    "fictitious_play_step",
-    "reinforcement_step",
-    "reinforcement_update",
     "run_repeated_game",
     "empirical_joint_distribution",
     "value_of_learning",
@@ -64,87 +63,64 @@ LEARNER_KINDS = (
 )
 
 
-@dataclass
-class LearnerState:
-    """Mutable per-player learner state; only the fields of its kind are live."""
+@dataclass(frozen=True)
+class Learner:
+    """One player's learner: its kind and the kind's arguments.
+
+    A spec holds no state; `run_repeated_game` keeps every accumulator.
+    `fixed_action` belongs to fixed learners and `start_action` to myopic
+    best responders.
+    """
 
     kind: str
     player: int
     action_count: int
-    # regret matching
-    regret_sums: np.ndarray | None = None
-    inertia: float | None = None
-    # fictitious play: one count vector per opponent, keyed by player index
-    opponent_counts: dict | None = None
-    # reinforcement
-    propensities: np.ndarray | None = None
-    payoff_shift: float | None = None
-    # best_response_myopic / fixed
     fixed_action: int | None = None
     start_action: int | None = None
-    last_opponent_profile: tuple | None = None
-    # shared bookkeeping
-    last_action: int | None = None
-    rounds_seen: int = 0
-    rng: np.random.Generator | None = None
+
+    def __post_init__(self):
+        if self.kind not in LEARNER_KINDS:
+            raise ValueError(f"unknown learner kind {self.kind!r}")
+        for name, kind in (("fixed_action", "fixed"), ("start_action", "best_response_myopic")):
+            action = getattr(self, name)
+            if action is not None:
+                if self.kind != kind:
+                    raise ValueError(f"{name} applies to {kind} learners, not {self.kind!r}")
+                _integer(action, name)
+        if self.kind == "fixed" and self.fixed_action is None:
+            raise ValueError("a fixed learner needs a fixed_action")
 
 
-def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, start_action=None) -> LearnerState:
-    """Create a fresh learner of one of the supported kinds.
+def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, start_action=None) -> Learner:
+    """The spec of a learner for one player of `game`.
 
-    `fixed_action` belongs to fixed learners and `start_action` (default 0)
-    to myopic best responders; any other kind refuses them.
+    A myopic best responder starts from action 0 unless `start_action` says
+    otherwise.
     """
-    if kind not in LEARNER_KINDS:
-        raise ValueError(f"unknown learner kind {kind!r}")
     if not 0 <= player < game.player_count:
         raise ValueError("player index out of range")
-    if fixed_action is not None and kind != "fixed":
-        raise ValueError(f"fixed_action applies to fixed learners, not {kind!r}")
-    if start_action is not None and kind != "best_response_myopic":
-        raise ValueError(f"start_action applies to best_response_myopic learners, not {kind!r}")
-    state = LearnerState(kind=kind, player=player, action_count=game.action_counts[player])
-    if kind == "best_response_myopic":
-        state.start_action = 0 if start_action is None else int(start_action)
-    elif kind == "fixed":
-        if fixed_action is None:
-            raise ValueError("a fixed learner needs a fixed_action")
-        state.fixed_action = int(fixed_action)
-    _check(state, game)
-    _start(state, game)
-    return state
+    if start_action is None and kind == "best_response_myopic":
+        start_action = 0
+    learner = Learner(kind, player, game.action_counts[player], fixed_action, start_action)
+    _check(learner, game)
+    return learner
 
 
-def _check(state: LearnerState, game: NormalFormGame):
+def _integer(value, name: str):
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check(learner: Learner, game: NormalFormGame):
     """Refuse a learner whose actions do not fit its player in `game`."""
-    p = state.player
+    p = learner.player
     count = game.action_counts[p]
-    if state.action_count != count:
-        raise ValueError(f"learner {p} has {state.action_count} actions; player {p} of this game has {count}")
     for name in ("fixed_action", "start_action"):
-        action = getattr(state, name)
+        action = getattr(learner, name)
         if action is not None and not 0 <= action < count:
             raise ValueError(f"learner {p}: {name} {action} is outside 0..{count - 1}")
-
-
-def _start(state: LearnerState, game: NormalFormGame):
-    """Set the game-derived constants and fresh accumulators, keeping the kind's arguments."""
-    span = game.payoff_span()
-    if state.kind == "regret_matching":
-        state.regret_sums = np.zeros(state.action_count)
-        state.inertia = 2.0 * (max(game.action_counts) - 1) * span
-    elif state.kind == "fictitious_play":
-        state.opponent_counts = {
-            j: np.zeros(game.action_counts[j]) for j in range(game.player_count) if j != state.player
-        }
-    elif state.kind == "reinforcement":
-        # payoffs are shifted to be nonnegative inside the learner; the
-        # uniform initial propensity is the exploration floor
-        state.payoff_shift = -float(game.payoffs.min())
-        state.propensities = np.full(state.action_count, span)
-    state.last_opponent_profile = None
-    state.last_action = None
-    state.rounds_seen = 0
+    if learner.action_count != count:
+        raise ValueError(f"learner {p} has {learner.action_count} actions; player {p} of this game has {count}")
 
 
 def _sample(probs, draw: float) -> int:
@@ -158,6 +134,13 @@ def _sample(probs, draw: float) -> int:
 
 
 def _regret_matching_probs(sums, seen: int, last, inertia: float) -> list:
+    """Play probabilities implied by the regret sums after `seen` rounds.
+
+    Switching to a different action gets probability regret/inertia and the
+    leftover mass stays on the previous action; with no positive regrets the
+    previous action repeats.  The inertia constant 2*(max|A|-1)*payoff_span
+    keeps total switch mass at most one half.
+    """
     k = len(sums)
     if seen == 0 or last is None:
         return [1.0 / k] * k
@@ -171,35 +154,15 @@ def _regret_matching_probs(sums, seen: int, last, inertia: float) -> list:
     return probs
 
 
-def regret_matching_probabilities(state: LearnerState) -> np.ndarray:
-    """Play probabilities implied by the current regrets.
-
-    Switching to a different action gets probability regret/inertia and the
-    leftover mass stays on the previous action; with no positive regrets the
-    previous action repeats.  The inertia constant 2*(max|A|-1)*payoff_span
-    keeps total switch mass at most one half.
-    """
-    if state.kind != "regret_matching":
-        raise ValueError("state is not a regret-matching learner")
-    return np.array(_regret_matching_probs(
-        state.regret_sums.tolist(), state.rounds_seen, state.last_action, state.inertia))
-
-
-def fictitious_play_step(state: LearnerState, game: NormalFormGame) -> int:
+def _fictitious_play_pick(table: np.ndarray, opponent_counts: dict) -> int:
     """Best response to the empirical frequencies of every opponent's play.
 
+    `table` is the player's payoff table with its own action first and
+    `opponent_counts` maps each opponent's index to its action counts.
     Opponents are modeled independently; an empty history means a uniform
     belief.  Ties break to the lowest action index, with a 1e-12 relative
     tolerance so that an exact indifference point is not split by rounding.
     """
-    if state.kind != "fictitious_play":
-        raise ValueError("state is not a fictitious-play learner")
-    player = state.player
-    return _fictitious_play_pick(np.moveaxis(game.payoffs[..., player], player, 0), state.opponent_counts)
-
-
-def _fictitious_play_pick(table: np.ndarray, opponent_counts: dict) -> int:
-    """Best response to the beliefs, given the payoff table with the player's own action first."""
     expected = table
     for j in sorted(opponent_counts, reverse=True):
         counts = opponent_counts[j]
@@ -223,26 +186,13 @@ def _reinforcement_pick(props, rng, draw=None) -> int:
     return _sample([w / total for w in props], rng.random() if draw is None else draw)
 
 
-def reinforcement_step(state: LearnerState, rng) -> int:
-    """Sample an action with probability proportional to its propensity."""
-    if state.kind != "reinforcement":
-        raise ValueError("state is not a reinforcement learner")
-    return _reinforcement_pick(state.propensities.tolist(), rng)
-
-
 def _reinforce(props, action: int, payoff: float, shift: float):
-    props[action] += payoff + shift
-
-
-def reinforcement_update(state: LearnerState, action: int, payoff: float):
-    """Grow the played action's propensity by the (shifted) payoff received.
+    """Grow the played action's propensity by the shifted payoff received.
 
     This is the entire update: it reads nothing but the learner's own action
     and realized payoff.
     """
-    _reinforce(state.propensities, action, payoff, state.payoff_shift)
-    state.last_action = int(action)
-    state.rounds_seen += 1
+    props[action] += payoff + shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,22 +235,23 @@ def run_repeated_game(
 ) -> LearningTrace:
     """Play `rounds` rounds and record the joint actions; deterministic per seed.
 
-    Learner states are restarted on entry and each player draws from its own rng
-    stream derived from (seed, player index), so identical inputs give
-    identical traces.  The final accumulators are written back to the states.
+    Every run starts each learner afresh from its spec and each player draws
+    from its own rng stream derived from (seed, player index), so identical
+    inputs give identical traces.
     """
     n = game.player_count
     if len(learners) != n:
         raise ValueError("need exactly one learner per player")
+    _integer(rounds, "rounds")
+    _integer(seed, "seed")
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    for p, state in enumerate(learners):
-        if state.player != p:
-            raise ValueError(f"learner {p} was built for player {state.player}")
-        _check(state, game)
-        _start(state, game)
-        state.rng = np.random.default_rng([int(seed), p])
-    drawers, choosers, observers, finishers = zip(*(_player(state, game) for state in learners))
+    for p, learner in enumerate(learners):
+        if learner.player != p:
+            raise ValueError(f"learner {p} was built for player {learner.player}")
+        _check(learner, game)
+    drawers, choosers, observers = zip(*(
+        _player(learner, game, np.random.default_rng([int(seed), p])) for p, learner in enumerate(learners)))
     observers = [observe for observe in observers if observe is not None]
 
     actions = np.empty((rounds, n), dtype=int)
@@ -313,25 +264,18 @@ def run_repeated_game(
                 observe(profile)
             block.append(profile)
         actions[start:stop] = block
-
-    for p, (state, finish) in enumerate(zip(learners, finishers)):
-        state.last_action = profile[p]
-        state.rounds_seen = rounds
-        if finish is not None:
-            finish(profile)
     return LearningTrace(game, actions)
 
 
-def _player(state: LearnerState, game: NormalFormGame):
-    """One learner as plain-Python closures over list state.
+def _player(learner: Learner, game: NormalFormGame, rng):
+    """One learner's run as plain-Python closures over list state.
 
-    Returns (draws, choose, observe, finish): `draws(m)` gives the player's
-    next m uniforms (or m Nones for a player that draws none ahead),
-    `choose(draw)` picks the round's action, `observe(profile)` updates from
-    the joint action and `finish(profile)` writes the accumulators back into
-    `state` after the last round; `observe` and `finish` may be None.
+    Returns (draws, choose, observe): `draws(m)` gives the player's next m
+    uniforms (or m Nones for a player that draws none ahead), `choose(draw)`
+    picks the round's action and `observe(profile)` updates from the joint
+    action; `observe` is None for a learner that never updates.
     """
-    p, kind, rng = state.player, state.kind, state.rng
+    p, kind, k = learner.player, learner.kind, learner.action_count
 
     def ahead(m):
         return rng.random(m).tolist()  # the same stream as one random() per round
@@ -340,17 +284,17 @@ def _player(state: LearnerState, game: NormalFormGame):
         return itertools.repeat(None, m)
 
     if kind == "fixed":
-        action = state.fixed_action
-        return none_ahead, lambda draw: action, None, None
+        action = learner.fixed_action
+        return none_ahead, lambda draw: action, None
 
     if kind == "fictitious_play":
-        counts = state.opponent_counts
+        counts = {j: np.zeros(game.action_counts[j]) for j in range(game.player_count) if j != p}
         table = np.moveaxis(game.payoffs[..., p], p, 0)  # built once per run
 
         def observe(profile):
             for j, c in counts.items():
                 c[profile[j]] += 1
-        return none_ahead, lambda draw: _fictitious_play_pick(table, counts), observe, None
+        return none_ahead, lambda draw: _fictitious_play_pick(table, counts), observe
 
     rows, opponents = _own_rows(game, p)
     if kind == "best_response_myopic":
@@ -358,34 +302,30 @@ def _player(state: LearnerState, game: NormalFormGame):
 
         def choose(draw):
             if last_row is None:
-                return state.start_action
+                return learner.start_action
             return last_row.index(max(last_row))  # the first maximum, as np.argmax
 
         def observe(profile):
             nonlocal last_row
             last_row = rows[opponents(profile)]
+        return none_ahead, choose, observe
 
-        def finish(profile):
-            state.last_opponent_profile = tuple(profile[:p] + profile[p + 1:])
-        return none_ahead, choose, observe, finish
-
+    span = game.payoff_span()
     if kind == "reinforcement":
-        props = state.propensities.tolist()
-        shift = state.payoff_shift
+        # payoffs are shifted to be nonnegative inside the learner; the
+        # uniform initial propensity is the exploration floor
+        props, shift = [span] * k, -float(game.payoffs.min())
 
         def observe(profile):
             own = profile[p]
             _reinforce(props, own, rows[opponents(profile)][own], shift)
-
-        def finish(profile):
-            state.propensities = np.array(props)
         # a zero-span game keeps every propensity at zero, so every round
         # draws through rng.integers, which cannot be drawn ahead
-        draws = ahead if _np_sum(props) > 0.0 else none_ahead
-        return draws, lambda draw: _reinforcement_pick(props, rng, draw), observe, finish
+        draws = ahead if span > 0.0 else none_ahead
+        return draws, lambda draw: _reinforcement_pick(props, rng, draw), observe
 
-    sums = state.regret_sums.tolist()
-    seen, last, inertia = 0, None, state.inertia
+    sums = [0.0] * k
+    seen, last, inertia = 0, None, 2.0 * (max(game.action_counts) - 1) * span
 
     def choose(draw):
         return _sample(_regret_matching_probs(sums, seen, last, inertia), draw)
@@ -397,10 +337,7 @@ def _player(state: LearnerState, game: NormalFormGame):
         u = row[last]
         sums = [s + (x - u) for s, x in zip(sums, row)]
         seen += 1
-
-    def finish(profile):
-        state.regret_sums = np.array(sums)
-    return ahead, choose, observe, finish
+    return ahead, choose, observe
 
 
 def _own_rows(game: NormalFormGame, player: int):
@@ -435,6 +372,7 @@ def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> n
 
 def regret_vector(trace: LearningTrace, player: int, t: int) -> np.ndarray:
     """Recompute the time-t regret vector of one player straight from a trace."""
+    _integer(t, "t")
     if not 1 <= t <= trace.rounds:
         raise ValueError("t must lie in [1, rounds]")
     return _regret_history(trace.game, trace.actions[:t], player)[-1]
@@ -449,7 +387,9 @@ def empirical_joint_distribution(trace: LearningTrace) -> JointDistribution:
 
 def value_of_learning(trace: LearningTrace, window) -> np.ndarray:
     """Per-player average utility over the half-open round window [start, stop)."""
-    start, stop = int(window[0]), int(window[1])
+    start, stop = window
+    for bound in window:
+        _integer(bound, "window")
     if not 0 <= start < stop <= trace.rounds:
         raise ValueError("window must be a nonempty range inside the trace")
     return trace.utilities[start:stop].mean(axis=0)

@@ -108,10 +108,10 @@ def iterative_water_filling(
     strong interference can cycle.  Each reply is sequential, so the loop
     runs on Python floats through the single-row water-fill kernel.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     n_users, k = ch.user_count, ch.bin_count
     if noise.psd.shape != (n_users, k) or budgets.user_count != n_users or grid.bin_count != k:
         raise ValueError("inconsistent scenario dimensions")

@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,17 +8,34 @@ import specgames as sg
 from specgames import learning
 from specgames.learning import (
     LEARNER_KINDS,
-    _start,
+    Learner,
+    _fictitious_play_pick,
+    _regret_matching_probs,
+    _reinforce,
+    _reinforcement_pick,
     make_learner,
-    regret_matching_probabilities,
-    reinforcement_update,
 )
 from specgames.matrix_games import _own_payoffs
 from specgames.spectrum import _np_sum
 
 
 # Reference engine: the numpy per-round loop that the list-based loop of
-# run_repeated_game replaces, kept here to pin its traces bit for bit.
+# run_repeated_game replaces, kept here to pin its traces bit for bit.  It
+# keeps its own mutable state per learner spec.
+
+def reference_state(learner, game, seed):
+    """Fresh state for one learner spec, with the fields of every kind."""
+    p, k, span = learner.player, learner.action_count, game.payoff_span()
+    return SimpleNamespace(
+        kind=learner.kind, player=p, action_count=k,
+        fixed_action=learner.fixed_action, start_action=learner.start_action,
+        regret_sums=np.zeros(k), inertia=2.0 * (max(game.action_counts) - 1) * span,
+        opponent_counts={j: np.zeros(game.action_counts[j]) for j in range(game.player_count) if j != p},
+        propensities=np.full(k, span), payoff_shift=-float(game.payoffs.min()),
+        last_opponent_profile=None, last_action=None, rounds_seen=0,
+        rng=np.random.default_rng([int(seed), p]),
+    )
+
 
 def _sample(probs, rng) -> int:
     draw = rng.random()
@@ -47,7 +67,8 @@ def _select(state, game):
             return state.start_action
         return int(np.argmax(_own_payoffs(game, state.player, state.last_opponent_profile)))
     if state.kind == "fictitious_play":
-        return sg.fictitious_play_step(state, game)
+        table = np.moveaxis(game.payoffs[..., state.player], state.player, 0)
+        return _fictitious_play_pick(table, state.opponent_counts)
     if state.kind == "regret_matching":
         return _sample(_regret_matching_probabilities(state), state.rng)
     total = state.propensities.sum()
@@ -77,15 +98,13 @@ def _observe(state, game, profile, payoff):
 
 
 def reference_run(game, learners, rounds, seed):
-    for p, state in enumerate(learners):
-        _start(state, game)
-        state.rng = np.random.default_rng([int(seed), p])
+    states = [reference_state(learner, game, seed) for learner in learners]
     actions = np.zeros((rounds, game.player_count), dtype=int)
     for t in range(rounds):
-        profile = tuple(_select(state, game) for state in learners)
+        profile = tuple(_select(state, game) for state in states)
         payoff = game.payoff_vector(profile)
         actions[t] = profile
-        for p, state in enumerate(learners):
+        for p, state in enumerate(states):
             _observe(state, game, profile, float(payoff[p]))
     return actions
 
@@ -122,13 +141,10 @@ def learners_of(kind, game):
 
 
 def test_make_learner_kind_fields(contention):
-    rm = make_learner("regret_matching", contention, 0)
-    assert rm.regret_sums is not None and rm.propensities is None
-    fp = make_learner("fictitious_play", contention, 0)
-    assert fp.opponent_counts is not None and fp.regret_sums is None
-    rl = make_learner("reinforcement", contention, 1)
-    assert rl.propensities is not None and rl.opponent_counts is None
-    assert rl.propensities == pytest.approx([7.0, 7.0])  # exploration floor = payoff span
+    assert make_learner("reinforcement", contention, 1) == Learner("reinforcement", 1, 2)
+    assert make_learner("fixed", contention, 0, fixed_action=1) == Learner("fixed", 0, 2, fixed_action=1)
+    myopic = Learner("best_response_myopic", 1, 2, start_action=0)
+    assert make_learner("best_response_myopic", contention, 1) == myopic
     with pytest.raises(ValueError):
         make_learner("gradient", contention, 0)
     with pytest.raises(ValueError):
@@ -215,36 +231,40 @@ def test_trace_refuses_malformed_record(contention):
             sg.LearningTrace(contention, actions)
 
 
+def regret_matching_probs(state):
+    sums = state.regret_sums.tolist()
+    return _regret_matching_probs(sums, state.rounds_seen, state.last_action, state.inertia)
+
+
 def test_regret_matching_probabilities_rule(contention):
-    state = make_learner("regret_matching", contention, 0)
-    state.rng = np.random.default_rng(0)
+    state = reference_state(make_learner("regret_matching", contention, 0), contention, seed=0)
     _observe(state, contention, (0, 0), 0.0)
-    probs = regret_matching_probabilities(state)
+    probs = regret_matching_probs(state)
     # regret(Backoff)=2, span=7, inertia=2*1*7=14 -> switch with prob 1/7
     assert probs == pytest.approx([6.0 / 7.0, 1.0 / 7.0])
 
 
 def test_regret_matching_zero_regret_repeats(contention):
-    state = make_learner("regret_matching", contention, 0)
+    state = reference_state(make_learner("regret_matching", contention, 0), contention, seed=0)
     _observe(state, contention, (0, 1), 7.0)  # (Aggress, Backoff): no regret
-    probs = regret_matching_probabilities(state)
+    probs = regret_matching_probs(state)
     assert probs == pytest.approx([1.0, 0.0])
 
 
 def test_regret_matching_first_round_uniform(contention):
-    state = make_learner("regret_matching", contention, 0)
-    probs = regret_matching_probabilities(state)
+    state = reference_state(make_learner("regret_matching", contention, 0), contention, seed=0)
+    probs = regret_matching_probs(state)
     assert probs == pytest.approx([0.5, 0.5])
 
 
 def test_fictitious_play_steps(contention):
-    state = make_learner("fictitious_play", contention, 0)
+    table, counts = contention.payoffs[..., 0], {1: np.zeros(2)}  # player 0's own action is first
     # empty history: uniform belief -> (0+7)/2 vs (2+6)/2 -> Backoff
-    assert sg.fictitious_play_step(state, contention) == 1
-    state.opponent_counts[1][:] = [10, 0]
-    assert sg.fictitious_play_step(state, contention) == 1
-    state.opponent_counts[1][:] = [1, 2]  # exact indifference point
-    assert sg.fictitious_play_step(state, contention) == 0
+    assert _fictitious_play_pick(table, counts) == 1
+    counts[1][:] = [10, 0]
+    assert _fictitious_play_pick(table, counts) == 1
+    counts[1][:] = [1, 2]  # exact indifference point
+    assert _fictitious_play_pick(table, counts) == 0
 
 
 def test_fictitious_play_frequencies_approach_mixed_nash(contention):
@@ -267,41 +287,42 @@ def test_fictitious_play_exploits_fixed_opponent(contention):
     assert np.all(trace.actions[2:, 0] == 1)
 
 
-def test_reinforcement_uniform_when_equal(contention):
-    state = make_learner("reinforcement", contention, 0)
+def test_reinforcement_uniform_when_equal():
     rng = np.random.default_rng(3)
-    draws = [sg.reinforcement_step(state, rng) for _ in range(2000)]
+    draws = [_reinforcement_pick([7.0, 7.0], rng) for _ in range(2000)]
     share = np.mean(np.array(draws) == 0)
     assert 0.45 <= share <= 0.55
 
 
-def test_reinforcement_concentrates_on_rewarded_action(contention):
-    state = make_learner("reinforcement", contention, 0)
+def test_reinforcement_concentrates_on_rewarded_action():
+    props = [7.0, 7.0]
     for _ in range(300):
-        reinforcement_update(state, 1, 7.0)  # only Backoff pays
-        reinforcement_update(state, 0, 0.0)
-    total = state.propensities.sum()
-    assert state.propensities[1] / total > 0.95
+        _reinforce(props, 1, 7.0, 0.0)  # only Backoff pays
+        _reinforce(props, 0, 0.0, 0.0)
+    assert props[1] / sum(props) > 0.95
     history = []
-    probe = make_learner("reinforcement", contention, 0)
+    probe = [7.0, 7.0]
     for k in range(100):
-        reinforcement_update(probe, 1, 7.0)
-        history.append(probe.propensities[1] / probe.propensities.sum())
+        _reinforce(probe, 1, 7.0, 0.0)
+        history.append(probe[1] / sum(probe))
     assert all(b >= a for a, b in zip(history, history[1:]))
 
 
 def test_reinforcement_update_reads_only_own_payoff(contention):
-    # the update signature cannot see opponents: replaying the own
-    # action/payoff stream reproduces the state exactly
+    # the update cannot see opponents: replaying the own action/payoff
+    # stream on the player's rng stream reproduces its action column
     learners = [
         make_learner("reinforcement", contention, 0),
         make_learner("regret_matching", contention, 1),
     ]
     trace = sg.run_repeated_game(contention, learners, 400, seed=9)
-    replay = make_learner("reinforcement", contention, 0)
-    for t in range(trace.rounds):
-        reinforcement_update(replay, int(trace.actions[t, 0]), float(trace.utilities[t, 0]))
-    assert replay.propensities == pytest.approx(learners[0].propensities, abs=1e-12)
+    rng = np.random.default_rng([9, 0])
+    props, shift = [7.0, 7.0], 0.0  # exploration floor = payoff span; payoffs are already nonnegative
+    picks = []
+    for action, payoff in zip(trace.actions[:, 0].tolist(), trace.utilities[:, 0].tolist()):
+        picks.append(_reinforcement_pick(props, rng))
+        _reinforce(props, action, payoff, shift)
+    assert picks == trace.actions[:, 0].tolist()
 
 
 def test_run_fixed_learners_constant_trace(contention):
@@ -403,9 +424,35 @@ def test_make_learner_refuses_options_of_other_kinds(contention):
                 make_learner(kind, contention, 0, start_action=1, **options)
     assert make_learner("best_response_myopic", contention, 0).start_action == 0
     assert make_learner("best_response_myopic", contention, 0, start_action=1).start_action == 1
-    for options in ({"kind": "best_response_myopic", "start_action": 2}, {"kind": "fixed", "fixed_action": -1}):
-        with pytest.raises(ValueError, match="outside"):
+    for options, message in (
+        ({"kind": "best_response_myopic", "start_action": 2}, "outside"),
+        ({"kind": "fixed", "fixed_action": -1}, "outside"),
+        ({"kind": "fixed", "fixed_action": 1.7}, "fixed_action must be an integer"),
+        ({"kind": "best_response_myopic", "start_action": 0.9}, "start_action must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
             make_learner(game=contention, player=0, **options)
+
+
+def test_learner_spec_is_frozen(contention):
+    learner = make_learner("fixed", contention, 0, fixed_action=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        learner.fixed_action = 0
+
+
+def test_learning_api_refuses_non_integer_arguments(contention):
+    learners = fixed_pair(contention, (0, 1))
+    trace = sg.run_repeated_game(contention, learners, 20, seed=0)
+    for call, name in (
+        (lambda: sg.run_repeated_game(contention, learners, 2.5, seed=0), "rounds"),
+        (lambda: sg.run_repeated_game(contention, learners, 5, seed=1.9), "seed"),
+        (lambda: sg.run_repeated_game(contention, learners, 5, seed="3"), "seed"),
+        (lambda: sg.regret_vector(trace, 0, 2.5), "t"),
+        (lambda: sg.regret_vector(trace, 0, 10.0), "t"),
+        (lambda: sg.value_of_learning(trace, (0.5, 3)), "window"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
 
 
 def test_run_refuses_learners_built_for_another_game(contention, two_channel):
@@ -413,10 +460,10 @@ def test_run_refuses_learners_built_for_another_game(contention, two_channel):
     for kind in LEARNER_KINDS:
         with pytest.raises(ValueError, match="learner 0 has 2 actions"):
             sg.run_repeated_game(grid_game, learners_of(kind, contention), 5, seed=0)
-    fixed = fixed_pair(contention, (0, 1))
-    fixed[1].fixed_action = 2
-    myopic = [make_learner("best_response_myopic", contention, p) for p in range(2)]
-    myopic[0].start_action = 5
+    fixed = [make_learner("fixed", contention, 0, fixed_action=0),
+             make_learner("fixed", grid_game, 1, fixed_action=2)]
+    myopic = [make_learner("best_response_myopic", grid_game, 0, start_action=5),
+              make_learner("best_response_myopic", contention, 1)]
     for learners, message in ((fixed, "learner 1: fixed_action 2"), (myopic, "learner 0: start_action 5")):
         with pytest.raises(ValueError, match=message):
             sg.run_repeated_game(contention, learners, 5, seed=0)
@@ -463,27 +510,11 @@ def mixed_learners(game, mix):
     return learners
 
 
-def assert_same_states(ours, reference):
-    for a, b in zip(ours, reference):
-        for name in ("kind", "player", "action_count", "inertia", "payoff_shift", "fixed_action",
-                     "start_action", "last_opponent_profile", "last_action", "rounds_seen"):
-            assert getattr(a, name) == getattr(b, name), name
-        for name in ("regret_sums", "propensities"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None and y is None) or (x.dtype == y.dtype and x.tobytes() == y.tobytes()), name
-        if b.opponent_counts is not None:
-            assert a.opponent_counts.keys() == b.opponent_counts.keys()
-            for j, counts in b.opponent_counts.items():
-                assert a.opponent_counts[j].tobytes() == counts.tobytes()
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
-
-
 def assert_matches_reference(game, mix, rounds, seed):
-    ours, reference = mixed_learners(game, mix), mixed_learners(game, mix)
-    trace = sg.run_repeated_game(game, ours, rounds, seed)
-    expected = reference_run(game, reference, rounds, seed)
+    learners = mixed_learners(game, mix)
+    trace = sg.run_repeated_game(game, learners, rounds, seed)
+    expected = reference_run(game, learners, rounds, seed)
     assert trace.actions.dtype == expected.dtype and trace.actions.tobytes() == expected.tobytes()
-    assert_same_states(ours, reference)
     return trace
 
 

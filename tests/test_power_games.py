@@ -94,6 +94,17 @@ def test_iw_non_convergence_is_data(two_channel):
     res.allocation.check_budget(two_channel.grid, two_channel.budgets)
 
 
+@pytest.mark.parametrize("options", [
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
+    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": float("inf")}, {"max_iter": "5"},
+])
+def test_iw_refuses_bad_tolerance_and_sweep_cap(options, two_channel):
+    name = next(iter(options))
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        sg.iterative_water_filling(two_channel.channels, two_channel.noise,
+                                   two_channel.budgets, two_channel.grid, **options)
+
+
 def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
     """The numpy Gauss-Seidel loop that iterative_water_filling must reproduce bit for bit."""
     n_users, k = ch.user_count, ch.bin_count
