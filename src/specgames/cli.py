@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -55,32 +56,60 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _py(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+_SCALARS = frozenset((int, float, str))
+_BLOCK = 256  # records encoded and written at a time
+# The C encoder runs only without `indent`.  These separators give a flat
+# record the body that `json.dump(..., indent=2)` writes; `_write_json`
+# rewrites the joins and brackets between records.
+_JSON = json.JSONEncoder(separators=(",\n    ", ": "), sort_keys=True)
+
+
+def _blocks(header, rows):
+    """The rows in blocks of `_BLOCK`, each checked to hold only int, float and str."""
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
+        for name, column in zip(header, zip(*block)):
+            types = set(map(type, column))
+            if not types <= _SCALARS:
+                bad = ", ".join(sorted(t.__name__ for t in types - _SCALARS))
+                raise TypeError(f"column {name!r} holds {bad}, not int, float or str")
+        yield block
+
+
+def _write_csv(fh, header, rows):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for block in _blocks(header, rows):
+        writer.writerows(block)
+
+
+def _write_json(fh, header, rows):
+    fh.write("[")
+    lead = "\n  {\n    "
+    for block in _blocks(header, rows):
+        text = _JSON.encode([dict(zip(header, row)) for row in block])
+        # an encoded string escapes its newlines, so "},\n    {" can only
+        # be the join between two records
+        fh.write(lead + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }")
+        lead = ",\n  {\n    "
+    fh.write("\n]\n" if rows else "]\n")
 
 
 def _emit(out_dir: Path, base: str, fmt: str, header, rows) -> Path:
-    """Write one record table as CSV or JSON with deterministic formatting."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = out_dir / f"{base}.csv"
+    """Write one record table as CSV or JSON with deterministic formatting.
+
+    `header` names at least one column and `rows` is a sequence of records
+    whose values are plain int, float or str; any other type raises
+    `TypeError`.  Records are encoded and written in blocks, so the table
+    is never held as one string.
+    """
+    path = out_dir / f"{base}.{fmt}"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    else:
-        path = out_dir / f"{base}.json"
-        records = [{key: _py(v) for key, v in zip(header, row)} for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            (_write_csv if fmt == "csv" else _write_json)(fh, header, rows)
+    except OSError as exc:
+        raise ScenarioError("--out", f"cannot write {exc.filename}: {exc.strerror}") from exc
     return path
 
 
@@ -360,6 +389,7 @@ def _cmd_ensemble(doc, args, out_dir):
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="scenario document (JSON)")
@@ -414,7 +444,10 @@ def main(argv=None) -> int:
         # latter into the validation exit code
         return 0 if exc.code in (0, None) else 1
     try:
-        doc = load_scenario(args.config)
+        try:
+            doc = load_scenario(args.config)
+        except OSError as exc:
+            raise ScenarioError("--config", f"cannot read {args.config}: {exc.strerror}") from exc
         if args.seed is None:
             args.seed = doc.seed(default=0)
         if args.seed < 0:
@@ -427,7 +460,7 @@ def main(argv=None) -> int:
                 return _cmd_ce_check(doc, args, out_dir)
             return _cmd_ce_optimize(doc, args, out_dir)
         return _DISPATCH[args.command](doc, args, out_dir)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (SpectrumGameError, ArithmeticError) as exc:

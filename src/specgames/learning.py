@@ -97,8 +97,7 @@ def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, sta
     A myopic best responder starts from action 0 unless `start_action` says
     otherwise.
     """
-    if not 0 <= player < game.player_count:
-        raise ValueError("player index out of range")
+    _check_player(player, game)
     if start_action is None and kind == "best_response_myopic":
         start_action = 0
     learner = Learner(kind, player, game.action_counts[player], fixed_action, start_action)
@@ -107,8 +106,14 @@ def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, sta
 
 
 def _integer(value, name: str):
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_player(player, game: NormalFormGame):
+    _integer(player, "player")
+    if not 0 <= player < game.player_count:
+        raise ValueError(f"player must be in 0..{game.player_count - 1}, got {player}")
 
 
 def _check(learner: Learner, game: NormalFormGame):
@@ -372,6 +377,7 @@ def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> n
 
 def regret_vector(trace: LearningTrace, player: int, t: int) -> np.ndarray:
     """Recompute the time-t regret vector of one player straight from a trace."""
+    _check_player(player, trace.game)
     _integer(t, "t")
     if not 1 <= t <= trace.rounds:
         raise ValueError("t must lie in [1, rounds]")

@@ -1,5 +1,7 @@
+import csv
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgames.cli import main
+from specgames.cli import _BLOCK, _build_parser, _emit, main
 from specgames.experiments import KNOWLEDGE_LEVELS
 
 from test_acceptance import CLI_CASES
@@ -187,6 +189,22 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, target",
+    [("--out", "taken"), ("--out", "taken/sub"), ("--config", ".")],
+    ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory"],
+)
+def test_bad_paths_are_field_errors(tmp_path, scenario_dir, capsys, flag, target):
+    (tmp_path / "taken").write_text("x", encoding="utf-8")
+    argv = ["iw", "--config", str(scenario_dir / "fig6.json"), "--out", str(tmp_path / "out")]
+    argv += [flag, str(tmp_path / target)]  # argparse keeps the last of a repeated flag
+    code, out, err = run(capsys, *argv)
+    assert code == 1, err
+    assert err.startswith(f"config error: {flag}: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("waterfill",),
@@ -273,6 +291,129 @@ def test_no_numpy_reprs_in_output(tmp_path, scenario_dir, capsys, fmt):
         assert "np." not in out + err, (argv, out)
         for path in out_dir.iterdir():
             assert b"np." not in read(path), (argv, path.name)
+
+
+def reference_emit(out_dir, base, fmt, header, rows):
+    """The record writer as it was before blockwise encoding, kept as the byte reference."""
+
+    def _fmt(value) -> str:
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    def _py(value):
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        if isinstance(value, (float, np.floating)):
+            return float(value)
+        return value
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if fmt == "csv":
+        path = out_dir / f"{base}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    else:
+        path = out_dir / f"{base}.json"
+        records = [{key: _py(v) for key, v in zip(header, row)} for row in rows]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return path
+
+
+JOIN = '"},\n    {"'  # the text between two records of the C encoder's output
+SCALARS = st.one_of(
+    st.integers(),
+    st.sampled_from([0, -1, 2 ** 70, -(2 ** 70)]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "cr\r", "nul\x00", "ünï €😀", JOIN,
+                     JOIN.strip('"'), "}", "{"]),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    header=st.lists(st.one_of(st.text(min_size=1), st.sampled_from(["t", "u_1", JOIN])),
+                    min_size=1, max_size=4),
+    count=st.one_of(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                    st.integers(0, 3 * _BLOCK)),
+    pool=st.lists(SCALARS, min_size=1, max_size=12),
+    stride=st.integers(1, 7),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_emit_matches_reference_writer(header, count, pool, stride, fmt):
+    # rows cycle through a small drawn pool, so tables past the block size
+    # stay cheap to generate
+    width = len(header)
+    rows = [tuple(pool[(r * stride + c) % len(pool)] for c in range(width)) for r in range(count)]
+    with tempfile.TemporaryDirectory() as tmp:
+        new = _emit(Path(tmp) / "new", "table", fmt, tuple(header), rows)
+        old = reference_emit(Path(tmp) / "old", "table", fmt, tuple(header), rows)
+        assert new.name == old.name
+        assert read(new) == read(old)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", [True, False, np.float64(1.5), np.int64(3), np.bool_(True), None,
+                                   (1, 2)], ids=repr)
+@pytest.mark.parametrize("at", [0, _BLOCK + 3])
+def test_emit_refuses_values_that_are_not_plain_scalars(tmp_path, fmt, value, at):
+    rows = [(t, 0.5, "x") for t in range(_BLOCK + 5)]
+    rows[at] = (at, value, "x")
+    with pytest.raises(TypeError, match="^column 'value' holds"):
+        _emit(tmp_path, "table", fmt, ("t", "value", "label"), rows)
+
+
+def _run_sequence(capsys, root, calls):
+    """Each call's exit code, stdout, stderr and output files, in one process."""
+    results = []
+    for index, argv in enumerate(calls):
+        out_dir = root / str(index)
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        files = {p.name: read(p) for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
+        results.append((code, out, err, files))
+    return results
+
+
+def test_cached_parser_gives_fresh_results(tmp_path, scenario_dir, capsys):
+    contention = ["--config", str(scenario_dir / "contention.json"), "--seed", "7"]
+    fig6 = ["--config", str(scenario_dir / "fig6.json")]
+    calls = [
+        ["learn", "--rounds", "20", *contention],
+        ["learn", *contention],
+        ["stackelberg", "--levels", "3", *fig6],
+        ["stackelberg", *fig6],
+        ["iw"],  # usage error: no --config
+        ["--help"],
+        ["iw", *fig6, "--format", "json"],
+    ]
+    _build_parser.cache_clear()
+    reused = _run_sequence(capsys, tmp_path / "reused", calls)
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for index, argv in enumerate(calls):
+        _build_parser.cache_clear()
+        fresh += _run_sequence(capsys, tmp_path / "fresh" / str(index), [argv])
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [0, 0, 0, 0, 1, 0, 0]
+    assert len(reused[0][3]["trace.csv"].splitlines()) == 21
+    assert len(reused[1][3]["trace.csv"].splitlines()) == 5001  # the document's rounds
+    levels_3, levels_10 = (int(out.rsplit("candidates=", 1)[1]) for _, out, _, _ in reused[2:4])
+    # fig6's leader splits its budget over 2 bins: comb(levels + 2, 2) grid points, plus Nash
+    assert (levels_3, levels_10) == (math.comb(5, 2) + 1, math.comb(12, 2) + 1)
+    assert "usage:" in reused[4][2] and "usage:" in reused[5][1]
 
 
 def _edit(doc, path, value):

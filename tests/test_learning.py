@@ -455,6 +455,20 @@ def test_learning_api_refuses_non_integer_arguments(contention):
             call()
 
 
+def test_learning_api_refuses_bad_player(contention):
+    trace = sg.run_repeated_game(contention, fixed_pair(contention, (0, 1)), 20, seed=0)
+    for player in (0.5, 1.0, "1", None, True):
+        with pytest.raises(ValueError, match="^player must be an integer"):
+            make_learner("fixed", contention, player, fixed_action=1)
+        with pytest.raises(ValueError, match="^player must be an integer"):
+            sg.regret_vector(trace, player, 1)
+    for player in (2, -1):
+        with pytest.raises(ValueError, match=r"^player must be in 0\.\.1"):
+            make_learner("fixed", contention, player, fixed_action=1)
+        with pytest.raises(ValueError, match=r"^player must be in 0\.\.1"):
+            sg.regret_vector(trace, player, 1)
+
+
 def test_run_refuses_learners_built_for_another_game(contention, two_channel):
     grid_game = sg.discretize_power_game(two_channel, levels=7)
     for kind in LEARNER_KINDS:
