@@ -59,7 +59,6 @@ from .power_games import (
     iterative_water_filling,
     pareto_sweep,
     stackelberg_leader_search,
-    weighted_sum_optimize,
 )
 from .scenario import ScenarioDocument, load_scenario, parse_scenario
 from .spectrum import (

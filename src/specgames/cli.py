@@ -47,13 +47,7 @@ PROFILE_TOKENS = {
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value))
 
 
 _SCALARS = frozenset((int, float, str))
@@ -165,7 +159,7 @@ def _cmd_iw(doc, args, out_dir):
         for k in range(scen.grid.bin_count)
     ]
     _emit(out_dir, doc.output_base("allocation"), args.format, header, rows)
-    rates = ", ".join(repr(float(r)) for r in res.rates)
+    rates = ", ".join(map(_fmt, res.rates))
     print(f"converged={res.converged} iterations={res.iterations} residual={_fmt(res.residual)}")
     print(f"rates: {rates}")
     return 0
@@ -178,12 +172,8 @@ def _cmd_stackelberg(doc, args, out_dir):
         raise ScenarioError("--leader", "leader must be in 1..2")
     if args.levels < 2:
         raise ScenarioError("--levels", "must be at least 2")
-    if args.refine < 0:
-        raise ScenarioError("--refine", "must be nonnegative")
-    leader = args.leader - 1
     res = stackelberg_leader_search(
-        leader, scen.channels, scen.noise, scen.budgets, scen.grid,
-        levels=args.levels, refine_rounds=args.refine,
+        args.leader - 1, scen.channels, scen.noise, scen.budgets, scen.grid, levels=args.levels
     )
     psd = np.zeros((2, scen.grid.bin_count))
     psd[res.leader] = res.leader_allocation
@@ -321,7 +311,7 @@ def _cmd_learn(doc, args, out_dir):
     _emit(out_dir, doc.output_base("distribution"), args.format,
           ("profile", "prob"), _distribution_rows(game, dist))
     averages = value_of_learning(trace, (0, trace.rounds))
-    print("time-average utilities: " + ", ".join(repr(float(v)) for v in averages))
+    print("time-average utilities: " + ", ".join(map(_fmt, averages)))
     return 0
 
 
@@ -350,7 +340,7 @@ def _cmd_vok(doc, args, out_dir):
     utilities = value_of_knowledge(scenario, profile, start_profile=start)
     rows = [(n + 1, profile.levels[n], float(u)) for n, u in enumerate(utilities)]
     _emit(out_dir, doc.output_base("solution"), args.format, ("user", "knowledge", "utility"), rows)
-    print("utilities: (" + ", ".join(repr(float(u)) for u in utilities) + ")")
+    print("utilities: (" + ", ".join(map(_fmt, utilities)) + ")")
     return 0
 
 
@@ -406,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stackelberg", parents=[common], help="leader-commitment search")
     p.add_argument("--leader", type=int, default=1, help="1-based leader index")
     p.add_argument("--levels", type=int, default=10)
-    p.add_argument("--refine", type=int, default=40)
     sub.add_parser("pareto", parents=[common], help="weighted rate-sum oracle points")
     sub.add_parser("region", parents=[common], help="joined rate-region table")
     p = sub.add_parser("matrix", parents=[common], help="finite-game analysis")
@@ -453,6 +442,10 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ScenarioError("--seed", "seed must be nonnegative")
         out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError("--out", f"cannot write {exc.filename}: {exc.strerror}") from exc
         if args.command == "matrix":
             return _cmd_matrix_solve(doc, args, out_dir)
         if args.command == "ce":

@@ -21,7 +21,6 @@ from .power_games import (
     iterative_water_filling,
     pareto_sweep,
     stackelberg_leader_search,
-    weighted_sum_optimize,
 )
 from .spectrum import FrequencyGrid, NoiseProfile, PowerBudget, PowerScenario, generate_multipath_channels
 
@@ -113,7 +112,7 @@ def value_of_knowledge(
         raise ValueError("continuous knowledge evaluation supports two users")
     ch, noise, budgets, grid = scenario.channels, scenario.noise, scenario.budgets, scenario.grid
     if profile.complete:
-        return weighted_sum_optimize(np.ones(2), ch, noise, budgets, grid).rates
+        return pareto_sweep([(1.0, 1.0)], ch, noise, budgets, grid)[0].rates
     if profile.leader is not None:
         return stackelberg_leader_search(profile.leader, ch, noise, budgets, grid).rates
     res = iterative_water_filling(ch, noise, budgets, grid)

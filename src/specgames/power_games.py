@@ -14,6 +14,7 @@ power budget.  Three solution routes are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,12 @@ __all__ = [
     "iterative_water_filling",
     "follower_response_rates",
     "stackelberg_leader_search",
-    "weighted_sum_optimize",
     "pareto_sweep",
     "grid_dominance_margin",
 ]
 
-# Joint grid evaluations allowed in the weighted-sum oracle before it
-# refuses; covers two users, four bins, twenty levels.
+# Joint grid pairs the oracle, or leader candidates the leader search, may
+# price before refusing; covers two users, four bins, twenty levels.
 MAX_ORACLE_EVALUATIONS = 4_000_000
 # Joint pairs or leader candidates priced per numpy call (temporaries ~128 KB).
 BLOCK_SIZE = 1 << 14
@@ -90,6 +90,35 @@ class RegionSample:
     rates: np.ndarray
 
 
+def _check_inputs(ch, noise, budgets, grid, users=2, leader=0, levels=None, min_levels=1,
+                  weights=(), target=None):
+    """Refuse mismatched or out-of-range input to a public entry point; users=None allows any count."""
+    n, k = ch.user_count, ch.bin_count
+    if grid.bin_count != k:
+        raise ValueError(f"grid has {grid.bin_count} bins where ch has {k}")
+    if noise.psd.shape != (n, k):
+        raise ValueError(f"noise must be a {n}x{k} PSD table, not {noise.psd.shape}")
+    if budgets.user_count != n:
+        raise ValueError(f"budgets must hold {n} entries, not {budgets.user_count}")
+    if users is not None and n != users:
+        raise ValueError(f"ch must have {users} users, not {n}")
+    if not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
+        raise ValueError("leader must be 0 or 1")
+    if levels is not None and (not isinstance(levels, (int, np.integer)) or levels < min_levels):
+        raise ValueError(f"levels must be an integer of at least {min_levels}, not {levels!r}")
+    for w in map(np.array, weights):
+        if len(w) != 2 or not (np.all(np.isfinite(w)) and np.all(w >= 0) and np.sum(w) > 0):
+            raise ValueError(f"weights must be 2 finite nonnegative entries with positive sum, not {w!r}")
+    if target is not None and (target.shape != (2,) or not np.all(np.isfinite(target))):
+        raise ValueError(f"target_rates must be 2 finite rates, not {target!r}")
+
+
+def _check_scale(count, what):
+    """Refuse work over MAX_ORACLE_EVALUATIONS before it starts."""
+    if count > MAX_ORACLE_EVALUATIONS:
+        raise OracleScaleError(f"oracle scale exceeded: {count} {what} over cap {MAX_ORACLE_EVALUATIONS}")
+
+
 def iterative_water_filling(
     ch: ChannelSet,
     noise: NoiseProfile,
@@ -112,9 +141,8 @@ def iterative_water_filling(
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    _check_inputs(ch, noise, budgets, grid, users=None)
     n_users, k = ch.user_count, ch.bin_count
-    if noise.psd.shape != (n_users, k) or budgets.user_count != n_users or grid.bin_count != k:
-        raise ValueError("inconsistent scenario dimensions")
 
     gain2, sigma, budget = ch.gain2.tolist(), noise.psd.tolist(), budgets.budget.tolist()
     psd = [[0.0] * k for _ in range(n_users)]
@@ -180,9 +208,10 @@ def follower_response_rates(
     Two-user scenarios only.  Returns (follower PSD row, rate vector for
     both users at the resulting joint allocation).
     """
-    if ch.user_count != 2:
-        raise ValueError("follower response is defined for two-user scenarios")
+    _check_inputs(ch, noise, budgets, grid, leader=leader)
     rows = np.asarray(leader_alloc, dtype=float)[None]
+    if rows.shape != (1, ch.bin_count):
+        raise ValueError(f"leader_alloc must hold {ch.bin_count} entries, not shape {rows.shape[1:]}")
     replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
     return replies[0], rates[0]
 
@@ -209,7 +238,6 @@ def stackelberg_leader_search(
     budgets: PowerBudget,
     grid: FrequencyGrid,
     levels: int = 10,
-    refine_rounds: int = 40,
 ) -> StackelbergResult:
     """Sub-optimal global search for the best leader commitment.
 
@@ -218,17 +246,17 @@ def stackelberg_leader_search(
     For up to four bins the leader enumerates a budget-splitting grid with
     `levels` steps; for wider grids it runs coordinate descent from the
     iterative-water-filling allocation, moving budget/levels of power
-    between bin pairs while any move helps.  The Nash allocation is always
-    the first candidate, so the leader never finishes below its Nash rate.
+    between bin pairs until no such move strictly raises its rate (a local
+    optimum of the descent) or no bin holds a full step.  The Nash
+    allocation is always the first candidate, so the leader never finishes
+    below its Nash rate.  A search that would price more than
+    MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError.
     The Nash point is iterative water-filling at its default settings;
     leader must be 0 or 1.
     """
-    if ch.user_count != 2:
-        raise ValueError("the leader search is defined for two-user scenarios")
-    if leader not in (0, 1):
-        raise ValueError("leader must be 0 or 1")
-    if levels < 2:
-        raise ValueError("levels must be at least 2")
+    _check_inputs(ch, noise, budgets, grid, leader=leader, levels=levels, min_levels=2)
+    bins = grid.bin_count
+    _check_scale(math.comb(levels + bins, bins) if bins <= 4 else 0, "leader grid candidates")
     nash = iterative_water_filling(ch, noise, budgets, grid)
     ne_row = np.array(nash.allocation.psd[leader])
     # budget/levels of power in PSD units: the grid step and the descent move
@@ -248,17 +276,18 @@ def stackelberg_leader_search(
                 best = rows[start + i], replies[i], rates[i]
         return best
 
-    if grid.bin_count <= 4:
-        candidates = _budget_splits(levels, grid.bin_count) * step
+    if bins <= 4:
+        candidates = _budget_splits(levels, bins) * step
         best_row, best_reply, best_rates = best_of(np.vstack([ne_row, candidates]))
     else:
         best_row, best_reply, best_rates = best_of(ne_row[None])
-        bins = range(grid.bin_count)
-        pairs = np.array([(src, dst) for src in bins for dst in bins if dst != src])
-        for _ in range(refine_rounds):
+        pairs = np.array([(src, dst) for src in range(bins) for dst in range(bins) if dst != src])
+        # each accepted move strictly raises the leader's rate, so this ends
+        while True:
             src, dst = pairs[best_row[pairs[:, 0]] >= step].T
             if not len(src):
                 break
+            _check_scale(evaluated + len(src), "leader descent candidates")
             trials = np.repeat(best_row[None], len(src), axis=0)
             trials[np.arange(len(src)), src] -= step
             trials[np.arange(len(src)), dst] += step
@@ -286,14 +315,8 @@ def _joint_grid_rates(ch, noise, budgets, grid, levels):
     all M user-2 splits, lexicographic, with B*M about BLOCK_SIZE.  Grids
     over MAX_ORACLE_EVALUATIONS pairs are refused with OracleScaleError.
     """
-    if ch.user_count != 2:
-        raise ValueError("the grid oracle is defined for two-user scenarios")
     splits = _budget_splits(levels, grid.bin_count)
-    total = len(splits) ** 2
-    if total > MAX_ORACLE_EVALUATIONS:
-        raise OracleScaleError(
-            f"oracle scale exceeded: {total} joint evaluations over cap {MAX_ORACLE_EVALUATIONS}"
-        )
+    _check_scale(len(splits) ** 2, "joint evaluations")
     df = grid.bin_width
     p1, p2 = (np.arange(levels + 1) * (b / (levels * df)) for b in budgets.budget)
     g, sigma, p1 = ch.gain2[..., None, None], noise.psd[..., None, None], p1[:, None]
@@ -328,8 +351,6 @@ def _pareto_argmax(
     MAX_ORACLE_EVALUATIONS joint pairs.
     """
     weights = [np.asarray(w, dtype=float) for w in weight_list]
-    if any(np.any(w < 0) or w.sum() <= 0 for w in weights):
-        raise ValueError("weights must be nonnegative with positive sum")
     best_val = [-np.inf] * len(weights)
     best_rates = [None] * len(weights)
     for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels):
@@ -359,6 +380,7 @@ def grid_dominance_margin(
     scanned with the max-min objective instead of a fixed weight.
     """
     target = np.asarray(target_rates, dtype=float)
+    _check_inputs(ch, noise, budgets, grid, levels=levels, target=target)
     best = -np.inf
     for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels):
         margin = np.minimum(r1 - target[0], r2 - target[1]).max()
@@ -382,19 +404,9 @@ def pareto_sweep(
     oracle for the cooperative frontier, not a scalable solver.
     """
     weights = [tuple(float(x) for x in w) for w in weight_list]
+    _check_inputs(ch, noise, budgets, grid, levels=levels, weights=weights)
     if not weights:
         return []
     _, rate_list = _pareto_argmax(ch, noise, budgets, grid, levels, weights)
     return [RegionSample("pareto", w, r) for w, r in zip(weights, rate_list)]
 
-
-def weighted_sum_optimize(
-    weights,
-    ch: ChannelSet,
-    noise: NoiseProfile,
-    budgets: PowerBudget,
-    grid: FrequencyGrid,
-    levels: int = 10,
-) -> RegionSample:
-    """One Pareto point of `pareto_sweep`, for a single weight vector."""
-    return pareto_sweep([weights], ch, noise, budgets, grid, levels=levels)[0]

@@ -274,11 +274,6 @@ def achievable_rate(
     return float(_rate_raw(user, alloc.psd, channels.gain2, noise.psd, grid.bin_width))
 
 
-def all_rates(alloc: PowerAllocation, scen: PowerScenario) -> np.ndarray:
-    """Rate vector for every user of a scenario under one allocation."""
-    return _rates(alloc.psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
-
-
 def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bin_width: float) -> np.ndarray:
     """Water-fill every row of noise_rows (B, K) against one gain row.
 

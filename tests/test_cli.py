@@ -204,6 +204,30 @@ def test_bad_paths_are_field_errors(tmp_path, scenario_dir, capsys, flag, target
     assert out == ""
 
 
+@pytest.mark.parametrize("config, argv", [
+    ("contention.json", ("matrix", "solve")),
+    ("contention.json", ("learn", "--rounds", "50")),
+    ("fig6.json", ("stackelberg",)),
+])
+@pytest.mark.parametrize("target", ["taken", "taken/sub"])
+def test_unusable_out_is_refused_before_any_work(tmp_path, scenario_dir, capsys, config, argv, target):
+    (tmp_path / "taken").write_text("x", encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--config", str(scenario_dir / config),
+                         "--out", str(tmp_path / target))
+    assert code == 1, err
+    assert err.startswith("config error: --out: ")
+    assert out == ""
+
+
+def test_oversize_leader_grid_is_a_numerical_failure(tmp_path, scenario_dir, capsys):
+    # two bins at 2,827 levels are 4,000,206 leader candidates, over the cap
+    code, out, err = run(capsys, "stackelberg", "--levels", "2827", "--config",
+                         str(scenario_dir / "fig6.json"), "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("numerical failure: oracle scale exceeded: 4000206 leader grid candidates")
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -478,7 +502,7 @@ THREE_PLAYER = {
         ("fig6.json", [], ("stackelberg", "--leader", "0"), "--leader"),
         ("fig6.json", [], ("stackelberg", "--leader", "3"), "--leader"),
         ("fig6.json", [], ("stackelberg", "--levels", "1"), "--levels"),
-        ("fig6.json", [], ("stackelberg", "--refine", "-1"), "--refine"),
+        ("fig6.json", [], ("waterfill", "--user", "3"), "--user"),
         ("contention.json", [], ("learn", "--rounds", "0"), "--rounds"),
         ("ensemble_default.json", [], ("ensemble", "--realizations", "0"), "--realizations"),
         ("contention.json", [], ("ce", "check", "--tol", "-1"), "--tol"),
@@ -607,8 +631,7 @@ def test_cli_never_escapes_with_a_traceback(data):
         tokens = st.lists(st.sampled_from(["heter", "priv", "comp"]), min_size=users, max_size=users)
         argv += ["--profile", ",".join(data.draw(tokens, label="--profile"))]
     if command == "stackelberg":
-        argv += ["--levels", str(data.draw(st.sampled_from([3, 1, 2]), label="--levels")),
-                 "--refine", str(data.draw(st.sampled_from([1, -1, 0]), label="--refine"))]
+        argv += ["--levels", str(data.draw(st.sampled_from([3, 1, 2]), label="--levels"))]
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "doc.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")

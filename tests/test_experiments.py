@@ -53,8 +53,8 @@ def test_vok_continuous_matches_solvers(two_channel):
                                        two_channel.budgets, two_channel.grid)
     assert out is not None and led == pytest.approx(ref.rates, abs=1e-12)
     comp = sg.value_of_knowledge(two_channel, sg.KnowledgeProfile(("complete", "complete")))
-    ref = sg.weighted_sum_optimize([1.0, 1.0], two_channel.channels, two_channel.noise,
-                                   two_channel.budgets, two_channel.grid)
+    ref = sg.pareto_sweep([[1.0, 1.0]], two_channel.channels, two_channel.noise,
+                          two_channel.budgets, two_channel.grid)[0]
     assert comp == pytest.approx(ref.rates, abs=1e-12)
 
 

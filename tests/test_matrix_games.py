@@ -10,7 +10,7 @@ import specgames as sg
 from specgames.errors import DegenerateGameError, NoPureNashError, OracleScaleError
 from specgames.power_games import _budget_splits
 from specgames.scenario import parse_scenario
-from specgames.spectrum import all_rates
+from specgames.spectrum import _rates
 
 FIG_PAYOFFS = {
     (0, 1): (2.12, 3.22),  # (Concentrate, Spread)
@@ -259,7 +259,7 @@ def looped_power_payoffs(scen, levels):
     payoffs = np.zeros(counts + (scen.user_count,))
     for profile in itertools.product(*(range(c) for c in counts)):
         psd = np.vstack([rows[n][profile[n]] for n in range(scen.user_count)])
-        payoffs[profile] = all_rates(sg.PowerAllocation(psd), scen)
+        payoffs[profile] = _rates(psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
     return payoffs
 
 

@@ -8,7 +8,7 @@ from specgames import power_games
 from specgames.errors import OracleScaleError
 from specgames.power_games import _budget_splits, _joint_grid_rates, _pareto_argmax
 from specgames.scenario import load_scenario
-from specgames.spectrum import _effective_noise_raw, _rates, _water_fill_rows, all_rates
+from specgames.spectrum import _effective_noise_raw, _rates, _water_fill_rows
 
 from conftest import SCENARIOS, ensemble_channels
 
@@ -337,17 +337,17 @@ def test_budget_split_table_matches_recursive_generator(full_only):
 def test_weighted_sum_single_user_corners(two_channel):
     args = (two_channel.channels, two_channel.noise, two_channel.budgets, two_channel.grid)
     solo = 2.0 * math.log2(6.0)  # flat direct channel water-fills evenly
-    s = sg.weighted_sum_optimize([1.0, 0.0], *args, levels=10)
+    s = sg.pareto_sweep([[1.0, 0.0]], *args, levels=10)[0]
     assert s.rates[0] == pytest.approx(solo, abs=1e-9)
     assert s.rates[1] == 0.0
-    s = sg.weighted_sum_optimize([0.0, 1.0], *args, levels=10)
+    s = sg.pareto_sweep([[0.0, 1.0]], *args, levels=10)[0]
     assert s.rates[1] == pytest.approx(solo, abs=1e-9)
     assert s.rates[0] == 0.0
 
 
 def test_weighted_sum_covers_concentrate_pair(two_channel):
-    s = sg.weighted_sum_optimize([1.0, 1.0], two_channel.channels, two_channel.noise,
-                                 two_channel.budgets, two_channel.grid, levels=10)
+    s = sg.pareto_sweep([[1.0, 1.0]], two_channel.channels, two_channel.noise,
+                        two_channel.budgets, two_channel.grid, levels=10)[0]
     # the fully segregated profile is on the grid, so it bounds the optimum below
     assert s.rates.sum() >= 2.0 * math.log2(11.0) - 1e-9
 
@@ -356,7 +356,7 @@ def test_weighted_sum_validation(two_channel):
     args = (two_channel.channels, two_channel.noise, two_channel.budgets, two_channel.grid)
     for bad in ([0.0, 0.0], [-1.0, 1.0]):
         with pytest.raises(ValueError):
-            sg.weighted_sum_optimize(bad, *args)
+            sg.pareto_sweep([bad], *args)
         with pytest.raises(ValueError):
             sg.pareto_sweep([[1.0, 1.0], bad], *args)
         with pytest.raises(ValueError):
@@ -369,7 +369,7 @@ def test_weighted_sum_scale_cap():
     noise = sg.NoiseProfile.flat(1.0, 2, 4)
     budgets = sg.PowerBudget(np.array([10.0, 10.0]))
     with pytest.raises(OracleScaleError):
-        sg.weighted_sum_optimize([1.0, 1.0], scen_channels, noise, budgets, grid, levels=80)
+        sg.pareto_sweep([[1.0, 1.0]], scen_channels, noise, budgets, grid, levels=80)
 
 
 def test_pareto_sweep_empty(two_channel):
@@ -405,8 +405,11 @@ def test_determinism(two_channel):
     assert np.array_equal(a.rates, b.rates)
 
 
-def scalar_leader_search(leader, scen, levels=10, refine_rounds=40):
-    """Reference: price one leader candidate at a time, keep strict improvements."""
+def scalar_leader_search(leader, scen, levels=10):
+    """Reference: price one leader candidate at a time, keep strict improvements.
+
+    The descent moves while the best single-step move strictly helps.
+    """
     ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
     follower = 1 - leader
     evaluated = 0
@@ -419,7 +422,7 @@ def scalar_leader_search(leader, scen, levels=10, refine_rounds=40):
         floor = _effective_noise_raw(follower, psd, ch.gain2, noise.psd)
         psd[follower] = sg.water_fill(ch.gain2[follower, follower], floor,
                                       budgets.budget[follower], grid)
-        return psd[follower], all_rates(sg.PowerAllocation(psd), scen)
+        return psd[follower], _rates(psd, ch.gain2, noise.psd, grid.bin_width)
 
     nash = sg.iterative_water_filling(ch, noise, budgets, grid)
     best_row = np.array(nash.allocation.psd[leader])
@@ -432,7 +435,7 @@ def scalar_leader_search(leader, scen, levels=10, refine_rounds=40):
         return best_row, best_reply, best_rates, evaluated
     step = budgets.budget[leader] / (levels * grid.bin_width)
     current = (best_row, best_reply, best_rates)
-    for _ in range(refine_rounds):
+    while True:
         move = None
         for src in range(grid.bin_count):
             if current[0][src] < step:
@@ -548,6 +551,122 @@ def test_leader_grid_prices_bounded_blocks(monkeypatch):
     assert np.array_equal(whole.follower_allocation, res.follower_allocation)
     assert np.array_equal(whole.rates, res.rates)
     assert whole.candidates_evaluated == res.candidates_evaluated
+
+
+def draw_23_scenario():
+    grid = sg.FrequencyGrid(5, 5.0)
+    return sg.PowerScenario(
+        grid=grid,
+        channels=ensemble_channels(7, 23, grid),
+        noise=sg.NoiseProfile.flat(1.0, 2, 5),
+        budgets=sg.PowerBudget(np.array([100.0, 100.0])),
+    )
+
+
+@pytest.mark.parametrize("draw,levels", [(23, 100), (0, 10), (4, 10), (5, 10)])
+def test_descent_stops_at_a_local_optimum(draw, levels):
+    # draw 23 needs 42 descent passes at 100 levels; the K=8 draws a few
+    scen = draw_23_scenario() if draw == 23 else descent_scenario(draw)
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+    res = sg.stackelberg_leader_search(0, *args, levels=levels)
+    step = scen.budgets.budget[0] / (levels * scen.grid.bin_width)
+    row = res.leader_allocation
+    for src in np.flatnonzero(row >= step):
+        for dst in range(scen.grid.bin_count):
+            if dst != src:
+                trial = row.copy()
+                trial[src] -= step
+                trial[dst] += step
+                assert sg.follower_response_rates(0, trial, *args)[1][0] <= res.rates[0], (src, dst)
+    if draw == 23:
+        assert res.candidates_evaluated == 637
+        assert res.rates[0] == pytest.approx(11.95517, abs=1e-5)
+        ref_row, ref_reply, ref_rates, evaluated = scalar_leader_search(0, scen, levels=levels)
+        assert np.array_equal(res.leader_allocation, ref_row)
+        assert np.array_equal(res.rates, ref_rates)
+        assert res.candidates_evaluated == evaluated
+
+
+def test_leader_grid_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    scen = flat_symmetric_scenario()
+    args = (0, scen.channels, scen.noise, scen.budgets, scen.grid)
+    # 2,826 levels on two bins are comb(2828, 2) = 3,997,378 candidates, 2,827 are 4,000,206
+    assert math.comb(2828, 2) <= power_games.MAX_ORACLE_EVALUATIONS < math.comb(2829, 2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the leader search did work before refusing")
+
+    monkeypatch.setattr(power_games, "_budget_splits", no_work)
+    monkeypatch.setattr(power_games, "iterative_water_filling", no_work)
+    with pytest.raises(OracleScaleError, match="4000206 leader grid candidates"):
+        sg.stackelberg_leader_search(*args, levels=2827)
+    monkeypatch.undo()
+    # at a lowered cap, the grid of exactly the cap's size still runs
+    res = sg.stackelberg_leader_search(*args, levels=10)
+    monkeypatch.setattr(power_games, "MAX_ORACLE_EVALUATIONS", math.comb(12, 2))
+    assert sg.stackelberg_leader_search(*args, levels=10).candidates_evaluated == res.candidates_evaluated
+    monkeypatch.setattr(power_games, "MAX_ORACLE_EVALUATIONS", math.comb(12, 2) - 1)
+    with pytest.raises(OracleScaleError):
+        sg.stackelberg_leader_search(*args, levels=10)
+
+
+def test_leader_descent_over_the_cap_is_refused(monkeypatch):
+    scen = draw_23_scenario()
+    args = (0, scen.channels, scen.noise, scen.budgets, scen.grid)
+    res = sg.stackelberg_leader_search(*args, levels=100)
+    monkeypatch.setattr(power_games, "MAX_ORACLE_EVALUATIONS", res.candidates_evaluated)
+    again = sg.stackelberg_leader_search(*args, levels=100)
+    assert np.array_equal(again.leader_allocation, res.leader_allocation)
+    assert again.candidates_evaluated == res.candidates_evaluated
+    seen = []
+    replies = power_games._follower_replies
+
+    def counted(leader, rows, *rest):
+        seen.append(len(rows))
+        return replies(leader, rows, *rest)
+
+    monkeypatch.setattr(power_games, "_follower_replies", counted)
+    monkeypatch.setattr(power_games, "MAX_ORACLE_EVALUATIONS", res.candidates_evaluated - 1)
+    with pytest.raises(OracleScaleError, match="leader descent candidates over cap"):
+        sg.stackelberg_leader_search(*args, levels=100)
+    # the last pass was refused before it was priced, not truncated
+    assert sum(seen) < res.candidates_evaluated
+
+
+def power_input_case(scen, entry, lead, swap, kwargs):
+    parts = {"ch": scen.channels, "noise": scen.noise, "budgets": scen.budgets, "grid": scen.grid}
+    parts.update(swap)
+    return lambda: getattr(sg, entry)(*lead, *parts.values(), **kwargs)
+
+
+NARROW_NOISE = sg.NoiseProfile(np.ones((2, 1)))
+THREE_USERS = {"ch": sg.ChannelSet(np.ones((3, 3, 4))), "noise": sg.NoiseProfile.flat(1.0, 3, 4),
+               "budgets": sg.PowerBudget(np.ones(3))}
+
+
+@pytest.mark.parametrize("entry,lead,swap,kwargs,field", [
+    ("pareto_sweep", ([[1.0, 1.0]],), {"noise": NARROW_NOISE}, {}, "noise"),
+    ("grid_dominance_margin", ([1.0, 1.0],), {"noise": NARROW_NOISE}, {}, "noise"),
+    ("follower_response_rates", (0, [2.5] * 4), {"noise": NARROW_NOISE}, {}, "noise"),
+    ("iterative_water_filling", (), {"grid": sg.FrequencyGrid(3, 3.0)}, {}, "grid"),
+    ("stackelberg_leader_search", (0,), {"budgets": sg.PowerBudget(np.ones(3))}, {}, "budgets"),
+    ("stackelberg_leader_search", (0,), THREE_USERS, {}, "ch"),
+    ("follower_response_rates", (0, [2.5]), {}, {}, "leader_alloc"),
+    ("follower_response_rates", (2, [2.5] * 4), {}, {}, "leader must be 0 or 1"),
+    ("follower_response_rates", (-1, [2.5] * 4), {}, {}, "leader must be 0 or 1"),
+    ("pareto_sweep", ([[1.0, 1.0]],), {}, {"levels": 0}, "levels"),
+    ("pareto_sweep", ([[1.0, 1.0]],), {}, {"levels": -1}, "levels"),
+    ("pareto_sweep", ([[1.0, 1.0]],), {}, {"levels": 2.5}, "levels"),
+    ("grid_dominance_margin", ([1.0, 1.0],), {}, {"levels": 0}, "levels"),
+    ("stackelberg_leader_search", (0,), {}, {"levels": 2.5}, "levels"),
+    ("pareto_sweep", ([[1.0, np.nan]],), {}, {}, "weights"),
+    ("pareto_sweep", ([[1.0, 1.0, 1.0]],), {}, {}, "weights"),
+    ("grid_dominance_margin", ([1.0, 1.0, 1.0],), {}, {}, "target_rates"),
+])
+def test_power_game_entry_points_refuse_bad_input(entry, lead, swap, kwargs, field):
+    call = power_input_case(grid_scenario(4, 4343), entry, lead, swap, kwargs)
+    with pytest.raises(ValueError, match=f"^{field}"):
+        call()
 
 
 def reference_joint_grid_rates(scen, levels):

@@ -7,7 +7,7 @@ import pytest
 
 import specgames as sg
 from specgames.errors import NoUsableSpectrumError
-from specgames.spectrum import _rates, _water_fill_row, _water_fill_rows, all_rates
+from specgames.spectrum import _rates, _water_fill_row, _water_fill_rows
 
 from conftest import random_instance
 
@@ -241,7 +241,7 @@ def test_budget_check(two_channel):
 
 def test_all_rates_matches_per_user(two_channel):
     alloc = sg.PowerAllocation(np.array([[4.0, 6.0], [2.0, 8.0]]))
-    vec = all_rates(alloc, two_channel)
+    vec = _rates(alloc.psd, two_channel.channels.gain2, two_channel.noise.psd, two_channel.grid.bin_width)
     for n in range(2):
         assert vec[n] == sg.achievable_rate(n, alloc, two_channel.channels,
                                             two_channel.noise, two_channel.grid)
@@ -425,7 +425,8 @@ def test_rate_kernel_broadcasts_over_allocations():
         for i in range(3):
             for j in range(7):
                 alloc = sg.PowerAllocation(psd[i, j])
-                assert np.array_equal(rates[i, j], all_rates(alloc, scen))
+                one = _rates(psd[i, j], scen.channels.gain2, scen.noise.psd, grid.bin_width)
+                assert np.array_equal(rates[i, j], one)
                 for n in range(users):
                     assert rates[i, j, n] == sg.achievable_rate(
                         n, alloc, scen.channels, scen.noise, grid)
