@@ -22,7 +22,9 @@ from .power_games import (
     pareto_sweep,
     stackelberg_leader_search,
 )
-from .spectrum import FrequencyGrid, NoiseProfile, PowerBudget, PowerScenario, generate_multipath_channels
+from .spectrum import (
+    FrequencyGrid, NoiseProfile, PowerBudget, PowerScenario, _integer, generate_multipath_channels,
+)
 
 __all__ = [
     "KNOWLEDGE_LEVELS",
@@ -142,8 +144,7 @@ def channel_ensemble_study(
     index), so reports are reproducible; the leader search runs at its
     default settings.
     """
-    if realizations < 1:
-        raise ValueError("need at least one realization")
+    _integer(realizations, "realizations", 1)
     noise = NoiseProfile.flat(noise_level, 2, grid.bin_count)
     ratios = np.zeros((realizations, 2))
     collected = 0

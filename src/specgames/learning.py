@@ -39,7 +39,7 @@ from operator import itemgetter
 import numpy as np
 
 from .matrix_games import JointDistribution, NormalFormGame, _own_payoffs
-from .spectrum import _np_sum
+from .spectrum import _integer, _np_sum
 
 __all__ = [
     "LEARNER_KINDS",
@@ -105,15 +105,8 @@ def make_learner(kind, game: NormalFormGame, player: int, fixed_action=None, sta
     return learner
 
 
-def _integer(value, name: str):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_player(player, game: NormalFormGame):
-    _integer(player, "player")
-    if not 0 <= player < game.player_count:
-        raise ValueError(f"player must be in 0..{game.player_count - 1}, got {player}")
+    _integer(player, "player", 0, game.player_count - 1)
 
 
 def _check(learner: Learner, game: NormalFormGame):
@@ -247,10 +240,8 @@ def run_repeated_game(
     n = game.player_count
     if len(learners) != n:
         raise ValueError("need exactly one learner per player")
-    _integer(rounds, "rounds")
+    _integer(rounds, "rounds", 1)
     _integer(seed, "seed")
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     for p, learner in enumerate(learners):
         if learner.player != p:
             raise ValueError(f"learner {p} was built for player {learner.player}")
@@ -378,9 +369,7 @@ def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> n
 def regret_vector(trace: LearningTrace, player: int, t: int) -> np.ndarray:
     """Recompute the time-t regret vector of one player straight from a trace."""
     _check_player(player, trace.game)
-    _integer(t, "t")
-    if not 1 <= t <= trace.rounds:
-        raise ValueError("t must lie in [1, rounds]")
+    _integer(t, "t", 1, trace.rounds)
     return _regret_history(trace.game, trace.actions[:t], player)[-1]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import simplex
 from .errors import DegenerateGameError, NoPureNashError, OracleScaleError
 from .power_games import _budget_splits
-from .spectrum import PowerScenario, _rates, two_channel_scenario
+from .spectrum import PowerScenario, _integer, _rates, two_channel_scenario
 
 __all__ = [
     "NormalFormGame",
@@ -102,8 +102,8 @@ class MixedStrategy:
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float)
-        if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("mixed strategy must be a probability vector summing to 1")
+        if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError("mixed strategy must be a finite probability vector summing to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -116,8 +116,8 @@ class JointDistribution:
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("joint distribution must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError("joint distribution must be finite, nonnegative and sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -127,6 +127,7 @@ class JointDistribution:
         return cls(arr)
 
     def marginal(self, player: int) -> np.ndarray:
+        _integer(player, "player", 0, self.probs.ndim - 1)
         axes = tuple(i for i in range(self.probs.ndim) if i != player)
         return self.probs.sum(axis=axes)
 
@@ -201,8 +202,7 @@ def discretize_power_game(scen: PowerScenario, levels: int = 10) -> NormalFormGa
     Each user's action set holds every split of its full budget over the K
     bins in steps of budget/levels; payoffs are the achievable rates.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+    _integer(levels, "levels", 1)
     head = _budget_splits(levels, scen.grid.bin_count - 1)
     splits = np.column_stack([head, levels - head.sum(axis=1)])  # the last bin takes the rest
     actions = [splits * (b / (levels * scen.grid.bin_width)) for b in scen.budgets.budget]
@@ -327,7 +327,7 @@ def stackelberg_finite(game: NormalFormGame, leader: int):
     """
     if game.player_count != 2:
         raise ValueError("stackelberg_finite supports exactly two players")
-    if leader not in (0, 1):
+    if isinstance(leader, bool) or not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
         raise ValueError("leader must be 0 or 1")
     # (leader action, follower action) tables of both players' payoffs
     lead, follow = (np.moveaxis(game.payoffs[..., n], leader, 0) for n in (leader, 1 - leader))
@@ -387,8 +387,8 @@ def optimize_ce(game: NormalFormGame, weights=None):
     if weights is None:
         weights = np.ones(game.player_count)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (game.player_count,):
-        raise ValueError("need one objective weight per player")
+    if weights.shape != (game.player_count,) or not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must hold one finite objective weight per player, not {weights!r}")
 
     c = game.payoffs.reshape(-1, game.player_count) @ weights
     a_ub = _ce_constraint_rows(game)

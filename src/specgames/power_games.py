@@ -27,7 +27,7 @@ from .spectrum import (
     PowerAllocation,
     PowerBudget,
     _effective_noise_raw,
-    _np_sum,
+    _integer,
     _rates,
     _water_fill_row,
     _water_fill_rows,
@@ -102,10 +102,10 @@ def _check_inputs(ch, noise, budgets, grid, users=2, leader=0, levels=None, min_
         raise ValueError(f"budgets must hold {n} entries, not {budgets.user_count}")
     if users is not None and n != users:
         raise ValueError(f"ch must have {users} users, not {n}")
-    if not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
+    if isinstance(leader, bool) or not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
         raise ValueError("leader must be 0 or 1")
-    if levels is not None and (not isinstance(levels, (int, np.integer)) or levels < min_levels):
-        raise ValueError(f"levels must be an integer of at least {min_levels}, not {levels!r}")
+    if levels is not None:
+        _integer(levels, "levels", min_levels)
     for w in map(np.array, weights):
         if len(w) != 2 or not (np.all(np.isfinite(w)) and np.all(w >= 0) and np.sum(w) > 0):
             raise ValueError(f"weights must be 2 finite nonnegative entries with positive sum, not {w!r}")
@@ -139,8 +139,7 @@ def iterative_water_filling(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    _integer(max_iter, "max_iter", 1)
     _check_inputs(ch, noise, budgets, grid, users=None)
     n_users, k = ch.user_count, ch.bin_count
 
@@ -148,16 +147,11 @@ def iterative_water_filling(
     psd = [[0.0] * k for _ in range(n_users)]
 
     def reply(n):
-        # the floor in numpy's order, sigma + (r_0 + r_1 + ...) - r_n: numpy
-        # sums a single bin's column pairwise, several bins row after row
-        received = [[p * g for p, g in zip(psd[j], gain2[j][n])] for j in range(n_users)]
-        if k == 1:
-            total = [_np_sum([r[0] for r in received])]
-        else:
-            total = received[0]
-            for r in received[1:]:
-                total = [a + b for a, b in zip(total, r)]
-        floor = [s + t - r for s, t, r in zip(sigma[n], total, received[n])]
+        # the floor of `_effective_noise_raw`, with the same operations in the same order
+        floor = sigma[n]
+        for j in range(n_users):
+            if j != n:
+                floor = [f + p * g for f, p, g in zip(floor, psd[j], gain2[j][n])]
         return _water_fill_row(gain2[n][n], floor, budget[n], grid.bin_width)
 
     def moved(n, row):
@@ -248,9 +242,9 @@ def stackelberg_leader_search(
     iterative-water-filling allocation, moving budget/levels of power
     between bin pairs until no such move strictly raises its rate (a local
     optimum of the descent) or no bin holds a full step.  The Nash
-    allocation is always the first candidate, so the leader never finishes
-    below its Nash rate.  A search that would price more than
-    MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError.
+    allocation is always the first candidate, so leader 0 never finishes
+    below its Nash rate (leader 1 can, within IW's tolerance).  A search
+    over MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError.
     The Nash point is iterative water-filling at its default settings;
     leader must be 0 or 1.
     """

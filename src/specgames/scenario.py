@@ -51,8 +51,8 @@ _POWER_KEYS = _COMMON_KEYS | {"grid", "channels", "noise", "budgets", "actions",
 _MATRIX_KEYS = _COMMON_KEYS | {"actions", "payoffs"}
 # learner entry key -> make_learner keyword
 _LEARNER_OPTIONS = {"action": "fixed_action", "start": "start_action"}
-# The rate kernel adds and subtracts a user's own signal around its noise
-# floor, keeping about 16 - log10(SNR) digits of it; past this SNR, under 4.
+# Water-filling keeps about 16 - log10(floor / budget) digits of a budget; past this
+# peak SNR one user's interference can leave another too few (budgets [1e20, 10] fail).
 MAX_PEAK_SNR = 1e12
 
 

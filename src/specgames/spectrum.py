@@ -9,6 +9,10 @@ treated as noise, in bits/s (log base 2):
 
     R_n = sum_k df * log2(1 + P_n(k) g_nn(k) / (sigma_n(k) + sum_{j!=n} P_j(k) g_jn(k)))
 
+The floor starts from sigma_n(k) and adds each P_j(k) g_jn(k), j != n, in
+index order, with the same operations on arrays (`_effective_noise_raw`) and
+on lists (iterative water-filling), so the two agree bit for bit.
+
 Single-user water-filling against a fixed noise-and-interference floor is
 solved exactly in finitely many steps: sort the per-bin floors, read the
 wet support off their cumulative sums, then solve the water level on that
@@ -23,8 +27,8 @@ algorithm and its arithmetic bit for bit:
   and numpy's per-call overhead would cost more than the arithmetic.
 
 The single-row kernel's sums go through `_np_sum`, which pins numpy's
-summation order in code.  One broadcast rate kernel prices a batch of
-joint allocations psd[..., N, K].
+summation order in code.  One broadcast rate kernel, `_rates`, prices a
+batch of joint allocations psd[..., N, K].
 """
 
 from __future__ import annotations
@@ -82,6 +86,16 @@ def _np_sum(values) -> float:
     return _np_sum(values[:half]) + _np_sum(values[half:])
 
 
+def _integer(value, name: str, least=None, most=None):
+    """Refuse a value that is not an integer (a bool is not) or lies outside least..most."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must be in {least}..{most}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Uniform discretization of the band [0, total_band] into bin_count bins."""
@@ -90,8 +104,7 @@ class FrequencyGrid:
     total_band: float
 
     def __post_init__(self):
-        if not isinstance(self.bin_count, (int, np.integer)) or self.bin_count < 1:
-            raise ValueError("bin_count must be a positive integer")
+        _integer(self.bin_count, "bin_count", 1)
         if not np.isfinite(self.total_band) or self.total_band <= 0:
             raise ValueError("total_band must be a positive real")
         if abs(self.bin_width * self.bin_count - self.total_band) > 1e-12 * self.total_band:
@@ -227,14 +240,16 @@ def _check_consistent(user, alloc, channels, noise):
         raise ValueError(f"allocation shape {alloc.psd.shape} does not match channels ({n}, {k})")
     if noise.psd.shape != (n, k):
         raise ValueError(f"noise shape {noise.psd.shape} does not match channels ({n}, {k})")
-    if not 0 <= user < n:
-        raise ValueError(f"user index {user} out of range for {n} users")
+    _integer(user, "user", 0, n - 1)
 
 
 def _effective_noise_raw(user: int, psd: np.ndarray, gain2: np.ndarray, noise_psd: np.ndarray) -> np.ndarray:
-    """Noise plus interference at one receiver for psd[..., N, K], per bin."""
-    received = psd * gain2[:, user, :]
-    return noise_psd[user] + received.sum(axis=-2) - received[..., user, :]
+    """Noise plus interference at one receiver for psd[..., N, K], per bin, in index order."""
+    floor = noise_psd[user].copy()
+    for j in range(psd.shape[-2]):
+        if j != user:
+            floor = floor + psd[..., j, :] * gain2[j, user]
+    return floor
 
 
 def effective_noise(user: int, alloc: PowerAllocation, channels: ChannelSet, noise: NoiseProfile) -> np.ndarray:
@@ -385,10 +400,8 @@ def generate_multipath_channels(
     magnitudes of the K-point discrete frequency response.  Deterministic
     for a fixed seed.
     """
-    if tap_count < 1:
-        raise ValueError("tap_count must be at least 1")
-    if user_count < 1:
-        raise ValueError("user_count must be at least 1")
+    _integer(tap_count, "tap_count", 1)
+    _integer(user_count, "user_count", 1)
     if direct_power < 0 or cross_power < 0:
         raise ValueError("tap powers must be nonnegative")
 

@@ -81,6 +81,25 @@ def test_ensemble_leader_never_loses():
     assert np.all(report.ratios > 0.0)
 
 
+@pytest.mark.parametrize("bins", [2, 4, 8])
+def test_ensemble_leader_zero_never_below_nash_exactly(bins):
+    # Gauss-Seidel order leaves user 1's final row as its reply to user 0's
+    # final row, so the follower answers leader 0's Nash row with its Nash row
+    grid = sg.FrequencyGrid(bins, float(bins))
+    for budget in (10.0, 100.0):
+        budgets = sg.PowerBudget(np.array([budget, budget]))
+        report = sg.channel_ensemble_study(200, 7, grid, budgets, leader=0)
+        assert np.all(report.ratios[:, 0] >= 1.0)
+
+
+@pytest.mark.parametrize("realizations", [2.5, True, "3"])
+def test_ensemble_refuses_a_non_integer_count(realizations):
+    grid = sg.FrequencyGrid(2, 2.0)
+    budgets = sg.PowerBudget(np.array([10.0, 10.0]))
+    with pytest.raises(ValueError, match="^realizations must be an integer"):
+        sg.channel_ensemble_study(realizations, 7, grid, budgets)
+
+
 def test_ensemble_report_shape_and_determinism():
     grid = sg.FrequencyGrid(8, 8.0)
     budgets = sg.PowerBudget(np.array([100.0, 100.0]))

@@ -295,6 +295,35 @@ def test_joint_distribution_marginals(contention):
         sg.JointDistribution.from_flat([0.5, 0.2, 0.2, 0.2], (2, 2))
 
 
+@pytest.mark.parametrize("player", [2, -1, True, 0.5])
+def test_marginal_refuses_a_player_out_of_range(player):
+    dist = sg.JointDistribution.from_flat([0.1, 0.2, 0.3, 0.4], (2, 2))
+    with pytest.raises(ValueError, match="^player must"):
+        dist.marginal(player)
+
+
+def test_non_finite_distributions_are_refused(contention):
+    # a NaN entry slips past the sign and sum checks, and would certify as a CE
+    for probs in ([np.nan, 0.5, 0.5, 0.0], [np.nan] * 4):
+        with pytest.raises(ValueError, match="finite"):
+            sg.JointDistribution.from_flat(probs, contention.action_counts)
+    for probs in ([np.nan, 1.0], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            sg.MixedStrategy(np.array(probs))
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0]])
+def test_optimize_ce_refuses_non_finite_weights(contention, weights):
+    with pytest.raises(ValueError, match="^weights"):
+        sg.optimize_ce(contention, weights=weights)
+
+
+@pytest.mark.parametrize("levels", [2.5, True, "3"])
+def test_discretize_refuses_non_integer_levels(two_channel, levels):
+    with pytest.raises(ValueError, match="^levels must be an integer"):
+        sg.discretize_power_game(two_channel, levels=levels)
+
+
 # Per-profile loop definitions of the solution concepts; the array forms in
 # matrix_games and the complete-knowledge branch of value_of_knowledge must
 # reproduce them exactly, ties and summation order included.

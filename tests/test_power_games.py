@@ -96,7 +96,7 @@ def test_iw_non_convergence_is_data(two_channel):
 
 @pytest.mark.parametrize("options", [
     {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
-    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": float("inf")}, {"max_iter": "5"},
+    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": float("inf")}, {"max_iter": "5"}, {"max_iter": True},
 ])
 def test_iw_refuses_bad_tolerance_and_sweep_cap(options, two_channel):
     name = next(iter(options))
@@ -159,7 +159,7 @@ def test_iw_matches_reference_loop(bins):
 
 @pytest.mark.parametrize("users, bins", [(3, 8), (9, 1), (9, 2)])
 def test_iw_matches_reference_loop_many_users(users, bins):
-    # with one bin numpy sums the interference column pairwise from 8 users on
+    # many users: each floor adds every interferer, one at a time in index order
     grid = sg.FrequencyGrid(bins, float(bins))
     noise = sg.NoiseProfile(np.random.default_rng([9191, users, bins]).uniform(0.5, 2.0, (users, bins)))
     budgets = sg.PowerBudget(np.linspace(10.0, 100.0, users))
@@ -210,7 +210,7 @@ def test_follower_response_at_nash(two_channel):
     assert row == pytest.approx(res.allocation.psd[1], abs=1e-7)
 
 
-@pytest.mark.parametrize("leader", [2, -1])
+@pytest.mark.parametrize("leader", [2, -1, True, 1.0])
 def test_leader_outside_two_players_rejected(two_channel, two_channel_game, leader, monkeypatch):
     with pytest.raises(ValueError, match="leader must be 0 or 1"):
         sg.stackelberg_finite(two_channel_game, leader)
@@ -662,6 +662,8 @@ THREE_USERS = {"ch": sg.ChannelSet(np.ones((3, 3, 4))), "noise": sg.NoiseProfile
     ("pareto_sweep", ([[1.0, np.nan]],), {}, {}, "weights"),
     ("pareto_sweep", ([[1.0, 1.0, 1.0]],), {}, {}, "weights"),
     ("grid_dominance_margin", ([1.0, 1.0, 1.0],), {}, {}, "target_rates"),
+    ("pareto_sweep", ([[1.0, 1.0]],), {}, {"levels": True}, "levels"),
+    ("follower_response_rates", (True, [2.5] * 4), {}, {}, "leader must be 0 or 1"),
 ])
 def test_power_game_entry_points_refuse_bad_input(entry, lead, swap, kwargs, field):
     call = power_input_case(grid_scenario(4, 4343), entry, lead, swap, kwargs)
@@ -682,6 +684,27 @@ def reference_joint_grid_rates(scen, levels):
         r1 = (np.log2(1.0 + row1 * g11 / (sigma1 + cands2 * g21))).sum(axis=1) * df
         r2 = (np.log2(1.0 + cands2 * g22 / (sigma2 + row1 * g12))).sum(axis=1) * df
         yield r1, r2
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 4])
+def test_joint_grid_rates_equal_the_rate_kernel(bins):
+    # the term tables use the rate kernel's floor, and under 8 bins numpy sums
+    # a row's log terms in bin order, as the oracle does
+    levels = 6
+    grid = sg.FrequencyGrid(bins, float(bins))
+    noise = sg.NoiseProfile(np.random.default_rng([4242, bins]).uniform(0.5, 2.0, (2, bins)))
+    budgets = sg.PowerBudget(np.array([100.0, 10.0]))
+    splits = _budget_splits(levels, bins)
+    psd = np.empty((len(splits), len(splits), 2, bins))
+    psd[:, :, 0] = (splits * (budgets.budget[0] / (levels * grid.bin_width)))[:, None]
+    psd[:, :, 1] = (splits * (budgets.budget[1] / (levels * grid.bin_width)))[None, :]
+    for idx in range(5):
+        ch = ensemble_channels(4242, idx, grid)
+        expected = _rates(psd, ch.gain2, noise.psd, grid.bin_width)
+        blocks = list(_joint_grid_rates(ch, noise, budgets, grid, levels))
+        for user in range(2):
+            oracle = np.concatenate([block[user] for block in blocks])
+            assert oracle.tobytes() == expected[..., user].tobytes()
 
 
 def reference_pareto_argmax(scen, levels, weight_list):

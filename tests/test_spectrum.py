@@ -19,6 +19,8 @@ def test_grid_invariants():
     with pytest.raises(ValueError):
         sg.FrequencyGrid(0, 1.0)
     with pytest.raises(ValueError):
+        sg.FrequencyGrid(True, 1.0)
+    with pytest.raises(ValueError):
         sg.FrequencyGrid(4, -1.0)
 
 
@@ -75,6 +77,16 @@ def test_effective_noise_dimension_mismatch(two_channel):
     good = sg.PowerAllocation(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         sg.effective_noise(5, good, two_channel.channels, two_channel.noise)
+
+
+@pytest.mark.parametrize("user", [2, -1, True, 1.0])
+def test_rate_functions_refuse_a_bad_user(two_channel, user):
+    alloc = sg.PowerAllocation(np.zeros((2, 2)))
+    args = (alloc, two_channel.channels, two_channel.noise)
+    with pytest.raises(ValueError, match="^user must be"):
+        sg.effective_noise(user, *args)
+    with pytest.raises(ValueError, match="^user must be"):
+        sg.achievable_rate(user, *args, two_channel.grid)
 
 
 def test_rate_concentrate_spread(two_channel):
@@ -206,6 +218,16 @@ def test_generator_tap_power_normalization():
             for j in range(2):
                 target = 1.0 if i == j else 0.5
                 assert ch.gain2[i, j].mean() == pytest.approx(target, abs=1e-12)
+
+
+@pytest.mark.parametrize("options", [
+    {"tap_count": 2.5}, {"tap_count": True}, {"tap_count": 0}, {"user_count": 1.5}, {"user_count": False},
+])
+def test_generator_refuses_non_integer_counts(options):
+    name = next(iter(options))
+    kwargs = {"tap_count": 3, **options}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sg.generate_multipath_channels(0, sg.FrequencyGrid(4, 4.0), **kwargs)
 
 
 def test_generator_determinism():
