@@ -459,6 +459,9 @@ def main(argv=None) -> int:
     except (SpectrumGameError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

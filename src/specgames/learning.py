@@ -23,8 +23,8 @@ from a list of own-action rows, one per opponent profile, and keeps its
 accumulators as Python floats; its uniforms come from its own rng in blocks
 of at most _DRAW_BLOCK rounds, the same stream as one `random()` per round.
 Elementwise float arithmetic is the same IEEE operation in Python and numpy,
-and the one reduction, `1 - probs.sum()`, goes through `_np_sum`, which pins
-numpy's summation order in code; so traces do not depend on how numpy sums.
+and the two sums (the switch mass and the propensity total) add in index
+order, one entry after another; so traces do not depend on how numpy sums.
 Fictitious play is the exception: its belief-weighted payoffs go through a
 numpy matrix product every round, whose summation order is BLAS's.
 """
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import add, itemgetter
 
 import numpy as np
 
 from .matrix_games import JointDistribution, NormalFormGame, _own_payoffs
-from .spectrum import _integer, _np_sum
+from .spectrum import _integer
 
 __all__ = [
     "LEARNER_KINDS",
@@ -148,7 +148,7 @@ def _regret_matching_probs(sums, seen: int, last, inertia: float) -> list:
     else:
         probs = [0.0] * k
     probs[last] = 0.0
-    probs[last] = 1.0 - _np_sum(probs)
+    probs[last] = 1.0 - reduce(add, probs, 0.0)
     return probs
 
 
@@ -178,7 +178,7 @@ def _reinforcement_pick(props, rng, draw=None) -> int:
     `draw` is the round's uniform if the caller drew it ahead, else it is
     drawn from `rng` here.
     """
-    total = _np_sum(props)
+    total = reduce(add, props, 0.0)
     if total <= 0.0:
         return int(rng.integers(len(props)))
     return _sample([w / total for w in props], rng.random() if draw is None else draw)

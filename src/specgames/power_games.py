@@ -309,8 +309,8 @@ def _joint_grid_rates(ch, noise, budgets, grid, levels):
     all M user-2 splits, lexicographic, with B*M about BLOCK_SIZE.  Grids
     over MAX_ORACLE_EVALUATIONS pairs are refused with OracleScaleError.
     """
+    _check_scale(math.comb(levels + grid.bin_count, grid.bin_count) ** 2, "joint evaluations")
     splits = _budget_splits(levels, grid.bin_count)
-    _check_scale(len(splits) ** 2, "joint evaluations")
     df = grid.bin_width
     p1, p2 = (np.arange(levels + 1) * (b / (levels * df)) for b in budgets.budget)
     g, sigma, p1 = ch.gain2[..., None, None], noise.psd[..., None, None], p1[:, None]

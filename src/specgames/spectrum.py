@@ -14,10 +14,11 @@ index order, with the same operations on arrays (`_effective_noise_raw`) and
 on lists (iterative water-filling), so the two agree bit for bit.
 
 Single-user water-filling against a fixed noise-and-interference floor is
-solved exactly in finitely many steps: sort the per-bin floors, read the
-wet support off their cumulative sums, then solve the water level on that
-support (Palomar & Fonollosa, IEEE TSP 2005).  Two kernels share that
-algorithm and its arithmetic bit for bit:
+solved exactly in finitely many steps: sort the per-bin floors; the wet
+support is the longest prefix with s_m < (target + s_1 + ... + s_m) / m,
+and the water level is that quantity at the support size (Palomar &
+Fonollosa, IEEE TSP 2005).  One running sum of the sorted floors gives
+both.  Two kernels share that algorithm and its arithmetic bit for bit:
 
 * `_water_fill_rows` fills a whole batch of floor rows (B, K) in numpy; the
   follower replies, the leader's candidate grid and the descent trials use
@@ -26,15 +27,17 @@ algorithm and its arithmetic bit for bit:
   and iterative water-filling use it, where each reply waits on the last
   and numpy's per-call overhead would cost more than the arithmetic.
 
-The single-row kernel's sums go through `_np_sum`, which pins numpy's
-summation order in code.  One broadcast rate kernel, `_rates`, prices a
-batch of joint allocations psd[..., N, K].
+Every sum in the two water-fill kernels adds in a fixed order, one entry
+after another, so neither depends on how numpy sums.  One broadcast rate
+kernel, `_rates`, prices a batch of joint allocations psd[..., N, K].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import inf
+from operator import add
 
 import numpy as np
 
@@ -56,34 +59,6 @@ __all__ = [
 
 # Relative slack allowed on the per-user power budget of any allocation.
 BUDGET_RTOL = 1e-9
-
-
-def _np_sum(values) -> float:
-    """Sum a list of floats in the order np.add.reduce sums a contiguous float64 vector.
-
-    Fewer than 8 entries add in sequence; up to 128 entries add into 8
-    interleaved accumulators, combined as a tree, then the tail; longer
-    vectors split in two at a multiple of 8.  Every branch starts from 0.0,
-    as numpy adds its pairwise sum to the identity 0.0.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        m = n - n % 8
-        r = values[:8]
-        for i in range(8, m, 8):
-            r = [a + b for a, b in zip(r, values[i:i + 8])]
-        total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-        for v in values[m:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _np_sum(values[:half]) + _np_sum(values[half:])
 
 
 def _integer(value, name: str, least=None, most=None):
@@ -295,8 +270,10 @@ def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bi
     A bin is usable when its floor noise/gain is finite, so zero and
     vanishingly small gains get no power.  With the floors of a row sorted,
     s_1 <= ... <= s_K, the wet support is the longest prefix with
-    s_m < (target + s_1 + ... + s_m) / m; the level is then solved exactly
-    on that support, summing the wet floors in bin order.
+    s_m < (target + s_1 + ... + s_m) / m, and the level is that quantity at
+    the support size, read off the same running sum.  Floors tied with the
+    highest floor of the support are wet too.  The budget check sums each
+    filled row in bin order, one entry after another.
     """
     target = budget / bin_width  # total PSD mass to spend
     with np.errstate(divide="ignore", over="ignore"):
@@ -304,24 +281,18 @@ def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bi
     ordered = np.sort(floors, axis=-1)
     if ordered[:, 0].max() == np.inf:
         raise NoUsableSpectrumError("no usable spectrum: every channel gain is zero or too small")
-    below = ordered < (target + ordered.cumsum(axis=-1)) / np.arange(1, floors.shape[-1] + 1)
+    running = ordered.cumsum(axis=-1)
+    below = ordered < (target + running) / np.arange(1, floors.shape[-1] + 1)
     # the highest floor of the support, or the lowest floor if none qualifies
     prefix = np.logical_and.accumulate(below, axis=-1)
     wet = floors <= np.where(prefix, ordered, ordered[:, :1]).max(axis=-1, keepdims=True)
     count = wet.sum(axis=-1)
-
-    # Each sum runs over one row's wet floors alone, in bin order, exactly as
-    # a one-dimensional sum of that support; rows are grouped by its size.
-    sizes = set(count.tolist())
-    wet_sum = np.empty(len(floors))
-    for size in sizes:
-        rows = count == size if len(sizes) > 1 else slice(None)
-        wet_sum[rows] = floors[rows][wet[rows]].reshape(-1, size).sum(axis=-1)
-    level = (target + wet_sum) / count
+    # the wet floors are the first `count` sorted floors, ties at the line included
+    level = (target + running[np.arange(len(count)), count - 1]) / count
 
     # a wet floor tied at the water line can round to just above the level
     filled = np.where(wet, np.maximum(level[:, None] - floors, 0.0), 0.0)
-    spent = filled.sum(axis=-1) * bin_width
+    spent = filled.cumsum(axis=-1)[:, -1] * bin_width
     miss = np.abs(spent - budget)
     if miss.max() > BUDGET_RTOL * budget:
         worst = int(np.argmax(miss))
@@ -333,28 +304,32 @@ def _water_fill_row(gain, noise, budget: float, bin_width: float) -> list:
     """Water-fill one floor row against one gain row, both lists of floats.
 
     One row of `_water_fill_rows` on Python floats, with the same arithmetic
-    in the same order (a running sum scans the sorted floors, both sums go
-    through `_np_sum` in bin order), so the two agree bit for bit.
+    in the same order (one running sum over the sorted floors sets both the
+    support and the level, the budget check adds in bin order), so the two
+    agree bit for bit.
     """
     target = budget / bin_width
     floors = [s / g if g > 0.0 else inf for s, g in zip(noise, gain)]
     ordered = sorted(floors)
     if ordered[0] == inf:
         raise NoUsableSpectrumError("no usable spectrum: every channel gain is zero or too small")
-    # the highest floor of the support, or the lowest floor if none qualifies
+    # the highest floor of the support, or the lowest floor if none
+    # qualifies; the scan goes on over floors tied with it, which are wet
     line = ordered[0]
-    total = 0.0
+    total, count, support = 0.0, 0, True
     for m, s in enumerate(ordered, 1):
-        total += s
-        if not s < (target + total) / m:
+        running = total + s
+        support = support and s < (target + running) / m
+        if support:
+            line = s
+        elif s > line:
             break
-        line = s
-    wet = [f for f in floors if f <= line]
-    level = (target + _np_sum(wet)) / len(wet)
+        total, count = running, m
+    level = (target + total) / count
     # a wet floor tied at the water line can round to just above the level;
     # max(d, 0.0) clips it exactly as np.maximum(d, 0.0) does, NaN included
     filled = [max(level - f, 0.0) if f <= line else 0.0 for f in floors]
-    spent = _np_sum(filled) * bin_width
+    spent = reduce(add, filled, 0.0) * bin_width
     if abs(spent - budget) > BUDGET_RTOL * budget:
         raise ArithmeticError(f"water-filling failed: spent {spent!r} of {float(budget)!r}")
     return filled

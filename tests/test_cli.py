@@ -228,6 +228,31 @@ def test_oversize_leader_grid_is_a_numerical_failure(tmp_path, scenario_dir, cap
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+def test_oversize_joint_grid_is_a_numerical_failure(tmp_path, scenario_dir, capsys):
+    # the grid at 10**7 levels would need a 364 TiB split table; the cap refuses it first
+    doc = json.loads((scenario_dir / "fig6.json").read_text(encoding="utf-8"))
+    doc["sweeps"]["levels"] = 10**7
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "pareto", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("numerical failure: oracle scale exceeded: ")
+    assert err.endswith(" joint evaluations over cap 4000000\n") and err.count("\n") == 1
+    assert out == "" and list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("contention.json", ("learn", "--rounds", "10000000000000")),
+    ("ensemble_default.json", ("ensemble", "--realizations", "10000000000000")),
+])
+def test_unallocatable_run_is_a_one_line_failure(tmp_path, scenario_dir, capsys, config, argv):
+    # numpy refuses the 146 TiB record at once, before allocating anything
+    code, out, err = run(capsys, *argv, "--config", str(scenario_dir / config), "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("out of memory: Unable to allocate ") and err.count("\n") == 1
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,7 +16,6 @@ from specgames.learning import (
     make_learner,
 )
 from specgames.matrix_games import _own_payoffs
-from specgames.spectrum import _np_sum
 
 
 # Reference engine: the numpy per-round loop that the list-based loop of
@@ -481,16 +480,6 @@ def test_run_refuses_learners_built_for_another_game(contention, two_channel):
     for learners, message in ((fixed, "learner 1: fixed_action 2"), (myopic, "learner 0: start_action 5")):
         with pytest.raises(ValueError, match=message):
             sg.run_repeated_game(contention, learners, 5, seed=0)
-
-
-def test_np_sum_matches_numpy_summation_order():
-    # sequential below 8 entries, 8 accumulators up to 128, pairwise above
-    rng = np.random.default_rng(2024)
-    for n in range(1, 301):
-        for _ in range(3):
-            x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-12, 13, n)
-            x[rng.random(n) < 0.1] = -0.0
-            assert np.float64(_np_sum(x.tolist())).tobytes() == np.add.reduce(x).tobytes(), n
 
 
 ENGINE_GAMES = ("2x2", "8x8", "11x11", "4x2x3", "zero-span")

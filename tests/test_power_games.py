@@ -610,6 +610,22 @@ def test_leader_grid_over_the_cap_is_refused_before_it_is_built(monkeypatch):
         sg.stackelberg_leader_search(*args, levels=10)
 
 
+def test_joint_grid_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    scen = flat_symmetric_scenario()
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+    # 61 levels on two bins are 1,953^2 = 3,814,209 joint pairs, 62 are 2,016^2 = 4,064,256
+    assert math.comb(63, 2) ** 2 <= power_games.MAX_ORACLE_EVALUATIONS < math.comb(64, 2) ** 2
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the oracle built its grid before refusing")
+
+    monkeypatch.setattr(power_games, "_budget_splits", no_work)
+    with pytest.raises(OracleScaleError, match="^oracle scale exceeded: 4064256 joint evaluations over cap 4000000$"):
+        sg.pareto_sweep([[1.0, 1.0]], *args, levels=62)
+    with pytest.raises(OracleScaleError, match="4064256 joint evaluations"):
+        sg.grid_dominance_margin([1.0, 1.0], *args, levels=62)
+
+
 def test_leader_descent_over_the_cap_is_refused(monkeypatch):
     scen = draw_23_scenario()
     args = (0, scen.channels, scen.noise, scen.budgets, scen.grid)

@@ -292,7 +292,8 @@ def bisection_water_fill(gain, noise_psd, budget, grid):
     if not wet.any():
         wet = floors == floors.min()
     while True:
-        level = (target + floors[wet].sum()) / wet.sum()
+        # the wet floors summed in sorted order, one after another
+        level = (target + np.sort(floors[wet]).cumsum()[-1]) / wet.sum()
         flooded = wet & (floors > level)
         if not flooded.any():
             break
@@ -361,7 +362,7 @@ def assert_row_kernel_matches_batch(gain, noise, budget, width):
 
 
 def test_single_row_kernel_matches_batch_kernel():
-    # every _np_sum branch: sequential below 8 bins, 8 accumulators to 128, split above
+    # every support size from 1 to 300 bins, overflowing floors included
     for bins in range(1, 301):
         for idx in range(3):
             rng = np.random.default_rng([7070, bins, idx])
@@ -370,6 +371,46 @@ def test_single_row_kernel_matches_batch_kernel():
             gain[rng.random(bins) < 0.05] = rng.choice([1e-300, 1e-320, 5e-324])  # floors overflow
             width = float(rng.choice([0.25, 1.0, 3.0]))
             assert assert_row_kernel_matches_batch(gain.tolist(), noise.tolist(), budget, width) is None
+
+
+def closed_form_fill(gain, noise, budget, width):
+    """The level (target + s_1 + ... + s_c) / c over the sorted floors, summed in sorted order.
+
+    c counts the floors at or below the highest floor of the support (the
+    longest prefix with s_m < (target + s_1 + ... + s_m) / m, else the lowest
+    floor), ties included.
+    """
+    target = budget / width
+    with np.errstate(divide="ignore"):
+        floors = noise / gain
+    ordered = np.sort(floors)
+    sums = np.cumsum(ordered)
+    below = ordered < (target + sums) / np.arange(1, len(floors) + 1)
+    support = len(floors) if below.all() else max(1, int(np.argmin(below)))
+    wet = floors <= ordered[support - 1]
+    count = int(wet.sum())
+    level = (target + sums[count - 1]) / count
+    return np.where(wet, np.maximum(level - floors, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("bins", [3, 8, 9, 64, 257])
+def test_kernels_read_the_level_off_the_sorted_running_sum(bins):
+    for idx in range(200):
+        rng = np.random.default_rng([8080, bins, idx])
+        gain, noise, budget = kernel_instance(rng, bins)
+        noise *= 10.0 ** rng.uniform(-1.0, 1.0, bins)  # support sizes over the whole range
+        if idx % 2:
+            noise[rng.random(bins) < 0.3] = noise[int(rng.integers(bins))]  # tied runs
+        width = float(rng.choice([0.5, 1.0, 3.0]))
+        expect = closed_form_fill(gain, noise, budget, width).tobytes()
+        assert np.array(_water_fill_row(gain.tolist(), noise.tolist(), budget, width)).tobytes() == expect, idx
+        assert _water_fill_rows(gain, noise[None], budget, width)[0].tobytes() == expect, idx
+    # past about 128 tied floors (target + running) / m rounds onto the tie and
+    # the support test fails, yet every floor tied with the line is wet
+    gain, noise, budget = np.ones(bins), np.r_[0.5, np.ones(bins - 1)], 0.5 + 1e-14
+    expect = closed_form_fill(gain, noise, budget, 1.0)
+    assert np.array(_water_fill_row(gain.tolist(), noise.tolist(), budget, 1.0)).tobytes() == expect.tobytes()
+    assert _water_fill_rows(gain, noise[None], budget, 1.0)[0].tobytes() == expect.tobytes()
 
 
 def test_single_row_kernel_ties_at_the_water_line():
