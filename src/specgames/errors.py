@@ -15,7 +15,7 @@ class NoUsableSpectrumError(SpectrumGameError):
 
 
 class OracleScaleError(SpectrumGameError):
-    """A brute-force oracle was invoked above its configured size cap."""
+    """A grid oracle or leader search was asked for more work than its size cap."""
 
 
 class DegenerateGameError(SpectrumGameError):

@@ -8,8 +8,10 @@ power budget.  Three solution routes are provided:
 * a leader-commitment search for two users, where the leader explores its
   candidate allocations while the follower always water-fills against the
   leader's interference (the bi-level structure of heterogeneous knowledge);
-* a brute-force weighted rate-sum oracle over a budget-splitting grid, used
-  as the Pareto reference for rate-region comparisons.
+* an exact weighted rate-sum oracle over a budget-splitting grid, used as
+  the Pareto reference for rate-region comparisons: a per-bin dynamic
+  program bounds the grid, and the pairs the bound cannot rule out are
+  priced as an exhaustive scan would price them.
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ __all__ = [
     "grid_dominance_margin",
 ]
 
-# Joint grid pairs the oracle, or leader candidates the leader search, may
-# price before refusing; covers two users, four bins, twenty levels.
+# Joint grid pairs the oracles may range over, or leader candidates the
+# leader search may price, before refusing; covers two users, four bins,
+# twenty levels.
 MAX_ORACLE_EVALUATIONS = 4_000_000
-# Joint pairs or leader candidates priced per numpy call (temporaries ~128 KB).
+# Joint pairs, prefix bounds or leader candidates priced per numpy call
+# (temporaries ~128 KB).
 BLOCK_SIZE = 1 << 14
 
 
@@ -107,7 +111,7 @@ def _check_inputs(ch, noise, budgets, grid, users=2, leader=0, levels=None, min_
     if levels is not None:
         _integer(levels, "levels", min_levels)
     for w in map(np.array, weights):
-        if len(w) != 2 or not (np.all(np.isfinite(w)) and np.all(w >= 0) and np.sum(w) > 0):
+        if len(w) != 2 or not (np.all(np.isfinite(w)) and np.all(w >= 0) and np.any(w > 0)):
             raise ValueError(f"weights must be 2 finite nonnegative entries with positive sum, not {w!r}")
     if target is not None and (target.shape != (2,) or not np.all(np.isfinite(target))):
         raise ValueError(f"target_rates must be 2 finite rates, not {target!r}")
@@ -257,24 +261,29 @@ def stackelberg_leader_search(
     step = budgets.budget[leader] / (levels * grid.bin_width)
     evaluated = 0
 
-    def best_of(rows):
-        # priced in blocks of BLOCK_SIZE rows; ties keep the first row, as a
-        # scan accepting only strict improvements would
+    def best_of(blocks):
+        # ties keep the first row, as a scan accepting only strict
+        # improvements would
         nonlocal evaluated
-        evaluated += len(rows)
         best = None
-        for start in range(0, len(rows), BLOCK_SIZE):
-            replies, rates = _follower_replies(leader, rows[start:start + BLOCK_SIZE], ch, noise, budgets, grid)
+        for rows in blocks:
+            evaluated += len(rows)
+            replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
             i = int(np.argmax(rates[:, leader]))
             if best is None or rates[i, leader] > best[2][leader]:
-                best = rows[start + i], replies[i], rates[i]
+                best = rows[i], replies[i], rates[i]
         return best
 
     if bins <= 4:
-        candidates = _budget_splits(levels, bins) * step
-        best_row, best_reply, best_rates = best_of(np.vstack([ne_row, candidates]))
+        # blocks of BLOCK_SIZE rows, the Nash row first; a block's integer
+        # splits are scaled only when it is priced
+        splits = _budget_splits(levels, bins)
+        best_row, best_reply, best_rates = best_of(
+            np.vstack([ne_row, splits[:start + BLOCK_SIZE] * step]) if start < 0 else splits[start:start + BLOCK_SIZE] * step
+            for start in range(-1, len(splits), BLOCK_SIZE)
+        )
     else:
-        best_row, best_reply, best_rates = best_of(ne_row[None])
+        best_row, best_reply, best_rates = best_of([ne_row[None]])
         pairs = np.array([(src, dst) for src in range(bins) for dst in range(bins) if dst != src])
         # each accepted move strictly raises the leader's rate, so this ends
         while True:
@@ -285,7 +294,7 @@ def stackelberg_leader_search(
             trials = np.repeat(best_row[None], len(src), axis=0)
             trials[np.arange(len(src)), src] -= step
             trials[np.arange(len(src)), dst] += step
-            move = best_of(trials)
+            move = best_of(trials[start:start + BLOCK_SIZE] for start in range(0, len(trials), BLOCK_SIZE))
             if move[2][leader] <= best_rates[leader]:
                 break
             best_row, best_reply, best_rates = move
@@ -300,24 +309,36 @@ def stackelberg_leader_search(
     )
 
 
-def _joint_grid_rates(ch, noise, budgets, grid, levels):
-    """Rate pairs over the joint budget-splitting grid, in bounded blocks.
+def _term_tables(ch, noise, budgets, grid, levels):
+    """Both users' per-bin log2 rate terms over the joint grid's levels.
 
-    Every pair of splits (totals up to the budget, so silence is allowed) is
-    priced from per-bin (K, L+1, L+1) tables of log2 terms, summed in bin
-    order; each step yields both users' rates (B, M) for B user-1 splits by
-    all M user-2 splits, lexicographic, with B*M about BLOCK_SIZE.  Grids
-    over MAX_ORACLE_EVALUATIONS pairs are refused with OracleScaleError.
+    term[k, a, b] is bin k's term with user 1 at level a and user 2 at level
+    b, on the rate kernel's floor for two users; a rate is df times the sum
+    of its bins' terms.  Grids over MAX_ORACLE_EVALUATIONS joint pairs are
+    refused with OracleScaleError before anything is built.
     """
     _check_scale(math.comb(levels + grid.bin_count, grid.bin_count) ** 2, "joint evaluations")
-    splits = _budget_splits(levels, grid.bin_count)
     df = grid.bin_width
     p1, p2 = (np.arange(levels + 1) * (b / (levels * df)) for b in budgets.budget)
     g, sigma, p1 = ch.gain2[..., None, None], noise.psd[..., None, None], p1[:, None]
-    # term[k, a, b] for bin k, user 1 at level a, user 2 at level b; each
-    # bin's user-2 columns are gathered once, then rows per block
-    terms = (np.log2(1.0 + p1 * g[0, 0] / (sigma[0] + p2 * g[1, 0])),
-             np.log2(1.0 + p2 * g[1, 1] / (sigma[1] + p1 * g[0, 1])))
+    terms = (p1 * g[0, 0] / (sigma[0] + p2 * g[1, 0]), p2 * g[1, 1] / (sigma[1] + p1 * g[0, 1]))
+    for t in terms:  # log2(1 + x) in place, one table-sized array per user
+        t += 1.0
+        np.log2(t, out=t)
+    return terms
+
+
+def _joint_grid_rates(ch, noise, budgets, grid, levels, terms=None):
+    """Rate pairs over the joint budget-splitting grid, in bounded blocks.
+
+    Every pair of splits (totals up to the budget, so silence is allowed) is
+    priced from the `_term_tables` (built here unless given), summed in bin
+    order; each step yields both users' rates (B, M) for B user-1 splits by
+    all M user-2 splits, lexicographic, with B*M about BLOCK_SIZE.
+    """
+    terms = terms or _term_tables(ch, noise, budgets, grid, levels)
+    splits = _budget_splits(levels, grid.bin_count)
+    # each bin's user-2 columns are gathered once, then rows per block
     columns = [[t[k][:, col] for k, col in enumerate(splits.T)] for t in terms]
     rows = max(1, BLOCK_SIZE // len(splits))
     for block in np.split(splits.T, range(rows, len(splits), rows), axis=1):
@@ -325,8 +346,145 @@ def _joint_grid_rates(ch, noise, budgets, grid, levels):
         for r, cols in zip(rates, columns):
             for col, user1_levels in zip(cols[1:], block[1:]):
                 r += col[user1_levels]
-            r *= df
+            r *= grid.bin_width
         yield rates
+
+
+def _pareto_bounds(t1, t2, w, df):
+    """Dynamic-program bounds of the weighted rate sums for weight rows w (G, 2).
+
+    Returns c[g, k, a, b] = w'[g, 0] t1[k, a, b] + w'[g, 1] t2[k, a, b], with
+    w' = w 2**-e for one e per row so that no sum overflows; the suffix
+    tables tails[k - 1] (flat), where [g, L - u, L - v + b] holds V_k[u, v - b],
+    the best sum of c over bins k.. with at most u and v levels left (-inf
+    past either budget); each root row's best bound, best_of_row[g, a] =
+    max over b of c[g, 0, a, b] + V_1[L - a, L - b]; and per row the floor
+    that no prefix of a pair the scan could return falls below.
+    """
+    count, (bins, n, _) = len(w), t1.shape
+    e = np.frexp(w.max(axis=1))[1]
+    scaled = np.ldexp(w, -e[:, None])
+    c = scaled[:, 0, None, None, None] * t1
+    for lo in range(0, t2.size, BLOCK_SIZE):  # without a second table-sized temporary
+        c.reshape(count, -1)[:, lo:lo + BLOCK_SIZE] += scaled[:, 1, None] * t2.reshape(-1)[lo:lo + BLOCK_SIZE]
+    tails = np.full((bins - 1, count, 2 * n - 1, 2 * n - 1), -np.inf)
+    if bins > 1:
+        # V_{K-1} is a 2-D running max, each earlier V one (max, +) step
+        v = np.maximum.accumulate(np.maximum.accumulate(c[:, -1], axis=1), axis=2)
+        level = np.arange(n)
+        shift = np.where(level[:, None] >= level, level[:, None] - level, n)  # [v, b] -> v - b, or n
+        for k in range(bins - 1, 0, -1):
+            if k < bins - 1:
+                ext = np.concatenate([v, np.full((count, n, 1), -np.inf)], axis=2)
+                v = np.full_like(v, -np.inf)
+                for a in range(n):  # rows u >= a, user 1 at level a in bin k
+                    np.maximum(v[:, a:], (c[:, k, a, None, None] + ext[:, :n - a, shift]).max(axis=3), out=v[:, a:])
+            tails[k - 1, :, :n, :n] = v[:, ::-1, ::-1]
+        best_of_row = (c[:, 0] + v[:, ::-1, ::-1]).max(axis=2)
+    else:
+        best_of_row = c[:, 0].max(axis=2)
+    opt = best_of_row.max(axis=1)
+    # Rounding slack.  Terms lie in [0, 1024] (log2 of a finite float) and the
+    # scaled weights are exact unless they underflow.  Against the exact
+    # scaled term sum of a pair, its bounds, the optimum's path sum and the
+    # scan's value (times 2**-e / df) each err by at most K + 2 roundings of
+    # relative size 2**-53, plus underflow errors of at most 2**-1075 per
+    # product: K*2*1025 in a bound, (2 + 2 * 2**-e) / df in the scan's value.
+    # So a pair the scan could return keeps every prefix bound above
+    # opt - 4(K+2) 2**-53 opt - 2(K*1025 + (1 + 2**-e) / df) 2**-1074; the
+    # factors 5 and 3 in place of 4 and 2 absorb the second-order terms.
+    tiny = math.ulp(0.0)
+    slack = 5 * (bins + 2) * 2.0**-53 * opt + 3 * (bins * 1025 * tiny + (tiny + np.ldexp(tiny, -e)) / df)
+    return c, tails.reshape(bins - 1, count * (2 * n - 1) ** 2), best_of_row, opt - slack
+
+
+def _pareto_walk(t1, t2, w, df, budget):
+    """Each weight row's best (value, pair key, rates), walking the pairs' prefixes.
+
+    The walk goes bin by bin and keeps the prefixes whose bound (partial sum
+    of c plus the suffix table at the levels left, from `_pareto_bounds`)
+    reaches their row's floor.  Each prefix carries both users' terms summed
+    in bin order, so a whole pair is priced as the scan prices it; among
+    equal values the lexicographically first (user-1 split, user-2 split)
+    key wins.  Blocks hold at most BLOCK_SIZE // K prefixes, listed by
+    weight row, and each step prices at most about BLOCK_SIZE bounds, so
+    memory stays bounded even when every pair ties.  Returns (None, kept)
+    as soon as more than `budget` prefixes are kept, else (best, kept).
+    """
+    c, tails, best_of_row, floor = _pareto_bounds(t1, t2, w, df)
+    count, bins, n, _ = c.shape
+    levels, wide, level = n - 1, 2 * n - 1, np.arange(n)
+    size, rows = max(1, BLOCK_SIZE // bins), max(1, BLOCK_SIZE // n)
+
+    def expand(block, j):
+        # children through bin j that keep their bound, over rows (prefix,
+        # user-1 level a) of every user-2 level b, `rows` rows at a time
+        _, _, _, partial, sum1, sum2, rem1, rem2, wid = block
+        for first in range(0, len(rem1), rows):
+            span = rem1[first:first + rows] + 1
+            parent = np.repeat(np.arange(first, first + len(span)), span)
+            own = np.arange(len(parent)) - np.repeat(np.cumsum(span) - span, span)
+            if j == 0:  # the root's rows whose best bound misses the floor go at once
+                kept = best_of_row[wid[parent], own] >= floor[wid[parent]]
+                parent, own = parent[kept], own[kept]
+            for lo in range(0, len(parent), rows):
+                p, a = parent[lo:lo + rows], own[lo:lo + rows]
+                g = wid[p]
+                head = partial[p, None] + c[g, j, a]
+                if j + 1 < bins:
+                    at = ((g * wide + levels - rem1[p] + a) * wide + levels - rem2[p])[:, None] + level
+                    keep = head + tails[j][at] >= floor[g, None]
+                else:
+                    keep = (head >= floor[g, None]) & (level <= rem2[p, None])
+                r, b = np.nonzero(keep)
+                for i in (slice(s, s + size) for s in range(0, len(b), size)):
+                    pi, ai, bi = p[r[i]], a[r[i]], b[i]
+                    yield (pi, ai, bi, head[r[i], bi], sum1[pi] + t1[j, ai, bi], sum2[pi] + t2[j, ai, bi],
+                           rem1[pi] - ai, rem2[pi] - bi, wid[pi])
+
+    def keys(block, which):
+        # (user-1 split, user-2 split) of the block's rows `which`, recovered up the stack
+        split1, split2 = (np.empty((len(which), bins), dtype=np.intp) for _ in range(2))
+        p, split1[:, -1], split2[:, -1] = block[0][which], block[1][which], block[2][which]
+        for k in range(bins - 2, -1, -1):
+            up = stack[k + 1][0]
+            split1[:, k], split2[:, k] = up[1][p], up[2][p]
+            p = up[0][p]
+        return np.hstack([split1, split2])
+
+    # a block of prefixes: parent row in the block above, levels a and b of
+    # its last bin, the bound's partial sum, the users' term sums, levels
+    # left to users 1 and 2, weight row
+    zero, full = np.zeros(count), np.full(count, levels)
+    root = (None, None, None, zero, zero, zero, full, full, np.arange(count))
+    best, kept, stack = [(-np.inf, None, None)] * count, 0, [(root, expand(root, 0))]
+    while stack:
+        block = next(stack[-1][1], None)
+        if block is None:
+            stack.pop()
+            continue
+        kept += len(block[8])
+        if kept > budget:
+            return None, kept
+        if len(stack) < bins:
+            stack.append((block, expand(block, len(stack))))
+            continue
+        g = block[8]
+        with np.errstate(over="ignore"):
+            r1, r2 = block[4] * df, block[5] * df
+            objective = w[g, 0] * r1 + w[g, 1] * r2
+        # each weight row's best value in the block, then its first pair
+        starts = np.flatnonzero(np.diff(g, prepend=-1))
+        tops = np.maximum.reduceat(objective, starts)
+        tied = np.flatnonzero(objective == np.repeat(tops, np.diff(starts, append=len(g))))
+        key = keys(block, tied)
+        order = np.lexsort([*key.T[::-1], g[tied]])
+        for i in order[np.flatnonzero(np.diff(g[tied[order]], prepend=-1))].tolist():
+            top, row, pair = objective[tied[i]], g[tied[i]], tuple(key[i].tolist())
+            value, first, _ = best[row]
+            if top > value or (top == value and pair < first):
+                best[row] = (top, pair, np.array([r1[tied[i]], r2[tied[i]]]))
+    return best, kept
 
 
 def _pareto_argmax(
@@ -337,24 +495,56 @@ def _pareto_argmax(
     levels: int,
     weight_list,
 ):
-    """Exhaustive weighted-sum maximization on the joint allocation grid.
+    """Exact weighted-sum maximization on the joint allocation grid.
 
-    Returns, per weight vector, the best value and rate pair.  Ties break
-    toward the lexicographically first pair of splits (first maximum of a
-    block, strict gains across blocks).  Shared across weights; capped at
-    MAX_ORACLE_EVALUATIONS joint pairs.
+    Returns, per weight vector, the best value and rate pair, bit for bit
+    those of a scan over every pair of splits: each user's terms summed in
+    bin order, times df, then w[0]*r1 + w[1]*r2, with ties broken toward the
+    lexicographically first (user-1 split, user-2 split) pair.
+
+    The weighted sum separates by bin and only the two budget counters link
+    the bins, so a dynamic program over (bin, levels left to user 1, levels
+    left to user 2) bounds every completion of a prefix of bins
+    (`_pareto_bounds`).  A walk over the prefixes drops those whose bound
+    falls below the optimum by more than a rounding slack, and prices the
+    surviving pairs in the scan's arithmetic (`_pareto_walk`).  Weights
+    share one walk, as many as keep its tables within 2**18 entries.  A grid
+    of at most BLOCK_SIZE pairs is one block of the scan, which is cheaper
+    than the walk.  Ties (zero gains, bins with equal gains) can keep most
+    of the grid; once the walks have kept max(2**14, pairs / 16) prefixes,
+    one scan prices the remaining weights.  Refused, like the scan, over
+    MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError when a term
+    or a best weighted value is not finite.
     """
-    weights = [np.asarray(w, dtype=float) for w in weight_list]
-    best_val = [-np.inf] * len(weights)
-    best_rates = [None] * len(weights)
-    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels):
-        for wi, w in enumerate(weights):
-            objective = w[0] * r1 + w[1] * r2
-            j = int(np.argmax(objective))
-            if objective.flat[j] > best_val[wi]:
-                best_val[wi] = float(objective.flat[j])
-                best_rates[wi] = np.array([r1.flat[j], r2.flat[j]])
-    return best_val, best_rates
+    t1, t2 = _term_tables(ch, noise, budgets, grid, levels)
+    if not np.isfinite([t1.max(), t2.max()]).all():
+        raise ArithmeticError("oracle rate terms are not finite")
+    bins, n, df = grid.bin_count, levels + 1, grid.bin_width
+    weights = np.array(weight_list, dtype=float).reshape(-1, 2)
+    group = max(1, (1 << 18) // (5 * bins * n * n + (bins > 2) * n**3))
+    # the walk pays off only where the scan needs more than one block
+    pairs = math.comb(levels + bins, bins) ** 2
+    budget, found = max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE else -1, []
+    for w in (weights[i:i + group] for i in range(0, len(weights), group)):
+        best, kept = _pareto_walk(t1, t2, w, df, budget) if budget >= 0 else (None, 0)
+        budget -= kept
+        found += best or [None] * len(w)
+    rest = [i for i, f in enumerate(found) if f is None]
+    if rest:
+        # the scan: first maximum of each block, strict gains across blocks
+        for i in rest:
+            found[i] = (-np.inf, None, None)
+        with np.errstate(over="ignore"):
+            for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, (t1, t2)):
+                for i in rest:
+                    objective = weights[i, 0] * r1 + weights[i, 1] * r2
+                    j = int(np.argmax(objective))
+                    if objective.flat[j] > found[i][0]:
+                        found[i] = (objective.flat[j], None, np.array([r1.flat[j], r2.flat[j]]))
+    for row, (value, _, _) in zip(weights.tolist(), found):
+        if not math.isfinite(value):
+            raise ArithmeticError(f"weighted rate sum for weights {tuple(row)} is not finite")
+    return [float(value) for value, _, _ in found], [rates for _, _, rates in found]
 
 
 def grid_dominance_margin(
@@ -369,9 +559,9 @@ def grid_dominance_margin(
 
     Returns max over all grid allocation pairs of min_n (R_n - target_n); a
     nonnegative value certifies that the cooperative grid frontier weakly
-    dominates the target point.  Same exhaustive oracle, bounded blocks
-    and MAX_ORACLE_EVALUATIONS cap as the weighted-sum maximization,
-    scanned with the max-min objective instead of a fixed weight.
+    dominates the target point.  An exhaustive scan of the grid in bounded
+    blocks, with the weighted-sum oracle's term tables and
+    MAX_ORACLE_EVALUATIONS cap.
     """
     target = np.asarray(target_rates, dtype=float)
     _check_inputs(ch, noise, budgets, grid, levels=levels, target=target)
@@ -391,11 +581,15 @@ def pareto_sweep(
     grid: FrequencyGrid,
     levels: int = 10,
 ) -> list:
-    """Brute-force Pareto points: maximize w1*R1 + w2*R2 over the joint grid.
+    """Exact Pareto points: maximize w1*R1 + w2*R2 over the joint grid.
 
-    One RegionSample per weight vector, with the grid priced once for all of
-    them; no weights give no samples.  This is the certified desk-scale
-    oracle for the cooperative frontier, not a scalable solver.
+    One RegionSample per weight vector; no weights give no samples.  The
+    values, rates and tie choices are those of a scan over every pair of
+    splits, found by a per-bin dynamic-program bound that rules out all
+    but a few pairs (`_pareto_argmax`).  Grids over MAX_ORACLE_EVALUATIONS
+    joint pairs are refused with OracleScaleError, as for the dominance
+    margin; a best weighted value that is not finite raises
+    ArithmeticError.
     """
     weights = [tuple(float(x) for x in w) for w in weight_list]
     _check_inputs(ch, noise, budgets, grid, levels=levels, weights=weights)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -238,6 +239,20 @@ def test_oversize_joint_grid_is_a_numerical_failure(tmp_path, scenario_dir, caps
     assert code == 2
     assert err.startswith("numerical failure: oracle scale exceeded: ")
     assert err.endswith(" joint evaluations over cap 4000000\n") and err.count("\n") == 1
+    assert out == "" and list((tmp_path / "out").iterdir()) == []
+
+
+def test_overflowing_weights_are_a_numerical_failure(tmp_path, scenario_dir, capsys):
+    # at weights (1e308, 1e308) the weighted rate sum of fig6 overflows
+    doc = json.loads((scenario_dir / "fig6.json").read_text(encoding="utf-8"))
+    doc["sweeps"]["weights"] = [[1e308, 1e308]]
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "pareto", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "numerical failure: weighted rate sum for weights (1e+308, 1e+308) is not finite\n"
     assert out == "" and list((tmp_path / "out").iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import specgames as sg
 from specgames import power_games
 from specgames.errors import OracleScaleError
-from specgames.power_games import _budget_splits, _joint_grid_rates, _pareto_argmax
+from specgames.power_games import _budget_splits, _joint_grid_rates, _pareto_argmax, _pareto_walk, _term_tables
 from specgames.scenario import load_scenario
 from specgames.spectrum import _effective_noise_raw, _rates, _water_fill_rows
 
@@ -802,3 +803,111 @@ def test_blocked_oracle_many_bins_within_rounding(bins, levels):
     target = [0.8, 1.3]
     assert sg.grid_dominance_margin(target, *args) == pytest.approx(
         reference_dominance_margin(target, scen, levels), rel=1e-12, abs=1e-12)
+
+
+WALK_WEIGHTS = ORACLE_WEIGHTS + [[2.0, 0.0], [5e-324, 0.0], [3e-323, 1e-323], [1e300, 1e-300]]
+
+
+def seeded_oracle_draw(draw):
+    rng = np.random.default_rng([2024, draw])
+    bins, levels = int(rng.integers(1, 5)), int(rng.integers(2, 11))
+    grid = sg.FrequencyGrid(bins, float(rng.uniform(0.5, 3.0)) * bins)
+    scen = sg.PowerScenario(
+        grid=grid,
+        channels=ensemble_channels(2024, draw, grid),
+        noise=sg.NoiseProfile(rng.uniform(0.3, 2.0, (2, bins))),
+        budgets=sg.PowerBudget(rng.uniform(1.0, 100.0, 2)),
+    )
+    return scen, levels
+
+
+def assert_walk_matches_row_loop(scen, levels):
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
+    ref_values, ref_rates = reference_pareto_argmax(scen, levels, WALK_WEIGHTS)
+    values, rates = _pareto_argmax(*args, WALK_WEIGHTS)
+    assert values == ref_values
+    assert all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
+    # the walk alone, without the scan that heavily tied grids are handed to
+    best, _ = _pareto_walk(*_term_tables(*args), np.array(WALK_WEIGHTS), scen.grid.bin_width, math.inf)
+    assert [b[0] for b in best] == ref_values
+    assert all(np.array_equal(b[2], r) for b, r in zip(best, ref_rates))
+
+
+@pytest.mark.slow
+def test_pareto_walk_matches_row_loop_on_seeded_draws():
+    # K = 1..4 and levels 2..10 drawn per seed; the weights add a doubled
+    # corner, subnormal weights that tie most pairs, and a 1e600 ratio
+    for draw in range(200):
+        assert_walk_matches_row_loop(*seeded_oracle_draw(draw))
+    for levels in range(2, 11):
+        assert_walk_matches_row_loop(mirror_scenario(), levels)
+        assert_walk_matches_row_loop(flat_symmetric_scenario(), levels)
+
+
+def zero_gain_scenario(bins):
+    # no direct gain, so every pair of splits prices both rates at 0
+    gain2 = np.zeros((2, 2, bins))
+    gain2[0, 1] = gain2[1, 0] = 0.5
+    return sg.PowerScenario(
+        grid=sg.FrequencyGrid(bins, float(bins)),
+        channels=sg.ChannelSet(gain2),
+        noise=sg.NoiseProfile.flat(1.0, 2, bins),
+        budgets=sg.PowerBudget(np.array([4.0, 6.0])),
+    )
+
+
+def test_pareto_walk_streams_a_grid_where_every_pair_ties(monkeypatch):
+    scen = zero_gain_scenario(2)
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, 4)
+    silent = (0.0, (0, 0, 0, 0), [0.0, 0.0])
+    # one prefix per block: all 25 one-bin prefixes and 225 pairs of each
+    # weight survive, and the first pair among the ties is the silent one
+    monkeypatch.setattr(power_games, "BLOCK_SIZE", 1)
+    best, kept = _pareto_walk(*_term_tables(*args), np.array(ORACLE_WEIGHTS), scen.grid.bin_width, math.inf)
+    assert kept == len(ORACLE_WEIGHTS) * (25 + 225)
+    assert all(b[:2] == silent[:2] and np.array_equal(b[2], silent[2]) for b in best)
+    assert _pareto_argmax(*args, ORACLE_WEIGHTS)[0] == [0.0] * len(ORACLE_WEIGHTS)
+    monkeypatch.undo()
+    # where the walk keeps too much of the grid, one scan prices the weights
+    scans = []
+    scan = power_games._joint_grid_rates
+    monkeypatch.setattr(power_games, "_joint_grid_rates", lambda *a: scans.append(a) or scan(*a))
+    scen = zero_gain_scenario(4)
+    values, rates = _pareto_argmax(scen.channels, scen.noise, scen.budgets, scen.grid, 10, ORACLE_WEIGHTS)
+    assert len(scans) == 1 and values == [0.0] * len(ORACLE_WEIGHTS)
+    assert all(np.array_equal(r, silent[2]) for r in rates)
+    # with gains, the walk alone answers
+    scen = grid_scenario(4, 4646)
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, 10)
+    values, rates = _pareto_argmax(*args, ORACLE_WEIGHTS)
+    ref_values, ref_rates = reference_pareto_argmax(scen, 10, ORACLE_WEIGHTS)
+    assert values == ref_values and all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
+    assert len(scans) == 1
+
+
+def test_overflowing_weighted_sum_is_an_arithmetic_error():
+    scen = load_scenario(SCENARIOS / "fig6.json").power_scenario()
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"^weighted rate sum for weights \(1e\+308, 1e\+308\) is not finite$"):
+            sg.pareto_sweep([[1.0, 1.0], [1e308, 1e308]], *args)
+        # the same direction at a finite scale
+        assert sg.pareto_sweep([[1.0, 1.0]], *args)[0].rates == pytest.approx([3.459, 3.459], abs=1e-3)
+
+
+def test_large_weights_match_the_row_loop():
+    # df = 0.1: 1e308 times a one-bin term overflows where 1e308 times a rate
+    # does not, so the bounds use the weights scaled by a power of two
+    grid = sg.FrequencyGrid(2, 0.2)
+    scen = sg.PowerScenario(grid=grid, channels=ensemble_channels(5, 0, grid),
+                            noise=sg.NoiseProfile.flat(1.0, 2, 2), budgets=sg.PowerBudget(np.array([1.0, 1.0])))
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, 6)
+    assert max(t.max() for t in _term_tables(*args)) > 2.0
+    weights = [[1e308, 0.0], [1e308, 1e307], [0.0, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, rates = _pareto_argmax(*args, weights)
+        ref_values, ref_rates = reference_pareto_argmax(scen, 6, weights)
+    assert values == ref_values and all(map(math.isfinite, values))
+    assert all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
