@@ -11,7 +11,9 @@ power budget.  Three solution routes are provided:
 * an exact weighted rate-sum oracle over a budget-splitting grid, used as
   the Pareto reference for rate-region comparisons: a per-bin dynamic
   program bounds the grid, and the pairs the bound cannot rule out are
-  priced as an exhaustive scan would price them.
+  priced as an exhaustive scan would price them; the same bounds prune a
+  branch and bound for the grid's best componentwise improvement over a
+  target point (the dominance margin).
 """
 
 from __future__ import annotations
@@ -315,16 +317,21 @@ def _term_tables(ch, noise, budgets, grid, levels):
     term[k, a, b] is bin k's term with user 1 at level a and user 2 at level
     b, on the rate kernel's floor for two users; a rate is df times the sum
     of its bins' terms.  Grids over MAX_ORACLE_EVALUATIONS joint pairs are
-    refused with OracleScaleError before anything is built.
+    refused with OracleScaleError before anything is built; a term that is
+    not finite (budgets so large that a product overflows) raises
+    ArithmeticError.
     """
     _check_scale(math.comb(levels + grid.bin_count, grid.bin_count) ** 2, "joint evaluations")
     df = grid.bin_width
     p1, p2 = (np.arange(levels + 1) * (b / (levels * df)) for b in budgets.budget)
     g, sigma, p1 = ch.gain2[..., None, None], noise.psd[..., None, None], p1[:, None]
-    terms = (p1 * g[0, 0] / (sigma[0] + p2 * g[1, 0]), p2 * g[1, 1] / (sigma[1] + p1 * g[0, 1]))
-    for t in terms:  # log2(1 + x) in place, one table-sized array per user
-        t += 1.0
-        np.log2(t, out=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (p1 * g[0, 0] / (sigma[0] + p2 * g[1, 0]), p2 * g[1, 1] / (sigma[1] + p1 * g[0, 1]))
+        for t in terms:  # log2(1 + x) in place, one table-sized array per user
+            t += 1.0
+            np.log2(t, out=t)
+    if not np.isfinite([t.max() for t in terms]).all():
+        raise ArithmeticError("oracle rate terms are not finite")
     return terms
 
 
@@ -398,6 +405,20 @@ def _pareto_bounds(t1, t2, w, df):
     return c, tails.reshape(bins - 1, count * (2 * n - 1) ** 2), best_of_row, opt - slack
 
 
+def _prefix_levels(rem1, rows):
+    """A block's children as (prefix, user-1 level) rows, at most `rows` at a time.
+
+    Each prefix i gives one row per level 0..rem1[i] left to user 1 (every
+    user-2 level is a column), in order.
+    """
+    for first in range(0, len(rem1), rows):
+        span = rem1[first:first + rows] + 1
+        parent = np.repeat(np.arange(first, first + len(span)), span)
+        own = np.arange(len(parent)) - np.repeat(np.cumsum(span) - span, span)
+        for lo in range(0, len(parent), rows):
+            yield parent[lo:lo + rows], own[lo:lo + rows]
+
+
 def _pareto_walk(t1, t2, w, df, budget):
     """Each weight row's best (value, pair key, rates), walking the pairs' prefixes.
 
@@ -420,27 +441,22 @@ def _pareto_walk(t1, t2, w, df, budget):
         # children through bin j that keep their bound, over rows (prefix,
         # user-1 level a) of every user-2 level b, `rows` rows at a time
         _, _, _, partial, sum1, sum2, rem1, rem2, wid = block
-        for first in range(0, len(rem1), rows):
-            span = rem1[first:first + rows] + 1
-            parent = np.repeat(np.arange(first, first + len(span)), span)
-            own = np.arange(len(parent)) - np.repeat(np.cumsum(span) - span, span)
+        for p, a in _prefix_levels(rem1, rows):
             if j == 0:  # the root's rows whose best bound misses the floor go at once
-                kept = best_of_row[wid[parent], own] >= floor[wid[parent]]
-                parent, own = parent[kept], own[kept]
-            for lo in range(0, len(parent), rows):
-                p, a = parent[lo:lo + rows], own[lo:lo + rows]
-                g = wid[p]
-                head = partial[p, None] + c[g, j, a]
-                if j + 1 < bins:
-                    at = ((g * wide + levels - rem1[p] + a) * wide + levels - rem2[p])[:, None] + level
-                    keep = head + tails[j][at] >= floor[g, None]
-                else:
-                    keep = (head >= floor[g, None]) & (level <= rem2[p, None])
-                r, b = np.nonzero(keep)
-                for i in (slice(s, s + size) for s in range(0, len(b), size)):
-                    pi, ai, bi = p[r[i]], a[r[i]], b[i]
-                    yield (pi, ai, bi, head[r[i], bi], sum1[pi] + t1[j, ai, bi], sum2[pi] + t2[j, ai, bi],
-                           rem1[pi] - ai, rem2[pi] - bi, wid[pi])
+                kept = best_of_row[wid[p], a] >= floor[wid[p]]
+                p, a = p[kept], a[kept]
+            g = wid[p]
+            head = partial[p, None] + c[g, j, a]
+            if j + 1 < bins:
+                at = ((g * wide + levels - rem1[p] + a) * wide + levels - rem2[p])[:, None] + level
+                keep = head + tails[j][at] >= floor[g, None]
+            else:
+                keep = (head >= floor[g, None]) & (level <= rem2[p, None])
+            r, b = np.nonzero(keep)
+            for i in (slice(s, s + size) for s in range(0, len(b), size)):
+                pi, ai, bi = p[r[i]], a[r[i]], b[i]
+                yield (pi, ai, bi, head[r[i], bi], sum1[pi] + t1[j, ai, bi], sum2[pi] + t2[j, ai, bi],
+                       rem1[pi] - ai, rem2[pi] - bi, wid[pi])
 
     def keys(block, which):
         # (user-1 split, user-2 split) of the block's rows `which`, recovered up the stack
@@ -487,6 +503,17 @@ def _pareto_walk(t1, t2, w, df, budget):
     return best, kept
 
 
+def _walk_budget(levels, bins):
+    """Prefixes an oracle's walks may keep before one scan answers instead.
+
+    -1 where the grid is at most BLOCK_SIZE pairs, since one block of the
+    scan is cheaper than any walk; else max(2**14, pairs / 16), which only
+    grids where most pairs tie reach.
+    """
+    pairs = math.comb(levels + bins, bins) ** 2
+    return max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE else -1
+
+
 def _pareto_argmax(
     ch: ChannelSet,
     noise: NoiseProfile,
@@ -517,14 +544,10 @@ def _pareto_argmax(
     or a best weighted value is not finite.
     """
     t1, t2 = _term_tables(ch, noise, budgets, grid, levels)
-    if not np.isfinite([t1.max(), t2.max()]).all():
-        raise ArithmeticError("oracle rate terms are not finite")
     bins, n, df = grid.bin_count, levels + 1, grid.bin_width
     weights = np.array(weight_list, dtype=float).reshape(-1, 2)
     group = max(1, (1 << 18) // (5 * bins * n * n + (bins > 2) * n**3))
-    # the walk pays off only where the scan needs more than one block
-    pairs = math.comb(levels + bins, bins) ** 2
-    budget, found = max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE else -1, []
+    budget, found = _walk_budget(levels, bins), []
     for w in (weights[i:i + group] for i in range(0, len(weights), group)):
         best, kept = _pareto_walk(t1, t2, w, df, budget) if budget >= 0 else (None, 0)
         budget -= kept
@@ -547,6 +570,118 @@ def _pareto_argmax(
     return [float(value) for value, _, _ in found], [rates for _, _, rates in found]
 
 
+def _margin_walk(t1, t2, target, df, budget):
+    """The best margin min_n (R_n - target_n) over the joint grid, walking the pairs' prefixes.
+
+    A pair whose margin reaches m has R_n >= target_n + m for each user, so
+    w.R >= w.(target + m) for every w >= 0.  The per-bin dynamic-program
+    bounds of `_pareto_bounds` for the rows (1, 0), (0, 1) and (1, 1) thus
+    drop each prefix for which one row's partial sum plus its suffix table
+    misses that row's floor at the incumbent m (less a rounding slack); the
+    per-user rows alone leave many prefixes whose users would each need the
+    other's best bins.  The kept children of a block are taken best margin
+    bound first, in chunks of 32 tested again as they are taken, so that the
+    incumbent rises early.  Leaves are priced as the scan prices them (each
+    user's terms summed in bin order, times df, then the min), and every
+    leaf whose margin reaches the incumbent is kept and raises it, so the
+    result is the scan's bit for bit.  Children are built BLOCK_SIZE at a
+    time, so memory stays bounded when every pair ties.  Returns (None,
+    kept) as soon as more than `budget` prefixes and leaves are kept, else
+    (best, kept).
+    """
+    bins, n, _ = t1.shape
+    levels, wide, level = n - 1, 2 * n - 1, np.arange(n)
+    rows = max(1, BLOCK_SIZE // n)
+    tau1, tau2 = map(float, target)
+    if bins > 1:
+        # each row's largest weight is 1, so c = w t / 2
+        c, tails, _, _ = _pareto_bounds(t1, t2, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), df)
+        tails = tails.reshape(bins - 1, 3, wide * wide)
+    # Rounding slack.  Let u = 2**-53, A_n the exact sum of a pair's terms
+    # and mag_n = |target_n| + |m| + 2 df (sum over bins of t_n's largest
+    # term), which bounds |R_n - target_n| and df A_n.  If the pair's margin
+    # is at least m, the scan's subtraction, its product by df and its K - 1
+    # additions of nonnegative terms give df A_n >= target_n + m -
+    # (K + 1.01) u mag_n - 2**-1074.  A bound of a prefix of the pair sums K
+    # entries of c (one rounding each in row (1, 1), underflow of at most
+    # 2**-1074 each) with K - 1 additions, so it is at least w.A/2 - K u
+    # w.A/2 - K 2**-1074.  The floor w.(target + m)/(2 df), computed with at
+    # most 4 roundings, less the slack, with one more, thus stays below the
+    # bound if the slack is at least (1 + u) times (K + 3.01) u w.mag/df +
+    # (K + 1 + 1/df) 2**-1074; K + 4 and the factor 3 absorb the slack's own
+    # roundings.
+    tiny, u = math.ulp(0.0), 2.0**-53
+    top = [2 * df * float(t.max(axis=(1, 2)).sum()) for t in (t1, t2)]
+    # a row's bound less its w.target / (2 df), over the row's weight sum,
+    # bounds the margin / (2 df): the children's order
+    half = [0.5 * x / df for x in (tau1, tau2, tau1 + tau2)]
+
+    def floors(m):
+        # per row, no prefix of a pair whose margin reaches m falls below it
+        need, mag = [tau1 + m, tau2 + m], [abs(tau1) + abs(m) + top[0], abs(tau2) + abs(m) + top[1]]
+        f = [0.5 * x / df - ((bins + 4) * u * y / df + 3 * ((bins + 1) * tiny + tiny / df))
+             for x, y in zip(need + [need[0] + need[1]], mag + [mag[0] + mag[1]])]
+        return [x if x == x else -math.inf for x in f]  # inf - inf only for targets near overflow
+
+    def chunks(block, j):
+        # children through bin j that reach every floor, best margin bound first
+        part, s1, s2, rem1, rem2 = block
+        for p, a in _prefix_levels(rem1, rows):
+            head = part[:, p, None] + c[:, j, a]
+            at = ((levels - rem1[p] + a) * wide + levels - rem2[p])[:, None] + level
+            bound = head + tails[j][:, at]
+            r, b = np.nonzero((bound >= floor[:, None, None]).all(axis=0) & (level <= rem2[p, None]))
+            head, bound = head[:, r, b], bound[:, r, b]
+            key = np.minimum(np.minimum(bound[0] - half[0], bound[1] - half[1]), 0.5 * (bound[2] - half[2]))
+            order = np.argsort(-key)
+            for start in range(0, len(order), 32):
+                i = order[start:start + 32]
+                i = i[(bound[:, i] >= floor[:, None]).all(axis=0)]
+                if len(i):
+                    pi, ai, bi = p[r[i]], a[r[i]], b[i]
+                    yield head[:, i], s1[pi] + t1[j, ai, bi], s2[pi] + t2[j, ai, bi], rem1[pi] - ai, rem2[pi] - bi
+
+    def price(block, j):
+        # the leaves through the last bin, in the scan's arithmetic
+        nonlocal best, kept
+        _, s1, s2, rem1, rem2 = block
+        for p, a in _prefix_levels(rem1, rows):
+            r1, r2 = s1[p, None] + t1[j, a], s2[p, None] + t2[j, a]
+            with np.errstate(over="ignore"):
+                r1 *= df
+                r2 *= df
+                margin = np.minimum(r1 - tau1, r2 - tau2)
+            keep = (margin >= best) & (level <= rem2[p, None])
+            count = int(np.count_nonzero(keep))
+            if count:
+                kept += count
+                best = max(best, float(margin[keep].max()))
+                floor[:] = floors(best)
+                if kept > budget:
+                    return
+
+    def expand(block, j):
+        if j + 1 < bins:
+            stack.append(chunks(block, j))
+        else:
+            price(block, j)
+
+    # a block of prefixes: each row's partial bound, the users' term sums,
+    # levels left to users 1 and 2
+    best, kept, stack = -math.inf, 0, []
+    floor = np.array(floors(best))
+    zero, full = np.zeros(1), np.array([levels])
+    expand((np.zeros((3, 1)), zero, zero, full, full), 0)
+    while stack and kept <= budget:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+            continue
+        kept += len(block[3])
+        expand(block, len(stack))
+    return (best if kept <= budget else None), kept
+
+
 def grid_dominance_margin(
     target_rates,
     ch: ChannelSet,
@@ -559,17 +694,29 @@ def grid_dominance_margin(
 
     Returns max over all grid allocation pairs of min_n (R_n - target_n); a
     nonnegative value certifies that the cooperative grid frontier weakly
-    dominates the target point.  An exhaustive scan of the grid in bounded
-    blocks, with the weighted-sum oracle's term tables and
-    MAX_ORACLE_EVALUATIONS cap.
+    dominates the target point.  The value is bit for bit that of a scan
+    over every pair of splits (each user's terms summed in bin order, times
+    df), found by a branch and bound over the pairs' prefixes with the
+    weighted-sum oracle's per-bin bounds (`_margin_walk`).  A grid of at
+    most BLOCK_SIZE pairs is one block of the scan; where ties keep more
+    than max(2**14, pairs / 16) prefixes and leaves, the scan answers
+    instead.  Refused over MAX_ORACLE_EVALUATIONS joint pairs; raises
+    ArithmeticError when a term or the margin is not finite.
     """
     target = np.asarray(target_rates, dtype=float)
     _check_inputs(ch, noise, budgets, grid, levels=levels, target=target)
-    best = -np.inf
-    for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels):
-        margin = np.minimum(r1 - target[0], r2 - target[1]).max()
-        if margin > best:
-            best = float(margin)
+    terms = _term_tables(ch, noise, budgets, grid, levels)
+    budget = _walk_budget(levels, grid.bin_count)
+    best, _ = _margin_walk(*terms, target, grid.bin_width, budget) if budget >= 0 else (None, 0)
+    if best is None:
+        best = -np.inf
+        with np.errstate(over="ignore"):
+            for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, terms):
+                margin = np.minimum(r1 - target[0], r2 - target[1]).max()
+                if margin > best:
+                    best = float(margin)
+    if not math.isfinite(best):
+        raise ArithmeticError("dominance margin is not finite")
     return best
 
 

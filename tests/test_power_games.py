@@ -7,7 +7,9 @@ import pytest
 import specgames as sg
 from specgames import power_games
 from specgames.errors import OracleScaleError
-from specgames.power_games import _budget_splits, _joint_grid_rates, _pareto_argmax, _pareto_walk, _term_tables
+from specgames.power_games import (
+    _budget_splits, _joint_grid_rates, _margin_walk, _pareto_argmax, _pareto_walk, _term_tables,
+)
 from specgames.scenario import load_scenario
 from specgames.spectrum import _effective_noise_raw, _rates, _water_fill_rows
 
@@ -739,9 +741,9 @@ def reference_pareto_argmax(scen, levels, weight_list):
     return best_val, best_rates
 
 
-def reference_dominance_margin(target, scen, levels):
+def reference_dominance_margin(target, scen, levels, rows=None):
     best = -np.inf
-    for r1, r2 in reference_joint_grid_rates(scen, levels):
+    for r1, r2 in rows or reference_joint_grid_rates(scen, levels):
         margin = np.minimum(r1 - target[0], r2 - target[1]).max()
         if margin > best:
             best = float(margin)
@@ -856,6 +858,13 @@ def zero_gain_scenario(bins):
     )
 
 
+def scan_calls(monkeypatch):
+    scans = []
+    scan = power_games._joint_grid_rates
+    monkeypatch.setattr(power_games, "_joint_grid_rates", lambda *a: scans.append(a) or scan(*a))
+    return scans
+
+
 def test_pareto_walk_streams_a_grid_where_every_pair_ties(monkeypatch):
     scen = zero_gain_scenario(2)
     args = (scen.channels, scen.noise, scen.budgets, scen.grid, 4)
@@ -869,9 +878,7 @@ def test_pareto_walk_streams_a_grid_where_every_pair_ties(monkeypatch):
     assert _pareto_argmax(*args, ORACLE_WEIGHTS)[0] == [0.0] * len(ORACLE_WEIGHTS)
     monkeypatch.undo()
     # where the walk keeps too much of the grid, one scan prices the weights
-    scans = []
-    scan = power_games._joint_grid_rates
-    monkeypatch.setattr(power_games, "_joint_grid_rates", lambda *a: scans.append(a) or scan(*a))
+    scans = scan_calls(monkeypatch)
     scen = zero_gain_scenario(4)
     values, rates = _pareto_argmax(scen.channels, scen.noise, scen.budgets, scen.grid, 10, ORACLE_WEIGHTS)
     assert len(scans) == 1 and values == [0.0] * len(ORACLE_WEIGHTS)
@@ -883,6 +890,114 @@ def test_pareto_walk_streams_a_grid_where_every_pair_ties(monkeypatch):
     ref_values, ref_rates = reference_pareto_argmax(scen, 10, ORACLE_WEIGHTS)
     assert values == ref_values and all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
     assert len(scans) == 1
+
+
+def assert_margin_walk_matches_row_loop(scen, levels):
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
+    rows = list(reference_joint_grid_rates(scen, levels))
+    above = [max(r[user].max() for r in rows) + 1.0 for user in range(2)]
+    for target in ([0.0, 0.0], sg.iterative_water_filling(*args[:4]).rates, above):
+        expected = reference_dominance_margin(np.asarray(target), scen, levels, rows)
+        assert sg.grid_dominance_margin(target, *args) == expected
+        # the walk alone, also where the scan answers the public call
+        best, _ = _margin_walk(*_term_tables(*args), np.asarray(target, dtype=float), scen.grid.bin_width, math.inf)
+        assert best == expected
+    assert expected < 0.0
+
+
+@pytest.mark.slow
+def test_margin_walk_matches_row_loop_on_seeded_draws():
+    # K = 1..4 and levels 2..10 drawn per seed; targets at no rate, at the
+    # Nash rates and above every pair of the grid
+    for draw in range(200):
+        assert_margin_walk_matches_row_loop(*seeded_oracle_draw(draw))
+    for levels in range(2, 11):
+        assert_margin_walk_matches_row_loop(mirror_scenario(), levels)
+        assert_margin_walk_matches_row_loop(flat_symmetric_scenario(), levels)
+
+
+def test_margin_walk_prunes_with_each_users_bound(monkeypatch):
+    # a target near one user's best rate leaves few prefixes that each
+    # user's own bound keeps, and many that the sum bound alone would keep
+    scen = grid_scenario(4, 4646)
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, 10)
+    rows = list(reference_joint_grid_rates(scen, 10))
+    corners, _ = _pareto_argmax(*args, [[1.0, 0.0], [0.0, 1.0]])
+    scans = scan_calls(monkeypatch)
+    for target in ([0.9 * corners[0], 0.0], [0.0, 0.9 * corners[1]], sg.iterative_water_filling(*args[:4]).rates):
+        assert sg.grid_dominance_margin(target, *args) == reference_dominance_margin(np.asarray(target), scen, 10, rows)
+    assert not scans
+
+
+def test_margin_walk_on_ties(monkeypatch):
+    # mirrored pairs reach the best margin together; one (prefix, level)
+    # row per step, and the walk answers without the scan
+    scans = scan_calls(monkeypatch)
+    monkeypatch.setattr(power_games, "BLOCK_SIZE", 1)
+    scen = mirror_scenario()
+    for levels in (4, 10):
+        rows = list(reference_joint_grid_rates(scen, levels))
+        total = np.vstack([r1 + r2 for r1, r2 in rows])
+        i = np.unravel_index(np.argmax(total), total.shape)
+        target = np.full(2, min(rows[i[0]][0][i[1]], rows[i[0]][1][i[1]]))
+        margins = np.vstack([np.minimum(r1 - target[0], r2 - target[1]) for r1, r2 in rows])
+        assert np.count_nonzero(margins == margins.max()) == 2
+        assert sg.grid_dominance_margin(target, scen.channels, scen.noise, scen.budgets, scen.grid,
+                                        levels=levels) == reference_dominance_margin(target, scen, levels, rows)
+    assert not scans
+    # with no direct gain every pair ties at margin 0, so every prefix and
+    # every leaf reaches the incumbent: 25 one-bin prefixes, 225 pairs
+    scen = zero_gain_scenario(2)
+    tables = _term_tables(scen.channels, scen.noise, scen.budgets, scen.grid, 4)
+    assert _margin_walk(*tables, np.zeros(2), scen.grid.bin_width, math.inf) == (0.0, 25 + 225)
+    monkeypatch.undo()
+    # where the walk keeps too much of the grid, one scan answers
+    scans = scan_calls(monkeypatch)
+    scen = zero_gain_scenario(4)
+    assert sg.grid_dominance_margin([0.5, -0.25], scen.channels, scen.noise, scen.budgets, scen.grid) == -0.5
+    assert len(scans) == 1
+
+
+def test_margin_walk_slack_covers_the_order_of_summation(monkeypatch):
+    # hand-made terms: user 1's depend on its own level only, user 2's are 0
+    # and its target is far below, so the margin is user 1's rate.  The pair
+    # (1, 0, 0) is best, one ulp above the best pair silent in bin 0; its
+    # bound at bin 0 adds bins 1 and 2 first, which rounds two ulps lower.
+    # Bin 0's levels go one row at a time, so the silent ones come first.
+    u = 2.0**-53
+    x = np.array([[3 * u, 5 * u], [1.0 + 2 * u, 1.0], [0.5 + 3 * u, 0.5 + 6 * u]])
+    t1 = np.repeat(x[:, :, None], 2, axis=2)
+    rates = [sum(x[k, a] for k, a in enumerate(split)) for split in _budget_splits(1, 3).tolist()]
+    assert rates[-1] == max(rates) > max(rates[:-1]) > x[0, 1] + (x[1, 0] + x[2, 0])
+    monkeypatch.setattr(power_games, "BLOCK_SIZE", 1)
+    assert _margin_walk(t1, np.zeros_like(t1), np.array([0.0, -1e3]), 1.0, math.inf)[0] == max(rates)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_terms_are_an_arithmetic_error():
+    # budgets of 1e308 overflow p * g; the margin used to skip the NaN terms
+    grid = sg.FrequencyGrid(2, 2.0)
+    ch = sg.generate_multipath_channels(np.random.SeedSequence(3), grid, 2)
+    args = (ch, sg.NoiseProfile.flat(1.0, 2, 2), sg.PowerBudget(np.array([1e308, 1e308])), grid)
+    with pytest.raises(ArithmeticError, match="^oracle rate terms are not finite$"):
+        sg.grid_dominance_margin([1.0, 1.0], *args, levels=4)
+    with pytest.raises(ArithmeticError, match="^oracle rate terms are not finite$"):
+        sg.pareto_sweep([[1.0, 1.0]], *args, levels=4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", [None, 1])
+def test_overflowing_margin_is_an_arithmetic_error(monkeypatch, block):
+    # df = 1e307: rates near 4e307 overflow against targets of -1.7e308,
+    # in the scan and (one row per block) in the walk
+    if block is not None:
+        monkeypatch.setattr(power_games, "BLOCK_SIZE", block)
+    grid = sg.FrequencyGrid(2, 2e307)
+    ch = sg.generate_multipath_channels(np.random.SeedSequence(3), grid, 2)
+    args = (ch, sg.NoiseProfile.flat(1.0, 2, 2), sg.PowerBudget(np.array([1e308, 1e308])), grid)
+    assert sg.grid_dominance_margin([0.0, 0.0], *args, levels=4) > 1e307
+    with pytest.raises(ArithmeticError, match="^dominance margin is not finite$"):
+        sg.grid_dominance_margin([-1.7e308, -1.7e308], *args, levels=4)
 
 
 def test_overflowing_weighted_sum_is_an_arithmetic_error():
