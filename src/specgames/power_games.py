@@ -376,16 +376,24 @@ def _pareto_bounds(t1, t2, w, df):
         c.reshape(count, -1)[:, lo:lo + BLOCK_SIZE] += scaled[:, 1, None] * t2.reshape(-1)[lo:lo + BLOCK_SIZE]
     tails = np.full((bins - 1, count, 2 * n - 1, 2 * n - 1), -np.inf)
     if bins > 1:
-        # V_{K-1} is a 2-D running max, each earlier V one (max, +) step
+        # V_{K-1} is a 2-D running max, each earlier V one (max, +) step:
+        # V_k[u, v] = max over a <= u, b <= v of c[k, a, b] + V_{k+1}[u - a, v - b]
         v = np.maximum.accumulate(np.maximum.accumulate(c[:, -1], axis=1), axis=2)
-        level = np.arange(n)
-        shift = np.where(level[:, None] >= level, level[:, None] - level, n)  # [v, b] -> v - b, or n
+        if bins > 2:
+            # V_{k+1} behind n - 1 columns of -inf, and a window of it with
+            # shifted[b, g, u, v] = V_{k+1}[g, u, v - b] (-inf for v < b), no copy;
+            # per level a, one buffer of the sums, reduced over its leading axis b
+            padded = np.full((count, n, 2 * n - 1), -np.inf)
+            shifted = np.lib.stride_tricks.sliding_window_view(padded, n, axis=2)[..., ::-1].transpose(3, 0, 1, 2)
+            buffer = np.empty(n * count * n * n)
         for k in range(bins - 1, 0, -1):
             if k < bins - 1:
-                ext = np.concatenate([v, np.full((count, n, 1), -np.inf)], axis=2)
+                padded[:, :, n - 1:] = v
                 v = np.full_like(v, -np.inf)
                 for a in range(n):  # rows u >= a, user 1 at level a in bin k
-                    np.maximum(v[:, a:], (c[:, k, a, None, None] + ext[:, :n - a, shift]).max(axis=3), out=v[:, a:])
+                    sums = buffer[:n * count * (n - a) * n].reshape(n, count, n - a, n)
+                    np.add(shifted[:, :, :n - a], c[:, k, a].T[:, :, None, None], out=sums)
+                    np.maximum(v[:, a:], sums.max(axis=0), out=v[:, a:])
             tails[k - 1, :, :n, :n] = v[:, ::-1, ::-1]
         best_of_row = (c[:, 0] + v[:, ::-1, ::-1]).max(axis=2)
     else:
@@ -503,15 +511,18 @@ def _pareto_walk(t1, t2, w, df, budget):
     return best, kept
 
 
-def _walk_budget(levels, bins):
+def _walk_budget(t1, t2):
     """Prefixes an oracle's walks may keep before one scan answers instead.
 
-    -1 where the grid is at most BLOCK_SIZE pairs, since one block of the
-    scan is cheaper than any walk; else max(2**14, pairs / 16), which only
-    grids where most pairs tie reach.
+    -1, for the scan alone, where the grid is at most BLOCK_SIZE pairs, since
+    one block of the scan is cheaper than any walk, and where both users'
+    term tables are all zero, since every pair then ties at rate 0 and a
+    walk would keep them all; else max(2**14, pairs / 16), which only grids
+    where most pairs tie reach.
     """
-    pairs = math.comb(levels + bins, bins) ** 2
-    return max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE else -1
+    bins, n, _ = t1.shape
+    pairs = math.comb(n - 1 + bins, bins) ** 2
+    return max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE and (t1.any() or t2.any()) else -1
 
 
 def _pareto_argmax(
@@ -537,17 +548,18 @@ def _pareto_argmax(
     surviving pairs in the scan's arithmetic (`_pareto_walk`).  Weights
     share one walk, as many as keep its tables within 2**18 entries.  A grid
     of at most BLOCK_SIZE pairs is one block of the scan, which is cheaper
-    than the walk.  Ties (zero gains, bins with equal gains) can keep most
-    of the grid; once the walks have kept max(2**14, pairs / 16) prefixes,
-    one scan prices the remaining weights.  Refused, like the scan, over
-    MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError when a term
-    or a best weighted value is not finite.
+    than the walk, and so is a grid whose terms are all zero (no direct
+    gains), where every pair ties.  Other ties (bins with equal gains) can
+    keep most of the grid; once the walks have kept max(2**14, pairs / 16)
+    prefixes, one scan prices the remaining weights.  Refused, like the
+    scan, over MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError
+    when a term or a best weighted value is not finite.
     """
     t1, t2 = _term_tables(ch, noise, budgets, grid, levels)
     bins, n, df = grid.bin_count, levels + 1, grid.bin_width
     weights = np.array(weight_list, dtype=float).reshape(-1, 2)
     group = max(1, (1 << 18) // (5 * bins * n * n + (bins > 2) * n**3))
-    budget, found = _walk_budget(levels, bins), []
+    budget, found = _walk_budget(t1, t2), []
     for w in (weights[i:i + group] for i in range(0, len(weights), group)):
         best, kept = _pareto_walk(t1, t2, w, df, budget) if budget >= 0 else (None, 0)
         budget -= kept
@@ -580,14 +592,15 @@ def _margin_walk(t1, t2, target, df, budget):
     misses that row's floor at the incumbent m (less a rounding slack); the
     per-user rows alone leave many prefixes whose users would each need the
     other's best bins.  The kept children of a block are taken best margin
-    bound first, in chunks of 32 tested again as they are taken, so that the
-    incumbent rises early.  Leaves are priced as the scan prices them (each
-    user's terms summed in bin order, times df, then the min), and every
-    leaf whose margin reaches the incumbent is kept and raises it, so the
-    result is the scan's bit for bit.  Children are built BLOCK_SIZE at a
-    time, so memory stays bounded when every pair ties.  Returns (None,
-    kept) as soon as more than `budget` prefixes and leaves are kept, else
-    (best, kept).
+    bound first, 32 at a time, so that the incumbent rises early; whenever
+    the floors have risen since the last take, the children not yet taken
+    are tested again in one pass, and the block ends when none is left.
+    Leaves are priced as the scan prices them (each user's terms summed in
+    bin order, times df, then the min), and every leaf whose margin reaches
+    the incumbent is kept and raises it, so the result is the scan's bit
+    for bit.  Children are built BLOCK_SIZE at a time, so memory stays
+    bounded when every pair ties.  Returns (None, kept) as soon as more than
+    `budget` prefixes and leaves are kept, else (best, kept).
     """
     bins, n, _ = t1.shape
     levels, wide, level = n - 1, 2 * n - 1, np.arange(n)
@@ -624,22 +637,27 @@ def _margin_walk(t1, t2, target, df, budget):
         return [x if x == x else -math.inf for x in f]  # inf - inf only for targets near overflow
 
     def chunks(block, j):
-        # children through bin j that reach every floor, best margin bound first
+        # children through bin j that reach every floor, best margin bound
+        # first, 32 at a time; the rest are tested again whenever the floors rose
         part, s1, s2, rem1, rem2 = block
         for p, a in _prefix_levels(rem1, rows):
             head = part[:, p, None] + c[:, j, a]
             at = ((levels - rem1[p] + a) * wide + levels - rem2[p])[:, None] + level
             bound = head + tails[j][:, at]
+            tested = floor.tolist()
             r, b = np.nonzero((bound >= floor[:, None, None]).all(axis=0) & (level <= rem2[p, None]))
             head, bound = head[:, r, b], bound[:, r, b]
             key = np.minimum(np.minimum(bound[0] - half[0], bound[1] - half[1]), 0.5 * (bound[2] - half[2]))
             order = np.argsort(-key)
-            for start in range(0, len(order), 32):
-                i = order[start:start + 32]
-                i = i[(bound[:, i] >= floor[:, None]).all(axis=0)]
-                if len(i):
-                    pi, ai, bi = p[r[i]], a[r[i]], b[i]
-                    yield head[:, i], s1[pi] + t1[j, ai, bi], s2[pi] + t2[j, ai, bi], rem1[pi] - ai, rem2[pi] - bi
+            while True:
+                if floor.tolist() != tested:
+                    tested = floor.tolist()
+                    order = order[(bound[:, order] >= floor[:, None]).all(axis=0)]
+                if not len(order):
+                    break
+                i, order = order[:32], order[32:]
+                pi, ai, bi = p[r[i]], a[r[i]], b[i]
+                yield head[:, i], s1[pi] + t1[j, ai, bi], s2[pi] + t2[j, ai, bi], rem1[pi] - ai, rem2[pi] - bi
 
     def price(block, j):
         # the leaves through the last bin, in the scan's arithmetic
@@ -698,15 +716,16 @@ def grid_dominance_margin(
     over every pair of splits (each user's terms summed in bin order, times
     df), found by a branch and bound over the pairs' prefixes with the
     weighted-sum oracle's per-bin bounds (`_margin_walk`).  A grid of at
-    most BLOCK_SIZE pairs is one block of the scan; where ties keep more
-    than max(2**14, pairs / 16) prefixes and leaves, the scan answers
-    instead.  Refused over MAX_ORACLE_EVALUATIONS joint pairs; raises
-    ArithmeticError when a term or the margin is not finite.
+    most BLOCK_SIZE pairs is one block of the scan, as is a grid whose terms
+    are all zero (every pair ties); where other ties keep more than
+    max(2**14, pairs / 16) prefixes and leaves, the scan answers instead.
+    Refused over MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError
+    when a term or the margin is not finite.
     """
     target = np.asarray(target_rates, dtype=float)
     _check_inputs(ch, noise, budgets, grid, levels=levels, target=target)
     terms = _term_tables(ch, noise, budgets, grid, levels)
-    budget = _walk_budget(levels, grid.bin_count)
+    budget = _walk_budget(*terms)
     best, _ = _margin_walk(*terms, target, grid.bin_width, budget) if budget >= 0 else (None, 0)
     if best is None:
         best = -np.inf

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specgames as sg
 from specgames import power_games
@@ -846,10 +848,53 @@ def test_pareto_walk_matches_row_loop_on_seeded_draws():
         assert_walk_matches_row_loop(flat_symmetric_scenario(), levels)
 
 
-def zero_gain_scenario(bins):
-    # no direct gain, so every pair of splits prices both rates at 0
+def reference_pareto_bounds(t1, t2, w, df):
+    """Reference: the DP tables with one gathered (max, +) step per user-1 level, reduced over b last."""
+    count, (bins, n, _) = len(w), t1.shape
+    e = np.frexp(w.max(axis=1))[1]
+    scaled = np.ldexp(w, -e[:, None])
+    c = scaled[:, 0, None, None, None] * t1 + scaled[:, 1, None, None, None] * t2
+    tails = np.full((bins - 1, count, 2 * n - 1, 2 * n - 1), -np.inf)
+    if bins > 1:
+        v = np.maximum.accumulate(np.maximum.accumulate(c[:, -1], axis=1), axis=2)
+        level = np.arange(n)
+        shift = np.where(level[:, None] >= level, level[:, None] - level, n)  # [v, b] -> v - b, or n
+        for k in range(bins - 1, 0, -1):
+            if k < bins - 1:
+                ext = np.concatenate([v, np.full((count, n, 1), -np.inf)], axis=2)
+                v = np.full_like(v, -np.inf)
+                for a in range(n):
+                    np.maximum(v[:, a:], (c[:, k, a, None, None] + ext[:, :n - a, shift]).max(axis=3), out=v[:, a:])
+            tails[k - 1, :, :n, :n] = v[:, ::-1, ::-1]
+        best_of_row = (c[:, 0] + v[:, ::-1, ::-1]).max(axis=2)
+    else:
+        best_of_row = c[:, 0].max(axis=2)
+    opt = best_of_row.max(axis=1)
+    tiny = math.ulp(0.0)
+    slack = 5 * (bins + 2) * 2.0**-53 * opt + 3 * (bins * 1025 * tiny + (tiny + np.ldexp(tiny, -e)) / df)
+    return c, tails.reshape(bins - 1, count * (2 * n - 1) ** 2), best_of_row, opt - slack
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 4, 5])
+def test_pareto_bounds_match_the_per_level_loop(bins):
+    # every table bit for bit, with the -inf entries past either budget;
+    # the weights include the subnormal rows
+    w = np.array(WALK_WEIGHTS)
+    for levels in range(2, 9):
+        scen = grid_scenario(bins, 3100 + levels)
+        tables = _term_tables(scen.channels, scen.noise, scen.budgets, scen.grid, levels)
+        got = power_games._pareto_bounds(*tables, w, scen.grid.bin_width)
+        expected = reference_pareto_bounds(*tables, w, scen.grid.bin_width)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
+        assert bins == 1 or np.isneginf(got[1]).any() and np.isfinite(got[1]).any()
+
+
+def zero_gain_scenario(bins, user2_gain=0.0):
+    # no direct gain for user 1, so every pair of splits prices its rate at
+    # 0, and user 2's too unless it is given a gain
     gain2 = np.zeros((2, 2, bins))
     gain2[0, 1] = gain2[1, 0] = 0.5
+    gain2[1, 1] = user2_gain
     return sg.PowerScenario(
         grid=sg.FrequencyGrid(bins, float(bins)),
         channels=sg.ChannelSet(gain2),
@@ -877,12 +922,14 @@ def test_pareto_walk_streams_a_grid_where_every_pair_ties(monkeypatch):
     assert all(b[:2] == silent[:2] and np.array_equal(b[2], silent[2]) for b in best)
     assert _pareto_argmax(*args, ORACLE_WEIGHTS)[0] == [0.0] * len(ORACLE_WEIGHTS)
     monkeypatch.undo()
-    # where the walk keeps too much of the grid, one scan prices the weights
+    # where the walk keeps too much of the grid, one scan prices the weights:
+    # only user 2 has a direct gain, so the weight (1, 0) ties every pair
     scans = scan_calls(monkeypatch)
-    scen = zero_gain_scenario(4)
+    scen = zero_gain_scenario(4, user2_gain=1.0)
     values, rates = _pareto_argmax(scen.channels, scen.noise, scen.budgets, scen.grid, 10, ORACLE_WEIGHTS)
-    assert len(scans) == 1 and values == [0.0] * len(ORACLE_WEIGHTS)
-    assert all(np.array_equal(r, silent[2]) for r in rates)
+    ref_values, ref_rates = reference_pareto_argmax(scen, 10, ORACLE_WEIGHTS)
+    assert len(scans) == 1 and values == ref_values and values[1] == 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
     # with gains, the walk alone answers
     scen = grid_scenario(4, 4646)
     args = (scen.channels, scen.noise, scen.budgets, scen.grid, 10)
@@ -951,11 +998,32 @@ def test_margin_walk_on_ties(monkeypatch):
     tables = _term_tables(scen.channels, scen.noise, scen.budgets, scen.grid, 4)
     assert _margin_walk(*tables, np.zeros(2), scen.grid.bin_width, math.inf) == (0.0, 25 + 225)
     monkeypatch.undo()
-    # where the walk keeps too much of the grid, one scan answers
+    # where the walk keeps too much of the grid, one scan answers: only user
+    # 2 has a direct gain and its target is far below, so every pair ties
+    scans = scan_calls(monkeypatch)
+    scen = zero_gain_scenario(4, user2_gain=1.0)
+    assert sg.grid_dominance_margin([0.5, -1e3], scen.channels, scen.noise, scen.budgets, scen.grid) == -0.5
+    assert len(scans) == 1
+
+
+def test_zero_gain_grids_go_straight_to_the_scan(monkeypatch):
+    # every term is 0, so every pair ties at rate 0 and neither walk runs
+    def no_walk(*args):
+        raise AssertionError("walked a grid whose terms are all zero")
+
+    monkeypatch.setattr(power_games, "_pareto_walk", no_walk)
+    monkeypatch.setattr(power_games, "_margin_walk", no_walk)
     scans = scan_calls(monkeypatch)
     scen = zero_gain_scenario(4)
-    assert sg.grid_dominance_margin([0.5, -0.25], scen.channels, scen.noise, scen.budgets, scen.grid) == -0.5
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid, 10)
+    rows = list(reference_joint_grid_rates(scen, 10))
+    values, rates = _pareto_argmax(*args, WALK_WEIGHTS)
     assert len(scans) == 1
+    ref_values, ref_rates = reference_pareto_argmax(scen, 10, WALK_WEIGHTS)
+    assert values == ref_values and all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
+    target = np.array([0.5, -0.25])
+    assert sg.grid_dominance_margin(target, *args) == reference_dominance_margin(target, scen, 10, rows) == -0.5
+    assert len(scans) == 2
 
 
 def test_margin_walk_slack_covers_the_order_of_summation(monkeypatch):
@@ -971,6 +1039,43 @@ def test_margin_walk_slack_covers_the_order_of_summation(monkeypatch):
     assert rates[-1] == max(rates) > max(rates[:-1]) > x[0, 1] + (x[1, 0] + x[2, 0])
     monkeypatch.setattr(power_games, "BLOCK_SIZE", 1)
     assert _margin_walk(t1, np.zeros_like(t1), np.array([0.0, -1e3]), 1.0, math.inf)[0] == max(rates)
+
+
+# a few shared values, so that ties and gaps of one ulp are common
+ULP = 2.0**-53
+TIE_TERMS = [0.0, 3 * ULP, 5 * ULP, 0.25, 0.5, 0.5 + 3 * ULP, 0.5 + 6 * ULP, 1.0, 1.0 + 2 * ULP, 3.0]
+
+
+def brute_force_pairs(t1, t2, df):
+    """Every pair's rates in the scan's arithmetic, (user-1 split, user-2 split) lexicographic."""
+    bins, n, _ = t1.shape
+    splits = np.array(list(reference_budget_splits(n - 1, bins)))
+    r1, r2 = (t[0][np.ix_(splits[:, 0], splits[:, 0])] for t in (t1, t2))
+    for k in range(1, bins):
+        r1 += t1[k][np.ix_(splits[:, k], splits[:, k])]
+        r2 += t2[k][np.ix_(splits[:, k], splits[:, k])]
+    return splits, r1 * df, r2 * df
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_walks_match_a_brute_force_scan_on_tied_tables(data):
+    bins, levels = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    shape = (bins, levels + 1, levels + 1)
+    t1, t2 = (np.array(data.draw(st.lists(st.sampled_from(TIE_TERMS), min_size=math.prod(shape),
+                                          max_size=math.prod(shape)))).reshape(shape) for _ in range(2))
+    df = data.draw(st.sampled_from([1.0, 0.1, 0.75, 3.0]))
+    splits, r1, r2 = brute_force_pairs(t1, t2, df)
+    best, _ = _pareto_walk(t1, t2, np.array(WALK_WEIGHTS), df, math.inf)
+    for (value, pair, rates), (w1, w2) in zip(best, WALK_WEIGHTS):
+        objective = w1 * r1 + w2 * r2
+        i, j = np.unravel_index(np.argmax(objective), objective.shape)
+        assert value == objective[i, j]
+        assert pair == (*splits[i].tolist(), *splits[j].tolist())
+        assert np.array_equal(rates, [r1[i, j], r2[i, j]])
+    target = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0 + 2 * ULP, 2.5, 7.0]),
+                                         min_size=2, max_size=2)))
+    assert _margin_walk(t1, t2, target, df, math.inf)[0] == np.minimum(r1 - target[0], r2 - target[1]).max()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
