@@ -145,6 +145,7 @@ def channel_ensemble_study(
     default settings.
     """
     _integer(realizations, "realizations", 1)
+    _integer(seed, "seed", 0)
     noise = NoiseProfile.flat(noise_level, 2, grid.bin_count)
     ratios = np.zeros((realizations, 2))
     collected = 0

@@ -27,6 +27,25 @@ and the two sums (the switch mass and the propensity total) add in index
 order, one entry after another; so traces do not depend on how numpy sums.
 Fictitious play is the exception: its belief-weighted payoffs go through a
 numpy matrix product every round, whose summation order is BLAS's.
+
+Learned play mostly repeats itself, so after a round whose joint action
+repeats the one before, each player is asked how many of the next rounds it
+would replay its action if every other player did too, and the smallest
+answer is committed at once; the round in which someone switches then goes
+through the per-round step, so every round is decided exactly once.  Fixed
+learners always replay, and myopic best responders replay when their best
+reply to the repeated row is their own action.  Regret matching prices a
+window of rounds in numpy: over a repeated profile the payoff differences
+are constant, so the sums before each round are one running sum
+(`np.add.accumulate`, which adds in order).  The rule of
+`_regret_matching_probs` is applied to every round with the same
+elementwise operations in the same order, the switch mass is added column by
+column in index order, and `_sample`'s choice is read off the same running
+totals; no reduction could reorder a sum, so fast-forwarded traces are
+bit-identical to the per-round loop.  The window starts at _FIRST_WINDOW rounds, doubles while every round
+in it repeats, stays inside the current draw block and keeps its temporaries
+to about _FAST_ENTRIES entries.  Reinforcement and fictitious play never
+look ahead, and a run with either learner keeps the per-round step.
 """
 
 from __future__ import annotations
@@ -53,6 +72,8 @@ __all__ = [
 ]
 
 _DRAW_BLOCK = 4096  # rounds of uniform draws a player holds at once
+_FIRST_WINDOW = 16  # rounds a look-ahead covers after a switch; it doubles while they all repeat
+_FAST_ENTRIES = 1 << 16  # cap on the entries of one look-ahead's temporaries
 
 LEARNER_KINDS = (
     "regret_matching",
@@ -241,47 +262,74 @@ def run_repeated_game(
     if len(learners) != n:
         raise ValueError("need exactly one learner per player")
     _integer(rounds, "rounds", 1)
-    _integer(seed, "seed")
+    _integer(seed, "seed", 0)
     for p, learner in enumerate(learners):
         if learner.player != p:
             raise ValueError(f"learner {p} was built for player {learner.player}")
         _check(learner, game)
-    drawers, choosers, observers = zip(*(
+    drawers, choosers, observers, repeaters = zip(*(
         _player(learner, game, np.random.default_rng([int(seed), p])) for p, learner in enumerate(learners)))
     observers = [observe for observe in observers if observe is not None]
+    fast = None not in repeaters
+    if fast:
+        replays, advances = zip(*repeaters)
+        advances = [advance for advance in advances if advance is not None]
+    widest = max(1, _FAST_ENTRIES // (max(game.action_counts) + 1))
 
     actions = np.empty((rounds, n), dtype=int)
+    previous, window = None, _FIRST_WINDOW
     for start in range(0, rounds, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, rounds)
-        block = []
-        for drawn in zip(*(draws(stop - start) for draws in drawers)):
+        ahead = [draws(stop - start) for draws in drawers]
+        steps = enumerate(zip(*([None] * (stop - start) if a is None else a.tolist() for a in ahead)), start + 1)
+        block, filled = [], start  # block holds the rows from filled on
+        for t, drawn in steps:  # t rounds are decided once this one is
             profile = [choose(draw) for choose, draw in zip(choosers, drawn)]
             for observe in observers:
                 observe(profile)
             block.append(profile)
-        actions[start:stop] = block
+            if fast and profile == previous and t < stop:
+                w = min(window, stop - t)
+                m = min(replay(profile, a, t - start, w) for replay, a in zip(replays, ahead))
+                if m:
+                    for advance in advances:
+                        advance(m)
+                    actions[filled:t] = block  # never empty: it ends with this round
+                    actions[t:t + m] = profile
+                    block, filled = [], t + m
+                    next(itertools.islice(steps, m - 1, None))  # those m rounds are decided
+                window = min(2 * window, widest) if m == w else _FIRST_WINDOW
+            previous = profile
+        if block:
+            actions[filled:stop] = block
     return LearningTrace(game, actions)
 
 
 def _player(learner: Learner, game: NormalFormGame, rng):
     """One learner's run as plain-Python closures over list state.
 
-    Returns (draws, choose, observe): `draws(m)` gives the player's next m
-    uniforms (or m Nones for a player that draws none ahead), `choose(draw)`
-    picks the round's action and `observe(profile)` updates from the joint
-    action; `observe` is None for a learner that never updates.
+    Returns (draws, choose, observe, repeat): `draws(m)` gives the player's
+    next m uniforms as an array (None for a player that draws none ahead),
+    `choose(draw)` picks the round's action and `observe(profile)` updates
+    from the joint action; `observe` is None for a learner that never
+    updates.  `repeat` is None for a learner that cannot look ahead, else a
+    pair (replays, advance).  Called right after `profile` was observed,
+    `replays(profile, draws, i, w)` counts how many of the next w rounds the
+    player would replay its action if every other player replayed theirs,
+    `draws[i:i + w]` being its uniforms for them; `advance(m)` then updates
+    as if m of those rounds were observed (None if that changes nothing).
     """
     p, kind, k = learner.player, learner.kind, learner.action_count
 
     def ahead(m):
-        return rng.random(m).tolist()  # the same stream as one random() per round
+        return rng.random(m)  # the same stream as one random() per round
 
     def none_ahead(m):
-        return itertools.repeat(None, m)
+        return None
 
     if kind == "fixed":
         action = learner.fixed_action
-        return none_ahead, lambda draw: action, None
+        return none_ahead, lambda draw: action, None, (lambda profile, draws, i, w: w, None)
 
     if kind == "fictitious_play":
         counts = {j: np.zeros(game.action_counts[j]) for j in range(game.player_count) if j != p}
@@ -290,7 +338,7 @@ def _player(learner: Learner, game: NormalFormGame, rng):
         def observe(profile):
             for j, c in counts.items():
                 c[profile[j]] += 1
-        return none_ahead, lambda draw: _fictitious_play_pick(table, counts), observe
+        return none_ahead, lambda draw: _fictitious_play_pick(table, counts), observe, None
 
     rows, opponents = _own_rows(game, p)
     if kind == "best_response_myopic":
@@ -304,7 +352,11 @@ def _player(learner: Learner, game: NormalFormGame, rng):
         def observe(profile):
             nonlocal last_row
             last_row = rows[opponents(profile)]
-        return none_ahead, choose, observe
+
+        def replays(profile, draws, i, w):
+            # the best reply to a repeated row is the same every round
+            return w if choose(None) == profile[p] else 0
+        return none_ahead, choose, observe, (replays, None)
 
     span = game.payoff_span()
     if kind == "reinforcement":
@@ -318,10 +370,11 @@ def _player(learner: Learner, game: NormalFormGame, rng):
         # a zero-span game keeps every propensity at zero, so every round
         # draws through rng.integers, which cannot be drawn ahead
         draws = ahead if span > 0.0 else none_ahead
-        return draws, lambda draw: _reinforcement_pick(props, rng, draw), observe
+        return draws, lambda draw: _reinforcement_pick(props, rng, draw), observe, None
 
     sums = [0.0] * k
     seen, last, inertia = 0, None, 2.0 * (max(game.action_counts) - 1) * span
+    run = None  # the sums before each round of the last look-ahead, and after it
 
     def choose(draw):
         return _sample(_regret_matching_probs(sums, seen, last, inertia), draw)
@@ -333,7 +386,42 @@ def _player(learner: Learner, game: NormalFormGame, rng):
         u = row[last]
         sums = [s + (x - u) for s, x in zip(sums, row)]
         seen += 1
-    return ahead, choose, observe
+
+    def replays(profile, draws, i, w):
+        # A repeated profile adds the same differences every round, so the
+        # sums before each round are one running sum per action.  The rule
+        # of _regret_matching_probs then prices all w rounds at once with
+        # the same elementwise operations in the same order.  Every switch
+        # probability is >= 0, so _sample's running total never falls:
+        # it picks `last` exactly when the draw is at least the total before
+        # `last` and below the total through it, or `last` is the final action.
+        nonlocal run
+        row = rows[opponents(profile)]
+        u = row[last]
+        run = np.empty((k, w + 1))
+        run[:, 0] = sums
+        run[:, 1:] = np.array([x - u for x in row])[:, None]
+        np.add.accumulate(run, axis=1, out=run)
+        if inertia <= 0.0:
+            return w  # no switch mass: the last action repeats
+        before = run[:, :w]
+        probs = np.where(before > 0.0, before / np.arange(seen, seen + w) / inertia, 0.0)
+        probs[last] = 0.0
+        total = np.zeros(w)
+        for b, column in enumerate(probs):  # index order, as reduce(add, probs, 0.0)
+            if b == last:
+                low = total
+            total = total + column
+        stays = draws[i:i + w] >= low
+        if last < k - 1:
+            stays &= draws[i:i + w] < low + (1.0 - total)
+        return w if stays.all() else int(stays.argmin())
+
+    def advance(m):
+        nonlocal sums, seen
+        sums = run[:, m].tolist()
+        seen += m
+    return ahead, choose, observe, (replays, advance)
 
 
 def _own_rows(game: NormalFormGame, player: int):

@@ -100,6 +100,14 @@ def test_ensemble_refuses_a_non_integer_count(realizations):
         sg.channel_ensemble_study(realizations, 7, grid, budgets)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_ensemble_refuses_a_bad_seed(seed):
+    grid = sg.FrequencyGrid(2, 2.0)
+    budgets = sg.PowerBudget(np.array([10.0, 10.0]))
+    with pytest.raises(ValueError, match="^seed must be"):
+        sg.channel_ensemble_study(2, seed, grid, budgets)
+
+
 def test_ensemble_report_shape_and_determinism():
     grid = sg.FrequencyGrid(8, 8.0)
     budgets = sg.PowerBudget(np.array([100.0, 100.0]))

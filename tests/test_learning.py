@@ -1,8 +1,12 @@
 import dataclasses
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specgames as sg
 from specgames import learning
@@ -454,6 +458,12 @@ def test_learning_api_refuses_non_integer_arguments(contention):
             call()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_run_refuses_a_bad_seed(seed, contention):
+    with pytest.raises(ValueError, match="^seed must be"):
+        sg.run_repeated_game(contention, fixed_pair(contention, (0, 1)), 5, seed)
+
+
 def test_learning_api_refuses_bad_player(contention):
     trace = sg.run_repeated_game(contention, fixed_pair(contention, (0, 1)), 20, seed=0)
     for player in (0.5, 1.0, "1", None, True):
@@ -489,6 +499,7 @@ MIXES = [(kind,) for kind in LEARNER_KINDS] + [
     ("reinforcement", "best_response_myopic"),
     ("fixed", "regret_matching"),
     ("regret_matching", "reinforcement", "fictitious_play"),
+    ("best_response_myopic", "regret_matching"),
 ]
 
 
@@ -539,3 +550,67 @@ def test_zero_span_reinforcement_plays_uniformly(engine_games):
     for p, count in enumerate(trace.action_counts):
         share = np.bincount(trace.actions[:, p], minlength=count) / trace.rounds
         assert share == pytest.approx(np.full(count, 1.0 / count), abs=0.1)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_engine_matches_reference_property(data):
+    counts = tuple(data.draw(st.lists(st.integers(2, 8), min_size=2, max_size=3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    payoffs = rng.uniform(-3.0, 5.0, size=counts + (len(counts),))
+    # coarse rounding forces ties; a zero scale gives a zero-span game
+    scale = data.draw(st.sampled_from([0.0, 1.0, 4.0]))
+    game = sg.NormalFormGame(np.round(payoffs * scale) + 1.5)
+    mix = data.draw(st.sampled_from(MIXES))
+    rounds, seed = data.draw(st.integers(1, 400)), data.draw(st.integers(0, 2**16))
+    with pytest.MonkeyPatch.context() as patch:
+        # small draw blocks cut look-aheads at block edges
+        patch.setattr(learning, "_DRAW_BLOCK", data.draw(st.integers(1, 80)))
+        assert_matches_reference(game, mix, rounds, seed)
+
+
+def test_repeated_rounds_skip_the_per_round_step(contention, monkeypatch):
+    steps = 0
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return _regret_matching_probs(*args)
+    monkeypatch.setattr(learning, "_regret_matching_probs", counted)
+    trace = assert_matches_reference(contention, ("regret_matching",), 5000, seed=7)
+    assert np.mean(np.all(trace.actions[1:] == trace.actions[:-1], axis=1)) > 0.99
+    assert steps <= 2 * 40  # two players, each stepping through at most 40 of the 5,000 rounds
+
+
+def repeat_edges(probs, last):
+    """The lowest and the highest draw for which `_sample` picks `last`."""
+    low = reduce(add, probs[:last], 0.0)  # _sample's running total before `last`
+    high = low + probs[last] if last < len(probs) - 1 else 1.0
+    return low, float(np.nextafter(high, 0.0))
+
+
+@pytest.mark.parametrize("name", ["2x2", "8x8", "4x2x3"])
+def test_look_ahead_replays_exactly_as_the_per_round_rule(name, engine_games):
+    # Each round's draw sits on an edge of the interval that repeats the last
+    # action, so pricing any round with other sums moves a decision.
+    game, window = engine_games[name], 40
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        profiles = [tuple(int(rng.integers(c)) for c in game.action_counts) for _ in range(5)]
+        learner = make_learner("regret_matching", game, 0)
+        state = reference_state(learner, game, seed)
+        _, _, observe, (replays, _) = learning._player(learner, game, rng)
+        for profile in profiles:  # the last profile then repeats
+            observe(list(profile))
+            _observe(state, game, profile, 0.0)
+        edges = []
+        for _ in range(window):
+            edges.append(repeat_edges(regret_matching_probs(state), state.last_action))
+            _observe(state, game, profiles[-1], 0.0)
+        draws = np.array([edge[j % 2] for j, edge in enumerate(edges)])
+        assert replays(list(profiles[-1]), draws, 0, window) == window
+        for j, (low, high) in enumerate(edges):
+            if low > 0.0 or high < np.nextafter(1.0, 0.0):
+                switch = draws.copy()
+                switch[j] = np.nextafter(low, -1.0) if low > 0.0 else np.nextafter(high, 1.0)
+                assert replays(list(profiles[-1]), switch, 0, window) == j
