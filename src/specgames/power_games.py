@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
+from operator import sub
 
 import numpy as np
 
@@ -141,7 +143,10 @@ def iterative_water_filling(
     final state, which makes a converged result a certified fixed point.
     Non-convergence within max_iter is reported in the result, not raised:
     strong interference can cycle.  Each reply is sequential, so the loop
-    runs on Python floats through the single-row water-fill kernel.
+    runs on Python floats through the single-row water-fill kernel, on
+    floors formed in the pass that adds the last interferer.  The last
+    user of a sweep replied to its final state, so its gap is 0 and only
+    the other users reply again.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -150,31 +155,37 @@ def iterative_water_filling(
     n_users, k = ch.user_count, ch.bin_count
 
     gain2, sigma, budget = ch.gain2.tolist(), noise.psd.tolist(), budgets.budget.tolist()
-    psd = [[0.0] * k for _ in range(n_users)]
+    bin_width, users = grid.bin_width, range(n_users)
+    psd = [[0.0] * k for _ in users]
+    # each user's interferers in index order, with their gains into its receiver
+    others = [[(j, gain2[j][n]) for j in users if j != n] for n in users]
 
     def reply(n):
-        # the floor of `_effective_noise_raw`, with the same operations in the same order
-        floor = sigma[n]
-        for j in range(n_users):
-            if j != n:
-                floor = [f + p * g for f, p, g in zip(floor, psd[j], gain2[j][n])]
-        return _water_fill_row(gain2[n][n], floor, budget[n], grid.bin_width)
-
-    def moved(n, row):
-        return max(abs(a - b) for a, b in zip(row, psd[n]))
+        # the floors (sigma + sum of p g) / d of `_effective_noise_raw`, the same operations in
+        # the same order, inf where the direct gain d is not positive; the last interferer's pass divides
+        floor, direct = sigma[n], gain2[n][n]
+        for j, cross in others[n][:-1]:
+            floor = [f + p * g for f, p, g in zip(floor, psd[j], cross)]
+        if others[n]:
+            j, cross = others[n][-1]
+            floors = [(f + p * g) / d if d > 0.0 else inf for f, p, g, d in zip(floor, psd[j], cross, direct)]
+        else:  # a lone user
+            floors = [f / d if d > 0.0 else inf for f, d in zip(floor, direct)]
+        return _water_fill_row(floors, budget[n], bin_width)
 
     converged = False
     residual = fixed_point_gap = np.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        change = 0.0
-        for n in range(n_users):
+        moves = []
+        for n in users:
             row = reply(n)
-            change = max(change, moved(n, row))
+            moves.append(max(map(abs, map(sub, row, psd[n]))))
             psd[n] = row
-        residual = change
-        if change <= tol:
-            fixed_point_gap = max(moved(n, reply(n)) for n in range(n_users))
+        residual = max(moves)
+        if residual <= tol:
+            # the last user replied to this very state, so its gap is exactly 0
+            fixed_point_gap = max((max(map(abs, map(sub, reply(n), psd[n]))) for n in users[:-1]), default=0.0)
             if fixed_point_gap <= tol:
                 converged = True
                 break
@@ -205,13 +216,16 @@ def follower_response_rates(
 ):
     """Water-fill the follower against a fixed leader allocation.
 
-    Two-user scenarios only.  Returns (follower PSD row, rate vector for
-    both users at the resulting joint allocation).
+    Two-user scenarios only; the leader row must be finite and nonnegative.
+    Returns (follower PSD row, rate vector for both users at the resulting
+    joint allocation).
     """
     _check_inputs(ch, noise, budgets, grid, leader=leader)
     rows = np.asarray(leader_alloc, dtype=float)[None]
     if rows.shape != (1, ch.bin_count):
         raise ValueError(f"leader_alloc must hold {ch.bin_count} entries, not shape {rows.shape[1:]}")
+    if not (np.isfinite(rows).all() and (rows >= 0.0).all()):
+        raise ValueError(f"leader_alloc entries must be finite and >= 0, not {rows[0].tolist()!r}")
     replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
     return replies[0], rates[0]
 
@@ -264,42 +278,51 @@ def stackelberg_leader_search(
     evaluated = 0
 
     def best_of(blocks):
+        # the index over all blocks, follower reply and rates of the best row;
         # ties keep the first row, as a scan accepting only strict
         # improvements would
         nonlocal evaluated
-        best = None
+        best, seen = None, 0
         for rows in blocks:
-            evaluated += len(rows)
             replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
             i = int(np.argmax(rates[:, leader]))
             if best is None or rates[i, leader] > best[2][leader]:
-                best = rows[i], replies[i], rates[i]
+                best = seen + i, replies[i], rates[i]
+            seen += len(rows)
+        evaluated += seen
         return best
 
     if bins <= 4:
         # blocks of BLOCK_SIZE rows, the Nash row first; a block's integer
         # splits are scaled only when it is priced
         splits = _budget_splits(levels, bins)
-        best_row, best_reply, best_rates = best_of(
+        i, best_reply, best_rates = best_of(
             np.vstack([ne_row, splits[:start + BLOCK_SIZE] * step]) if start < 0 else splits[start:start + BLOCK_SIZE] * step
             for start in range(-1, len(splits), BLOCK_SIZE)
         )
+        best_row = splits[i - 1] * step if i else ne_row
     else:
-        best_row, best_reply, best_rates = best_of([ne_row[None]])
         pairs = np.array([(src, dst) for src in range(bins) for dst in range(bins) if dst != src])
-        # each accepted move strictly raises the leader's rate, so this ends
+        # the first pass prices the Nash row as its row 0, ahead of its moves,
+        # and ends the descent if that row wins; each accepted move strictly
+        # raises the leader's rate, so this ends
+        best_row, best_rates, head = ne_row, np.full(2, -np.inf), 1
         while True:
             src, dst = pairs[best_row[pairs[:, 0]] >= step].T
-            if not len(src):
+            if not head + len(src):
                 break
-            _check_scale(evaluated + len(src), "leader descent candidates")
-            trials = np.repeat(best_row[None], len(src), axis=0)
-            trials[np.arange(len(src)), src] -= step
-            trials[np.arange(len(src)), dst] += step
-            move = best_of(trials[start:start + BLOCK_SIZE] for start in range(0, len(trials), BLOCK_SIZE))
-            if move[2][leader] <= best_rates[leader]:
+            _check_scale(evaluated + head + len(src), "leader descent candidates")
+            trials = np.repeat(best_row[None], head + len(src), axis=0)
+            moves = np.arange(head, len(trials))
+            trials[moves, src] -= step
+            trials[moves, dst] += step
+            i, reply, rates = best_of(trials[start:start + BLOCK_SIZE] for start in range(0, len(trials), BLOCK_SIZE))
+            if rates[leader] <= best_rates[leader]:
                 break
-            best_row, best_reply, best_rates = move
+            best_row, best_reply, best_rates = trials[i], reply, rates
+            if i < head:
+                break
+            head = 0
 
     return StackelbergResult(
         leader=leader,

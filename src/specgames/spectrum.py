@@ -23,9 +23,11 @@ both.  Two kernels share that algorithm and its arithmetic bit for bit:
 * `_water_fill_rows` fills a whole batch of floor rows (B, K) in numpy; the
   follower replies, the leader's candidate grid and the descent trials use
   it, as their rows are independent;
-* `_water_fill_row` fills one row on Python floats; the public `water_fill`
-  and iterative water-filling use it, where each reply waits on the last
-  and numpy's per-call overhead would cost more than the arithmetic.
+* `_water_fill_row` fills one row of floors on Python floats; the public
+  `water_fill` (which forms the floors noise/gain) and iterative
+  water-filling (which divides each floor sum by the direct gain as it adds
+  the last interferer) use it, where each reply waits on the last and
+  numpy's per-call overhead would cost more than the arithmetic.
 
 Every sum in the two water-fill kernels adds in a fixed order, one entry
 after another, so neither depends on how numpy sums.  One broadcast rate
@@ -34,8 +36,10 @@ kernel, `_rates`, prices a batch of joint allocations psd[..., N, K].
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from math import inf
 from operator import add
 
@@ -283,15 +287,19 @@ def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bi
         raise NoUsableSpectrumError("no usable spectrum: every channel gain is zero or too small")
     running = ordered.cumsum(axis=-1)
     below = ordered < (target + running) / np.arange(1, floors.shape[-1] + 1)
-    # the highest floor of the support, or the lowest floor if none qualifies
-    prefix = np.logical_and.accumulate(below, axis=-1)
-    wet = floors <= np.where(prefix, ordered, ordered[:, :1]).max(axis=-1, keepdims=True)
+    # the highest support floor sits just before the first False; an argmin of
+    # 0 means all qualify (index -1) or none (index 0, the lowest): below[:, 0] tells
+    rows = np.arange(len(floors))
+    line = ordered[rows, below.argmin(axis=-1) - below[:, 0]]
+    wet = floors <= line[:, None]
     count = wet.sum(axis=-1)
     # the wet floors are the first `count` sorted floors, ties at the line included
-    level = (target + running[np.arange(len(count)), count - 1]) / count
+    level = (target + running[rows, count - 1]) / count
 
     # a wet floor tied at the water line can round to just above the level
-    filled = np.where(wet, np.maximum(level[:, None] - floors, 0.0), 0.0)
+    filled = np.subtract(level[:, None], floors)
+    np.maximum(filled, 0.0, out=filled)
+    filled[~wet] = 0.0
     spent = filled.cumsum(axis=-1)[:, -1] * bin_width
     miss = np.abs(spent - budget)
     if miss.max() > BUDGET_RTOL * budget:
@@ -300,8 +308,8 @@ def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bi
     return filled
 
 
-def _water_fill_row(gain, noise, budget: float, bin_width: float) -> list:
-    """Water-fill one floor row against one gain row, both lists of floats.
+def _water_fill_row(floors, budget: float, bin_width: float) -> list:
+    """Water-fill one row of floors noise/gain, a list of floats (inf where unusable).
 
     One row of `_water_fill_rows` on Python floats, with the same arithmetic
     in the same order (one running sum over the sorted floors sets both the
@@ -309,26 +317,23 @@ def _water_fill_row(gain, noise, budget: float, bin_width: float) -> list:
     agree bit for bit.
     """
     target = budget / bin_width
-    floors = [s / g if g > 0.0 else inf for s, g in zip(noise, gain)]
     ordered = sorted(floors)
     if ordered[0] == inf:
         raise NoUsableSpectrumError("no usable spectrum: every channel gain is zero or too small")
-    # the highest floor of the support, or the lowest floor if none
-    # qualifies; the scan goes on over floors tied with it, which are wet
-    line = ordered[0]
-    total, count, support = 0.0, 0, True
-    for m, s in enumerate(ordered, 1):
-        running = total + s
-        support = support and s < (target + running) / m
-        if support:
-            line = s
-        elif s > line:
+    running = list(accumulate(ordered))
+    # the highest floor of the support, or the lowest floor if none qualifies
+    line, m = ordered[0], 0
+    for s, total in zip(ordered, running):
+        m += 1
+        if not s < (target + total) / m:
             break
-        total, count = running, m
-    level = (target + total) / count
+        line = s
+    # the floors tied with it are wet too
+    count = bisect_right(ordered, line)
+    level = (target + running[count - 1]) / count
     # a wet floor tied at the water line can round to just above the level;
-    # max(d, 0.0) clips it exactly as np.maximum(d, 0.0) does, NaN included
-    filled = [max(level - f, 0.0) if f <= line else 0.0 for f in floors]
+    # the clip gives what np.maximum(d, 0.0) gives, NaN and -0.0 included
+    filled = [(0.0 if (d := level - f) < 0.0 else d) if f <= line else 0.0 for f in floors]
     spent = reduce(add, filled, 0.0) * bin_width
     if abs(spent - budget) > BUDGET_RTOL * budget:
         raise ArithmeticError(f"water-filling failed: spent {spent!r} of {float(budget)!r}")
@@ -355,7 +360,8 @@ def water_fill(gain, noise_psd, budget: float, grid: FrequencyGrid) -> np.ndarra
         raise ValueError("noise floor must be finite and strictly positive")
     if not np.isfinite(budget) or budget <= 0:
         raise ValueError("budget must be a positive real")
-    return np.array(_water_fill_row(gain.tolist(), noise_psd.tolist(), budget, grid.bin_width))
+    floors = [s / g if g > 0.0 else inf for s, g in zip(noise_psd.tolist(), gain.tolist())]
+    return np.array(_water_fill_row(floors, budget, grid.bin_width))
 
 
 def generate_multipath_channels(

@@ -1,5 +1,8 @@
 import math
+import operator
+import re
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,12 +11,12 @@ from hypothesis import strategies as st
 
 import specgames as sg
 from specgames import power_games
-from specgames.errors import OracleScaleError
+from specgames.errors import NoUsableSpectrumError, OracleScaleError
 from specgames.power_games import (
     _budget_splits, _joint_grid_rates, _margin_walk, _pareto_argmax, _pareto_walk, _term_tables,
 )
 from specgames.scenario import load_scenario
-from specgames.spectrum import _effective_noise_raw, _rates, _water_fill_rows
+from specgames.spectrum import BUDGET_RTOL, _effective_noise_raw, _rates, _water_fill_rows
 
 from conftest import SCENARIOS, ensemble_channels
 
@@ -187,6 +190,101 @@ def test_iw_reports_its_fixed_point_gap(two_channel):
     assert 0.0 <= res.fixed_point_gap <= 1e-8
 
 
+def gain_noise_fill_row(gain, noise, budget, bin_width):
+    """A single-row water-fill that forms the floors noise/gain itself and scans
+    the support and its ties in one loop, with a running total and max() clip."""
+    target = budget / bin_width
+    floors = [s / g if g > 0.0 else math.inf for s, g in zip(noise, gain)]
+    ordered = sorted(floors)
+    if ordered[0] == math.inf:
+        raise NoUsableSpectrumError("no usable spectrum: every channel gain is zero or too small")
+    line = ordered[0]
+    total, count, support = 0.0, 0, True
+    for m, s in enumerate(ordered, 1):
+        running = total + s
+        support = support and s < (target + running) / m
+        if support:
+            line = s
+        elif s > line:
+            break
+        total, count = running, m
+    level = (target + total) / count
+    filled = [max(level - f, 0.0) if f <= line else 0.0 for f in floors]
+    spent = reduce(operator.add, filled, 0.0) * bin_width
+    if abs(spent - budget) > BUDGET_RTOL * budget:
+        raise ArithmeticError(f"water-filling failed: spent {spent!r} of {float(budget)!r}")
+    return filled
+
+
+def every_gap_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
+    """Python-float Gauss-Seidel IW that replies for every user, the last one
+    included, when it measures the fixed-point gap."""
+    n_users, k = ch.user_count, ch.bin_count
+    gain2, sigma, budget = ch.gain2.tolist(), noise.psd.tolist(), budgets.budget.tolist()
+    psd = [[0.0] * k for _ in range(n_users)]
+
+    def reply(n):
+        floor = sigma[n]
+        for j in range(n_users):
+            if j != n:
+                floor = [f + p * g for f, p, g in zip(floor, psd[j], gain2[j][n])]
+        return gain_noise_fill_row(gain2[n][n], floor, budget[n], grid.bin_width)
+
+    def moved(n, row):
+        return max(abs(a - b) for a, b in zip(row, psd[n]))
+
+    converged = False
+    residual = gap = np.inf
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        change = 0.0
+        for n in range(n_users):
+            row = reply(n)
+            change = max(change, moved(n, row))
+            psd[n] = row
+        residual = change
+        if change <= tol:
+            gap = max(moved(n, reply(n)) for n in range(n_users))
+            if gap <= tol:
+                converged = True
+                break
+    psd = np.array(psd)
+    return psd, _rates(psd, ch.gain2, noise.psd, grid.bin_width), sweeps, converged, residual, gap
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_iw_matches_the_every_gap_loop(data):
+    # 1-3 users; zero and vanishing direct gains give infinite floors (a user
+    # with none usable raises); strong cross gains, tiny tolerances and short
+    # sweep caps leave runs unconverged
+    users, bins = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gain2 = rng.uniform(0.05, 2.0, (users, users, bins)) * data.draw(st.sampled_from([0.05, 0.5, 2.0]))
+    for n in range(users):
+        gain2[n, n] = rng.uniform(0.1, 2.0, bins)
+        dead = rng.random(bins) < data.draw(st.sampled_from([0.0, 0.2, 0.6]))
+        gain2[n, n, dead] = rng.choice([0.0, 5e-324, 1e-310, 1e-305, 1e-300], dead.sum())
+    args = (sg.ChannelSet(gain2), sg.NoiseProfile(rng.uniform(0.1, 3.0, (users, bins))),
+            sg.PowerBudget(rng.uniform(0.5, 200.0, users)), sg.FrequencyGrid(bins, float(bins)))
+    kwargs = {"tol": data.draw(st.sampled_from([1e-300, 1e-14, 1e-8, 1e-3])),
+              "max_iter": data.draw(st.integers(1, 40))}
+    try:
+        psd, rates, sweeps, converged, residual, gap = every_gap_iw(*args, **kwargs)
+    except (NoUsableSpectrumError, ArithmeticError) as exc:
+        # no usable bin, or a budget lost against floors hundreds of decades up
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as info:
+            sg.iterative_water_filling(*args, **kwargs)
+        assert type(info.value) is type(exc)
+        return
+    res = sg.iterative_water_filling(*args, **kwargs)
+    assert res.allocation.psd.tobytes() == psd.tobytes()
+    assert res.rates.tobytes() == rates.tobytes()
+    assert (res.iterations, res.converged) == (sweeps, converged)
+    assert np.float64(res.residual).tobytes() == np.float64(residual).tobytes()
+    assert np.float64(res.fixed_point_gap).tobytes() == np.float64(gap).tobytes()
+
+
 def test_follower_response_silent_leader(two_channel):
     row, rates = sg.follower_response_rates(0, [0.0, 0.0], two_channel.channels,
                                             two_channel.noise, two_channel.budgets,
@@ -213,6 +311,13 @@ def test_follower_response_at_nash(two_channel):
                                         two_channel.noise, two_channel.budgets,
                                         two_channel.grid)
     assert row == pytest.approx(res.allocation.psd[1], abs=1e-7)
+
+
+@pytest.mark.parametrize("row", [[np.nan, 1.0], [-5.0, 1.0], [np.inf, 1.0]])
+def test_follower_response_refuses_a_bad_leader_row(two_channel, row):
+    with pytest.raises(ValueError, match=r"^leader_alloc entries must be finite and >= 0"):
+        sg.follower_response_rates(0, row, two_channel.channels, two_channel.noise,
+                                   two_channel.budgets, two_channel.grid)
 
 
 @pytest.mark.parametrize("leader", [2, -1, True, 1.0])
@@ -497,6 +602,89 @@ def test_batched_leader_search_matches_scalar_loop(draw, leader):
     elif draw != "fig6":
         nash = sg.iterative_water_filling(scen.channels, scen.noise, scen.budgets, scen.grid)
         assert not np.array_equal(row, nash.allocation.psd[leader])
+
+
+def nash_alone_descent(leader, scen, levels):
+    """K > 4 leader descent that prices the Nash row in a batch of its own
+    before its first pass; returns the row, reply, rates, candidates and batches."""
+    ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
+    nash = sg.iterative_water_filling(ch, noise, budgets, grid)
+    step = budgets.budget[leader] / (levels * grid.bin_width)
+    batches = []
+
+    def price(rows):
+        batches.append(len(rows))
+        return power_games._follower_replies(leader, rows, ch, noise, budgets, grid)
+
+    best_row = np.array(nash.allocation.psd[leader])
+    replies, rates = price(best_row[None])
+    best_reply, best_rates = replies[0], rates[0]
+    bins = grid.bin_count
+    pairs = np.array([(src, dst) for src in range(bins) for dst in range(bins) if dst != src])
+    while True:
+        src, dst = pairs[best_row[pairs[:, 0]] >= step].T
+        if not len(src):
+            break
+        trials = np.repeat(best_row[None], len(src), axis=0)
+        trials[np.arange(len(src)), src] -= step
+        trials[np.arange(len(src)), dst] += step
+        replies, rates = price(trials)  # at most 56 moves: one block
+        i = int(np.argmax(rates[:, leader]))
+        if rates[i, leader] <= best_rates[leader]:
+            break
+        best_row, best_reply, best_rates = trials[i], replies[i], rates[i]
+    return best_row, best_reply, best_rates, sum(batches), batches
+
+
+def assert_descent_matches_nash_alone(monkeypatch, leader, scen, levels=10):
+    expect_row, expect_reply, expect_rates, evaluated, batches = nash_alone_descent(leader, scen, levels)
+    seen = []
+    replies = power_games._follower_replies
+
+    def counted(lead, rows, *rest):
+        seen.append(len(rows))
+        return replies(lead, rows, *rest)
+
+    monkeypatch.setattr(power_games, "_follower_replies", counted)
+    res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
+                                       scen.grid, levels=levels)
+    monkeypatch.undo()
+    assert res.leader_allocation.tobytes() == np.asarray(expect_row).tobytes()
+    assert res.follower_allocation.tobytes() == expect_reply.tobytes()
+    assert res.rates.tobytes() == expect_rates.tobytes()
+    assert res.candidates_evaluated == evaluated
+    # the Nash row is row 0 of the first pass, not a batch of its own
+    assert seen == ([1 + batches[1]] + batches[2:] if len(batches) > 1 else [1])
+    return res
+
+
+@pytest.mark.parametrize("bins", [5, 6, 7, 8])
+def test_descent_matches_pricing_the_nash_row_alone(monkeypatch, bins):
+    grid = sg.FrequencyGrid(bins, float(bins))
+    for idx in range(6):
+        scen = sg.PowerScenario(grid=grid, channels=ensemble_channels(3141, idx, grid),
+                                noise=sg.NoiseProfile.flat(1.0, 2, bins),
+                                budgets=sg.PowerBudget(np.array([100.0, [100.0, 30.0][idx % 2]])))
+        for leader in (0, 1):
+            assert_descent_matches_nash_alone(monkeypatch, leader, scen)
+
+
+def test_descent_keeps_a_nash_row_that_is_its_own_local_optimum(monkeypatch):
+    # K=8 draw 0 with leader 1: no single move beats the Nash row
+    scen = descent_scenario(0)
+    res = assert_descent_matches_nash_alone(monkeypatch, 1, scen)
+    assert np.array_equal(res.leader_allocation, res.nash.allocation.psd[1])
+    # the Nash row plus every move out of a bin that holds a full step
+    assert res.candidates_evaluated == 1 + 7 * int((res.leader_allocation >= scen.budgets.budget[1] / 10).sum())
+
+
+def test_descent_with_no_full_step_prices_only_the_nash_row(monkeypatch):
+    # at 2 levels a step is half the budget, which no K=8 Nash bin holds
+    scen = descent_scenario(0)
+    for leader in (0, 1):
+        res = assert_descent_matches_nash_alone(monkeypatch, leader, scen, levels=2)
+        assert res.candidates_evaluated == 1
+        assert np.array_equal(res.leader_allocation, res.nash.allocation.psd[leader])
 
 
 def grid_scenario(bins, seed):

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from math import inf
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from specgames.errors import NoUsableSpectrumError
 from specgames.spectrum import _rates, _water_fill_row, _water_fill_rows
 
 from conftest import random_instance
+
+
+def fill_row(gain, noise, budget, width):
+    """The single-row kernel on the floors noise/gain, formed as `water_fill` forms them."""
+    return _water_fill_row([s / g if g > 0.0 else inf for s, g in zip(noise, gain)], budget, width)
 
 
 def test_grid_invariants():
@@ -353,10 +359,10 @@ def assert_row_kernel_matches_batch(gain, noise, budget, width):
             expect = _water_fill_rows(np.array(gain), np.array([noise]), budget, width)[0]
     except (NoUsableSpectrumError, ArithmeticError) as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as info:
-            _water_fill_row(gain, noise, budget, width)
+            fill_row(gain, noise, budget, width)
         assert type(info.value) is type(exc)
         return type(exc)
-    row = _water_fill_row(gain, noise, budget, width)
+    row = fill_row(gain, noise, budget, width)
     assert np.array(row).tobytes() == expect.tobytes(), (gain, noise, budget, width)
     return None
 
@@ -403,13 +409,13 @@ def test_kernels_read_the_level_off_the_sorted_running_sum(bins):
             noise[rng.random(bins) < 0.3] = noise[int(rng.integers(bins))]  # tied runs
         width = float(rng.choice([0.5, 1.0, 3.0]))
         expect = closed_form_fill(gain, noise, budget, width).tobytes()
-        assert np.array(_water_fill_row(gain.tolist(), noise.tolist(), budget, width)).tobytes() == expect, idx
+        assert np.array(fill_row(gain.tolist(), noise.tolist(), budget, width)).tobytes() == expect, idx
         assert _water_fill_rows(gain, noise[None], budget, width)[0].tobytes() == expect, idx
     # past about 128 tied floors (target + running) / m rounds onto the tie and
     # the support test fails, yet every floor tied with the line is wet
     gain, noise, budget = np.ones(bins), np.r_[0.5, np.ones(bins - 1)], 0.5 + 1e-14
     expect = closed_form_fill(gain, noise, budget, 1.0)
-    assert np.array(_water_fill_row(gain.tolist(), noise.tolist(), budget, 1.0)).tobytes() == expect.tobytes()
+    assert np.array(fill_row(gain.tolist(), noise.tolist(), budget, 1.0)).tobytes() == expect.tobytes()
     assert _water_fill_rows(gain, noise[None], budget, 1.0)[0].tobytes() == expect.tobytes()
 
 
