@@ -8,12 +8,12 @@ power budget.  Three solution routes are provided:
 * a leader-commitment search for two users, where the leader explores its
   candidate allocations while the follower always water-fills against the
   leader's interference (the bi-level structure of heterogeneous knowledge);
-* an exact weighted rate-sum oracle over a budget-splitting grid, used as
-  the Pareto reference for rate-region comparisons: a per-bin dynamic
-  program bounds the grid, and the pairs the bound cannot rule out are
-  priced as an exhaustive scan would price them; the same bounds prune a
-  branch and bound for the grid's best componentwise improvement over a
-  target point (the dominance margin).
+* exact oracles over a budget-splitting grid of both users: the weighted
+  rate-sum optimum, the Pareto reference for rate-region comparisons, and
+  the best componentwise improvement over a target point (the dominance
+  margin).  One walk over prefixes of bins, pruned by the bounds of a
+  per-bin dynamic program, prices the pairs the bounds cannot rule out as
+  an exhaustive scan would price them.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ __all__ = [
 ]
 
 # Joint grid pairs the oracles may range over, or leader candidates the
-# leader search may price, before refusing; covers two users, four bins,
-# twenty levels.
+# leader search may price, before refusing: at four bins, the leader grid up
+# to twenty levels (comb(24, 4) = 10,626 candidates) and the joint grid up to
+# twelve (comb(16, 4)**2 = 3,312,400 pairs; 5,664,400 at thirteen).
 MAX_ORACLE_EVALUATIONS = 4_000_000
 # Joint pairs, prefix bounds or leader candidates priced per numpy call
 # (temporaries ~128 KB).
@@ -450,189 +451,138 @@ def _prefix_levels(rem1, rows):
             yield parent[lo:lo + rows], own[lo:lo + rows]
 
 
+def _prefix_walk(t1, t2, c, tails, bound_rows, floor, take, leaf, budget):
+    """Walk the joint grid's pairs as prefixes of bins; return the prefixes and leaves kept.
+
+    A block of prefixes holds, per prefix: its parent in the block above,
+    the levels a and b of its last bin, its bound rows' partial sums of c,
+    both users' terms summed in bin order, the levels left to users 1 and 2
+    and its group (the root: one empty prefix per group).  Group g's bounds
+    use the rows bound_rows[:, g] of c and `tails` (`_pareto_bounds`); a
+    child is kept when each bound, its partial sum plus the suffix table at
+    the levels left (-inf past a budget), reaches its row's finite `floor`.
+    Children are built BLOCK_SIZE // (L + 1) rows (prefix, user-1 level) at
+    a time, so memory stays bounded when every pair ties; `take(bound)`
+    yields the kept children of each such step as index arrays, one block
+    each.  Through the last bin, `leaf(path, p, a)` gets the steps instead
+    (path: the blocks from the root), may raise `floor` in place and
+    returns the leaves it keeps.  Stops once more than `budget` are kept.
+    """
+    bins, n, _ = t1.shape
+    levels, wide, level = n - 1, 2 * n - 1, np.arange(n)
+    step, kept = max(1, BLOCK_SIZE // n), 0
+
+    def children(block, j):
+        nonlocal kept
+        _, _, _, part, s1, s2, rem1, rem2, group = block
+        for p, a in _prefix_levels(rem1, step):
+            if j + 1 == bins:
+                kept += leaf(path, p, a)
+                if kept > budget:
+                    return
+                continue
+            r = bound_rows[:, group[p]]
+            head = part[:, p, None] + c[r, j, a]
+            at = ((r * wide + levels - rem1[p] + a) * wide + levels - rem2[p])[..., None] + level
+            bound = head + tails[j][at]
+            i, b = np.nonzero((bound >= floor[r, None]).all(axis=0))
+            for k in take(bound[:, i, b]):
+                pi, ai, bi = p[i[k]], a[i[k]], b[k]
+                yield (pi, ai, bi, head[:, i[k], bi], s1[pi] + t1[j, ai, bi], s2[pi] + t2[j, ai, bi],
+                       rem1[pi] - ai, rem2[pi] - bi, group[pi])
+
+    groups = bound_rows.shape[1]
+    zero, full = np.zeros(groups), np.full(groups, levels)
+    path = [(None, None, None, np.zeros(bound_rows.shape), zero, zero, full, full, np.arange(groups))]
+    stack = [children(path[0], 0)]
+    while stack and kept <= budget:
+        block = next(stack[-1], None)
+        if block is None:
+            del path[-1], stack[-1]
+        else:
+            kept += len(block[0])
+            path.append(block)
+            stack.append(children(block, len(stack)))
+    return kept
+
+
 def _pareto_walk(t1, t2, w, df, budget):
     """Each weight row's best (value, pair key, rates), walking the pairs' prefixes.
 
-    The walk goes bin by bin and keeps the prefixes whose bound (partial sum
-    of c plus the suffix table at the levels left, from `_pareto_bounds`)
-    reaches their row's floor.  Each prefix carries both users' terms summed
-    in bin order, so a whole pair is priced as the scan prices it; among
-    equal values the lexicographically first (user-1 split, user-2 split)
-    key wins.  Blocks hold at most BLOCK_SIZE // K prefixes, listed by
-    weight row, and each step prices at most about BLOCK_SIZE bounds, so
-    memory stays bounded even when every pair ties.  Returns (None, kept)
-    as soon as more than `budget` prefixes are kept, else (best, kept).
+    Each weight row is a group of `_prefix_walk` with its own bound row and
+    fixed floor (`_pareto_bounds`).  Children and leaves are taken in index
+    order, BLOCK_SIZE // K at a time, and each leaf is priced as the scan
+    prices it, from its users' terms summed in bin order; among equal
+    values the lexicographically first (user-1 split, user-2 split) key
+    wins.  Returns (None, kept) once more than `budget` prefixes and leaves
+    are kept, else (best, kept).
     """
-    c, tails, best_of_row, floor = _pareto_bounds(t1, t2, w, df)
-    count, bins, n, _ = c.shape
-    levels, wide, level = n - 1, 2 * n - 1, np.arange(n)
-    size, rows = max(1, BLOCK_SIZE // bins), max(1, BLOCK_SIZE // n)
-
-    def expand(block, j):
-        # children through bin j that keep their bound, over rows (prefix,
-        # user-1 level a) of every user-2 level b, `rows` rows at a time
-        _, _, _, partial, sum1, sum2, rem1, rem2, wid = block
-        for p, a in _prefix_levels(rem1, rows):
-            if j == 0:  # the root's rows whose best bound misses the floor go at once
-                kept = best_of_row[wid[p], a] >= floor[wid[p]]
-                p, a = p[kept], a[kept]
-            g = wid[p]
-            head = partial[p, None] + c[g, j, a]
-            if j + 1 < bins:
-                at = ((g * wide + levels - rem1[p] + a) * wide + levels - rem2[p])[:, None] + level
-                keep = head + tails[j][at] >= floor[g, None]
-            else:
-                keep = (head >= floor[g, None]) & (level <= rem2[p, None])
-            r, b = np.nonzero(keep)
-            for i in (slice(s, s + size) for s in range(0, len(b), size)):
-                pi, ai, bi = p[r[i]], a[r[i]], b[i]
-                yield (pi, ai, bi, head[r[i], bi], sum1[pi] + t1[j, ai, bi], sum2[pi] + t2[j, ai, bi],
-                       rem1[pi] - ai, rem2[pi] - bi, wid[pi])
-
-    def keys(block, which):
-        # (user-1 split, user-2 split) of the block's rows `which`, recovered up the stack
-        split1, split2 = (np.empty((len(which), bins), dtype=np.intp) for _ in range(2))
-        p, split1[:, -1], split2[:, -1] = block[0][which], block[1][which], block[2][which]
-        for k in range(bins - 2, -1, -1):
-            up = stack[k + 1][0]
-            split1[:, k], split2[:, k] = up[1][p], up[2][p]
-            p = up[0][p]
-        return np.hstack([split1, split2])
-
-    # a block of prefixes: parent row in the block above, levels a and b of
-    # its last bin, the bound's partial sum, the users' term sums, levels
-    # left to users 1 and 2, weight row
-    zero, full = np.zeros(count), np.full(count, levels)
-    root = (None, None, None, zero, zero, zero, full, full, np.arange(count))
-    best, kept, stack = [(-np.inf, None, None)] * count, 0, [(root, expand(root, 0))]
-    while stack:
-        block = next(stack[-1][1], None)
-        if block is None:
-            stack.pop()
-            continue
-        kept += len(block[8])
-        if kept > budget:
-            return None, kept
-        if len(stack) < bins:
-            stack.append((block, expand(block, len(stack))))
-            continue
-        g = block[8]
-        with np.errstate(over="ignore"):
-            r1, r2 = block[4] * df, block[5] * df
-            objective = w[g, 0] * r1 + w[g, 1] * r2
-        # each weight row's best value in the block, then its first pair
-        starts = np.flatnonzero(np.diff(g, prepend=-1))
-        tops = np.maximum.reduceat(objective, starts)
-        tied = np.flatnonzero(objective == np.repeat(tops, np.diff(starts, append=len(g))))
-        key = keys(block, tied)
-        order = np.lexsort([*key.T[::-1], g[tied]])
-        for i in order[np.flatnonzero(np.diff(g[tied[order]], prepend=-1))].tolist():
-            top, row, pair = objective[tied[i]], g[tied[i]], tuple(key[i].tolist())
-            value, first, _ = best[row]
-            if top > value or (top == value and pair < first):
-                best[row] = (top, pair, np.array([r1[tied[i]], r2[tied[i]]]))
-    return best, kept
-
-
-def _walk_budget(t1, t2):
-    """Prefixes an oracle's walks may keep before one scan answers instead.
-
-    -1, for the scan alone, where the grid is at most BLOCK_SIZE pairs, since
-    one block of the scan is cheaper than any walk, and where both users'
-    term tables are all zero, since every pair then ties at rate 0 and a
-    walk would keep them all; else max(2**14, pairs / 16), which only grids
-    where most pairs tie reach.
-    """
+    c, tails, _, floor = _pareto_bounds(t1, t2, w, df)
     bins, n, _ = t1.shape
-    pairs = math.comb(n - 1 + bins, bins) ** 2
-    return max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE and (t1.any() or t2.any()) else -1
+    size, level = max(1, BLOCK_SIZE // bins), np.arange(n)
+    best = [(-np.inf, None, None)] * len(w)
 
+    def take(bound):
+        return (slice(s, s + size) for s in range(0, bound.shape[-1], size))
 
-def _pareto_argmax(
-    ch: ChannelSet,
-    noise: NoiseProfile,
-    budgets: PowerBudget,
-    grid: FrequencyGrid,
-    levels: int,
-    weight_list,
-):
-    """Exact weighted-sum maximization on the joint allocation grid.
+    def keys(path, p, a, b):
+        # (user-1 split, user-2 split) of the leaves, recovered up the path
+        split1, split2 = [a], [b]
+        for up in path[:0:-1]:
+            split1.append(up[1][p])
+            split2.append(up[2][p])
+            p = up[0][p]
+        return np.column_stack(split1[::-1] + split2[::-1])
 
-    Returns, per weight vector, the best value and rate pair, bit for bit
-    those of a scan over every pair of splits: each user's terms summed in
-    bin order, times df, then w[0]*r1 + w[1]*r2, with ties broken toward the
-    lexicographically first (user-1 split, user-2 split) pair.
+    def leaf(path, p, a):
+        _, _, _, part, s1, s2, _, rem2, group = path[-1]
+        g = group[p]
+        r, b = np.nonzero((part[0, p, None] + c[g, -1, a] >= floor[g, None]) & (level <= rem2[p, None]))
+        for i in take(b):
+            pi, ai, bi = p[r[i]], a[r[i]], b[i]
+            g = group[pi]
+            with np.errstate(over="ignore"):
+                r1, r2 = (s1[pi] + t1[-1, ai, bi]) * df, (s2[pi] + t2[-1, ai, bi]) * df
+                objective = w[g, 0] * r1 + w[g, 1] * r2
+            # each weight row's best value in the block (blocks list their
+            # prefixes by weight row), then its first pair
+            starts = np.flatnonzero(np.diff(g, prepend=-1))
+            tops = np.maximum.reduceat(objective, starts)
+            tied = np.flatnonzero(objective == np.repeat(tops, np.diff(starts, append=len(g))))
+            key = keys(path, pi[tied], ai[tied], bi[tied])
+            order = np.lexsort([*key.T[::-1], g[tied]])
+            for j in order[np.flatnonzero(np.diff(g[tied[order]], prepend=-1))].tolist():
+                top, row, pair = objective[tied[j]], g[tied[j]], tuple(key[j].tolist())
+                value, first, _ = best[row]
+                if top > value or (top == value and pair < first):
+                    best[row] = (top, pair, np.array([r1[tied[j]], r2[tied[j]]]))
+        return len(b)
 
-    The weighted sum separates by bin and only the two budget counters link
-    the bins, so a dynamic program over (bin, levels left to user 1, levels
-    left to user 2) bounds every completion of a prefix of bins
-    (`_pareto_bounds`).  A walk over the prefixes drops those whose bound
-    falls below the optimum by more than a rounding slack, and prices the
-    surviving pairs in the scan's arithmetic (`_pareto_walk`).  Weights
-    share one walk, as many as keep its tables within 2**18 entries.  A grid
-    of at most BLOCK_SIZE pairs is one block of the scan, which is cheaper
-    than the walk, and so is a grid whose terms are all zero (no direct
-    gains), where every pair ties.  Other ties (bins with equal gains) can
-    keep most of the grid; once the walks have kept max(2**14, pairs / 16)
-    prefixes, one scan prices the remaining weights.  Refused, like the
-    scan, over MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError
-    when a term or a best weighted value is not finite.
-    """
-    t1, t2 = _term_tables(ch, noise, budgets, grid, levels)
-    bins, n, df = grid.bin_count, levels + 1, grid.bin_width
-    weights = np.array(weight_list, dtype=float).reshape(-1, 2)
-    group = max(1, (1 << 18) // (5 * bins * n * n + (bins > 2) * n**3))
-    budget, found = _walk_budget(t1, t2), []
-    for w in (weights[i:i + group] for i in range(0, len(weights), group)):
-        best, kept = _pareto_walk(t1, t2, w, df, budget) if budget >= 0 else (None, 0)
-        budget -= kept
-        found += best or [None] * len(w)
-    rest = [i for i, f in enumerate(found) if f is None]
-    if rest:
-        # the scan: first maximum of each block, strict gains across blocks
-        for i in rest:
-            found[i] = (-np.inf, None, None)
-        with np.errstate(over="ignore"):
-            for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, (t1, t2)):
-                for i in rest:
-                    objective = weights[i, 0] * r1 + weights[i, 1] * r2
-                    j = int(np.argmax(objective))
-                    if objective.flat[j] > found[i][0]:
-                        found[i] = (objective.flat[j], None, np.array([r1.flat[j], r2.flat[j]]))
-    for row, (value, _, _) in zip(weights.tolist(), found):
-        if not math.isfinite(value):
-            raise ArithmeticError(f"weighted rate sum for weights {tuple(row)} is not finite")
-    return [float(value) for value, _, _ in found], [rates for _, _, rates in found]
+    kept = _prefix_walk(t1, t2, c, tails, np.arange(len(w))[None], floor, take, leaf, budget)
+    return (best if kept <= budget else None), kept
 
 
 def _margin_walk(t1, t2, target, df, budget):
     """The best margin min_n (R_n - target_n) over the joint grid, walking the pairs' prefixes.
 
     A pair whose margin reaches m has R_n >= target_n + m for each user, so
-    w.R >= w.(target + m) for every w >= 0.  The per-bin dynamic-program
-    bounds of `_pareto_bounds` for the rows (1, 0), (0, 1) and (1, 1) thus
-    drop each prefix for which one row's partial sum plus its suffix table
-    misses that row's floor at the incumbent m (less a rounding slack); the
-    per-user rows alone leave many prefixes whose users would each need the
-    other's best bins.  The kept children of a block are taken best margin
+    w.R >= w.(target + m) for every w >= 0.  So `_prefix_walk` keeps a
+    prefix only if its `_pareto_bounds` bound for each of the rows (1, 0),
+    (0, 1) and (1, 1) reaches that row's floor at the incumbent m, less a
+    rounding slack; the per-user rows alone leave many prefixes whose users
+    would each need the other's best bins.  Children are taken best margin
     bound first, 32 at a time, so that the incumbent rises early; whenever
-    the floors have risen since the last take, the children not yet taken
-    are tested again in one pass, and the block ends when none is left.
-    Leaves are priced as the scan prices them (each user's terms summed in
-    bin order, times df, then the min), and every leaf whose margin reaches
-    the incumbent is kept and raises it, so the result is the scan's bit
-    for bit.  Children are built BLOCK_SIZE at a time, so memory stays
-    bounded when every pair ties.  Returns (None, kept) as soon as more than
-    `budget` prefixes and leaves are kept, else (best, kept).
+    the floors have risen, the children not yet taken are tested again in
+    one pass.  Leaves are priced as the scan prices them (each user's terms
+    summed in bin order, times df, then the min), and every leaf whose
+    margin reaches the incumbent is kept and raises it, so the result is
+    the scan's bit for bit.  Returns (None, kept) once more than `budget`
+    prefixes and leaves are kept, else (best, kept).
     """
     bins, n, _ = t1.shape
-    levels, wide, level = n - 1, 2 * n - 1, np.arange(n)
-    rows = max(1, BLOCK_SIZE // n)
-    tau1, tau2 = map(float, target)
-    if bins > 1:
-        # each row's largest weight is 1, so c = w t / 2
-        c, tails, _, _ = _pareto_bounds(t1, t2, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), df)
-        tails = tails.reshape(bins - 1, 3, wide * wide)
+    level, (tau1, tau2) = np.arange(n), map(float, target)
+    # each row's largest weight is 1, so c = w t / 2
+    c, tails, _, _ = _pareto_bounds(t1, t2, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), df)
     # Rounding slack.  Let u = 2**-53, A_n the exact sum of a pair's terms
     # and mag_n = |target_n| + |m| + 2 df (sum over bins of t_n's largest
     # term), which bounds |R_n - target_n| and df A_n.  If the pair's margin
@@ -657,70 +607,112 @@ def _margin_walk(t1, t2, target, df, budget):
         need, mag = [tau1 + m, tau2 + m], [abs(tau1) + abs(m) + top[0], abs(tau2) + abs(m) + top[1]]
         f = [0.5 * x / df - ((bins + 4) * u * y / df + 3 * ((bins + 1) * tiny + tiny / df))
              for x, y in zip(need + [need[0] + need[1]], mag + [mag[0] + mag[1]])]
-        return [x if x == x else -math.inf for x in f]  # inf - inf only for targets near overflow
+        # bounds are nonnegative within the budgets and -inf past them, so a
+        # floor of -1 keeps exactly the prefixes within budget; inf - inf
+        # (NaN) only for targets near overflow
+        return [x if x > -1.0 else -1.0 for x in f]
 
-    def chunks(block, j):
-        # children through bin j that reach every floor, best margin bound
-        # first, 32 at a time; the rest are tested again whenever the floors rose
-        part, s1, s2, rem1, rem2 = block
-        for p, a in _prefix_levels(rem1, rows):
-            head = part[:, p, None] + c[:, j, a]
-            at = ((levels - rem1[p] + a) * wide + levels - rem2[p])[:, None] + level
-            bound = head + tails[j][:, at]
-            tested = floor.tolist()
-            r, b = np.nonzero((bound >= floor[:, None, None]).all(axis=0) & (level <= rem2[p, None]))
-            head, bound = head[:, r, b], bound[:, r, b]
-            key = np.minimum(np.minimum(bound[0] - half[0], bound[1] - half[1]), 0.5 * (bound[2] - half[2]))
-            order = np.argsort(-key)
-            while True:
-                if floor.tolist() != tested:
-                    tested = floor.tolist()
-                    order = order[(bound[:, order] >= floor[:, None]).all(axis=0)]
-                if not len(order):
-                    break
-                i, order = order[:32], order[32:]
-                pi, ai, bi = p[r[i]], a[r[i]], b[i]
-                yield head[:, i], s1[pi] + t1[j, ai, bi], s2[pi] + t2[j, ai, bi], rem1[pi] - ai, rem2[pi] - bi
-
-    def price(block, j):
-        # the leaves through the last bin, in the scan's arithmetic
-        nonlocal best, kept
-        _, s1, s2, rem1, rem2 = block
-        for p, a in _prefix_levels(rem1, rows):
-            r1, r2 = s1[p, None] + t1[j, a], s2[p, None] + t2[j, a]
-            with np.errstate(over="ignore"):
-                r1 *= df
-                r2 *= df
-                margin = np.minimum(r1 - tau1, r2 - tau2)
-            keep = (margin >= best) & (level <= rem2[p, None])
-            count = int(np.count_nonzero(keep))
-            if count:
-                kept += count
-                best = max(best, float(margin[keep].max()))
-                floor[:] = floors(best)
-                if kept > budget:
-                    return
-
-    def expand(block, j):
-        if j + 1 < bins:
-            stack.append(chunks(block, j))
-        else:
-            price(block, j)
-
-    # a block of prefixes: each row's partial bound, the users' term sums,
-    # levels left to users 1 and 2
-    best, kept, stack = -math.inf, 0, []
+    best = -math.inf
     floor = np.array(floors(best))
-    zero, full = np.zeros(1), np.array([levels])
-    expand((np.zeros((3, 1)), zero, zero, full, full), 0)
-    while stack and kept <= budget:
-        block = next(stack[-1], None)
-        if block is None:
-            stack.pop()
-            continue
-        kept += len(block[3])
-        expand(block, len(stack))
+
+    def take(bound):
+        key = np.minimum(np.minimum(bound[0] - half[0], bound[1] - half[1]), 0.5 * (bound[2] - half[2]))
+        order, tested = np.argsort(-key), floor.tolist()
+        while len(order):
+            yield order[:32]
+            order = order[32:]
+            if floor.tolist() != tested:
+                tested = floor.tolist()
+                order = order[(bound[:, order] >= floor[:, None]).all(axis=0)]
+
+    def leaf(path, p, a):
+        # the pairs through the last bin, in the scan's arithmetic
+        nonlocal best
+        _, _, _, _, s1, s2, _, rem2, _ = path[-1]
+        with np.errstate(over="ignore"):
+            r1, r2 = (s1[p, None] + t1[-1, a]) * df, (s2[p, None] + t2[-1, a]) * df
+            margin = np.minimum(r1 - tau1, r2 - tau2)
+        keep = (margin >= best) & (level <= rem2[p, None])
+        count = int(np.count_nonzero(keep))
+        if count:
+            best = max(best, float(margin[keep].max()))
+            floor[:] = floors(best)
+        return count
+
+    kept = _prefix_walk(t1, t2, c, tails, np.array([[0], [1], [2]]), floor, take, leaf, budget)
     return (best if kept <= budget else None), kept
+
+
+def _walk_else_scan(ch, noise, budgets, grid, levels, walk, items, group, score):
+    """Each item's best (value, tie key, rates) on the joint grid: walked, else scanned.
+
+    `walk(t1, t2, items, df, budget)` answers up to `group` items at a time
+    from the `_term_tables`, or gives (None, kept) once it has kept more
+    than `budget` prefixes and leaves.  The walks share one budget: none,
+    where the grid is at most BLOCK_SIZE pairs, since one block of the scan
+    is cheaper than any walk, and where both users' terms are all zero,
+    since every pair then ties at rate 0 and a walk would keep them all;
+    else max(2**14, pairs / 16), which only grids where most pairs tie
+    reach.  The items left are priced by one scan over every pair of splits
+    (`_joint_grid_rates`): score(item, r1, r2), the first maximum of each
+    block, strict gains across blocks, and no tie key.
+    """
+    t1, t2 = _term_tables(ch, noise, budgets, grid, levels)
+    pairs = math.comb(levels + grid.bin_count, grid.bin_count) ** 2
+    budget = max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE and (t1.any() or t2.any()) else -1
+    found = []
+    for lot in (items[i:i + group] for i in range(0, len(items), group)):
+        best, kept = walk(t1, t2, lot, grid.bin_width, budget) if budget >= 0 else (None, 0)
+        budget -= kept
+        found += best or [None] * len(lot)
+    rest = [i for i, f in enumerate(found) if f is None]
+    found = [f or (-np.inf, None, None) for f in found]
+    if rest:
+        with np.errstate(over="ignore"):
+            for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, (t1, t2)):
+                for i in rest:
+                    objective = score(items[i], r1, r2)
+                    j = int(np.argmax(objective))
+                    if objective.flat[j] > found[i][0]:
+                        found[i] = (objective.flat[j], None, np.array([r1.flat[j], r2.flat[j]]))
+    return found
+
+
+def _pareto_argmax(
+    ch: ChannelSet,
+    noise: NoiseProfile,
+    budgets: PowerBudget,
+    grid: FrequencyGrid,
+    levels: int,
+    weight_list,
+):
+    """Exact weighted-sum maximization on the joint allocation grid.
+
+    Returns, per weight vector, the best value and rate pair, bit for bit
+    those of a scan over every pair of splits: each user's terms summed in
+    bin order, times df, then w[0]*r1 + w[1]*r2, with ties broken toward the
+    lexicographically first (user-1 split, user-2 split) pair.
+
+    The weighted sum separates by bin and only the two budget counters link
+    the bins, so a dynamic program over (bin, levels left to user 1, levels
+    left to user 2) bounds every completion of a prefix of bins
+    (`_pareto_bounds`).  The walk over the prefixes drops those whose bound
+    falls below the optimum by more than a rounding slack, and prices the
+    pairs left in the scan's arithmetic (`_pareto_walk`).  Weights share
+    one walk, as many as keep its tables within 2**18 entries.  Small,
+    all-zero and tie-heavy grids are scanned (`_walk_else_scan`).  Refused,
+    like the scan, over MAX_ORACLE_EVALUATIONS joint pairs; raises
+    ArithmeticError when a term or a best weighted value is not finite.
+    """
+    bins, n = grid.bin_count, levels + 1
+    weights = np.array(weight_list, dtype=float).reshape(-1, 2)
+    group = max(1, (1 << 18) // (5 * bins * n * n + (bins > 2) * n**3))
+    found = _walk_else_scan(ch, noise, budgets, grid, levels, _pareto_walk, weights, group,
+                            lambda w, r1, r2: w[0] * r1 + w[1] * r2)
+    for row, (value, _, _) in zip(weights.tolist(), found):
+        if not math.isfinite(value):
+            raise ArithmeticError(f"weighted rate sum for weights {tuple(row)} is not finite")
+    return [float(value) for value, _, _ in found], [rates for _, _, rates in found]
 
 
 def grid_dominance_margin(
@@ -738,28 +730,23 @@ def grid_dominance_margin(
     dominates the target point.  The value is bit for bit that of a scan
     over every pair of splits (each user's terms summed in bin order, times
     df), found by a branch and bound over the pairs' prefixes with the
-    weighted-sum oracle's per-bin bounds (`_margin_walk`).  A grid of at
-    most BLOCK_SIZE pairs is one block of the scan, as is a grid whose terms
-    are all zero (every pair ties); where other ties keep more than
-    max(2**14, pairs / 16) prefixes and leaves, the scan answers instead.
-    Refused over MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError
-    when a term or the margin is not finite.
+    weighted-sum oracle's per-bin bounds (`_margin_walk`); small, all-zero
+    and tie-heavy grids are scanned (`_walk_else_scan`).  Refused over
+    MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError when a term
+    or the margin is not finite.
     """
     target = np.asarray(target_rates, dtype=float)
     _check_inputs(ch, noise, budgets, grid, levels=levels, target=target)
-    terms = _term_tables(ch, noise, budgets, grid, levels)
-    budget = _walk_budget(*terms)
-    best, _ = _margin_walk(*terms, target, grid.bin_width, budget) if budget >= 0 else (None, 0)
-    if best is None:
-        best = -np.inf
-        with np.errstate(over="ignore"):
-            for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, terms):
-                margin = np.minimum(r1 - target[0], r2 - target[1]).max()
-                if margin > best:
-                    best = float(margin)
+
+    def walk(t1, t2, lot, df, budget):
+        best, kept = _margin_walk(t1, t2, lot[0], df, budget)
+        return best if best is None else [(best, None, None)], kept
+
+    [(best, _, _)] = _walk_else_scan(ch, noise, budgets, grid, levels, walk, [target], 1,
+                                     lambda t, r1, r2: np.minimum(r1 - t[0], r2 - t[1]))
     if not math.isfinite(best):
         raise ArithmeticError("dominance margin is not finite")
-    return best
+    return float(best)
 
 
 def pareto_sweep(

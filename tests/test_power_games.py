@@ -916,12 +916,12 @@ def test_joint_grid_rates_equal_the_rate_kernel(bins):
             assert oracle.tobytes() == expected[..., user].tobytes()
 
 
-def reference_pareto_argmax(scen, levels, weight_list):
+def reference_pareto_argmax(scen, levels, weight_list, rows=None):
     """Reference: row-at-a-time argmax, strict improvements across rows."""
     weights = [np.asarray(w, dtype=float) for w in weight_list]
     best_val = [-np.inf] * len(weights)
     best_rates = [None] * len(weights)
-    for r1, r2 in reference_joint_grid_rates(scen, levels):
+    for r1, r2 in rows or reference_joint_grid_rates(scen, levels):
         for wi, w in enumerate(weights):
             objective = w[0] * r1 + w[1] * r2
             j = int(np.argmax(objective))
@@ -1013,9 +1013,9 @@ def seeded_oracle_draw(draw):
     return scen, levels
 
 
-def assert_walk_matches_row_loop(scen, levels):
+def assert_walk_matches_row_loop(scen, levels, rows):
     args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
-    ref_values, ref_rates = reference_pareto_argmax(scen, levels, WALK_WEIGHTS)
+    ref_values, ref_rates = reference_pareto_argmax(scen, levels, WALK_WEIGHTS, rows)
     values, rates = _pareto_argmax(*args, WALK_WEIGHTS)
     assert values == ref_values
     assert all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
@@ -1023,17 +1023,6 @@ def assert_walk_matches_row_loop(scen, levels):
     best, _ = _pareto_walk(*_term_tables(*args), np.array(WALK_WEIGHTS), scen.grid.bin_width, math.inf)
     assert [b[0] for b in best] == ref_values
     assert all(np.array_equal(b[2], r) for b, r in zip(best, ref_rates))
-
-
-@pytest.mark.slow
-def test_pareto_walk_matches_row_loop_on_seeded_draws():
-    # K = 1..4 and levels 2..10 drawn per seed; the weights add a doubled
-    # corner, subnormal weights that tie most pairs, and a 1e600 ratio
-    for draw in range(200):
-        assert_walk_matches_row_loop(*seeded_oracle_draw(draw))
-    for levels in range(2, 11):
-        assert_walk_matches_row_loop(mirror_scenario(), levels)
-        assert_walk_matches_row_loop(flat_symmetric_scenario(), levels)
 
 
 def reference_pareto_bounds(t1, t2, w, df):
@@ -1127,9 +1116,8 @@ def test_pareto_walk_streams_a_grid_where_every_pair_ties(monkeypatch):
     assert len(scans) == 1
 
 
-def assert_margin_walk_matches_row_loop(scen, levels):
+def assert_margin_walk_matches_row_loop(scen, levels, rows):
     args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
-    rows = list(reference_joint_grid_rates(scen, levels))
     above = [max(r[user].max() for r in rows) + 1.0 for user in range(2)]
     for target in ([0.0, 0.0], sg.iterative_water_filling(*args[:4]).rates, above):
         expected = reference_dominance_margin(np.asarray(target), scen, levels, rows)
@@ -1141,14 +1129,40 @@ def assert_margin_walk_matches_row_loop(scen, levels):
 
 
 @pytest.mark.slow
-def test_margin_walk_matches_row_loop_on_seeded_draws():
-    # K = 1..4 and levels 2..10 drawn per seed; targets at no rate, at the
-    # Nash rates and above every pair of the grid
-    for draw in range(200):
-        assert_margin_walk_matches_row_loop(*seeded_oracle_draw(draw))
-    for levels in range(2, 11):
-        assert_margin_walk_matches_row_loop(mirror_scenario(), levels)
-        assert_margin_walk_matches_row_loop(flat_symmetric_scenario(), levels)
+def test_walks_match_row_loop_on_seeded_draws():
+    # K = 1..4 and levels 2..10 drawn per seed; the weights add a doubled
+    # corner, subnormal weights that tie most pairs, and a 1e600 ratio; the
+    # margin targets sit at no rate, at the Nash rates and above every pair
+    # of the grid.  Each reference grid is listed once for both oracles.
+    cases = [seeded_oracle_draw(draw) for draw in range(200)]
+    cases += [(scen(), levels) for levels in range(2, 11) for scen in (mirror_scenario, flat_symmetric_scenario)]
+    for scen, levels in cases:
+        rows = list(reference_joint_grid_rates(scen, levels))
+        assert_walk_matches_row_loop(scen, levels, rows)
+        assert_margin_walk_matches_row_loop(scen, levels, rows)
+
+
+# Each walk's kept prefixes and leaves, (Pareto walk over WALK_WEIGHTS,
+# margin walk at the Nash rates), on seeded draws 0..19 and then the mirror
+# and flat scenarios at 10 levels.  A change to the bounds, the floors, the
+# child order or the leaf rule moves them even where the answers hold.
+WALK_KEPT = [
+    (61, 81), (209, 151), (107, 463), (83, 100), (71, 81), (14, 49), (31, 36), (17, 100), (28, 45), (23, 36),
+    (31419, 313), (13281, 280), (24246, 238), (700, 305), (36, 36), (45, 49), (2010, 369), (2190, 599),
+    (722, 232), (780, 1638), (1923, 1386), (3621, 964),
+]
+
+
+def test_walks_keep_the_pinned_prefixes():
+    cases = [seeded_oracle_draw(draw) for draw in range(20)] + [(mirror_scenario(), 10), (flat_symmetric_scenario(), 10)]
+    for (scen, levels), expected in zip(cases, WALK_KEPT, strict=True):
+        args = (scen.channels, scen.noise, scen.budgets, scen.grid, levels)
+        tables, df = _term_tables(*args), scen.grid.bin_width
+        walks = [(_pareto_walk, np.array(WALK_WEIGHTS)), (_margin_walk, sg.iterative_water_filling(*args[:4]).rates)]
+        assert tuple(walk(*tables, x, df, math.inf)[1] for walk, x in walks) == expected
+        # a budget of exactly the kept count suffices; one fewer gives up
+        for (walk, x), kept in zip(walks, expected):
+            assert walk(*tables, x, df, kept)[0] is not None and walk(*tables, x, df, kept - 1)[0] is None
 
 
 def test_margin_walk_prunes_with_each_users_bound(monkeypatch):
