@@ -1128,17 +1128,27 @@ def assert_margin_walk_matches_row_loop(scen, levels, rows):
     assert expected < 0.0
 
 
-@pytest.mark.slow
-def test_walks_match_row_loop_on_seeded_draws():
-    # K = 1..4 and levels 2..10 drawn per seed; the weights add a doubled
-    # corner, subnormal weights that tie most pairs, and a 1e600 ratio; the
-    # margin targets sit at no rate, at the Nash rates and above every pair
-    # of the grid.  Each reference grid is listed once for both oracles.
+def walk_cases():
+    # K = 1..4 and levels 2..10 drawn per seed, then the mirror and flat
+    # scenarios at levels 2..10, each with its reference grid
     cases = [seeded_oracle_draw(draw) for draw in range(200)]
     cases += [(scen(), levels) for levels in range(2, 11) for scen in (mirror_scenario, flat_symmetric_scenario)]
     for scen, levels in cases:
-        rows = list(reference_joint_grid_rates(scen, levels))
+        yield scen, levels, list(reference_joint_grid_rates(scen, levels))
+
+
+@pytest.mark.slow
+def test_pareto_walk_matches_row_loop_on_seeded_draws():
+    # the weights add a doubled corner, subnormal weights that tie most
+    # pairs, and a 1e600 ratio
+    for scen, levels, rows in walk_cases():
         assert_walk_matches_row_loop(scen, levels, rows)
+
+
+@pytest.mark.slow
+def test_margin_walk_matches_row_loop_on_seeded_draws():
+    # targets at no rate, at the Nash rates and above every pair of the grid
+    for scen, levels, rows in walk_cases():
         assert_margin_walk_matches_row_loop(scen, levels, rows)
 
 
