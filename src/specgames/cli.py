@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -70,38 +71,82 @@ def _blocks(header, rows):
         yield block
 
 
-def _write_csv(fh, header, rows):
+def _coded_blocks(text_of, header, rows, codes):
+    """The row texts of a factored table (see `_emit`), `_BLOCK` rows to a string.
+
+    Each distinct record is formatted once, as `text_of((0, *record))`.
+    That text and `text_of((1, *record))` differ only in the digit of t, so
+    row t's text is the first with that digit replaced by `str(t)`.
+    """
+    pre, post = [], []
+    for block in _blocks(header[1:], rows):
+        for record in block:
+            zero, one = text_of((0, *record)), text_of((1, *record))
+            at = next(i for i, (a, b) in enumerate(zip(zero, one)) if a != b)
+            pre.append(zero[:at])
+            post.append(zero[at + 1:])
+    for start in range(0, len(codes), _BLOCK):
+        yield "".join([f"{pre[c]}{t}{post[c]}" for t, c in enumerate(codes[start:start + _BLOCK], start)])
+
+
+def _write_csv(fh, header, rows, codes=None):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    for block in _blocks(header, rows):
-        writer.writerows(block)
+    if codes is None:
+        for block in _blocks(header, rows):
+            writer.writerows(block)
+        return
+    # `writerow` returns what `write` returns: with `str` as the write, the line
+    line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+    for text in _coded_blocks(line, header, rows, codes):
+        fh.write(text)
 
 
-def _write_json(fh, header, rows):
-    fh.write("[")
-    lead = "\n  {\n    "
+def _json_blocks(header, rows):
+    """The records as text blocks, each record led by ",\n  {\n    "."""
     for block in _blocks(header, rows):
         text = _JSON.encode([dict(zip(header, row)) for row in block])
         # an encoded string escapes its newlines, so "},\n    {" can only
         # be the join between two records
-        fh.write(lead + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }")
-        lead = ",\n  {\n    "
-    fh.write("\n]\n" if rows else "]\n")
+        yield ",\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }"
 
 
-def _emit(out_dir: Path, base: str, fmt: str, header, rows) -> Path:
+def _write_json(fh, header, rows, codes=None):
+    if codes is None:
+        texts = _json_blocks(header, rows)
+    else:
+        texts = _coded_blocks(
+            lambda row: ",\n  {\n    " + _JSON.encode(dict(zip(header, row)))[1:-1] + "\n  }", header, rows, codes
+        )
+    first = next(texts, None)
+    if first is None:
+        fh.write("[]\n")
+        return
+    fh.write("[" + first[1:])  # no comma before the first record
+    for text in texts:
+        fh.write(text)
+    fh.write("\n]\n")
+
+
+def _emit(out_dir: Path, base: str, fmt: str, header, rows, codes=None) -> Path:
     """Write one record table as CSV or JSON with deterministic formatting.
 
     `header` names at least one column and `rows` is a sequence of records
     whose values are plain int, float or str; any other type raises
     `TypeError`.  Records are encoded and written in blocks, so the table
     is never held as one string.
+
+    With `codes`, the table is factored: `rows` holds the distinct records
+    of the columns after the first, and row t of the table is
+    `(t, *rows[codes[t]])`.  Each distinct record is formatted once, by the
+    same writers, and row t's text is its record's text around `str(t)`,
+    so the bytes equal those of the unfactored table.
     """
     path = out_dir / f"{base}.{fmt}"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            (_write_csv if fmt == "csv" else _write_json)(fh, header, rows)
+            (_write_csv if fmt == "csv" else _write_json)(fh, header, rows, codes)
     except OSError as exc:
         raise ScenarioError("--out", f"cannot write {exc.filename}: {exc.strerror}") from exc
     return path
@@ -296,17 +341,36 @@ def _cmd_ce_optimize(doc, args, out_dir):
     return 0
 
 
+def _trace_table(trace):
+    """The trace table `t, action_1..N, u_1..N` as `_emit`'s factored table.
+
+    A round's record after `t` is its joint action and that profile's
+    payoffs, so the table is the header, one record per profile played (in
+    profile order) and each round's index into those records.
+    """
+    game = trace.game
+    n = game.player_count
+    header = ("t",) + tuple(f"action_{p + 1}" for p in range(n)) + tuple(f"u_{p + 1}" for p in range(n))
+    played, codes = np.unique(np.ravel_multi_index(trace.actions.T, game.action_counts), return_inverse=True)
+    profiles = np.unravel_index(played, game.action_counts)
+    records = [(*a, *u) for a, u in zip(np.transpose(profiles).tolist(), game.payoffs[profiles].tolist())]
+    return header, records, codes.tolist()
+
+
 def _cmd_learn(doc, args, out_dir):
+    """Run the repeated game; write its per-round trace and empirical joint distribution.
+
+    The trace goes to `_emit` factored (`_trace_table`): each profile's
+    record is formatted once however many rounds play it, with the bytes
+    of one record per round.
+    """
     if args.rounds is not None and args.rounds < 1:
         raise ScenarioError("--rounds", "must be at least 1")
     game = doc.finite_game()
     learners = doc.learners(game)
     rounds = args.rounds if args.rounds is not None else doc.rounds()
     trace = run_repeated_game(game, learners, rounds, args.seed)
-    n = game.player_count
-    header = ("t",) + tuple(f"action_{p + 1}" for p in range(n)) + tuple(f"u_{p + 1}" for p in range(n))
-    rows = [(t, *a, *u) for t, (a, u) in enumerate(zip(trace.actions.tolist(), trace.utilities.tolist()))]
-    _emit(out_dir, doc.output_base("trace"), args.format, header, rows)
+    _emit(out_dir, doc.output_base("trace"), args.format, *_trace_table(trace))
     dist = empirical_joint_distribution(trace)
     _emit(out_dir, doc.output_base("distribution"), args.format,
           ("profile", "prob"), _distribution_rows(game, dist))

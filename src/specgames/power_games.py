@@ -128,6 +128,19 @@ def _check_scale(count, what):
         raise OracleScaleError(f"oracle scale exceeded: {count} {what} over cap {MAX_ORACLE_EVALUATIONS}")
 
 
+def _level_step(budget, levels, df) -> float:
+    """budget / (levels * df), the PSD of one of `levels` budget steps.
+
+    ArithmeticError unless it is positive and finite: a product levels * df
+    that overflows would otherwise zero every level without a word.
+    """
+    budget = float(budget)
+    step = budget / (levels * df)
+    if not 0.0 < step < math.inf:
+        raise ArithmeticError(f"power step {budget!r} / ({levels} * {df!r}) is not positive and finite")
+    return step
+
+
 def iterative_water_filling(
     ch: ChannelSet,
     noise: NoiseProfile,
@@ -265,17 +278,18 @@ def stackelberg_leader_search(
     optimum of the descent) or no bin holds a full step.  The Nash
     allocation is always the first candidate, so leader 0 never finishes
     below its Nash rate (leader 1 can, within IW's tolerance).  A search
-    over MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError.
+    over MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError,
+    and a step that is not positive and finite with ArithmeticError.
     The Nash point is iterative water-filling at its default settings;
     leader must be 0 or 1.
     """
     _check_inputs(ch, noise, budgets, grid, leader=leader, levels=levels, min_levels=2)
     bins = grid.bin_count
     _check_scale(math.comb(levels + bins, bins) if bins <= 4 else 0, "leader grid candidates")
+    # budget/levels of power in PSD units: the grid step and the descent move
+    step = _level_step(budgets.budget[leader], levels, grid.bin_width)
     nash = iterative_water_filling(ch, noise, budgets, grid)
     ne_row = np.array(nash.allocation.psd[leader])
-    # budget/levels of power in PSD units: the grid step and the descent move
-    step = budgets.budget[leader] / (levels * grid.bin_width)
     evaluated = 0
 
     def best_of(blocks):
@@ -341,13 +355,13 @@ def _term_tables(ch, noise, budgets, grid, levels):
     term[k, a, b] is bin k's term with user 1 at level a and user 2 at level
     b, on the rate kernel's floor for two users; a rate is df times the sum
     of its bins' terms.  Grids over MAX_ORACLE_EVALUATIONS joint pairs are
-    refused with OracleScaleError before anything is built; a term that is
-    not finite (budgets so large that a product overflows) raises
-    ArithmeticError.
+    refused with OracleScaleError before anything is built; a power step
+    that is not positive and finite, or a term that is not finite (budgets
+    so large that a product overflows), raises ArithmeticError.
     """
     _check_scale(math.comb(levels + grid.bin_count, grid.bin_count) ** 2, "joint evaluations")
     df = grid.bin_width
-    p1, p2 = (np.arange(levels + 1) * (b / (levels * df)) for b in budgets.budget)
+    p1, p2 = (np.arange(levels + 1) * _level_step(b, levels, df) for b in budgets.budget)
     g, sigma, p1 = ch.gain2[..., None, None], noise.psd[..., None, None], p1[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (p1 * g[0, 0] / (sigma[0] + p2 * g[1, 0]), p2 * g[1, 1] / (sigma[1] + p1 * g[0, 1]))

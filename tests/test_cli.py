@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgames.cli import _BLOCK, _build_parser, _emit, main
+from specgames.cli import _BLOCK, _build_parser, _emit, _trace_table, main
 from specgames.experiments import KNOWLEDGE_LEVELS
+from specgames.learning import LearningTrace
+from specgames.matrix_games import NormalFormGame
 
 from test_acceptance import CLI_CASES
 from test_simplex import simplex_grid_document
@@ -256,6 +259,29 @@ def test_overflowing_weights_are_a_numerical_failure(tmp_path, scenario_dir, cap
     assert out == "" and list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["pareto", "region", "stackelberg"])
+def test_overflowing_power_step_is_a_numerical_failure(tmp_path, capsys, command):
+    # bins 8.5e307 wide: levels * df overflows, which used to zero every power
+    # level, so pareto wrote rates (0.0, 0.0)
+    doc = {
+        "version": 1,
+        "kind": "power_game",
+        "grid": {"bins": 2, "band": 1.7e308},
+        "channels": {"gains": [[[3.0, 3.0], [1.0, 1.0]], [[1.0, 1.0], [3.0, 3.0]]]},
+        "noise": 1.0,
+        "budgets": [1.7e308, 1e300],
+        "sweeps": {"weights": [[1.0, 0.0]], "levels": 10},
+    }
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "numerical failure: power step 1.7e+308 / (10 * 8.5e+307) is not positive and finite\n"
+    assert out == "" and list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("config, argv", [
     ("contention.json", ("learn", "--rounds", "10000000000000")),
     ("ensemble_default.json", ("ensemble", "--realizations", "10000000000000")),
@@ -440,6 +466,61 @@ def test_emit_refuses_values_that_are_not_plain_scalars(tmp_path, fmt, value, at
         _emit(tmp_path, "table", fmt, ("t", "value", "label"), rows)
 
 
+def plain_trace_rows(trace):
+    """One (t, actions, utilities) tuple per round, as the trace table was built before factoring."""
+    return [(t, *a, *u) for t, (a, u) in enumerate(zip(trace.actions.tolist(), trace.utilities.tolist()))]
+
+
+PAYOFFS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0, -7.0, 1e16, 123456789.0]),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), counts=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+       rounds=st.one_of(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]), st.integers(1, 3 * _BLOCK)),
+       seed=st.integers(0, 2**32 - 1), fmt=st.sampled_from(["csv", "json"]))
+def test_factored_trace_matches_plain_rows(data, counts, rounds, seed, fmt):
+    n = len(counts)
+    flat = data.draw(st.lists(PAYOFFS, min_size=math.prod(counts) * n, max_size=math.prod(counts) * n))
+    game = NormalFormGame(np.array(flat).reshape(*counts, n))
+    rng = np.random.default_rng(seed)
+    # a few profiles over and over, as when learners settle, or every round drawn afresh
+    pool = rng.integers(0, counts, size=(data.draw(st.integers(1, 6)), n))
+    actions = pool[rng.integers(0, len(pool), size=rounds)] if seed % 2 else rng.integers(0, counts, size=(rounds, n))
+    trace = LearningTrace(game, actions)
+    header, records, codes = _trace_table(trace)
+    assert len(records) == len(np.unique(actions, axis=0)) and len(codes) == rounds
+    with tempfile.TemporaryDirectory() as tmp:
+        new = _emit(Path(tmp) / "new", "trace", fmt, header, records, codes)
+        old = _emit(Path(tmp) / "old", "trace", fmt, header, plain_trace_rows(trace))
+        assert read(new) == read(old)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", [True, np.float64(1.5), np.int64(3), None], ids=repr)
+def test_factored_emit_refuses_records_that_are_not_plain_scalars(tmp_path, fmt, value):
+    # a game's payoffs are always float64, so its trace records hold float;
+    # the factored table still checks each distinct record
+    records = [(0, 0.5)] * (_BLOCK + 5)
+    records[_BLOCK + 3] = (1, value)
+    with pytest.raises(TypeError, match="^column 'u_1' holds"):
+        _emit(tmp_path, "trace", fmt, ("t", "action_1", "u_1"), records, [0, _BLOCK + 3, 0])
+
+
+def test_factored_emit_edge_records(tmp_path):
+    # no rows, a record of no columns, and one empty string, which csv quotes
+    # alone on a line but not after t
+    for header, records, codes in [(("t", "x"), [(1.5,)], []), (("t",), [()], [0, 0]),
+                                   (("t", "x"), [("",), ("a,b",)], [0, 1, 0])]:
+        rows = [(t, *records[c]) for t, c in enumerate(codes)]
+        for fmt in ("csv", "json"):
+            new = _emit(tmp_path / "new", "table", fmt, header, records, codes)
+            old = reference_emit(tmp_path / "old", "table", fmt, header, rows)
+            assert read(new) == read(old), (header, records, codes, fmt)
+
+
 def _run_sequence(capsys, root, calls):
     """Each call's exit code, stdout, stderr and output files, in one process."""
     results = []
@@ -497,6 +578,80 @@ THREE_PLAYER = {
         [[[0, 0, 1], [3, 1, 0]], [[1, 1, 1], [2, 0, 2]]],
     ],
 }
+
+
+# sha256 of the learn outputs and stdout, captured from the writer that built
+# one record per round.  The 8x8 simplex_grid game takes fig6's fixed gains:
+# a seeded channel draw differs with the machine's BLAS kernels (its bytes
+# change under OPENBLAS_CORETYPE=Prescott), these gains do not.
+LEARN_PINS = {
+    ("contention", "csv"): {
+        "distribution.csv": "b69314e79c961d7f1cdb955d1c565f148de2811f90448d88ae46435560448948",
+        "trace.csv": "13539be3363a6b6256861d1c3b456c07202137d2ee7fe156152a23ae5c53eca3",
+        "stdout": "a15a78e7797d337b21cc12d481e1ea1eb9f71fe88a0950fcad77d8838fdcf701",
+    },
+    ("contention", "json"): {
+        "distribution.json": "bf21551330c7bbd3e2af2eb7b4a7c188309708507607ca7cac005db92c42cb9f",
+        "trace.json": "8a984dfd461d567dcc524a2e650f17b1915dae232816e013aca79856070c1760",
+        "stdout": "a15a78e7797d337b21cc12d481e1ea1eb9f71fe88a0950fcad77d8838fdcf701",
+    },
+    ("contention-300", "csv"): {
+        "distribution.csv": "f77d40c6993b5a46bfb4f6f2ae77a2fdad9a9f5e0b9f588668ac27577010f2c2",
+        "trace.csv": "4c731e494bfcb5594097b1f8b0f0d8fd76133aefefd515ef7eeb226a58434d82",
+        "stdout": "c7221b28be2cda852278719c949ba033028b2fe9af8596526b45d71f52254448",
+    },
+    ("contention-300", "json"): {
+        "distribution.json": "cee343634b53ddfa845449c0fa48adcdbce06aa0099320debaab5f4bd8317c45",
+        "trace.json": "4c7751200e553cb798afc287fb597c58317991eb0b19848afc0bba36fd85521a",
+        "stdout": "c7221b28be2cda852278719c949ba033028b2fe9af8596526b45d71f52254448",
+    },
+    ("simplex_grid", "csv"): {
+        "distribution.csv": "1e77d5b0d8946ed4c8921d6697bb7e1a89c0f72694fe2bf4b974150e8769a4d7",
+        "trace.csv": "77637bf18914b3690f77279ed88c0a7c844bc6c2c9db3a0571fdb46e5f2abc0f",
+        "stdout": "ac8891a9060da6687f24156497519d8c88e7bb61fbe7efc06dc06642dd1f81dc",
+    },
+    ("simplex_grid", "json"): {
+        "distribution.json": "2e091c9d37f52fa7e7fdd62d1b7fe42afbba9d6793e49a48811c5c4965adc544",
+        "trace.json": "0202b4946e89bcdd5f4f6f9f2e1baabea5b82dd1f18828fe8e45697e65b9a86d",
+        "stdout": "ac8891a9060da6687f24156497519d8c88e7bb61fbe7efc06dc06642dd1f81dc",
+    },
+    ("three_player", "csv"): {
+        "distribution.csv": "8e4d75c874703b47e076f08b1fadacc0658df354080e7351bb05bf707a485b80",
+        "trace.csv": "96f661b50a31383aa042a9b15be17b2959af383feeb9390a43876c165f37be25",
+        "stdout": "d5637309d45115d53337dfe6e13c13271022c4507b772fe54e5f05db66ea2d50",
+    },
+    ("three_player", "json"): {
+        "distribution.json": "0df0c106ac1054fffb7db7a880e43aaa0d6c1d54da0049535cba1bd928101244",
+        "trace.json": "383258d711a633e0d61c2a725b81d4ecaba1967be07fd8444b4d7dd4fc782255",
+        "stdout": "d5637309d45115d53337dfe6e13c13271022c4507b772fe54e5f05db66ea2d50",
+    },
+}
+LEARN_CASES = {
+    "contention": ("contention.json", ()),
+    "contention-300": ("contention.json", ("--rounds", "300")),
+    "simplex_grid": ({**simplex_grid_document(7), "rounds": 2000,
+                      "channels": {"gains": [[[1.0, 1.0], [0.8, 0.4]], [[0.4, 0.4], [1.0, 1.0]]]},
+                      "learners": [{"kind": "regret_matching"}, {"kind": "regret_matching"}]}, ("--seed", "3")),
+    "three_player": ({**THREE_PLAYER, "rounds": 1000, "learners": [
+        {"kind": "regret_matching"}, {"kind": "fictitious_play"}, {"kind": "reinforcement"}]}, ("--seed", "5")),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(LEARN_CASES))
+def test_learn_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case, fmt):
+    config, extra = LEARN_CASES[case]
+    if isinstance(config, dict):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+    else:
+        path = scenario_dir / config
+    code, out, _ = run(capsys, "learn", "--config", str(path), *extra, "--out", str(tmp_path / "out"),
+                       "--format", fmt)
+    assert code == 0
+    digests = {p.name: hashlib.sha256(read(p)).hexdigest() for p in sorted((tmp_path / "out").iterdir())}
+    digests["stdout"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == LEARN_PINS[case, fmt]
 
 
 @pytest.mark.parametrize(

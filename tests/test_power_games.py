@@ -1317,6 +1317,33 @@ def test_overflowing_margin_is_an_arithmetic_error(monkeypatch, block):
         sg.grid_dominance_margin([-1.7e308, -1.7e308], *args, levels=4)
 
 
+def overflowing_step_args():
+    # df = 8.5e307: levels * df overflows, so budget / (levels * df) is 0
+    gain2 = np.empty((2, 2, 2))
+    gain2[0, 0] = gain2[1, 1] = 3.0
+    gain2[0, 1] = gain2[1, 0] = 1.0
+    grid = sg.FrequencyGrid(2, 1.7e308)
+    return sg.ChannelSet(gain2), sg.NoiseProfile.flat(1.0, 2, 2), sg.PowerBudget(np.array([1.7e308, 1e300])), grid
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_power_step_is_an_arithmetic_error():
+    # these used to return rates [0, 0], a margin of 0.0 and an inf leader rate
+    args = overflowing_step_args()
+    step = re.escape("power step 1.7e+308 / (10 * 8.5e+307) is not positive and finite")
+    with pytest.raises(ArithmeticError, match=f"^{step}$"):
+        sg.pareto_sweep([[1.0, 0.0]], *args, levels=10)
+    with pytest.raises(ArithmeticError, match=f"^{step}$"):
+        sg.grid_dominance_margin([0.0, 0.0], *args, levels=10)
+    with pytest.raises(ArithmeticError, match=f"^{step}$"):
+        sg.stackelberg_leader_search(0, *args, levels=10)
+    with pytest.raises(ArithmeticError, match=r"^power step 1e\+300 / \(10 \* 8\.5e\+307\) is not positive"):
+        sg.stackelberg_leader_search(1, *args, levels=10)
+    assert power_games._level_step(1e300, 10, 1.0) == 1e299
+    with pytest.raises(ArithmeticError, match="^power step 1e\\+300 / \\(10 \\* 5e-324\\) is not"):
+        power_games._level_step(1e300, 10, 5e-324)  # the step itself overflows to inf
+
+
 def test_overflowing_weighted_sum_is_an_arithmetic_error():
     scen = load_scenario(SCENARIOS / "fig6.json").power_scenario()
     args = (scen.channels, scen.noise, scen.budgets, scen.grid)
