@@ -378,8 +378,7 @@ def _validate_common(doc: dict):
                 _fail(f"outputs.{key}", "output names must be nonempty strings")
 
 
-def parse_scenario(doc: dict) -> ScenarioDocument:
-    """Validate a raw dictionary and wrap it as a ScenarioDocument."""
+def _validate(doc) -> None:
     _expect_mapping(doc, "")
     if "version" not in doc:
         _fail("version", "missing required key")
@@ -392,6 +391,11 @@ def parse_scenario(doc: dict) -> ScenarioDocument:
     else:
         _fail("kind", "must be 'power_game' or 'matrix_game'")
     _validate_common(doc)
+
+
+def parse_scenario(doc: dict) -> ScenarioDocument:
+    """Validate a raw dictionary and wrap a deep copy of it as a ScenarioDocument."""
+    _validate(doc)
     return ScenarioDocument(raw=copy.deepcopy(doc))
 
 
@@ -404,4 +408,5 @@ def load_scenario(path) -> ScenarioDocument:
             raise ScenarioError(
                 str(path), f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
-    return parse_scenario(doc)
+    _validate(doc)
+    return ScenarioDocument(raw=doc)  # nothing else holds the freshly parsed dict

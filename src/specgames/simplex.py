@@ -4,7 +4,16 @@ Solves   max (or min)  c.x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 entirely in dense numpy tableaus.  Pivoting uses Dantzig's rule (most
 negative reduced cost enters) with the lexicographic ratio test of Dantzig,
 Orden & Wolfe, which rules out cycling on the degenerate programs that
-equilibrium polytopes produce.  Intended for desk-scale problems (tens of
+equilibrium polytopes produce.
+
+The ratio test takes the right-hand side first, with its ratios clipped at
+0: a degenerate row whose right-hand side rounded below zero would otherwise
+win it.  Only rows tied there meet the later keys (the starting basis
+columns), gathered as one block; of those keys only the ones whose spread
+over the tied rows exceeds the tolerance can split them, and only those are
+walked.  A row may leave only on an entering-column entry above the
+tolerance times max(1, the column's largest entry), so that near-zero pivots
+cannot blow the tableau up.  Intended for desk-scale problems (tens of
 variables), not as a general LP package.
 """
 
@@ -27,6 +36,7 @@ class LpResult:
     status: str
     x: np.ndarray | None
     value: float | None
+    pivots: int  # every pivot made: phase one, driving artificials out, phase two
 
 
 def _pivot(tableau, cost, basis, row, col):
@@ -38,31 +48,54 @@ def _pivot(tableau, cost, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tableau, cost, basis, allowed, lex_cols):
-    """Minimize cost over the tableau; returns status.
+def _leaving_row(tableau, column, rows, start):
+    """The row that leaves under the lexicographic ratio test.
+
+    `rows` are the candidates (entries of the entering `column` above the
+    pivot floor).  The keys are the right-hand side, then the `start` basis
+    columns, each divided by the entering column.  Per key, the rows within
+    `_TOL` of the least ratio stay, until one row is left (else the first).
+    The right-hand-side ratio is clipped at 0: a degenerate row whose
+    right-hand side rounded below zero ties at 0 rather than winning.
+
+    Later keys are taken as one block over the rows the right-hand side
+    left tied.  A key whose spread over that block is within `_TOL` keeps
+    every row of every subset, so it is skipped; the rest are walked with
+    the same `min + _TOL` and `<=` arithmetic as a key-by-key walk.
+    """
+    ratios = np.maximum(tableau[rows, -1] / column[rows], 0.0)
+    rows = rows[ratios <= ratios.min() + _TOL]
+    if rows.size == 1:
+        return rows[0]
+    block = tableau[rows][:, start] / column[rows, None]
+    split = block.max(axis=0) > block.min(axis=0) + _TOL
+    tied = list(range(rows.size))
+    for key in block[:, split].T.tolist():
+        least = min(key[i] for i in tied) + _TOL
+        tied = [i for i in tied if key[i] <= least]
+        if len(tied) == 1:
+            break
+    return rows[tied[0]]
+
+
+def _run_simplex(tableau, cost, basis, allowed, start):
+    """Minimize cost over the tableau; returns (status, pivots made).
 
     `allowed` masks columns eligible to enter the basis (artificials are
     barred in phase two).  Dantzig's rule: the allowed column with the most
-    negative reduced cost enters.  Lexicographic ratio test: the rows with
-    the least ratio in the first of `lex_cols` (the right-hand side, then
-    the starting basis columns) stay candidates, and later columns break
-    the ties until one row is left.
+    negative reduced cost enters; `_leaving_row` picks the row that leaves,
+    breaking ratio ties on the `start` basis columns.
     """
-    for _ in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS):
         reduced = np.where(allowed, cost[:-1], np.inf)
         enter = int(np.argmin(reduced))
         if reduced[enter] >= -_TOL:
-            return OPTIMAL
+            return OPTIMAL, pivots
         column = tableau[:, enter]
-        rows = np.flatnonzero(column > _TOL)
+        rows = np.flatnonzero(column > _TOL * max(1.0, column.max()))
         if rows.size == 0:
-            return UNBOUNDED
-        for key in lex_cols:
-            ratios = tableau[rows, key] / column[rows]
-            rows = rows[ratios <= ratios.min() + _TOL]
-            if rows.size == 1:
-                break
-        _pivot(tableau, cost, basis, rows[0], enter)
+            return UNBOUNDED, pivots
+        _pivot(tableau, cost, basis, _leaving_row(tableau, column, rows, start), enter)
     raise ArithmeticError("simplex failed to terminate within the pivot cap")
 
 
@@ -107,23 +140,25 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=False) -> L
     )
     basis = n + np.arange(m)
     basis[art_rows] = n_real + np.arange(art_rows.size)
-    lex_cols = [n_cols, *basis.tolist()]
+    start = basis.copy()
     allowed = np.ones(n_cols, dtype=bool)
 
+    pivots = 0
     if art_rows.size:
         phase1 = np.zeros(n_cols + 1)
         phase1[n_real:-1] = 1.0
         phase1 -= tableau[art_rows].sum(axis=0)  # price out the artificial basis
-        status = _run_simplex(tableau, phase1, basis, allowed, lex_cols)
+        status, pivots = _run_simplex(tableau, phase1, basis, allowed, start)
         if status != OPTIMAL or -phase1[-1] > 1e-7:
-            return LpResult(INFEASIBLE, None, None)
+            return LpResult(INFEASIBLE, None, None, pivots)
         # Drive any zero-level artificial out of the basis; a row with no
         # real pivot left is redundant and harmlessly keeps its artificial
         # pinned at zero (its column is barred from re-entering below).
         for r in np.flatnonzero(basis >= n_real):
-            pivots = np.flatnonzero(np.abs(tableau[r, :n_real]) > _TOL)
-            if pivots.size:
-                _pivot(tableau, phase1, basis, r, pivots[0])
+            real = np.flatnonzero(np.abs(tableau[r, :n_real]) > _TOL)
+            if real.size:
+                _pivot(tableau, phase1, basis, r, real[0])
+                pivots += 1
         allowed[n_real:] = False
 
     sign = -1.0 if maximize else 1.0
@@ -132,9 +167,10 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=False) -> L
     for r in range(m):  # row by row, not through BLAS, so the summation order is fixed
         if cost[basis[r]] != 0.0:
             cost -= cost[basis[r]] * tableau[r]
-    status = _run_simplex(tableau, cost, basis, allowed, lex_cols)
+    status, more = _run_simplex(tableau, cost, basis, allowed, start)
+    pivots += more
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+        return LpResult(UNBOUNDED, None, None, pivots)
 
     x = np.zeros(n_cols)
     x[basis] = tableau[:, -1]
@@ -145,4 +181,4 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=False) -> L
     if worst > 1e-9 * (1.0 + np.abs(b).max(initial=0.0)):
         raise ArithmeticError(f"simplex optimum misses its constraints by {worst:.3g}")
     value = float(c @ x)
-    return LpResult(OPTIMAL, x, value)
+    return LpResult(OPTIMAL, x, value, pivots)

@@ -19,7 +19,7 @@ from specgames.learning import LearningTrace
 from specgames.matrix_games import NormalFormGame
 
 from test_acceptance import CLI_CASES
-from test_simplex import simplex_grid_document
+from test_simplex import FIG6_GAINS, simplex_grid_document
 
 
 def run(capsys, *argv):
@@ -637,21 +637,62 @@ LEARN_CASES = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", list(LEARN_CASES))
-def test_learn_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case, fmt):
-    config, extra = LEARN_CASES[case]
+def output_digests(tmp_path, scenario_dir, capsys, command, config, extra, fmt):
+    """sha256 of each file a command writes, and of its stdout."""
     if isinstance(config, dict):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(config), encoding="utf-8")
     else:
         path = scenario_dir / config
-    code, out, _ = run(capsys, "learn", "--config", str(path), *extra, "--out", str(tmp_path / "out"),
+    code, out, _ = run(capsys, *command, "--config", str(path), *extra, "--out", str(tmp_path / "out"),
                        "--format", fmt)
     assert code == 0
     digests = {p.name: hashlib.sha256(read(p)).hexdigest() for p in sorted((tmp_path / "out").iterdir())}
     digests["stdout"] = hashlib.sha256(out.encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(LEARN_CASES))
+def test_learn_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case, fmt):
+    config, extra = LEARN_CASES[case]
+    digests = output_digests(tmp_path, scenario_dir, capsys, ("learn",), config, extra, fmt)
     assert digests == LEARN_PINS[case, fmt]
+
+
+# sha256 of the ce optimize outputs and stdout, captured from the ratio test
+# that walked its tie-breaking keys one by one; the 8x8 game again takes
+# fig6's fixed gains.
+CE_PINS = {
+    ("contention", "csv"): {
+        "distribution.csv": "019ef09416bdd8efba2b8385bb5640daa8784b7a86924411afb0c6bbadfed435",
+        "stdout": "ec956c04eb9061d190556acff269228bcfe4628aa9933f1eb5afccdc045a1410",
+    },
+    ("contention", "json"): {
+        "distribution.json": "b2534ef7d800d78aa5b8bdafbd1128f140e56da00172fb31079dba69f9e64e36",
+        "stdout": "ec956c04eb9061d190556acff269228bcfe4628aa9933f1eb5afccdc045a1410",
+    },
+    ("simplex_grid", "csv"): {
+        "distribution.csv": "c4d15a7a20a42dda74625563f9c77b87057734d9a817d3971062027996a37857",
+        "stdout": "1e92d6f04070a0889c8a1b74938fde81307d8d4425021313a2a69302e491cf7f",
+    },
+    ("simplex_grid", "json"): {
+        "distribution.json": "e028c353baac15eb1332b99d53615cdd9d96d5be55cbc89f13b3928be68c0b4a",
+        "stdout": "1e92d6f04070a0889c8a1b74938fde81307d8d4425021313a2a69302e491cf7f",
+    },
+}
+CE_CASES = {
+    "contention": "contention.json",
+    "simplex_grid": {**simplex_grid_document(7), "channels": {"gains": FIG6_GAINS},
+                     "ce": {"weights": [1.0, 1.0]}},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(CE_CASES))
+def test_ce_optimize_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case, fmt):
+    digests = output_digests(tmp_path, scenario_dir, capsys, ("ce", "optimize"), CE_CASES[case], (), fmt)
+    assert digests == CE_PINS[case, fmt]
 
 
 @pytest.mark.parametrize(
