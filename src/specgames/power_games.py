@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 from operator import sub
 
@@ -32,8 +33,8 @@ from .spectrum import (
     NoiseProfile,
     PowerAllocation,
     PowerBudget,
-    _effective_noise_raw,
     _integer,
+    _rate_of,
     _rates,
     _water_fill_row,
     _water_fill_rows,
@@ -88,6 +89,7 @@ class StackelbergResult:
     rates: np.ndarray
     candidates_evaluated: int
     nash: IwResult  # the iterative-water-filling outcome the search started from
+    descent_passes: int = 0  # priced descent passes, the last (no gain) one included; 0 on the grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,16 +210,23 @@ def iterative_water_filling(
     return IwResult(PowerAllocation(psd), rates, sweeps, converged, residual, fixed_point_gap)
 
 
-def _follower_replies(leader, leader_rows, ch, noise, budgets, grid):
-    """Follower water-fill replies and joint rates for a batch of leader rows (B, K)."""
+def _priced(leader, rows, ch, noise):
+    """The leader's received power p g_LL and the follower's floors sigma_F + p g_LF, as `_rates` forms them."""
+    return rows * ch.gain2[leader, leader], noise.psd[1 - leader] + rows * ch.gain2[leader, 1 - leader]
+
+
+def _leader_rates(leader, received, floors, ch, noise, budgets, grid):
+    """Follower water-fill replies to a block of leader rows (B, K) as `_priced` gives them, and the leader's rates."""
     follower = 1 - leader
-    psd = np.zeros((len(leader_rows), 2, ch.bin_count))
-    psd[:, leader] = leader_rows
-    floors = _effective_noise_raw(follower, psd, ch.gain2, noise.psd)
-    psd[:, follower] = _water_fill_rows(
-        ch.gain2[follower, follower], floors, budgets.budget[follower], grid.bin_width
-    )
-    return psd[:, follower], _rates(psd, ch.gain2, noise.psd, grid.bin_width)
+    replies = _water_fill_rows(ch.gain2[follower, follower], floors, budgets.budget[follower], grid.bin_width)
+    return replies, _rate_of(received, noise.psd[leader] + replies * ch.gain2[follower, leader], grid.bin_width)
+
+
+def _joint_rates(leader, row, reply, ch, noise, grid):
+    """Both users' rates with the leader on `row` and the follower on `reply`."""
+    psd = np.empty((2, ch.bin_count))
+    psd[leader], psd[1 - leader] = row, reply
+    return _rates(psd, ch.gain2, noise.psd, grid.bin_width)
 
 
 def follower_response_rates(
@@ -240,15 +249,16 @@ def follower_response_rates(
         raise ValueError(f"leader_alloc must hold {ch.bin_count} entries, not shape {rows.shape[1:]}")
     if not (np.isfinite(rows).all() and (rows >= 0.0).all()):
         raise ValueError(f"leader_alloc entries must be finite and >= 0, not {rows[0].tolist()!r}")
-    replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
-    return replies[0], rates[0]
+    [reply], _ = _leader_rates(leader, *_priced(leader, rows, ch, noise), ch, noise, budgets, grid)
+    return reply, _joint_rates(leader, rows[0], reply, ch, noise, grid)
 
 
+@lru_cache(maxsize=1)
 def _budget_splits(levels: int, bins: int) -> np.ndarray:
     """Integer splits of the budget over bins, one row each, lexicographic.
 
     Any total up to `levels` is allowed, so staying (partly) silent is a
-    candidate.
+    candidate.  Read-only, and kept for the last (levels, bins) asked for.
     """
     table = np.zeros((1, 0), dtype=np.int64)
     for _ in range(bins):
@@ -256,6 +266,7 @@ def _budget_splits(levels: int, bins: int) -> np.ndarray:
         room = levels + 1 - table.sum(axis=1)
         column = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
         table = np.column_stack([np.repeat(table, room, axis=0), column])
+    table.flags.writeable = False
     return table
 
 
@@ -277,11 +288,13 @@ def stackelberg_leader_search(
     between bin pairs until no such move strictly raises its rate (a local
     optimum of the descent) or no bin holds a full step.  The Nash
     allocation is always the first candidate, so leader 0 never finishes
-    below its Nash rate (leader 1 can, within IW's tolerance).  A search
-    over MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError,
-    and a step that is not positive and finite with ArithmeticError.
-    The Nash point is iterative water-filling at its default settings;
-    leader must be 0 or 1.
+    below its Nash rate (leader 1 can, within IW's tolerance).  Candidates
+    are ranked by the leader's rate alone (the first maximum wins), and only
+    the returned pair is priced for both users; grid rows are gathered from
+    per-bin tables of every level.  A search over MAX_ORACLE_EVALUATIONS
+    candidates is refused with OracleScaleError, and a step that is not
+    positive and finite with ArithmeticError.  The Nash point is iterative
+    water-filling at its default settings; leader must be 0 or 1.
     """
     _check_inputs(ch, noise, budgets, grid, leader=leader, levels=levels, min_levels=2)
     bins = grid.bin_count
@@ -290,51 +303,53 @@ def stackelberg_leader_search(
     step = _level_step(budgets.budget[leader], levels, grid.bin_width)
     nash = iterative_water_filling(ch, noise, budgets, grid)
     ne_row = np.array(nash.allocation.psd[leader])
-    evaluated = 0
+    evaluated = passes = 0
 
     def best_of(blocks):
-        # the index over all blocks, follower reply and rates of the best row;
-        # ties keep the first row, as a scan accepting only strict
+        # the index over all blocks, follower reply and leader rate of the
+        # best row; ties keep the first row, as a scan accepting only strict
         # improvements would
         nonlocal evaluated
         best, seen = None, 0
-        for rows in blocks:
-            replies, rates = _follower_replies(leader, rows, ch, noise, budgets, grid)
-            i = int(np.argmax(rates[:, leader]))
-            if best is None or rates[i, leader] > best[2][leader]:
+        for received, floors in blocks:
+            replies, rates = _leader_rates(leader, received, floors, ch, noise, budgets, grid)
+            i = int(np.argmax(rates))
+            if best is None or rates[i] > best[2]:
                 best = seen + i, replies[i], rates[i]
-            seen += len(rows)
+            seen += len(rates)
         evaluated += seen
         return best
 
     if bins <= 4:
-        # blocks of BLOCK_SIZE rows, the Nash row first; a block's integer
-        # splits are scaled only when it is priced
+        # blocks of BLOCK_SIZE rows gathered from per-bin tables of every
+        # level, with the Nash row as level levels + 1 leading the first block
         splits = _budget_splits(levels, bins)
-        i, best_reply, best_rates = best_of(
-            np.vstack([ne_row, splits[:start + BLOCK_SIZE] * step]) if start < 0 else splits[start:start + BLOCK_SIZE] * step
-            for start in range(-1, len(splits), BLOCK_SIZE)
-        )
+        psd = np.repeat(np.arange(levels + 2)[:, None] * step, bins, axis=1)
+        psd[-1] = ne_row
+        tables = _priced(leader, psd, ch, noise)
+        rows = (np.vstack([np.full(bins, levels + 1), splits[:s + BLOCK_SIZE]]) if s < 0 else splits[s:s + BLOCK_SIZE]
+                for s in range(-1, len(splits), BLOCK_SIZE))
+        at = (r * bins + np.arange(bins) for r in rows)  # flat (level, bin) indices into the tables
+        i, best_reply, best_rate = best_of([t.take(a) for t in tables] for a in at)
         best_row = splits[i - 1] * step if i else ne_row
     else:
-        pairs = np.array([(src, dst) for src in range(bins) for dst in range(bins) if dst != src])
+        pairs = np.argwhere(~np.eye(bins, dtype=bool))  # (src, dst) moves, row-major
         # the first pass prices the Nash row as its row 0, ahead of its moves,
         # and ends the descent if that row wins; each accepted move strictly
         # raises the leader's rate, so this ends
-        best_row, best_rates, head = ne_row, np.full(2, -np.inf), 1
+        best_row, best_rate, head = ne_row, -np.inf, 1
         while True:
             src, dst = pairs[best_row[pairs[:, 0]] >= step].T
-            if not head + len(src):
-                break
             _check_scale(evaluated + head + len(src), "leader descent candidates")
             trials = np.repeat(best_row[None], head + len(src), axis=0)
             moves = np.arange(head, len(trials))
             trials[moves, src] -= step
             trials[moves, dst] += step
-            i, reply, rates = best_of(trials[start:start + BLOCK_SIZE] for start in range(0, len(trials), BLOCK_SIZE))
-            if rates[leader] <= best_rates[leader]:
+            i, reply, rate = best_of(_priced(leader, trials[s:s + BLOCK_SIZE], ch, noise) for s in range(0, len(trials), BLOCK_SIZE))
+            passes += 1
+            if rate <= best_rate:
                 break
-            best_row, best_reply, best_rates = trials[i], reply, rates
+            best_row, best_reply, best_rate = trials[i], reply, rate
             if i < head:
                 break
             head = 0
@@ -343,9 +358,10 @@ def stackelberg_leader_search(
         leader=leader,
         leader_allocation=np.array(best_row),
         follower_allocation=np.array(best_reply),
-        rates=np.array(best_rates),
+        rates=_joint_rates(leader, best_row, best_reply, ch, noise, grid),
         candidates_evaluated=evaluated,
         nash=nash,
+        descent_passes=passes,
     )
 
 

@@ -242,10 +242,14 @@ def effective_noise(user: int, alloc: PowerAllocation, channels: ChannelSet, noi
     return _effective_noise_raw(user, alloc.psd, channels.gain2, noise.psd)
 
 
+def _rate_of(received, floor, bin_width) -> np.ndarray:
+    """Rate df * sum over bins of log2(1 + received / floor), the one rate expression."""
+    return bin_width * np.log2(1.0 + received / floor).sum(axis=-1)
+
+
 def _rate_raw(user, psd, gain2, noise_psd, bin_width) -> np.ndarray:
     floor = _effective_noise_raw(user, psd, gain2, noise_psd)
-    snr = psd[..., user, :] * gain2[user, user] / floor
-    return bin_width * np.log2(1.0 + snr).sum(axis=-1)
+    return _rate_of(psd[..., user, :] * gain2[user, user], floor, bin_width)
 
 
 def _rates(psd, gain2, noise_psd, bin_width) -> np.ndarray:

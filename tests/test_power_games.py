@@ -1,8 +1,10 @@
+import hashlib
 import math
 import operator
 import re
 import warnings
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -613,8 +615,15 @@ def nash_alone_descent(leader, scen, levels):
     batches = []
 
     def price(rows):
+        # the follower's replies and both users' rates, from the joint PSD of each row
         batches.append(len(rows))
-        return power_games._follower_replies(leader, rows, ch, noise, budgets, grid)
+        follower = 1 - leader
+        psd = np.zeros((len(rows), 2, grid.bin_count))
+        psd[:, leader] = rows
+        floors = _effective_noise_raw(follower, psd, ch.gain2, noise.psd)
+        psd[:, follower] = _water_fill_rows(ch.gain2[follower, follower], floors,
+                                            budgets.budget[follower], grid.bin_width)
+        return psd[:, follower], _rates(psd, ch.gain2, noise.psd, grid.bin_width)
 
     best_row = np.array(nash.allocation.psd[leader])
     replies, rates = price(best_row[None])
@@ -636,16 +645,22 @@ def nash_alone_descent(leader, scen, levels):
     return best_row, best_reply, best_rates, sum(batches), batches
 
 
+def count_priced_blocks(monkeypatch):
+    """Hook the leader search's block pricer; returns the list of block sizes it will fill."""
+    seen = []
+    price = power_games._leader_rates
+
+    def counted(leader, received, *rest):
+        seen.append(len(received))
+        return price(leader, received, *rest)
+
+    monkeypatch.setattr(power_games, "_leader_rates", counted)
+    return seen
+
+
 def assert_descent_matches_nash_alone(monkeypatch, leader, scen, levels=10):
     expect_row, expect_reply, expect_rates, evaluated, batches = nash_alone_descent(leader, scen, levels)
-    seen = []
-    replies = power_games._follower_replies
-
-    def counted(lead, rows, *rest):
-        seen.append(len(rows))
-        return replies(lead, rows, *rest)
-
-    monkeypatch.setattr(power_games, "_follower_replies", counted)
+    seen = count_priced_blocks(monkeypatch)
     res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
                                        scen.grid, levels=levels)
     monkeypatch.undo()
@@ -655,6 +670,7 @@ def assert_descent_matches_nash_alone(monkeypatch, leader, scen, levels=10):
     assert res.candidates_evaluated == evaluated
     # the Nash row is row 0 of the first pass, not a batch of its own
     assert seen == ([1 + batches[1]] + batches[2:] if len(batches) > 1 else [1])
+    assert res.descent_passes == len(seen)
     return res
 
 
@@ -726,14 +742,7 @@ def test_blocked_leader_grid_matches_scalar_loop(monkeypatch, draw, leader, bloc
 def test_leader_grid_prices_bounded_blocks(monkeypatch):
     scen = grid_scenario(4, 4242)
     args = (0, scen.channels, scen.noise, scen.budgets, scen.grid)
-    seen = []
-    replies = power_games._follower_replies
-
-    def counted(leader, rows, *rest):
-        seen.append(len(rows))
-        return replies(leader, rows, *rest)
-
-    monkeypatch.setattr(power_games, "_follower_replies", counted)
+    seen = count_priced_blocks(monkeypatch)
     res = sg.stackelberg_leader_search(*args, levels=40)
     assert res.candidates_evaluated == math.comb(44, 4) + 1 == sum(seen)
     assert max(seen) <= power_games.BLOCK_SIZE and len(seen) > 1
@@ -744,6 +753,54 @@ def test_leader_grid_prices_bounded_blocks(monkeypatch):
     assert np.array_equal(whole.follower_allocation, res.follower_allocation)
     assert np.array_equal(whole.rates, res.rates)
     assert whole.candidates_evaluated == res.candidates_evaluated
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_table_priced_leader_grid_matches_scalar_loop(data):
+    # up to four bins run the grid; zero direct gains leave bins unusable and
+    # zero cross gains (some bins or all) make the follower ignore the leader
+    bins, levels = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 12))
+    leader, block = data.draw(st.sampled_from([0, 1])), data.draw(st.sampled_from([None, 64, 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gain2 = rng.uniform(0.05, 2.0, (2, 2, bins))
+    for n in range(2):
+        dead = rng.random(bins) < data.draw(st.sampled_from([0.0, 0.3, 0.7]))
+        dead[rng.integers(bins)] = False
+        gain2[n, n, dead] = 0.0
+        gain2[n, 1 - n, rng.random(bins) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    scen = sg.PowerScenario(
+        grid=sg.FrequencyGrid(bins, bins * data.draw(st.sampled_from([0.5, 1.0, 3.0]))),
+        channels=sg.ChannelSet(gain2),
+        noise=sg.NoiseProfile(rng.uniform(0.1, 3.0, (2, bins))),
+        budgets=sg.PowerBudget(rng.uniform(0.5, 200.0, 2)),
+    )
+    with mock.patch.object(power_games, "BLOCK_SIZE", block or power_games.BLOCK_SIZE):
+        res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
+                                           scen.grid, levels=levels)
+    row, reply, rates, evaluated = scalar_leader_search(leader, scen, levels=levels)
+    assert np.array_equal(res.leader_allocation, row)
+    assert np.array_equal(res.follower_allocation, reply)
+    assert np.array_equal(res.rates, rates)
+    assert res.candidates_evaluated == evaluated
+
+
+def test_budget_split_table_is_built_once_and_read_only():
+    table = _budget_splits(10, 4)
+    assert _budget_splits(10, 4) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    # one table is kept: another (levels, bins) replaces it
+    assert not _budget_splits(3, 2).flags.writeable
+    again = _budget_splits(10, 4)
+    assert again is not table and np.array_equal(again, table)
+
+
+def test_descent_moves_are_the_row_major_bin_pairs():
+    for bins in range(5, 13):
+        loop = [[src, dst] for src in range(bins) for dst in range(bins) if dst != src]
+        assert np.argwhere(~np.eye(bins, dtype=bool)).tolist() == loop
 
 
 def draw_23_scenario():
@@ -778,6 +835,24 @@ def test_descent_stops_at_a_local_optimum(draw, levels):
         assert np.array_equal(res.leader_allocation, ref_row)
         assert np.array_equal(res.rates, ref_rates)
         assert res.candidates_evaluated == evaluated
+
+
+@pytest.mark.parametrize("draw,levels", [("fig6", 10), (23, 100), (0, 10), (1, 10), (4, 10), (5, 10)])
+def test_descent_passes_count_the_priced_batches(monkeypatch, draw, levels):
+    # a descent pass is at most 57 rows, one block; the grid reports none
+    if draw == "fig6":
+        scen = load_scenario(SCENARIOS / "fig6.json").power_scenario()
+    else:
+        scen = draw_23_scenario() if draw == 23 else descent_scenario(draw)
+    seen = count_priced_blocks(monkeypatch)
+    for leader in (0, 1):
+        seen.clear()
+        res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
+                                           scen.grid, levels=levels)
+        assert sum(seen) == res.candidates_evaluated
+        assert res.descent_passes == (0 if draw == "fig6" else len(seen))
+        if draw == 23 and leader == 0:
+            assert res.descent_passes == 42  # 41 accepted moves and the pass that finds none
 
 
 def test_leader_grid_over_the_cap_is_refused_before_it_is_built(monkeypatch):
@@ -827,19 +902,66 @@ def test_leader_descent_over_the_cap_is_refused(monkeypatch):
     again = sg.stackelberg_leader_search(*args, levels=100)
     assert np.array_equal(again.leader_allocation, res.leader_allocation)
     assert again.candidates_evaluated == res.candidates_evaluated
-    seen = []
-    replies = power_games._follower_replies
-
-    def counted(leader, rows, *rest):
-        seen.append(len(rows))
-        return replies(leader, rows, *rest)
-
-    monkeypatch.setattr(power_games, "_follower_replies", counted)
+    seen = count_priced_blocks(monkeypatch)
     monkeypatch.setattr(power_games, "MAX_ORACLE_EVALUATIONS", res.candidates_evaluated - 1)
     with pytest.raises(OracleScaleError, match="leader descent candidates over cap"):
         sg.stackelberg_leader_search(*args, levels=100)
     # the last pass was refused before it was priced, not truncated
     assert sum(seen) < res.candidates_evaluated
+
+
+FRONTIER_PAIRS = [(100.0, 100.0), (150.0, 50.0), (50.0, 150.0)]
+FRONTIER_WEIGHTS = [(1.0, 0.0), (0.75, 0.25), (0.5, 0.5), (0.25, 0.75), (0.0, 1.0)]
+
+
+def frontier_scenario(index):
+    grid = sg.FrequencyGrid(4, 4.0)
+    return sg.PowerScenario(
+        grid=grid,
+        channels=ensemble_channels(2424, index, grid),
+        noise=sg.NoiseProfile.flat(1.0, 2, 4),
+        budgets=sg.PowerBudget(np.array([100.0, 100.0])),
+    )
+
+
+def frontier_digest():
+    """sha256 over 8 K=4 draws of the region table (method, params, rate bytes) and the margin."""
+    h = hashlib.sha256()
+    for index in range(8):
+        scen = frontier_scenario(index)
+        table = sg.region_comparison(scen, FRONTIER_PAIRS, FRONTIER_WEIGHTS, leader=0, levels=10)
+        for sample in table:
+            h.update(repr((sample.method, sample.params)).encode())
+            h.update(np.asarray(sample.rates, dtype=float).tobytes())
+        margin = sg.grid_dominance_margin(table[0].rates, scen.channels, scen.noise, scen.budgets,
+                                          scen.grid, levels=10)
+        h.update(np.float64(margin).tobytes())
+    return h.hexdigest()
+
+
+def descent_digest():
+    """sha256 of both leaders' searches on four K=8 descent draws."""
+    h = hashlib.sha256()
+    for draw in range(4):
+        scen = descent_scenario(draw)
+        for leader in (0, 1):
+            res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
+                                               scen.grid, levels=10)
+            for array in (res.leader_allocation, res.follower_allocation, res.rates):
+                h.update(array.tobytes())
+            h.update(str(res.candidates_evaluated).encode())
+    return h.hexdigest()
+
+
+# sha256 of the region tables, margins and leader searches, captured from the
+# search that priced every candidate's joint rates; any change of bits shows
+PINNED_FRONTIER = "68c50db4a52dd02f2b6eff52a1effbc51fb35ba39b88fa698b1c73626e1f566f"
+PINNED_DESCENT = "ed46b89d50598484a7ae4188baa5c010b782feb897e32b536f0129010a186555"
+
+
+def test_leader_search_outputs_are_pinned():
+    assert frontier_digest() == PINNED_FRONTIER
+    assert descent_digest() == PINNED_DESCENT
 
 
 def power_input_case(scen, entry, lead, swap, kwargs):
