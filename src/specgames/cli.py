@@ -15,6 +15,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import types
 from pathlib import Path
@@ -141,12 +142,26 @@ def _emit(out_dir: Path, base: str, fmt: str, header, rows, codes=None) -> Path:
     `(t, *rows[codes[t]])`.  Each distinct record is formatted once, by the
     same writers, and row t's text is its record's text around `str(t)`,
     so the bytes equal those of the unfactored table.
+
+    An existing file is overwritten in place and then cut at the end of
+    what was written, also when a writer raises part-way, so it ends up
+    with the bytes the same call leaves in a fresh directory.  Opening
+    with `O_TRUNC` instead would free the old file's blocks first, which
+    costs more than the rewrite on ext4.
     """
     path = out_dir / f"{base}.{fmt}"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            (_write_csv if fmt == "csv" else _write_json)(fh, header, rows, codes)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as fh:
+            try:
+                (_write_csv if fmt == "csv" else _write_json)(fh, header, rows, codes)
+            finally:
+                fh.flush()
+                # a FIFO or a device reports size 0, so it is never cut and
+                # never asked for `tell()`, which a FIFO cannot answer
+                size = os.fstat(fh.fileno()).st_size
+                if size and size > fh.tell():
+                    fh.truncate()
     except OSError as exc:
         raise ScenarioError("--out", f"cannot write {exc.filename}: {exc.strerror}") from exc
     return path

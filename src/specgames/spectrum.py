@@ -390,24 +390,24 @@ def generate_multipath_channels(
     if direct_power < 0 or cross_power < 0:
         raise ValueError("tap powers must be nonnegative")
 
-    rng = np.random.default_rng(seed)
+    # one draw in the order of a link at a time: links row-major, each
+    # link's real parts and then its imaginary parts
+    draws = np.random.default_rng(seed).standard_normal((user_count, user_count, 2, tap_count))
+    taps = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0)
+    for i, j in np.ndindex(user_count, user_count):
+        power = direct_power if i == j else cross_power
+        if power == 0.0:
+            taps[i, j] = 0.0
+        else:
+            taps[i, j] *= np.sqrt(power / np.abs(taps[i, j]).dot(np.abs(taps[i, j])))
+    # K-point response of each impulse response; taps beyond the grid fold
+    # back (alias) onto it, added in delay order
     k = grid.bin_count
-    gain2 = np.zeros((user_count, user_count, k))
-    for i in range(user_count):
-        for j in range(user_count):
-            taps = (rng.standard_normal(tap_count) + 1j * rng.standard_normal(tap_count)) / np.sqrt(2.0)
-            power = direct_power if i == j else cross_power
-            if power == 0.0:
-                continue
-            taps *= np.sqrt(power / np.abs(taps).dot(np.abs(taps)))
-            # K-point response of the impulse response; taps beyond the grid
-            # fold back (alias) onto it.
-            padded = np.zeros(k, dtype=complex)
-            for delay, tap in enumerate(taps):
-                padded[delay % k] += tap
-            response = np.fft.fft(padded)
-            gain2[i, j] = np.abs(response) ** 2
-    return ChannelSet(gain2)
+    padded = np.zeros((user_count, user_count, k), dtype=complex)
+    for start in range(0, tap_count, k):
+        block = taps[..., start:start + k]
+        padded[..., :block.shape[-1]] += block
+    return ChannelSet(np.abs(np.fft.fft(padded, axis=-1)) ** 2)
 
 
 def two_channel_scenario(

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -194,11 +195,12 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize(
     "flag, target",
-    [("--out", "taken"), ("--out", "taken/sub"), ("--config", ".")],
-    ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory"],
+    [("--out", "taken"), ("--out", "taken/sub"), ("--out", "busy"), ("--config", ".")],
+    ids=["out-is-a-file", "out-under-a-file", "out-file-is-a-directory", "config-is-a-directory"],
 )
 def test_bad_paths_are_field_errors(tmp_path, scenario_dir, capsys, flag, target):
     (tmp_path / "taken").write_text("x", encoding="utf-8")
+    (tmp_path / "busy" / "allocation.csv").mkdir(parents=True)
     argv = ["iw", "--config", str(scenario_dir / "fig6.json"), "--out", str(tmp_path / "out")]
     argv += [flag, str(tmp_path / target)]  # argparse keeps the last of a repeated flag
     code, out, err = run(capsys, *argv)
@@ -464,6 +466,75 @@ def test_emit_refuses_values_that_are_not_plain_scalars(tmp_path, fmt, value, at
     rows[at] = (at, value, "x")
     with pytest.raises(TypeError, match="^column 'value' holds"):
         _emit(tmp_path, "table", fmt, ("t", "value", "label"), rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_emit_over_a_longer_file_leaves_the_fresh_bytes(tmp_path, fmt):
+    header = ("t", "value", "label")
+    rows = [(t, 0.5, "x") for t in range(_BLOCK + 5)]
+    rows[_BLOCK + 3] = (_BLOCK + 3, (1, 2), "x")
+    stale = tmp_path / "used" / f"table.{fmt}"
+    stale.parent.mkdir()
+    stale.write_bytes(b"z" * 100_000)
+    for out_dir in (tmp_path / "fresh", tmp_path / "used"):
+        with pytest.raises(TypeError, match="^column 'value' holds"):
+            _emit(out_dir, "table", fmt, header, rows)
+    fresh = read(tmp_path / "fresh" / f"table.{fmt}")
+    assert b"x" in fresh  # the first block was written before the second raised
+    assert read(stale) == fresh
+
+
+def test_emit_writes_through_a_fifo(tmp_path):
+    fifo = tmp_path / "table.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        _emit(tmp_path, "table", "csv", ("t", "value"), [(0, 0.5), (1, 1.5)])
+        assert os.read(reader, 1024) == b"t,value\n0,0.5\n1,1.5\n"
+    finally:
+        os.close(reader)
+
+
+def test_out_file_linked_to_dev_null_is_written_as_before(tmp_path, scenario_dir, capsys):
+    argv = ["iw", "--config", str(scenario_dir / "fig6.json")]
+    (tmp_path / "null").mkdir()
+    (tmp_path / "null" / "allocation.csv").symlink_to(os.devnull)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "null"))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "null" / "allocation.csv").is_char_device()
+    assert run(capsys, *argv, "--out", str(tmp_path / "fresh")) == (0, out, "")
+
+
+def _outputs(capsys, argv, out_dir):
+    """stdout and the bytes of every file in `out_dir` after one successful call."""
+    code, out, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 0, err
+    return out, {p.name: read(p) for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("order", ["stale-longer", "stale-shorter", "same"])
+@pytest.mark.parametrize("command", ["learn", "region"])
+def test_rerun_into_a_used_out_writes_the_fresh_bytes(tmp_path, scenario_dir, capsys, command, order, fmt):
+    if command == "learn":
+        big = ["learn", "--config", str(scenario_dir / "contention.json"), "--rounds", "5000"]
+        small = [*big[:-1], "300"]
+        table = f"trace.{fmt}"
+    else:
+        fig6 = json.loads((scenario_dir / "fig6.json").read_text(encoding="utf-8"))
+        one_point = tmp_path / "one_point.json"
+        one_point.write_text(json.dumps({**fig6, "sweeps": {"weights": [[1.0, 1.0]]}}), encoding="utf-8")
+        big = ["region", "--config", str(scenario_dir / "fig6.json")]
+        small = ["region", "--config", str(one_point)]
+        table = f"region.{fmt}"
+    first, second = {"stale-longer": (big, small), "stale-shorter": (small, big), "same": (big, big)}[order]
+    _, stale = _outputs(capsys, [*first, "--format", fmt], tmp_path / "used")
+    rerun = _outputs(capsys, [*second, "--format", fmt], tmp_path / "used")
+    assert rerun == _outputs(capsys, [*second, "--format", fmt], tmp_path / "fresh")
+    if order == "same":
+        assert stale == rerun[1]
+    else:  # the case holds what its name says
+        assert (len(stale[table]) > len(rerun[1][table])) == (order == "stale-longer")
 
 
 def plain_trace_rows(trace):

@@ -5,6 +5,8 @@ from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specgames as sg
 from specgames.errors import NoUsableSpectrumError
@@ -250,6 +252,44 @@ def test_generator_zero_cross_power():
     ch = sg.generate_multipath_channels(5, grid, tap_count=3, cross_power=0.0)
     assert np.all(ch.gain2[0, 1] == 0.0)
     assert np.all(ch.gain2[1, 0] == 0.0)
+
+
+def loop_multipath_gains(seed, grid, tap_count, user_count, direct_power, cross_power):
+    """gain2 drawn one link at a time, as `generate_multipath_channels` did before it drew in one batch."""
+    rng = np.random.default_rng(seed)
+    k = grid.bin_count
+    gain2 = np.zeros((user_count, user_count, k))
+    for i in range(user_count):
+        for j in range(user_count):
+            taps = (rng.standard_normal(tap_count) + 1j * rng.standard_normal(tap_count)) / np.sqrt(2.0)
+            power = direct_power if i == j else cross_power
+            if power == 0.0:
+                continue
+            taps *= np.sqrt(power / np.abs(taps).dot(np.abs(taps)))
+            padded = np.zeros(k, dtype=complex)
+            for delay, tap in enumerate(taps):
+                padded[delay % k] += tap
+            gain2[i, j] = np.abs(np.fft.fft(padded)) ** 2
+    return gain2
+
+
+POWERS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.01, 3.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bins=st.integers(1, 16), taps=st.integers(1, 20),
+       users=st.integers(1, 3), direct=POWERS, cross=POWERS)
+def test_batched_channel_draw_matches_link_loop(seed, bins, taps, users, direct, cross):
+    grid = sg.FrequencyGrid(bins, float(bins))
+    ch = sg.generate_multipath_channels(seed, grid, taps, users, direct, cross)
+    assert ch.gain2.tobytes() == loop_multipath_gains(seed, grid, taps, users, direct, cross).tobytes()
+
+
+def test_batched_channel_draw_matches_link_loop_on_bench_draws():
+    grid = sg.FrequencyGrid(8, 8.0)
+    for seed in range(200):
+        ch = sg.generate_multipath_channels(seed, grid, 4)
+        assert ch.gain2.tobytes() == loop_multipath_gains(seed, grid, 4, 2, 1.0, 0.5).tobytes()
 
 
 def test_generator_more_taps_than_bins():
