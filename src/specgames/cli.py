@@ -55,8 +55,8 @@ def _fmt(value) -> str:
 _SCALARS = frozenset((int, float, str))
 _BLOCK = 256  # records encoded and written at a time
 # The C encoder runs only without `indent`.  These separators give a flat
-# record the body that `json.dump(..., indent=2)` writes; `_write_json`
-# rewrites the joins and brackets between records.
+# record the body that `json.dump(..., indent=2)` writes; `_emit` encodes
+# each record alone and sets it in its own brackets.
 _JSON = json.JSONEncoder(separators=(",\n    ", ": "), sort_keys=True)
 
 
@@ -72,13 +72,18 @@ def _blocks(header, rows):
         yield block
 
 
-def _coded_blocks(text_of, header, rows, codes):
-    """The row texts of a factored table (see `_emit`), `_BLOCK` rows to a string.
+def _record_texts(text_of, header, rows, codes):
+    """The record texts of a table (see `_emit`), `_BLOCK` records to a string.
 
-    Each distinct record is formatted once, as `text_of((0, *record))`.
-    That text and `text_of((1, *record))` differ only in the digit of t, so
-    row t's text is the first with that digit replaced by `str(t)`.
+    A factored table formats each distinct record once, as
+    `text_of((0, *record))`.  That text and `text_of((1, *record))` differ
+    only in the digit of t, so row t's text is the first with that digit
+    replaced by `str(t)`.
     """
+    if codes is None:
+        for block in _blocks(header, rows):
+            yield "".join(map(text_of, block))
+        return
     pre, post = [], []
     for block in _blocks(header[1:], rows):
         for record in block:
@@ -90,57 +95,20 @@ def _coded_blocks(text_of, header, rows, codes):
         yield "".join([f"{pre[c]}{t}{post[c]}" for t, c in enumerate(codes[start:start + _BLOCK], start)])
 
 
-def _write_csv(fh, header, rows, codes=None):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    if codes is None:
-        for block in _blocks(header, rows):
-            writer.writerows(block)
-        return
-    # `writerow` returns what `write` returns: with `str` as the write, the line
-    line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
-    for text in _coded_blocks(line, header, rows, codes):
-        fh.write(text)
-
-
-def _json_blocks(header, rows):
-    """The records as text blocks, each record led by ",\n  {\n    "."""
-    for block in _blocks(header, rows):
-        text = _JSON.encode([dict(zip(header, row)) for row in block])
-        # an encoded string escapes its newlines, so "},\n    {" can only
-        # be the join between two records
-        yield ",\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }"
-
-
-def _write_json(fh, header, rows, codes=None):
-    if codes is None:
-        texts = _json_blocks(header, rows)
-    else:
-        texts = _coded_blocks(
-            lambda row: ",\n  {\n    " + _JSON.encode(dict(zip(header, row)))[1:-1] + "\n  }", header, rows, codes
-        )
-    first = next(texts, None)
-    if first is None:
-        fh.write("[]\n")
-        return
-    fh.write("[" + first[1:])  # no comma before the first record
-    for text in texts:
-        fh.write(text)
-    fh.write("\n]\n")
-
-
 def _emit(out_dir: Path, base: str, fmt: str, header, rows, codes=None) -> Path:
     """Write one record table as CSV or JSON with deterministic formatting.
 
     `header` names at least one column and `rows` is a sequence of records
     whose values are plain int, float or str; any other type raises
-    `TypeError`.  Records are encoded and written in blocks, so the table
-    is never held as one string.
+    `TypeError`.  Every record is encoded alone, by one formatter per
+    format: a CSV line, or a JSON object led by ",\n  {\n    ".  The texts
+    are written `_BLOCK` records at a time, so the table is never held as
+    one string, and `_emit` adds only the CSV header or the JSON brackets.
 
     With `codes`, the table is factored: `rows` holds the distinct records
     of the columns after the first, and row t of the table is
     `(t, *rows[codes[t]])`.  Each distinct record is formatted once, by the
-    same writers, and row t's text is its record's text around `str(t)`,
+    same formatter, and row t's text is its record's text around `str(t)`,
     so the bytes equal those of the unfactored table.
 
     An existing file is overwritten in place and then cut at the end of
@@ -149,12 +117,27 @@ def _emit(out_dir: Path, base: str, fmt: str, header, rows, codes=None) -> Path:
     with `O_TRUNC` instead would free the old file's blocks first, which
     costs more than the rewrite on ext4.
     """
+    if fmt == "csv":
+        # `writerow` returns what `write` returns: with `str` as the write, the line
+        text_of = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+    else:
+        def text_of(row):
+            return ",\n  {\n    " + _JSON.encode(dict(zip(header, row)))[1:-1] + "\n  }"
+    texts = _record_texts(text_of, header, rows, codes)
     path = out_dir / f"{base}.{fmt}"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as fh:
             try:
-                (_write_csv if fmt == "csv" else _write_json)(fh, header, rows, codes)
+                if fmt == "csv":
+                    fh.write(text_of(header))
+                    fh.writelines(texts)
+                elif (first := next(texts, None)) is None:
+                    fh.write("[]\n")
+                else:
+                    fh.write("[" + first[1:])  # no comma before the first record
+                    fh.writelines(texts)
+                    fh.write("\n]\n")
             finally:
                 fh.flush()
                 # a FIFO or a device reports size 0, so it is never cut and
@@ -356,6 +339,10 @@ def _cmd_ce_optimize(doc, args, out_dir):
     return 0
 
 
+def _cmd_ce(doc, args, out_dir):
+    return (_cmd_ce_check if args.mode == "check" else _cmd_ce_optimize)(doc, args, out_dir)
+
+
 def _trace_table(trace):
     """The trace table `t, action_1..N, u_1..N` as `_emit`'s factored table.
 
@@ -469,38 +456,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="specgames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("waterfill", parents=[common], help="single-user water-filling")
+    def command(name, run, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)  # what `main` calls
+        return p
+
+    p = command("waterfill", _cmd_waterfill, "single-user water-filling")
     p.add_argument("--user", type=int, default=1, help="1-based user index")
-    sub.add_parser("iw", parents=[common], help="iterative water-filling equilibrium")
-    p = sub.add_parser("stackelberg", parents=[common], help="leader-commitment search")
+    command("iw", _cmd_iw, "iterative water-filling equilibrium")
+    p = command("stackelberg", _cmd_stackelberg, "leader-commitment search")
     p.add_argument("--leader", type=int, default=1, help="1-based leader index")
     p.add_argument("--levels", type=int, default=10)
-    sub.add_parser("pareto", parents=[common], help="weighted rate-sum oracle points")
-    sub.add_parser("region", parents=[common], help="joined rate-region table")
-    p = sub.add_parser("matrix", parents=[common], help="finite-game analysis")
+    command("pareto", _cmd_pareto, "weighted rate-sum oracle points")
+    command("region", _cmd_region, "joined rate-region table")
+    p = command("matrix", _cmd_matrix_solve, "finite-game analysis")
     p.add_argument("mode", choices=("solve",))
-    p = sub.add_parser("ce", parents=[common], help="correlated equilibrium tools")
+    p = command("ce", _cmd_ce, "correlated equilibrium tools")
     p.add_argument("mode", choices=("check", "optimize"))
     p.add_argument("--tol", type=float, default=1e-9)
-    p = sub.add_parser("learn", parents=[common], help="repeated-game learning run")
+    p = command("learn", _cmd_learn, "repeated-game learning run")
     p.add_argument("--rounds", type=int, default=None)
-    p = sub.add_parser("vok", parents=[common], help="value of a knowledge profile")
+    p = command("vok", _cmd_vok, "value of a knowledge profile")
     p.add_argument("--profile", default=None, help="comma list: priv|heter|comp per user")
-    p = sub.add_parser("ensemble", parents=[common], help="random-channel leadership study")
+    p = command("ensemble", _cmd_ensemble, "random-channel leadership study")
     p.add_argument("--realizations", type=int, default=None)
     return parser
-
-
-_DISPATCH = {
-    "waterfill": _cmd_waterfill,
-    "iw": _cmd_iw,
-    "stackelberg": _cmd_stackelberg,
-    "pareto": _cmd_pareto,
-    "region": _cmd_region,
-    "learn": _cmd_learn,
-    "vok": _cmd_vok,
-    "ensemble": _cmd_ensemble,
-}
 
 
 def main(argv=None) -> int:
@@ -525,13 +505,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError("--out", f"cannot write {exc.filename}: {exc.strerror}") from exc
-        if args.command == "matrix":
-            return _cmd_matrix_solve(doc, args, out_dir)
-        if args.command == "ce":
-            if args.mode == "check":
-                return _cmd_ce_check(doc, args, out_dir)
-            return _cmd_ce_optimize(doc, args, out_dir)
-        return _DISPATCH[args.command](doc, args, out_dir)
+        return args.run(doc, args, out_dir)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -201,8 +201,6 @@ class ScenarioDocument:
             for opt in ("action", "start"):
                 if entry.get(opt, 0) >= count:
                     _fail(f"learners[{p}].{opt}", f"must be below the player's action count {count}")
-            if entry["kind"] == "fixed" and "action" not in entry:
-                _fail(f"learners[{p}].action", "a fixed learner needs an action")
             options = {_LEARNER_OPTIONS[key]: value for key, value in entry.items() if key in _LEARNER_OPTIONS}
             out.append(make_learner(entry["kind"], game, p, **options))
         return out
@@ -349,6 +347,8 @@ def _validate_common(doc: dict):
                     if entry["kind"] != kind:
                         _fail(f"learners[{p}].{opt}", f"only a {kind} learner takes {opt}")
                     _expect_int(entry[opt], f"learners[{p}].{opt}", minimum=0)
+            if entry["kind"] == "fixed" and "action" not in entry:
+                _fail(f"learners[{p}].action", "a fixed learner needs an action")
     if "knowledge" in doc:
         levels = _expect_list(doc["knowledge"], "knowledge", length=users)
         for i, level in enumerate(levels):

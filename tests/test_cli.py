@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgames import cli
 from specgames.cli import _BLOCK, _build_parser, _emit, _trace_table, main
 from specgames.experiments import KNOWLEDGE_LEVELS
 from specgames.learning import LearningTrace
@@ -423,7 +425,10 @@ def reference_emit(out_dir, base, fmt, header, rows):
     return path
 
 
-JOIN = '"},\n    {"'  # the text between two records of the C encoder's output
+# the text between two records of a list that the C encoder writes in one
+# call; each record is now encoded alone, so no encoder splits on it, and
+# it stays here as a hostile value and key
+JOIN = '"},\n    {"'
 SCALARS = st.one_of(
     st.integers(),
     st.sampled_from([0, -1, 2 ** 70, -(2 ** 70)]),
@@ -603,6 +608,41 @@ def _run_sequence(capsys, root, calls):
     return results
 
 
+def subcommand_argvs():
+    """A minimal command line for each subcommand, one per choice of its mode."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in sub.choices.items():
+        modes = [a.choices for a in parser._actions if not a.option_strings and a.choices]
+        for mode in modes[0] if modes else [None]:
+            yield [name] + ([mode] if mode else [])
+
+
+def test_every_subcommand_is_dispatched_from_the_parser(monkeypatch):
+    runs = {}
+    for argv in subcommand_argvs():
+        args = _build_parser().parse_args([*argv, "--config", "doc.json"])
+        assert callable(args.run), argv
+        runs[" ".join(argv)] = args.run
+    assert len(runs) == 11 and len(set(runs.values())) == 10  # ce check and optimize share one
+    monkeypatch.setattr(cli, "_cmd_ce_check", lambda doc, args, out_dir: "check")
+    monkeypatch.setattr(cli, "_cmd_ce_optimize", lambda doc, args, out_dir: "optimize")
+    for mode in ("check", "optimize"):
+        args = _build_parser().parse_args(["ce", mode, "--config", "doc.json"])
+        assert args.run(None, args, None) == mode
+
+
+def test_fixed_learner_without_action_is_refused_by_every_subcommand(tmp_path, scenario_dir, capsys):
+    doc = json.loads((scenario_dir / "contention.json").read_text())
+    doc["learners"][0] = {"kind": "fixed"}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in subcommand_argvs():
+        code, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, ""), argv
+        assert err == "config error: learners[0].action: a fixed learner needs an action\n", argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_cached_parser_gives_fresh_results(tmp_path, scenario_dir, capsys):
     contention = ["--config", str(scenario_dir / "contention.json"), "--seed", "7"]
     fig6 = ["--config", str(scenario_dir / "fig6.json")]
@@ -774,6 +814,8 @@ def test_ce_optimize_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, cas
         ("contention.json", [(("learners", 1), {"kind": "best_response_myopic", "start": 2})],
          ("learn",), "learners[1].start"),
         ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("learn",),
+         "learners[0].action"),
+        ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("matrix", "solve"),
          "learners[0].action"),
         ("contention.json", [(("start_profile",), [0, 7])], ("vok",), "start_profile[1]"),
         ("contention.json", [(("knowledge",), ["heterogeneous_leader"] * 2)], ("vok",),
