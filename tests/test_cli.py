@@ -815,8 +815,6 @@ def test_ce_optimize_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, cas
          ("learn",), "learners[1].start"),
         ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("learn",),
          "learners[0].action"),
-        ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("matrix", "solve"),
-         "learners[0].action"),
         ("contention.json", [(("start_profile",), [0, 7])], ("vok",), "start_profile[1]"),
         ("contention.json", [(("knowledge",), ["heterogeneous_leader"] * 2)], ("vok",),
          "knowledge"),
@@ -868,6 +866,8 @@ def test_ce_optimize_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, cas
          ("learn",), "learners[1].start"),
         ("fig6.json", [(("actions",), {"type": "concentrate_spread", "levels": 7})],
          ("matrix", "solve"), "actions.levels"),
+        ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("matrix", "solve"),
+         "learners[0].action"),
     ],
 )
 def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, edits, argv, field):
