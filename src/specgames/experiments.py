@@ -184,7 +184,9 @@ def region_comparison(
     search per pair: its Nash row is the iterative-water-filling point the
     search starts from.  Pareto samples sweep the weight vectors at the
     scenario's own budgets.  `levels` sets both grids; the leader search
-    keeps its other defaults.
+    keeps its other defaults.  A budget pair whose iterative water-filling
+    does not converge has no Nash point to report and raises
+    SpectrumGameError naming the pair.
     """
     if scenario.user_count != 2:
         raise ValueError("region comparison supports two users")
@@ -196,6 +198,8 @@ def region_comparison(
         res = stackelberg_leader_search(
             leader, ch, noise, PowerBudget(np.asarray(pair, dtype=float)), grid, levels=levels
         )
+        if not res.nash.converged:
+            raise SpectrumGameError(f"iterative water-filling did not converge at budget pair {params}")
         nash.append(RegionSample("iw", params, res.nash.rates))
         led.append(RegionSample("stackelberg", params, res.rates))
     return nash + led + pareto_sweep(weight_list, ch, noise, scenario.budgets, grid, levels=levels)

@@ -143,6 +143,47 @@ def _level_step(budget, levels, df) -> float:
     return step
 
 
+def _support_solve(psd, gain2, sigma, budget, bin_width):
+    """Two users' water-fill fixed point on the wet supports of psd (entries > 0), or None.
+
+    All arguments are Python lists and floats, indexed as `ChannelSet.gain2`
+    and the noise and budget tables.  On fixed supports each reply is affine
+    in the water levels mu: with a_n = sigma_n / g_nn and c_n = g_mn / g_nn,
+    a bin wet for user n alone holds mu_n - a_n, and a bin wet for both holds
+    the solution of P_n = mu_n - a_n - c_n P_m, which needs 1 - c_0 c_1 > 0.
+    The two budgets then give a 2x2 system in (mu_0, mu_1), solved by
+    Cramer's rule.  None when some bin wet for both has 1 - c_0 c_1 <= 0,
+    when the level system is singular, or when a support entry of the
+    solution is not positive and finite.
+    """
+    # per bin, each user's PSD as (coefficient of mu_0, of mu_1, constant); None where dry
+    forms = []
+    for k, (p0, p1) in enumerate(zip(*psd)):
+        wet0, wet1 = p0 > 0.0, p1 > 0.0
+        a0 = sigma[0][k] / gain2[0][0][k] if wet0 else 0.0
+        a1 = sigma[1][k] / gain2[1][1][k] if wet1 else 0.0
+        if wet0 and wet1:
+            c0, c1 = gain2[1][0][k] / gain2[0][0][k], gain2[0][1][k] / gain2[1][1][k]
+            d = 1.0 - c0 * c1
+            if not d > 0.0:
+                return None
+            forms.append(((1.0 / d, -c0 / d, (c0 * a1 - a0) / d), (-c1 / d, 1.0 / d, (c1 * a0 - a1) / d)))
+        else:
+            forms.append(((1.0, 0.0, -a0) if wet0 else None, (0.0, 1.0, -a1) if wet1 else None))
+    # user n's budget: sum over its support of its PSD = budget_n / bin_width
+    (a00, a01, b0), (a10, a11, b1) = (
+        [sum(f[n][i] for f in forms if f[n]) for i in range(3)] for n in (0, 1))
+    b0, b1 = budget[0] / bin_width - b0, budget[1] / bin_width - b1
+    det = a00 * a11 - a01 * a10
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    mu0, mu1 = (b0 * a11 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det
+    rows = [[f[n][0] * mu0 + f[n][1] * mu1 + f[n][2] if f[n] else 0.0 for f in forms] for n in (0, 1)]
+    if not all(0.0 < p < inf for row, was in zip(rows, psd) for p, w in zip(row, was) if w > 0.0):
+        return None
+    return rows
+
+
 def iterative_water_filling(
     ch: ChannelSet,
     noise: NoiseProfile,
@@ -163,6 +204,15 @@ def iterative_water_filling(
     floors formed in the pass that adds the last interferer.  The last
     user of a sweep replied to its final state, so its gap is 0 and only
     the other users reply again.
+
+    Two users jump, at most once per run, to the fixed point on their wet
+    supports (`_support_solve`): after a sweep, not the last, that moves by
+    more than tol but at most theta = 1e-4 * min(budget) / bin_width and
+    leaves both supports (entries > 0) as the sweep before left them.  The
+    sweeps go on from the solved point, so the result is always a swept
+    state and the convergence test above certifies the jump; a jump that
+    lands off the equilibrium only costs sweeps.  When the solve refuses,
+    the run sweeps on without a jump.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -192,8 +242,9 @@ def iterative_water_filling(
     converged = False
     residual = fixed_point_gap = np.inf
     sweeps = 0
+    jump, theta = n_users == 2, 1e-4 * min(budget) / bin_width
     for sweeps in range(1, max_iter + 1):
-        moves = []
+        moves, before = [], psd[:]
         for n in users:
             row = reply(n)
             moves.append(max(map(abs, map(sub, row, psd[n]))))
@@ -205,6 +256,10 @@ def iterative_water_filling(
             if fixed_point_gap <= tol:
                 converged = True
                 break
+        elif jump and residual <= theta and sweeps < max_iter and all(
+                [p > 0.0 for p in a] == [p > 0.0 for p in b] for a, b in zip(before, psd)):
+            jump = False
+            psd = _support_solve(psd, gain2, sigma, budget, bin_width) or psd
     psd = np.array(psd)
     rates = _rates(psd, ch.gain2, noise.psd, grid.bin_width)
     return IwResult(PowerAllocation(psd), rates, sweeps, converged, residual, fixed_point_gap)
@@ -288,7 +343,9 @@ def stackelberg_leader_search(
     between bin pairs until no such move strictly raises its rate (a local
     optimum of the descent) or no bin holds a full step.  The Nash
     allocation is always the first candidate, so leader 0 never finishes
-    below its Nash rate (leader 1 can, within IW's tolerance).  Candidates
+    below its Nash rate (leader 1 can, within IW's tolerance; in the last
+    bit when IW ended one sweep after its jump to the support fixed
+    point).  Candidates
     are ranked by the leader's rate alone (the first maximum wins), and only
     the returned pair is priced for both users; grid rows are gathered from
     per-bin tables of every level.  A search over MAX_ORACLE_EVALUATIONS

@@ -22,6 +22,7 @@ from specgames.learning import LearningTrace
 from specgames.matrix_games import NormalFormGame
 
 from test_acceptance import CLI_CASES
+from test_experiments import unsettled_scenario
 from test_simplex import FIG6_GAINS, simplex_grid_document
 
 
@@ -177,6 +178,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "waterfill", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_unconverged_region_nash_point_is_a_numerical_failure(tmp_path, capsys):
+    # the region table used to carry this pair's unconverged IW state as its Nash row
+    doc = {
+        "version": 1,
+        "kind": "power_game",
+        "grid": {"bins": 8, "band": 8.0},
+        "channels": {"gains": unsettled_scenario().channels.gain2.tolist()},
+        "noise": 1.0,
+        "budgets": [100.0, 100.0],
+        "sweeps": {"budget_pairs": [[100.0, 100.0]], "weights": [], "levels": 10},
+    }
+    cfg = tmp_path / "unsettled.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "region", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "numerical failure: iterative water-filling did not converge at budget pair (100.0, 100.0)\n"
+    assert out == "" and list((tmp_path / "out").iterdir()) == []
 
 
 def test_usage_error_exit_code(capsys):

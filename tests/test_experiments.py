@@ -3,7 +3,7 @@ import pytest
 
 import specgames as sg
 from specgames import experiments, power_games
-from specgames.errors import EnsembleUnstableError, NoPureNashError
+from specgames.errors import EnsembleUnstableError, NoPureNashError, SpectrumGameError
 
 
 def test_knowledge_profile_validation():
@@ -172,6 +172,28 @@ def test_region_comparison_rows(two_channel):
     table = sg.region_comparison(two_channel, pairs, [[0.5, 0.5]], levels=6)
     assert [s.method for s in table] == ["iw", "iw", "stackelberg", "stackelberg", "pareto"]
     assert [s.params for s in table[:4]] == [(10.0, 10.0), (5.0, 20.0)] * 2
+
+
+def unsettled_scenario():
+    """Draw 361 of the benchmark's ensemble workload at benchmark seed 41: K=8, 4 taps, cross power
+    0.5, budgets (100, 100), where iterative water-filling stops at 500 sweeps, unconverged."""
+    grid = sg.FrequencyGrid(8, 8.0)
+    stream = np.random.SeedSequence(entropy=1213781198, spawn_key=(0,))
+    return sg.PowerScenario(
+        grid=grid,
+        channels=sg.generate_multipath_channels(stream, grid, 4),
+        noise=sg.NoiseProfile.flat(1.0, 2, 8),
+        budgets=sg.PowerBudget(np.array([100.0, 100.0])),
+    )
+
+
+def test_region_comparison_refuses_an_unconverged_nash_point():
+    scen = unsettled_scenario()
+    res = sg.iterative_water_filling(scen.channels, scen.noise, scen.budgets, scen.grid)
+    assert (res.converged, res.iterations) == (False, 500)
+    with pytest.raises(SpectrumGameError, match=r"^iterative water-filling did not converge at budget pair "
+                                                r"\(100\.0, 100\.0\)$"):
+        sg.region_comparison(scen, [(50.0, 50.0), (100, 100)], [], levels=10)
 
 
 def test_region_comparison_nash_rows_are_one_iw_run_per_pair(two_channel, monkeypatch):

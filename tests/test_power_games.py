@@ -115,8 +115,27 @@ def test_iw_refuses_bad_tolerance_and_sweep_cap(options, two_channel):
                                    two_channel.budgets, two_channel.grid, **options)
 
 
-def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
-    """The numpy Gauss-Seidel loop that iterative_water_filling must reproduce bit for bit."""
+def support_solve(psd, ch, noise, budgets, grid):
+    return power_games._support_solve(np.asarray(psd).tolist(), ch.gain2.tolist(), noise.psd.tolist(),
+                                      budgets.budget.tolist(), grid.bin_width)
+
+
+def jump_point(before, psd, residual, tol, sweeps, max_iter, ch, noise, budgets, grid):
+    """The two-user jump rule, checked from scratch: None while it does not fire, else the point
+    to sweep on from (the state itself when the solve refuses, which spends the run's one jump)."""
+    theta = 1e-4 * min(budgets.budget.tolist()) / grid.bin_width
+    settled = np.array_equal(np.asarray(before) > 0.0, np.asarray(psd) > 0.0)
+    if ch.user_count != 2 or not tol < residual <= theta or sweeps == max_iter or not settled:
+        return None
+    return support_solve(psd, ch, noise, budgets, grid) or psd
+
+
+def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500, jump=True):
+    """The numpy Gauss-Seidel loop that iterative_water_filling must reproduce bit for bit.
+
+    Two users jump at most once per run (`jump_point`); jump=False gives the
+    plain loop, `plain_iw`, the reference for the equilibrium itself.
+    """
     n_users, k = ch.user_count, ch.bin_count
     psd = np.zeros((n_users, k))
 
@@ -128,7 +147,7 @@ def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
     residual = gap = np.inf
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        change = 0.0
+        change, before = 0.0, psd.copy()
         for n in range(n_users):
             row = reply(n)
             change = max(change, float(np.abs(row - psd[n]).max()))
@@ -139,7 +158,15 @@ def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
             if gap <= tol:
                 converged = True
                 break
+        elif jump and (point := jump_point(before, psd, change, tol, sweeps, max_iter, ch, noise, budgets,
+                                           grid)) is not None:
+            jump = False
+            psd[:] = point
     return psd, _rates(psd, ch.gain2, noise.psd, grid.bin_width), sweeps, converged, residual, gap
+
+
+def plain_iw(ch, noise, budgets, grid, **kwargs):
+    return reference_iw(ch, noise, budgets, grid, jump=False, **kwargs)
 
 
 def assert_iw_matches_reference(ch, noise, budgets, grid, **kwargs):
@@ -220,8 +247,9 @@ def gain_noise_fill_row(gain, noise, budget, bin_width):
 
 def every_gap_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
     """Python-float Gauss-Seidel IW that replies for every user, the last one
-    included, when it measures the fixed-point gap."""
-    n_users, k = ch.user_count, ch.bin_count
+    included, when it measures the fixed-point gap; two users jump as in
+    `reference_iw`."""
+    n_users, k, args = ch.user_count, ch.bin_count, (ch, noise, budgets, grid)
     gain2, sigma, budget = ch.gain2.tolist(), noise.psd.tolist(), budgets.budget.tolist()
     psd = [[0.0] * k for _ in range(n_users)]
 
@@ -238,8 +266,9 @@ def every_gap_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
     converged = False
     residual = gap = np.inf
     sweeps = 0
+    jump = True
     for sweeps in range(1, max_iter + 1):
-        change = 0.0
+        change, before = 0.0, [row[:] for row in psd]
         for n in range(n_users):
             row = reply(n)
             change = max(change, moved(n, row))
@@ -250,6 +279,9 @@ def every_gap_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
             if gap <= tol:
                 converged = True
                 break
+        elif jump and (point := jump_point(before, psd, change, tol, sweeps, max_iter, *args)) is not None:
+            jump = False
+            psd = [list(row) for row in point]
     psd = np.array(psd)
     return psd, _rates(psd, ch.gain2, noise.psd, grid.bin_width), sweeps, converged, residual, gap
 
@@ -285,6 +317,145 @@ def test_iw_matches_the_every_gap_loop(data):
     assert (res.iterations, res.converged) == (sweeps, converged)
     assert np.float64(res.residual).tobytes() == np.float64(residual).tobytes()
     assert np.float64(res.fixed_point_gap).tobytes() == np.float64(gap).tobytes()
+
+
+def kkt_solve(psd, ch, noise, budgets, grid):
+    """np.linalg.solve of both users' stationarity and budget equations on the wet supports of psd.
+
+    The unknowns are P_0 on its support, P_1 on its support, mu_0 and mu_1;
+    a wet bin k of user n gives g_nn P_n + g_mn P_m - g_nn mu_n = -sigma_n
+    (P_m only where bin k is wet for user m too), and each user's budget
+    sum P_n = budget_n / bin_width.  Returns the PSD table, zero off the supports.
+    """
+    g, sigma, wet = ch.gain2, noise.psd, np.asarray(psd) > 0.0
+    column = np.cumsum(wet.ravel()).reshape(wet.shape) - 1  # unknown of each wet (user, bin)
+    size = int(wet.sum()) + 2
+    a, b = np.zeros((size, size)), np.zeros(size)
+    for row, (n, k) in enumerate(zip(*np.nonzero(wet))):
+        a[row, column[n, k]], a[row, size - 2 + n], b[row] = g[n, n, k], -g[n, n, k], -sigma[n, k]
+        if wet[1 - n, k]:
+            a[row, column[1 - n, k]] = g[1 - n, n, k]
+    for n in (0, 1):
+        a[size - 2 + n, column[n][wet[n]]] = 1.0
+        b[size - 2 + n] = budgets.budget[n] / grid.bin_width
+    table = np.zeros(wet.shape)
+    table[wet] = np.linalg.solve(a, b)[:-2]
+    return table
+
+
+def coupled(g, wet):
+    """Whether some bin wet for both users has c_0 c_1 = (g_10 / g_00) (g_01 / g_11) >= 1."""
+    both = wet[0] & wet[1]
+    return bool(np.any(g[1, 0][both] / g[0, 0][both] * (g[0, 1][both] / g[1, 1][both]) >= 1.0))
+
+
+def support_draw(data, bins):
+    """Two-user gains (zero cross gains and dead direct bins included), noise, budgets and grid."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gain2 = rng.uniform(0.05, 2.0, (2, 2, bins)) * data.draw(st.sampled_from([0.0, 0.05, 0.5, 2.0]))
+    for n in range(2):
+        gain2[n, n] = rng.uniform(0.1, 2.0, bins)
+        gain2[n, n, rng.random(bins) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return rng, (sg.ChannelSet(gain2), sg.NoiseProfile(rng.uniform(0.1, 3.0, (2, bins))),
+                 sg.PowerBudget(rng.uniform(0.5, 200.0, 2)), sg.FrequencyGrid(bins, float(bins)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_support_solve_matches_the_kkt_system(data):
+    # any supports on the live bins, so the solved point need not be an equilibrium
+    bins = data.draw(st.integers(1, 8))
+    rng, args = support_draw(data, bins)
+    g = args[0].gain2
+    live = np.array([g[0, 0] > 0.0, g[1, 1] > 0.0])
+    wet = live & (rng.random((2, bins)) < data.draw(st.sampled_from([0.5, 1.0])))
+    for n in range(2):
+        if live[n].any() and not wet[n].any():
+            wet[n, rng.choice(np.flatnonzero(live[n]))] = True
+    if not wet.any(axis=1).all():
+        return  # a user without a live bin has no support
+    psd = np.where(wet, rng.uniform(0.1, 10.0, (2, bins)), 0.0)
+    solved = support_solve(psd, *args)
+    if coupled(g, wet):
+        assert solved is None  # a bin wet for both with 1 - c_0 c_1 <= 0
+        return
+    expect = kkt_solve(psd, *args)
+    scale = np.abs(expect).max()
+    if expect[wet].min() > 1e-9 * scale:
+        assert solved is not None
+        assert np.abs(np.array(solved) - expect).max() <= 1e-12 * scale
+        assert np.array_equal(np.array(solved) > 0.0, wet)
+    elif expect[wet].min() < -1e-9 * scale:
+        assert solved is None
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_support_solve_on_converged_supports_is_a_water_fill_fixed_point(data):
+    _, args = support_draw(data, data.draw(st.integers(1, 8)))
+    ch, noise, budgets, grid = args
+    try:
+        psd, _, _, converged, _, _ = plain_iw(*args)
+    except NoUsableSpectrumError:
+        return
+    solved = support_solve(psd, *args)
+    if not converged or coupled(ch.gain2, psd > 0.0) or (solved is None and psd[psd > 0.0].min() < 1e-6):
+        return  # no settled supports, a refused coupling, or an entry at the edge of its support
+    assert solved is not None
+    solved = np.array(solved)
+    for n in (0, 1):
+        floor = noise.psd[n] + solved[1 - n] * ch.gain2[1 - n, n]
+        reply = sg.water_fill(ch.gain2[n, n], floor, budgets.budget[n], grid)
+        assert np.abs(reply - solved[n]).max() <= 1e-9
+
+
+def two_bin_case(direct, cross, noise, budgets, psd):
+    """A two-user case whose gains are [[direct_0, cross_0], [cross_1, direct_1]] per bin."""
+    gain2 = np.array([[direct[0], cross[0]], [cross[1], direct[1]]], dtype=float)
+    bins = gain2.shape[-1]
+    return np.array(psd, dtype=float), (sg.ChannelSet(gain2), sg.NoiseProfile(np.array(noise, dtype=float)),
+                                        sg.PowerBudget(np.array(budgets)), sg.FrequencyGrid(bins, float(bins)))
+
+
+@pytest.mark.parametrize("case", [
+    # one bin wet for both with c_0 c_1 = 1, then 2
+    two_bin_case([[1.0], [1.0]], [[1.0], [1.0]], [[1.0], [1.0]], [1.0, 1.0], [[1.0], [1.0]]),
+    two_bin_case([[1.0], [1.0]], [[1.0], [2.0]], [[1.0], [1.0]], [1.0, 1.0], [[1.0], [1.0]]),
+    # decoupled: user 0's level 5.55 sits below its floor 10 in bin 1, then exactly on its floor 3
+    two_bin_case([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.1, 10.0], [1.0, 1.0]],
+                 [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]),
+    two_bin_case([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 3.0], [1.0, 1.0]],
+                 [2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]]),
+    # c = (2, 0) in bin 0 and (0, 2) in bin 1: the level system is [[2, -2], [-2, 2]]
+    two_bin_case([[1.0, 1.0], [1.0, 1.0]], [[0.0, 2.0], [2.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                 [10.0, 10.0], [[1.0, 1.0], [1.0, 1.0]]),
+], ids=["det-zero", "det-negative", "negative-entry", "zero-entry", "singular-levels"])
+def test_support_solve_refuses(case):
+    psd, args = case
+    assert support_solve(psd, *args) is None
+
+
+def ensemble_study_seed(seed, draw):
+    """The study seed of draw `draw` of the benchmark's ensemble workload at benchmark seed `seed`."""
+    return int(np.random.SeedSequence([seed, *f"ensemble.{draw}".encode()]).generate_state(1)[0])
+
+
+@pytest.mark.slow
+def test_jump_keeps_the_plain_loops_equilibrium_on_ensemble_draws():
+    grid = sg.FrequencyGrid(8, 8.0)
+    noise, budgets = sg.NoiseProfile.flat(1.0, 2, 8), sg.PowerBudget(np.array([100.0, 100.0]))
+    sweeps = plain_sweeps = 0
+    for seed in (7, 23, 41):
+        for draw in range(700):
+            stream = np.random.SeedSequence(entropy=ensemble_study_seed(seed, draw), spawn_key=(0,))
+            ch = sg.generate_multipath_channels(stream, grid, 4)
+            res = sg.iterative_water_filling(ch, noise, budgets, grid)
+            psd, _, plain, converged, _, _ = plain_iw(ch, noise, budgets, grid)
+            assert res.converged == converged
+            assert np.array_equal(res.allocation.psd > 0.0, psd > 0.0)
+            assert np.abs(res.allocation.psd - psd).max() <= 1e-6
+            sweeps, plain_sweeps = sweeps + res.iterations, plain_sweeps + plain
+    assert sweeps < plain_sweeps
 
 
 def test_follower_response_silent_leader(two_channel):
@@ -954,9 +1125,10 @@ def descent_digest():
 
 
 # sha256 of the region tables, margins and leader searches, captured from the
-# search that priced every candidate's joint rates; any change of bits shows
-PINNED_FRONTIER = "68c50db4a52dd02f2b6eff52a1effbc51fb35ba39b88fa698b1c73626e1f566f"
-PINNED_DESCENT = "ed46b89d50598484a7ae4188baa5c010b782feb897e32b536f0129010a186555"
+# search that priced every candidate's joint rates and re-recorded when the
+# two-user IW gained its jump to the support fixed point; any change of bits shows
+PINNED_FRONTIER = "af2e874adf5068f61684408d5c6d19f788ae4c2adf6c9bde01647f8fa900d0ec"
+PINNED_DESCENT = "886ea1e2378635aa090f8315283ff40844793efce971b0fc705be02161a2949e"
 
 
 def test_leader_search_outputs_are_pinned():
