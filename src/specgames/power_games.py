@@ -59,6 +59,9 @@ MAX_ORACLE_EVALUATIONS = 4_000_000
 # Joint pairs, prefix bounds or leader candidates priced per numpy call
 # (temporaries ~128 KB).
 BLOCK_SIZE = 1 << 14
+# Relative gap below which two leader rates of a descent pass tie: about 4,000
+# roundings of a rate, far below what a budget step moves it by.
+DESCENT_TIE = 2.0**-40
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +153,13 @@ def _support_solve(psd, gain2, sigma, budget, bin_width):
     and the noise and budget tables.  On fixed supports each reply is affine
     in the water levels mu: with a_n = sigma_n / g_nn and c_n = g_mn / g_nn,
     a bin wet for user n alone holds mu_n - a_n, and a bin wet for both holds
-    the solution of P_n = mu_n - a_n - c_n P_m, which needs 1 - c_0 c_1 > 0.
-    The two budgets then give a 2x2 system in (mu_0, mu_1), solved by
-    Cramer's rule.  None when some bin wet for both has 1 - c_0 c_1 <= 0,
-    when the level system is singular, or when a support entry of the
-    solution is not positive and finite.
+    the solution of P_n = mu_n - a_n - c_n P_m.  The two budgets then give a
+    2x2 system in (mu_0, mu_1), solved by Cramer's rule.  None when some bin
+    wet for both has 1 - c_0 c_1 <= 0, when the level system is singular, or
+    when a support entry of the solution is not positive and finite.  A bin
+    with c_0 c_1 > 1 makes the sweeps' replies there expand, so its fixed
+    point can be one that the sweeps circle and never reach; jumping onto it
+    would report an equilibrium that plain sweeps do not find.
     """
     # per bin, each user's PSD as (coefficient of mu_0, of mu_1, constant); None where dry
     forms = []
@@ -340,13 +345,15 @@ def stackelberg_leader_search(
     For up to four bins the leader enumerates a budget-splitting grid with
     `levels` steps; for wider grids it runs coordinate descent from the
     iterative-water-filling allocation, moving budget/levels of power
-    between bin pairs until no such move strictly raises its rate (a local
-    optimum of the descent) or no bin holds a full step.  The Nash
-    allocation is always the first candidate, so leader 0 never finishes
-    below its Nash rate (leader 1 can, within IW's tolerance; in the last
-    bit when IW ended one sweep after its jump to the support fixed
-    point).  Candidates
-    are ranked by the leader's rate alone (the first maximum wins), and only
+    between bin pairs until no such move raises its rate by more than
+    DESCENT_TIE, relative (a local optimum of the descent), or no bin holds
+    a full step.  The Nash allocation is always the first candidate, so
+    leader 0 never finishes below its Nash rate (leader 1 can, within IW's
+    tolerance; in the last bit when IW ended one sweep after its jump to the
+    support fixed point).  Candidates are ranked by the leader's rate alone:
+    on the grid the first maximum wins; in a descent pass the first rate
+    within DESCENT_TIE of the best wins, so the Nash row's last bits, which
+    every descent row carries, do not pick between moves that tie.  Only
     the returned pair is priced for both users; grid rows are gathered from
     per-bin tables of every level.  A search over MAX_ORACLE_EVALUATIONS
     candidates is refused with OracleScaleError, and a step that is not
@@ -391,10 +398,13 @@ def stackelberg_leader_search(
         best_row = splits[i - 1] * step if i else ne_row
     else:
         pairs = np.argwhere(~np.eye(bins, dtype=bool))  # (src, dst) moves, row-major
-        # the first pass prices the Nash row as its row 0, ahead of its moves,
-        # and ends the descent if that row wins; each accepted move strictly
+        # the first pass prices the Nash row as its row 0, ahead of its moves.
+        # Every row carries the Nash row's last bits, which can split moves
+        # that tie exactly, so rates within DESCENT_TIE (relative) of a pass's
+        # best tie and the first wins; the descent ends when that row does not
+        # beat the current rate by more than DESCENT_TIE.  Each taken move
         # raises the leader's rate, so this ends
-        best_row, best_rate, head = ne_row, -np.inf, 1
+        best_row, head = ne_row, 1
         while True:
             src, dst = pairs[best_row[pairs[:, 0]] >= step].T
             _check_scale(evaluated + head + len(src), "leader descent candidates")
@@ -402,13 +412,17 @@ def stackelberg_leader_search(
             moves = np.arange(head, len(trials))
             trials[moves, src] -= step
             trials[moves, dst] += step
-            i, reply, rate = best_of(_priced(leader, trials[s:s + BLOCK_SIZE], ch, noise) for s in range(0, len(trials), BLOCK_SIZE))
+            replies, rates = (np.concatenate(part) for part in zip(*(
+                _leader_rates(leader, *_priced(leader, trials[s:s + BLOCK_SIZE], ch, noise), ch, noise, budgets, grid)
+                for s in range(0, len(trials), BLOCK_SIZE))))
+            evaluated += len(trials)
             passes += 1
-            if rate <= best_rate:
+            if head:
+                best_reply, best_rate = replies[0], rates[0]
+            i = int(np.argmax(rates >= rates.max() * (1.0 - DESCENT_TIE)))
+            if not rates[i] > best_rate * (1.0 + DESCENT_TIE):
                 break
-            best_row, best_reply, best_rate = trials[i], reply, rate
-            if i < head:
-                break
+            best_row, best_reply, best_rate = trials[i], replies[i], rates[i]
             head = 0
 
     return StackelbergResult(

@@ -688,10 +688,18 @@ def test_determinism(two_channel):
     assert np.array_equal(a.rates, b.rates)
 
 
+def descent_pick(rows, leader):
+    """The first of a descent pass's (row, reply, rates) within DESCENT_TIE of its best leader rate."""
+    top = max(rates[leader] for _, _, rates in rows)
+    return next(i for i, (_, _, rates) in enumerate(rows) if rates[leader] >= top * (1.0 - power_games.DESCENT_TIE))
+
+
 def scalar_leader_search(leader, scen, levels=10):
     """Reference: price one leader candidate at a time, keep strict improvements.
 
-    The descent moves while the best single-step move strictly helps.
+    The descent weighs the Nash row as row 0 of its first pass and moves while
+    the pass's first near-best row (`descent_pick`) beats the current rate by
+    more than DESCENT_TIE.
     """
     ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
     follower = 1 - leader
@@ -718,25 +726,23 @@ def scalar_leader_search(leader, scen, levels=10):
         return best_row, best_reply, best_rates, evaluated
     step = budgets.budget[leader] / (levels * grid.bin_width)
     current = (best_row, best_reply, best_rates)
+    rows = [current]  # the first pass: the Nash row, then its moves
     while True:
-        move = None
+        row = current[0]
         for src in range(grid.bin_count):
-            if current[0][src] < step:
+            if row[src] < step:
                 continue
             for dst in range(grid.bin_count):
                 if dst != src:
-                    trial = np.array(current[0])
+                    trial = np.array(row)
                     trial[src] -= step
                     trial[dst] += step
-                    reply, rates = assess(trial)
-                    if move is None or rates[leader] > move[2][leader]:
-                        move = (trial, reply, rates)
-        if move is None or move[2][leader] <= current[2][leader]:
+                    rows.append((trial, *assess(trial)))
+        move = rows[descent_pick(rows, leader)]
+        if not move[2][leader] > current[2][leader] * (1.0 + power_games.DESCENT_TIE):
             break
-        current = move
-    if current[2][leader] > best_rates[leader]:
-        best_row, best_reply, best_rates = current
-    return best_row, best_reply, best_rates, evaluated
+        current, rows = move, []
+    return (*current, evaluated)
 
 
 def descent_scenario(index):
@@ -796,24 +802,26 @@ def nash_alone_descent(leader, scen, levels):
                                             budgets.budget[follower], grid.bin_width)
         return psd[:, follower], _rates(psd, ch.gain2, noise.psd, grid.bin_width)
 
-    best_row = np.array(nash.allocation.psd[leader])
-    replies, rates = price(best_row[None])
-    best_reply, best_rates = replies[0], rates[0]
+    row = np.array(nash.allocation.psd[leader])
+    replies, rates = price(row[None])
+    current = (row, replies[0], rates[0])
+    head = [current]  # weighed as row 0 of the first pass
     bins = grid.bin_count
     pairs = np.array([(src, dst) for src in range(bins) for dst in range(bins) if dst != src])
     while True:
-        src, dst = pairs[best_row[pairs[:, 0]] >= step].T
+        src, dst = pairs[current[0][pairs[:, 0]] >= step].T
         if not len(src):
             break
-        trials = np.repeat(best_row[None], len(src), axis=0)
+        trials = np.repeat(current[0][None], len(src), axis=0)
         trials[np.arange(len(src)), src] -= step
         trials[np.arange(len(src)), dst] += step
         replies, rates = price(trials)  # at most 56 moves: one block
-        i = int(np.argmax(rates[:, leader]))
-        if rates[i, leader] <= best_rates[leader]:
+        rows = head + list(zip(trials, replies, rates))
+        move = rows[descent_pick(rows, leader)]
+        if not move[2][leader] > current[2][leader] * (1.0 + power_games.DESCENT_TIE):
             break
-        best_row, best_reply, best_rates = trials[i], replies[i], rates[i]
-    return best_row, best_reply, best_rates, sum(batches), batches
+        current, head = move, []
+    return (*current, sum(batches), batches)
 
 
 def count_priced_blocks(monkeypatch):
@@ -872,6 +880,32 @@ def test_descent_with_no_full_step_prices_only_the_nash_row(monkeypatch):
         res = assert_descent_matches_nash_alone(monkeypatch, leader, scen, levels=2)
         assert res.candidates_evaluated == 1
         assert np.array_equal(res.leader_allocation, res.nash.allocation.psd[leader])
+
+
+@pytest.mark.parametrize("block", [None, 5, 1])
+def test_descent_does_not_split_a_tie_by_the_nash_rows_last_bits(monkeypatch, block):
+    # the benchmark's seed-5 ensemble draw 638: from plain IW's Nash row, first-pass
+    # moves 3, 18 and 25 give the same leader rate to the bit; from the jumped Nash
+    # row (2e-9 away) move 3 reads one ulp lower, and an exact argmax took move 18
+    # and climbed for two more passes, to 17.3778.  Small blocks put the tied rows
+    # in different blocks of a pass
+    if block is not None:
+        monkeypatch.setattr(power_games, "BLOCK_SIZE", block)
+    grid = sg.FrequencyGrid(8, 8.0)
+    stream = np.random.SeedSequence(entropy=ensemble_study_seed(5, 638), spawn_key=(0,))
+    args = (sg.generate_multipath_channels(stream, grid, 4), sg.NoiseProfile.flat(1.0, 2, 8),
+            sg.PowerBudget(np.array([100.0, 100.0])), grid)
+    jumped = sg.stackelberg_leader_search(0, *args)
+    psd, rates, sweeps, converged, residual, gap = plain_iw(*args)
+    plain_nash = sg.IwResult(sg.PowerAllocation(psd), rates, sweeps, converged, residual, gap)
+    monkeypatch.setattr(power_games, "iterative_water_filling", lambda *a, **k: plain_nash)
+    plain = sg.stackelberg_leader_search(0, *args)
+    assert not np.array_equal(jumped.nash.allocation.psd, psd)
+    assert np.abs(jumped.nash.allocation.psd - psd).max() < 1e-8
+    for res in (jumped, plain):
+        assert res.descent_passes == 2
+        assert res.rates[0] == pytest.approx(17.2326682, abs=1e-7)
+    assert np.abs(jumped.leader_allocation - plain.leader_allocation).max() < 1e-8
 
 
 def grid_scenario(bins, seed):
