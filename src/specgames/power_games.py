@@ -210,14 +210,14 @@ def iterative_water_filling(
     user of a sweep replied to its final state, so its gap is 0 and only
     the other users reply again.
 
-    Two users jump, at most once per run, to the fixed point on their wet
-    supports (`_support_solve`): after a sweep, not the last, that moves by
-    more than tol but at most theta = 1e-4 * min(budget) / bin_width and
-    leaves both supports (entries > 0) as the sweep before left them.  The
-    sweeps go on from the solved point, so the result is always a swept
-    state and the convergence test above certifies the jump; a jump that
-    lands off the equilibrium only costs sweeps.  When the solve refuses,
-    the run sweeps on without a jump.
+    Two users jump to the fixed point on their wet supports
+    (`_support_solve`) after a sweep, not the last, that moves by more than
+    tol and leaves both supports (entries > 0) as the sweep before left
+    them.  The solve is tried once per pair of supports, since it reads the
+    state only through them, and the first point it returns ends the
+    jumping.  The sweeps go on from the solved point, so the result is
+    always a swept state and the convergence test above certifies the jump;
+    a jump that lands off the equilibrium only costs sweeps.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -247,24 +247,28 @@ def iterative_water_filling(
     converged = False
     residual = fixed_point_gap = np.inf
     sweeps = 0
-    jump, theta = n_users == 2, 1e-4 * min(budget) / bin_width
+    # the supports the previous sweep left, and the supports the solve has refused
+    jump, wet, tried = n_users == 2, (), set()
     for sweeps in range(1, max_iter + 1):
-        moves, before = [], psd[:]
+        moves = []
         for n in users:
             row = reply(n)
             moves.append(max(map(abs, map(sub, row, psd[n]))))
             psd[n] = row
         residual = max(moves)
+        if jump:
+            settled, wet = wet, tuple(p > 0.0 for row in psd for p in row)
         if residual <= tol:
             # the last user replied to this very state, so its gap is exactly 0
             fixed_point_gap = max((max(map(abs, map(sub, reply(n), psd[n]))) for n in users[:-1]), default=0.0)
             if fixed_point_gap <= tol:
                 converged = True
                 break
-        elif jump and residual <= theta and sweeps < max_iter and all(
-                [p > 0.0 for p in a] == [p > 0.0 for p in b] for a, b in zip(before, psd)):
-            jump = False
-            psd = _support_solve(psd, gain2, sigma, budget, bin_width) or psd
+        elif jump and wet == settled and wet not in tried and sweeps < max_iter:
+            tried.add(wet)
+            solved = _support_solve(psd, gain2, sigma, budget, bin_width)
+            if solved:
+                psd, jump = solved, False
     psd = np.array(psd)
     rates = _rates(psd, ch.gain2, noise.psd, grid.bin_width)
     return IwResult(PowerAllocation(psd), rates, sweeps, converged, residual, fixed_point_gap)
@@ -328,6 +332,17 @@ def _budget_splits(levels: int, bins: int) -> np.ndarray:
         table = np.column_stack([np.repeat(table, room, axis=0), column])
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=1)
+def _descent_moves(bins: int) -> np.ndarray:
+    """The descent's (src, dst) moves: every ordered pair of distinct bins, row-major.
+
+    Read-only, and kept for the last bin count asked for.
+    """
+    pairs = np.argwhere(~np.eye(bins, dtype=bool))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def stackelberg_leader_search(
@@ -397,7 +412,7 @@ def stackelberg_leader_search(
         i, best_reply, best_rate = best_of([t.take(a) for t in tables] for a in at)
         best_row = splits[i - 1] * step if i else ne_row
     else:
-        pairs = np.argwhere(~np.eye(bins, dtype=bool))  # (src, dst) moves, row-major
+        pairs = _descent_moves(bins)
         # the first pass prices the Nash row as its row 0, ahead of its moves.
         # Every row carries the Nash row's last bits, which can split moves
         # that tie exactly, so rates within DESCENT_TIE (relative) of a pass's
@@ -412,9 +427,10 @@ def stackelberg_leader_search(
             moves = np.arange(head, len(trials))
             trials[moves, src] -= step
             trials[moves, dst] += step
-            replies, rates = (np.concatenate(part) for part in zip(*(
-                _leader_rates(leader, *_priced(leader, trials[s:s + BLOCK_SIZE], ch, noise), ch, noise, budgets, grid)
-                for s in range(0, len(trials), BLOCK_SIZE))))
+            # a pass is at most K(K-1)+1 rows: one block up to 128 bins, priced without a copy
+            blocks = [_leader_rates(leader, *_priced(leader, trials[s:s + BLOCK_SIZE], ch, noise), ch, noise, budgets,
+                                    grid) for s in range(0, len(trials), BLOCK_SIZE)]
+            replies, rates = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
             evaluated += len(trials)
             passes += 1
             if head:

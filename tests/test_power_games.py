@@ -120,24 +120,32 @@ def support_solve(psd, ch, noise, budgets, grid):
                                       budgets.budget.tolist(), grid.bin_width)
 
 
-def jump_point(before, psd, residual, tol, sweeps, max_iter, ch, noise, budgets, grid):
-    """The two-user jump rule, checked from scratch: None while it does not fire, else the point
-    to sweep on from (the state itself when the solve refuses, which spends the run's one jump)."""
-    theta = 1e-4 * min(budgets.budget.tolist()) / grid.bin_width
-    settled = np.array_equal(np.asarray(before) > 0.0, np.asarray(psd) > 0.0)
-    if ch.user_count != 2 or not tol < residual <= theta or sweeps == max_iter or not settled:
+def jump_point(before, psd, residual, tol, sweeps, max_iter, tried, ch, noise, budgets, grid, solve=None):
+    """The two-user jump rule, checked from scratch: the solved point to sweep on from, else None.
+
+    It fires after a sweep, not the last, that moves by more than tol and leaves
+    both wet patterns as the sweep before left them, once per pattern (`tried`
+    collects them); the caller stops jumping after the first solved point.
+    `solve` defaults to `power_games._support_solve`.
+    """
+    wet = np.asarray(psd) > 0.0
+    if (ch.user_count != 2 or residual <= tol or sweeps == max_iter
+            or not np.array_equal(np.asarray(before) > 0.0, wet) or wet.tobytes() in tried):
         return None
-    return support_solve(psd, ch, noise, budgets, grid) or psd
+    tried.add(wet.tobytes())
+    return (solve or support_solve)(psd, ch, noise, budgets, grid)
 
 
-def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500, jump=True):
+def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500, jump=True, solve=None):
     """The numpy Gauss-Seidel loop that iterative_water_filling must reproduce bit for bit.
 
-    Two users jump at most once per run (`jump_point`); jump=False gives the
-    plain loop, `plain_iw`, the reference for the equilibrium itself.
+    Two users jump until the first solved point (`jump_point`, with `solve`);
+    jump=False gives the plain loop, `plain_iw`, the reference for the
+    equilibrium itself.
     """
     n_users, k = ch.user_count, ch.bin_count
     psd = np.zeros((n_users, k))
+    tried = set()
 
     def reply(n):
         floor = _effective_noise_raw(n, psd, ch.gain2, noise.psd)
@@ -158,8 +166,8 @@ def reference_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500, jump=True):
             if gap <= tol:
                 converged = True
                 break
-        elif jump and (point := jump_point(before, psd, change, tol, sweeps, max_iter, ch, noise, budgets,
-                                           grid)) is not None:
+        elif jump and (point := jump_point(before, psd, change, tol, sweeps, max_iter, tried, ch, noise, budgets,
+                                           grid, solve)) is not None:
             jump = False
             psd[:] = point
     return psd, _rates(psd, ch.gain2, noise.psd, grid.bin_width), sweeps, converged, residual, gap
@@ -266,7 +274,7 @@ def every_gap_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
     converged = False
     residual = gap = np.inf
     sweeps = 0
-    jump = True
+    jump, tried = True, set()
     for sweeps in range(1, max_iter + 1):
         change, before = 0.0, [row[:] for row in psd]
         for n in range(n_users):
@@ -279,7 +287,7 @@ def every_gap_iw(ch, noise, budgets, grid, tol=1e-8, max_iter=500):
             if gap <= tol:
                 converged = True
                 break
-        elif jump and (point := jump_point(before, psd, change, tol, sweeps, max_iter, *args)) is not None:
+        elif jump and (point := jump_point(before, psd, change, tol, sweeps, max_iter, tried, *args)) is not None:
             jump = False
             psd = [list(row) for row in point]
     psd = np.array(psd)
@@ -409,6 +417,21 @@ def test_support_solve_on_converged_supports_is_a_water_fill_fixed_point(data):
         assert np.abs(reply - solved[n]).max() <= 1e-9
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_support_solve_reads_only_the_wet_pattern(data):
+    # why IW tries each wet pattern once: two states wet on the same live bins, with
+    # different positive values, are solved to the same bits or refused alike
+    bins = data.draw(st.integers(1, 8))
+    rng, args = support_draw(data, bins)
+    g = args[0].gain2
+    wet = np.array([g[0, 0] > 0.0, g[1, 1] > 0.0]) & (rng.random((2, bins)) < data.draw(st.sampled_from([0.5, 1.0])))
+    small, large = (np.where(wet, rng.uniform(lo, hi, (2, bins)), 0.0) for lo, hi in ((1e-300, 1e-3), (1.0, 1e300)))
+    first, second = (None if s is None else np.array(s).tobytes() for s in (
+        support_solve(psd, *args) for psd in (small, large)))
+    assert first == second
+
+
 def two_bin_case(direct, cross, noise, budgets, psd):
     """A two-user case whose gains are [[direct_0, cross_0], [cross_1, direct_1]] per bin."""
     gain2 = np.array([[direct[0], cross[0]], [cross[1], direct[1]]], dtype=float)
@@ -435,27 +458,69 @@ def test_support_solve_refuses(case):
     assert support_solve(psd, *args) is None
 
 
-def ensemble_study_seed(seed, draw):
-    """The study seed of draw `draw` of the benchmark's ensemble workload at benchmark seed `seed`."""
-    return int(np.random.SeedSequence([seed, *f"ensemble.{draw}".encode()]).generate_state(1)[0])
+def ensemble_draw(seed, draw):
+    """(ch, noise, budgets, grid) of draw `draw` of the benchmark's ensemble workload at benchmark seed `seed`."""
+    study_seed = int(np.random.SeedSequence([seed, *f"ensemble.{draw}".encode()]).generate_state(1)[0])
+    grid = sg.FrequencyGrid(8, 8.0)
+    ch = sg.generate_multipath_channels(np.random.SeedSequence(entropy=study_seed, spawn_key=(0,)), grid, 4)
+    return ch, sg.NoiseProfile.flat(1.0, 2, 8), sg.PowerBudget(np.array([100.0, 100.0])), grid
+
+
+def kkt_jump(psd, ch, noise, budgets, grid):
+    """`kkt_solve` as a jump target: the support fixed point without the 1 - c_0 c_1 <= 0 refusal."""
+    solved = kkt_solve(psd, ch, noise, budgets, grid)
+    return solved if solved[np.asarray(psd) > 0.0].min() > 0.0 else None
+
+
+def test_jump_needs_the_coupling_refusal():
+    # the benchmark's seed-7 ensemble draw 18: the first supports that repeat are both wet
+    # in bin 3, where c_0 c_1 = 1.55, so the solve refuses them and IW jumps on the next
+    args = ensemble_draw(7, 18)
+    res = sg.iterative_water_filling(*args)
+    psd, _, sweeps, converged, _, _ = plain_iw(*args)
+    assert (res.iterations, res.converged) == (6, True) and (sweeps, converged) == (10, True)
+    assert np.array_equal(res.allocation.psd > 0.0, psd > 0.0)
+    assert np.abs(res.allocation.psd - psd).max() <= 1e-6
+    # solved there anyway, the jump lands on another equilibrium
+    other, _, _, other_converged, _, _ = reference_iw(*args, solve=kkt_jump)
+    assert other_converged
+    assert np.abs(other - psd).max() > 13.0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_jump_keeps_the_plain_loops_equilibrium_on_random_draws(data):
+    args = support_draw(data, data.draw(st.integers(1, 8)))[1]
+    try:
+        psd, _, _, converged, _, _ = plain_iw(*args)
+    except NoUsableSpectrumError:
+        return
+    res = sg.iterative_water_filling(*args)
+    assert res.converged == converged
+    assert np.array_equal(res.allocation.psd > 0.0, psd > 0.0)
+    assert np.abs(res.allocation.psd - psd).max() <= 1e-6
+
+
+def test_jumping_ends_at_the_first_solved_point():
+    # the benchmark's seed-7 ensemble draw 27 settles on new supports after its jump;
+    # jumping again there would end in 8 sweeps instead of 71
+    assert assert_iw_matches_reference(*ensemble_draw(7, 27)).iterations == 71
 
 
 @pytest.mark.slow
 def test_jump_keeps_the_plain_loops_equilibrium_on_ensemble_draws():
-    grid = sg.FrequencyGrid(8, 8.0)
-    noise, budgets = sg.NoiseProfile.flat(1.0, 2, 8), sg.PowerBudget(np.array([100.0, 100.0]))
     sweeps = plain_sweeps = 0
     for seed in (7, 23, 41):
         for draw in range(700):
-            stream = np.random.SeedSequence(entropy=ensemble_study_seed(seed, draw), spawn_key=(0,))
-            ch = sg.generate_multipath_channels(stream, grid, 4)
-            res = sg.iterative_water_filling(ch, noise, budgets, grid)
-            psd, _, plain, converged, _, _ = plain_iw(ch, noise, budgets, grid)
+            args = ensemble_draw(seed, draw)
+            res = sg.iterative_water_filling(*args)
+            psd, _, plain, converged, _, _ = plain_iw(*args)
             assert res.converged == converged
             assert np.array_equal(res.allocation.psd > 0.0, psd > 0.0)
             assert np.abs(res.allocation.psd - psd).max() <= 1e-6
             sweeps, plain_sweeps = sweeps + res.iterations, plain_sweeps + plain
     assert sweeps < plain_sweeps
+    assert sweeps <= 7_459 + 6_605 + 6_968  # the jump that waited for a sweep to move by 1e-4 budget/df
 
 
 def test_follower_response_silent_leader(two_channel):
@@ -891,10 +956,7 @@ def test_descent_does_not_split_a_tie_by_the_nash_rows_last_bits(monkeypatch, bl
     # in different blocks of a pass
     if block is not None:
         monkeypatch.setattr(power_games, "BLOCK_SIZE", block)
-    grid = sg.FrequencyGrid(8, 8.0)
-    stream = np.random.SeedSequence(entropy=ensemble_study_seed(5, 638), spawn_key=(0,))
-    args = (sg.generate_multipath_channels(stream, grid, 4), sg.NoiseProfile.flat(1.0, 2, 8),
-            sg.PowerBudget(np.array([100.0, 100.0])), grid)
+    args = ensemble_draw(5, 638)
     jumped = sg.stackelberg_leader_search(0, *args)
     psd, rates, sweeps, converged, residual, gap = plain_iw(*args)
     plain_nash = sg.IwResult(sg.PowerAllocation(psd), rates, sweeps, converged, residual, gap)
@@ -1005,7 +1067,12 @@ def test_budget_split_table_is_built_once_and_read_only():
 def test_descent_moves_are_the_row_major_bin_pairs():
     for bins in range(5, 13):
         loop = [[src, dst] for src in range(bins) for dst in range(bins) if dst != src]
-        assert np.argwhere(~np.eye(bins, dtype=bool)).tolist() == loop
+        table = power_games._descent_moves(bins)
+        assert table.tolist() == loop
+        assert power_games._descent_moves(bins) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
 
 
 def draw_23_scenario():
