@@ -121,7 +121,7 @@ def support_solve(psd, ch, noise, budgets, grid):
 
 
 def jump_point(before, psd, residual, tol, sweeps, max_iter, tried, ch, noise, budgets, grid, solve=None):
-    """The two-user jump rule, checked from scratch: the solved point to sweep on from, else None.
+    """The two-user jump rule, restated on numpy arrays: the solved point to sweep on from, else None.
 
     It fires after a sweep, not the last, that moves by more than tol and leaves
     both wet patterns as the sweep before left them, once per pattern (`tried`
