@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import inf
 from operator import sub
 
@@ -59,6 +60,9 @@ MAX_ORACLE_EVALUATIONS = 4_000_000
 # Joint pairs, prefix bounds or leader candidates priced per numpy call
 # (temporaries ~128 KB).
 BLOCK_SIZE = 1 << 14
+# Table entries that one group of weight rows of the Pareto walk may take,
+# and that a kept joint-grid context (`_JointGrid`) may hold.
+GROUP_ENTRIES = 1 << 18
 # Relative gap below which two leader rates of a descent pass tie: about 4,000
 # roundings of a rate, far below what a budget step moves it by.
 DESCENT_TIE = 2.0**-40
@@ -457,12 +461,10 @@ def _term_tables(ch, noise, budgets, grid, levels):
 
     term[k, a, b] is bin k's term with user 1 at level a and user 2 at level
     b, on the rate kernel's floor for two users; a rate is df times the sum
-    of its bins' terms.  Grids over MAX_ORACLE_EVALUATIONS joint pairs are
-    refused with OracleScaleError before anything is built; a power step
-    that is not positive and finite, or a term that is not finite (budgets
-    so large that a product overflows), raises ArithmeticError.
+    of its bins' terms.  A power step that is not positive and finite, or a
+    term that is not finite (budgets so large that a product overflows),
+    raises ArithmeticError.
     """
-    _check_scale(math.comb(levels + grid.bin_count, grid.bin_count) ** 2, "joint evaluations")
     df = grid.bin_width
     p1, p2 = (np.arange(levels + 1) * _level_step(b, levels, df) for b in budgets.budget)
     g, sigma, p1 = ch.gain2[..., None, None], noise.psd[..., None, None], p1[:, None]
@@ -498,7 +500,7 @@ def _joint_grid_rates(ch, noise, budgets, grid, levels, terms=None):
         yield rates
 
 
-def _pareto_bounds(t1, t2, w, df):
+def _pareto_bounds(t1, t2, w, df, joint=None):
     """Dynamic-program bounds of the weighted rate sums for weight rows w (G, 2).
 
     Returns c[g, k, a, b] = w'[g, 0] t1[k, a, b] + w'[g, 1] t2[k, a, b], with
@@ -507,11 +509,35 @@ def _pareto_bounds(t1, t2, w, df):
     the best sum of c over bins k.. with at most u and v levels left (-inf
     past either budget); each root row's best bound, best_of_row[g, a] =
     max over b of c[g, 0, a, b] + V_1[L - a, L - b]; and per row the floor
-    that no prefix of a pair the scan could return falls below.
+    that no prefix of a pair the scan could return falls below.  Given the
+    `_JointGrid` whose terms t1 and t2 are, the rows it holds are reused.
     """
-    count, (bins, n, _) = len(w), t1.shape
+    bins, n, _ = t1.shape
     e = np.frexp(w.max(axis=1))[1]
     scaled = np.ldexp(w, -e[:, None])
+    c, tails, best_of_row = joint.bound_rows(scaled) if joint else _bound_tables(t1, t2, scaled)
+    opt = best_of_row.max(axis=1)
+    # Rounding slack.  Terms lie in [0, 1024] (log2 of a finite float) and the
+    # scaled weights are exact unless they underflow.  Against the exact
+    # scaled term sum of a pair, its bounds, the optimum's path sum and the
+    # scan's value (times 2**-e / df) each err by at most K + 2 roundings of
+    # relative size 2**-53, plus underflow errors of at most 2**-1075 per
+    # product: K*2*1025 in a bound, (2 + 2 * 2**-e) / df in the scan's value.
+    # So a pair the scan could return keeps every prefix bound above
+    # opt - 4(K+2) 2**-53 opt - 2(K*1025 + (1 + 2**-e) / df) 2**-1074; the
+    # factors 5 and 3 in place of 4 and 2 absorb the second-order terms.
+    tiny = math.ulp(0.0)
+    slack = 5 * (bins + 2) * 2.0**-53 * opt + 3 * (bins * 1025 * tiny + (tiny + np.ldexp(tiny, -e)) / df)
+    return c, tails.reshape(bins - 1, len(w) * (2 * n - 1) ** 2), best_of_row, opt - slack
+
+
+def _bound_tables(t1, t2, scaled):
+    """`_pareto_bounds`' c, tails (K - 1, G, 2L + 1, 2L + 1) and best_of_row for the scaled rows.
+
+    Each row's tables depend on that row alone, so rows built apart stack
+    bit for bit into the tables of one group.
+    """
+    count, (bins, n, _) = len(scaled), t1.shape
     c = scaled[:, 0, None, None, None] * t1
     for lo in range(0, t2.size, BLOCK_SIZE):  # without a second table-sized temporary
         c.reshape(count, -1)[:, lo:lo + BLOCK_SIZE] += scaled[:, 1, None] * t2.reshape(-1)[lo:lo + BLOCK_SIZE]
@@ -539,19 +565,81 @@ def _pareto_bounds(t1, t2, w, df):
         best_of_row = (c[:, 0] + v[:, ::-1, ::-1]).max(axis=2)
     else:
         best_of_row = c[:, 0].max(axis=2)
-    opt = best_of_row.max(axis=1)
-    # Rounding slack.  Terms lie in [0, 1024] (log2 of a finite float) and the
-    # scaled weights are exact unless they underflow.  Against the exact
-    # scaled term sum of a pair, its bounds, the optimum's path sum and the
-    # scan's value (times 2**-e / df) each err by at most K + 2 roundings of
-    # relative size 2**-53, plus underflow errors of at most 2**-1075 per
-    # product: K*2*1025 in a bound, (2 + 2 * 2**-e) / df in the scan's value.
-    # So a pair the scan could return keeps every prefix bound above
-    # opt - 4(K+2) 2**-53 opt - 2(K*1025 + (1 + 2**-e) / df) 2**-1074; the
-    # factors 5 and 3 in place of 4 and 2 absorb the second-order terms.
-    tiny = math.ulp(0.0)
-    slack = 5 * (bins + 2) * 2.0**-53 * opt + 3 * (bins * 1025 * tiny + (tiny + np.ldexp(tiny, -e)) / df)
-    return c, tails.reshape(bins - 1, count * (2 * n - 1) ** 2), best_of_row, opt - slack
+    return c, tails, best_of_row
+
+
+class _JointGrid:
+    """One joint grid's `_term_tables`, the bound rows built on them and its Pareto pairs.
+
+    `rows` maps a scaled weight row to its (c, tails, best_of_row) from
+    `_bound_tables`; `pairs` holds rate pairs the Pareto oracle returned,
+    each a grid pair's rates as the scan prices them.  The tables are
+    read-only, and rows and pairs are kept only while everything held fits
+    GROUP_ENTRIES entries (`room` is what is left).
+    """
+
+    def __init__(self, key, terms):
+        self.key, self.terms, self.rows, self.pairs = key, terms, {}, set()
+        self.room = GROUP_ENTRIES - sum(t.size for t in terms)
+        for t in terms:
+            t.flags.writeable = False
+
+    def bound_rows(self, scaled):
+        """`_bound_tables` of the scaled rows: the rows held, the others built (and kept while they fit)."""
+        keys = [tuple(row) for row in scaled.tolist()]
+        fresh = [k not in self.rows for k in keys]
+        new = {}
+        if any(fresh):
+            built = _bound_tables(*self.terms, scaled[fresh])
+            new = dict(zip(compress(keys, fresh), zip(built[0], built[1].swapaxes(0, 1), built[2])))
+            for key, row in new.items():
+                size = sum(a.size for a in row)
+                if size <= self.room:
+                    self.rows[key] = tuple(_read_only(a) for a in row)
+                    self.room -= size
+            if all(fresh):
+                return built
+        c, tails, best_of_row = zip(*(new.get(k) or self.rows[k] for k in keys))
+        return np.stack(c), np.stack(tails, axis=1), np.stack(best_of_row)
+
+    def keep_pairs(self, rates):
+        """Hold these rate pairs of the grid while they fit."""
+        for pair in {tuple(r.tolist()) for r in rates} - self.pairs:
+            if self.room >= 2:
+                self.pairs.add(pair)
+                self.room -= 2
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+# The context of the last joint grid asked for, while its term tables fit
+# GROUP_ENTRIES entries.
+_joint = None
+
+
+def _joint_grid(ch, noise, budgets, grid, levels):
+    """The `_JointGrid` of these inputs: the one held if it matches, else a new one.
+
+    Grids over MAX_ORACLE_EVALUATIONS joint pairs are refused with
+    OracleScaleError first.  The key is the bytes of the gains, the noise
+    table and the budgets with the bin width and `levels`: everything the
+    term tables depend on.  A new context replaces the one held, and is held
+    itself only if its term tables fit GROUP_ENTRIES entries.
+    """
+    global _joint
+    _check_scale(math.comb(levels + grid.bin_count, grid.bin_count) ** 2, "joint evaluations")
+    key = (ch.gain2.tobytes(), noise.psd.tobytes(), budgets.budget.tobytes(), grid.bin_width, levels)
+    if _joint is not None and _joint.key == key:
+        return _joint
+    _joint = None  # its tables go before the new ones are built
+    joint = _JointGrid(key, _term_tables(ch, noise, budgets, grid, levels))
+    if joint.room >= 0:
+        _joint = joint
+    return joint
 
 
 def _prefix_levels(rem1, rows):
@@ -623,18 +711,18 @@ def _prefix_walk(t1, t2, c, tails, bound_rows, floor, take, leaf, budget):
     return kept
 
 
-def _pareto_walk(t1, t2, w, df, budget):
+def _pareto_walk(t1, t2, w, df, budget, joint=None):
     """Each weight row's best (value, pair key, rates), walking the pairs' prefixes.
 
     Each weight row is a group of `_prefix_walk` with its own bound row and
-    fixed floor (`_pareto_bounds`).  Children and leaves are taken in index
-    order, BLOCK_SIZE // K at a time, and each leaf is priced as the scan
-    prices it, from its users' terms summed in bin order; among equal
-    values the lexicographically first (user-1 split, user-2 split) key
-    wins.  Returns (None, kept) once more than `budget` prefixes and leaves
+    fixed floor (`_pareto_bounds`, reusing the rows `joint` holds).
+    Children and leaves are taken in index order, BLOCK_SIZE // K at a
+    time, and each leaf is priced as the scan prices it, from its users'
+    terms summed in bin order; among equal values the lexicographically
+    first (user-1 split, user-2 split) key wins.  Returns (None, kept) once more than `budget` prefixes and leaves
     are kept, else (best, kept).
     """
-    c, tails, _, floor = _pareto_bounds(t1, t2, w, df)
+    c, tails, _, floor = _pareto_bounds(t1, t2, w, df, joint)
     bins, n, _ = t1.shape
     size, level = max(1, BLOCK_SIZE // bins), np.arange(n)
     best = [(-np.inf, None, None)] * len(w)
@@ -679,27 +767,31 @@ def _pareto_walk(t1, t2, w, df, budget):
     return (best if kept <= budget else None), kept
 
 
-def _margin_walk(t1, t2, target, df, budget):
+def _margin_walk(t1, t2, target, df, budget, seed=-math.inf, joint=None):
     """The best margin min_n (R_n - target_n) over the joint grid, walking the pairs' prefixes.
 
     A pair whose margin reaches m has R_n >= target_n + m for each user, so
     w.R >= w.(target + m) for every w >= 0.  So `_prefix_walk` keeps a
     prefix only if its `_pareto_bounds` bound for each of the rows (1, 0),
-    (0, 1) and (1, 1) reaches that row's floor at the incumbent m, less a
-    rounding slack; the per-user rows alone leave many prefixes whose users
-    would each need the other's best bins.  Children are taken best margin
+    (0, 1) and (1, 1) (those `joint` holds reused) reaches that row's floor
+    at the incumbent m, less a rounding slack; the per-user rows alone
+    leave many prefixes whose users would each need the other's best bins.
+    The incumbent starts at `seed`, the margin of some grid pair priced as
+    the scan prices it (-inf: none), so the floors start as high as that
+    pair allows.  Children are taken best margin
     bound first, 32 at a time, so that the incumbent rises early; whenever
     the floors have risen, the children not yet taken are tested again in
     one pass.  Leaves are priced as the scan prices them (each user's terms
     summed in bin order, times df, then the min), and every leaf whose
-    margin reaches the incumbent is kept and raises it, so the result is
-    the scan's bit for bit.  Returns (None, kept) once more than `budget`
-    prefixes and leaves are kept, else (best, kept).
+    margin reaches the incumbent is kept and raises it; the scan's best
+    pair reaches every incumbent, so the result is the scan's bit for bit.
+    Returns (None, kept) once more than `budget` prefixes and leaves are
+    kept, else (best, kept).
     """
     bins, n, _ = t1.shape
     level, (tau1, tau2) = np.arange(n), map(float, target)
     # each row's largest weight is 1, so c = w t / 2
-    c, tails, _, _ = _pareto_bounds(t1, t2, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), df)
+    c, tails, _, _ = _pareto_bounds(t1, t2, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), df, joint)
     # Rounding slack.  Let u = 2**-53, A_n the exact sum of a pair's terms
     # and mag_n = |target_n| + |m| + 2 df (sum over bins of t_n's largest
     # term), which bounds |R_n - target_n| and df A_n.  If the pair's margin
@@ -729,7 +821,7 @@ def _margin_walk(t1, t2, target, df, budget):
         # (NaN) only for targets near overflow
         return [x if x > -1.0 else -1.0 for x in f]
 
-    best = -math.inf
+    best = float(seed)
     floor = np.array(floors(best))
 
     def take(bound):
@@ -760,21 +852,22 @@ def _margin_walk(t1, t2, target, df, budget):
     return (best if kept <= budget else None), kept
 
 
-def _walk_else_scan(ch, noise, budgets, grid, levels, walk, items, group, score):
-    """Each item's best (value, tie key, rates) on the joint grid: walked, else scanned.
+def _walk_else_scan(joint, args, walk, items, group, score):
+    """Each item's best (value, tie key, rates) on the joint grid of args: walked, else scanned.
 
     `walk(t1, t2, items, df, budget)` answers up to `group` items at a time
-    from the `_term_tables`, or gives (None, kept) once it has kept more
-    than `budget` prefixes and leaves.  The walks share one budget: none,
-    where the grid is at most BLOCK_SIZE pairs, since one block of the scan
-    is cheaper than any walk, and where both users' terms are all zero,
-    since every pair then ties at rate 0 and a walk would keep them all;
-    else max(2**14, pairs / 16), which only grids where most pairs tie
-    reach.  The items left are priced by one scan over every pair of splits
+    from the term tables of `joint`, the `_JointGrid` of the inputs `args`,
+    or gives (None, kept) once it has kept more than `budget` prefixes and
+    leaves.  The walks share one budget: none, where the grid is at most
+    BLOCK_SIZE pairs, since one block of the scan is cheaper than any walk,
+    and where both users' terms are all zero, since every pair then ties
+    at rate 0 and a walk would keep them all; else max(2**14, pairs / 16),
+    which only grids where most pairs tie reach.  The items left are priced by one scan over every pair of splits
     (`_joint_grid_rates`): score(item, r1, r2), the first maximum of each
     block, strict gains across blocks, and no tie key.
     """
-    t1, t2 = _term_tables(ch, noise, budgets, grid, levels)
+    _, _, _, grid, levels = args
+    t1, t2 = joint.terms
     pairs = math.comb(levels + grid.bin_count, grid.bin_count) ** 2
     budget = max(1 << 14, pairs >> 4) if pairs > BLOCK_SIZE and (t1.any() or t2.any()) else -1
     found = []
@@ -786,7 +879,7 @@ def _walk_else_scan(ch, noise, budgets, grid, levels, walk, items, group, score)
     found = [f or (-np.inf, None, None) for f in found]
     if rest:
         with np.errstate(over="ignore"):
-            for r1, r2 in _joint_grid_rates(ch, noise, budgets, grid, levels, (t1, t2)):
+            for r1, r2 in _joint_grid_rates(*args, joint.terms):
                 for i in rest:
                     objective = score(items[i], r1, r2)
                     j = int(np.argmax(objective))
@@ -816,20 +909,26 @@ def _pareto_argmax(
     (`_pareto_bounds`).  The walk over the prefixes drops those whose bound
     falls below the optimum by more than a rounding slack, and prices the
     pairs left in the scan's arithmetic (`_pareto_walk`).  Weights share
-    one walk, as many as keep its tables within 2**18 entries.  Small,
-    all-zero and tie-heavy grids are scanned (`_walk_else_scan`).  Refused,
+    one walk, as many as keep its tables within GROUP_ENTRIES entries.
+    Small, all-zero and tie-heavy grids are scanned (`_walk_else_scan`).
+    The grid's term tables and DP rows come from, and its rate pairs go
+    to, its `_JointGrid`, where the dominance margin finds them.  Refused,
     like the scan, over MAX_ORACLE_EVALUATIONS joint pairs; raises
     ArithmeticError when a term or a best weighted value is not finite.
     """
     bins, n = grid.bin_count, levels + 1
+    args = (ch, noise, budgets, grid, levels)
+    joint = _joint_grid(*args)
     weights = np.array(weight_list, dtype=float).reshape(-1, 2)
-    group = max(1, (1 << 18) // (5 * bins * n * n + (bins > 2) * n**3))
-    found = _walk_else_scan(ch, noise, budgets, grid, levels, _pareto_walk, weights, group,
+    group = max(1, GROUP_ENTRIES // (5 * bins * n * n + (bins > 2) * n**3))
+    found = _walk_else_scan(joint, args, lambda *a: _pareto_walk(*a, joint), weights, group,
                             lambda w, r1, r2: w[0] * r1 + w[1] * r2)
     for row, (value, _, _) in zip(weights.tolist(), found):
         if not math.isfinite(value):
             raise ArithmeticError(f"weighted rate sum for weights {tuple(row)} is not finite")
-    return [float(value) for value, _, _ in found], [rates for _, _, rates in found]
+    rate_list = [rates for _, _, rates in found]
+    joint.keep_pairs(rate_list)
+    return [float(value) for value, _, _ in found], rate_list
 
 
 def grid_dominance_margin(
@@ -848,18 +947,26 @@ def grid_dominance_margin(
     over every pair of splits (each user's terms summed in bin order, times
     df), found by a branch and bound over the pairs' prefixes with the
     weighted-sum oracle's per-bin bounds (`_margin_walk`); small, all-zero
-    and tie-heavy grids are scanned (`_walk_else_scan`).  Refused over
+    and tie-heavy grids are scanned (`_walk_else_scan`).  The grid's term
+    tables and DP rows are those its `_JointGrid` holds, as a Pareto sweep
+    of the same draw leaves them, and the best margin of the rate pairs
+    that sweep returned seeds the branch and bound.  Refused over
     MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError when a term
     or the margin is not finite.
     """
     target = np.asarray(target_rates, dtype=float)
     _check_inputs(ch, noise, budgets, grid, levels=levels, target=target)
+    args = (ch, noise, budgets, grid, levels)
+    joint = _joint_grid(*args)
+    tau1, tau2 = target.tolist()
+    # the margins of real grid pairs, in the scan's arithmetic
+    seed = max((min(r1 - tau1, r2 - tau2) for r1, r2 in joint.pairs), default=-math.inf)
 
     def walk(t1, t2, lot, df, budget):
-        best, kept = _margin_walk(t1, t2, lot[0], df, budget)
+        best, kept = _margin_walk(t1, t2, lot[0], df, budget, seed, joint)
         return best if best is None else [(best, None, None)], kept
 
-    [(best, _, _)] = _walk_else_scan(ch, noise, budgets, grid, levels, walk, [target], 1,
+    [(best, _, _)] = _walk_else_scan(joint, args, walk, [target], 1,
                                      lambda t, r1, r2: np.minimum(r1 - t[0], r2 - t[1]))
     if not math.isfinite(best):
         raise ArithmeticError("dominance margin is not finite")

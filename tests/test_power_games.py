@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import operator
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specgames as sg
-from specgames import power_games
+from specgames import cli, power_games
 from specgames.errors import NoUsableSpectrumError, OracleScaleError
 from specgames.power_games import (
     _budget_splits, _joint_grid_rates, _margin_walk, _pareto_argmax, _pareto_walk, _term_tables,
@@ -1765,3 +1766,180 @@ def test_large_weights_match_the_row_loop():
         ref_values, ref_rates = reference_pareto_argmax(scen, 6, weights)
     assert values == ref_values and all(map(math.isfinite, values))
     assert all(np.array_equal(a, b) for a, b in zip(rates, ref_rates))
+
+
+def held_entries(joint):
+    """Entries a joint-grid context holds: its term tables, its DP rows and 2 per rate pair."""
+    rows = [a for row in joint.rows.values() for a in row]
+    return sum(a.size for a in (*joint.terms, *rows)) + 2 * len(joint.pairs)
+
+
+def one_bin_fig6(tmp_path, levels):
+    doc = json.loads((SCENARIOS / "fig6.json").read_text())
+    doc["grid"] = {"bins": 1, "band": 1.0}
+    doc["channels"]["gains"] = [[gains[:1] for gains in user] for user in doc["channels"]["gains"]]
+    doc["sweeps"]["levels"] = levels
+    path = tmp_path / f"fig6_1bin_{levels}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_joint_grid_context_holds_nothing_over_the_group_budget(tmp_path, capsys):
+    # one bin at 1,999 levels: 8M term entries, 4M per DP row, none held; at
+    # 299 levels the term tables fit (180,000 entries) and no DP row does
+    for levels, held in ((1999, False), (299, True)):
+        path = one_bin_fig6(tmp_path, levels)
+        for command in ("pareto", "region"):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+            joint = power_games._joint
+            assert (joint is not None) == held
+    assert not joint.rows and held_entries(joint) == power_games.GROUP_ENTRIES - joint.room
+    assert held_entries(joint) <= power_games.GROUP_ENTRIES
+    # the frontier grid holds its rows and pairs, within the budget
+    scen = frontier_scenario(0)
+    sg.pareto_sweep(FRONTIER_WEIGHTS, scen.channels, scen.noise, scen.budgets, scen.grid)
+    joint = power_games._joint
+    assert len(joint.rows) == len(FRONTIER_WEIGHTS) and joint.pairs
+    assert held_entries(joint) == power_games.GROUP_ENTRIES - joint.room <= power_games.GROUP_ENTRIES
+
+
+def test_joint_grid_tables_are_built_once_and_read_only(monkeypatch):
+    scen = frontier_scenario(3)
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+    values = sg.pareto_sweep(FRONTIER_WEIGHTS, *args)
+    joint = power_games._joint
+    assert power_games._joint_grid(*args, 10) is joint
+    tables = [*joint.terms, *(a for row in joint.rows.values() for a in row)]
+    assert len(tables) == 2 + 3 * len(FRONTIER_WEIGHTS) and not any(t.flags.writeable for t in tables)
+    with pytest.raises(ValueError, match="read-only"):
+        joint.terms[0][0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        next(iter(joint.rows.values()))[1][...] = 0.0
+    # the margin's rows (1, 0), (0, 1) and (1, 1) are the sweep's scaled
+    # rows, so neither its terms nor its DP are built again
+    def no_work(*args, **kwargs):
+        raise AssertionError("the margin built tables the context holds")
+
+    monkeypatch.setattr(power_games, "_term_tables", no_work)
+    monkeypatch.setattr(power_games, "_bound_tables", no_work)
+    target = values[2].rates * 0.9
+    assert sg.grid_dominance_margin(target, *args) == reference_dominance_margin(target, scen, 10)
+    again = sg.pareto_sweep(FRONTIER_WEIGHTS, *args)
+    assert all(np.array_equal(a.rates, b.rates) for a, b in zip(again, values))
+    monkeypatch.undo()
+    # another grid replaces the context; asking again builds equal tables anew
+    sg.pareto_sweep([[1.0, 1.0]], *args, levels=6)
+    again = power_games._joint_grid(*args, 10)
+    assert again is not joint and all(np.array_equal(a, b) for a, b in zip(again.terms, joint.terms))
+
+
+def test_bound_rows_built_apart_stack_into_those_of_one_group():
+    # each DP row depends on its weight row alone, so the rows a context
+    # holds and the rows it builds stack into the tables of one call
+    w = np.array(WALK_WEIGHTS)
+    for bins in (1, 2, 3, 4):
+        scen = grid_scenario(bins, 3300 + bins)
+        terms = _term_tables(scen.channels, scen.noise, scen.budgets, scen.grid, 5)
+        expected = power_games._pareto_bounds(*terms, w, scen.grid.bin_width)
+        joint = power_games._JointGrid(None, terms)
+        for part in (w[::3], w[1::2], w, w[::-1][:4]):
+            power_games._pareto_bounds(*terms, part, scen.grid.bin_width, joint)
+            got = power_games._pareto_bounds(*terms, w, scen.grid.bin_width, joint)
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def joint_grid_cases():
+    # draws 1, 2 and 1 again, then draw 0's ChannelSet between each change
+    # of its budgets, its noise table or its levels and draw 0 as it was
+    base = frontier_scenario(0)
+    parts = {"grid": base.grid, "channels": base.channels, "noise": base.noise, "budgets": base.budgets}
+    budgets = sg.PowerScenario(**{**parts, "budgets": sg.PowerBudget(np.array([150.0, 50.0]))})
+    noise = sg.PowerScenario(**{**parts, "noise": sg.NoiseProfile(np.random.default_rng(5).uniform(0.5, 2.0, (2, 4)))})
+    cases = [(frontier_scenario(i), 10) for i in (1, 2, 1)]
+    return cases + [(base, 10), (budgets, 10), (base, 10), (noise, 10), (base, 10), (base, 6), (base, 8), (base, 10)]
+
+
+def test_joint_grid_context_answers_only_for_its_own_grid():
+    # the three entry points interleaved, in a different order per case;
+    # margins against the row loop, Pareto points and tables against calls
+    # made with no context held
+    def cleared(call, *args, **kwargs):
+        power_games._joint = None
+        return call(*args, **kwargs)
+
+    for i, (scen, levels) in enumerate(joint_grid_cases()):
+        args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+        target = sg.iterative_water_filling(*args).rates
+        calls = [
+            ("pareto", lambda: sg.pareto_sweep(FRONTIER_WEIGHTS, *args, levels=levels)),
+            ("margin", lambda: sg.grid_dominance_margin(target, *args, levels=levels)),
+            ("region", lambda: sg.region_comparison(scen, FRONTIER_PAIRS, FRONTIER_WEIGHTS, levels=levels)),
+        ]
+        got = {name: call() for name, call in calls[i % 3:] + calls[:i % 3]}
+        assert got["margin"] == reference_dominance_margin(target, scen, levels)
+        assert got["margin"] == cleared(sg.grid_dominance_margin, target, *args, levels=levels)
+        for name in ("pareto", "region"):
+            fresh = cleared(dict(calls)[name])
+            assert [(s.method, s.params, s.rates.tobytes()) for s in got[name]] == \
+                [(s.method, s.params, s.rates.tobytes()) for s in fresh]
+
+
+ZERO_CROSS = "zero cross gains"
+
+
+def seeded_walk_scenario(kind, draw):
+    if kind == "mirror":
+        return mirror_scenario()
+    if kind == "flat":
+        return flat_symmetric_scenario()
+    scen, _ = seeded_oracle_draw(draw)
+    if kind == ZERO_CROSS:
+        gain2 = scen.channels.gain2.copy()
+        gain2[0, 1] = gain2[1, 0] = 0.0
+        scen = sg.PowerScenario(grid=scen.grid, channels=sg.ChannelSet(gain2), noise=scen.noise, budgets=scen.budgets)
+    return scen
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_seeded_margin_walk_finds_the_unseeded_margin(data):
+    # seeds at the exact margin (a tie at the incumbent), at the margin of
+    # a grid pair drawn at random and far below it all give the scan's margin
+    kind = data.draw(st.sampled_from(["draw", "mirror", "flat", ZERO_CROSS]))
+    scen = seeded_walk_scenario(kind, data.draw(st.integers(0, 199)))
+    levels, df = data.draw(st.integers(1, 6)), scen.grid.bin_width
+    t1, t2 = _term_tables(scen.channels, scen.noise, scen.budgets, scen.grid, levels)
+    _, r1, r2 = brute_force_pairs(t1, t2, df)
+    corner = [r1.max(), r2.max()]
+    target = np.array([data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.1])) * x for x in corner])
+    margins = np.minimum(r1 - target[0], r2 - target[1])
+    exact, kept = _margin_walk(t1, t2, target, df, math.inf)
+    assert exact == margins.max()
+    pair = margins.flat[data.draw(st.integers(0, margins.size - 1))]
+    for seed in (exact, pair, exact - 1e6, -math.inf):
+        best, seeded = _margin_walk(t1, t2, target, df, math.inf, seed)
+        assert best == exact
+        assert seed != -math.inf or seeded == kept
+
+
+# The margin walk's kept prefixes and leaves on the `frontier_digest` draws,
+# (seeded by the region table's Pareto pairs, unseeded); on draws 1, 4, 5
+# and 6 a Pareto pair reaches the margin, so the walk starts at its answer.
+FRONTIER_MARGIN_KEPT = [(63, 515), (28, 408), (1877, 2174), (398, 668), (132, 646), (45, 372), (8, 490), (306, 690)]
+
+
+def test_frontier_margins_are_seeded_by_the_region_tables_pareto_pairs(monkeypatch):
+    seen = []
+    walk = power_games._margin_walk
+    monkeypatch.setattr(power_games, "_margin_walk", lambda *a: seen.append((a[5], walk(*a))) or seen[-1][1])
+    for index, expected in enumerate(FRONTIER_MARGIN_KEPT):
+        scen = frontier_scenario(index)
+        args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+        table = sg.region_comparison(scen, FRONTIER_PAIRS, FRONTIER_WEIGHTS, leader=0, levels=10)
+        margin = sg.grid_dominance_margin(table[0].rates, *args, levels=10)
+        seed, (best, kept) = seen[-1]
+        pareto = [s.rates for s in table if s.method == "pareto"]
+        assert seed == max(min(r[0] - table[0].rates[0], r[1] - table[0].rates[1]) for r in pareto)
+        assert best == margin and seed <= margin
+        unseeded = walk(*_term_tables(*args, 10), table[0].rates, scen.grid.bin_width, math.inf)
+        assert unseeded == (margin, expected[1]) and kept == expected[0]
