@@ -986,7 +986,10 @@ def pareto_sweep(
     One RegionSample per weight vector; no weights give no samples.  The
     values, rates and tie choices are those of a scan over every pair of
     splits, found by a per-bin dynamic-program bound that rules out all
-    but a few pairs (`_pareto_argmax`).  Grids over MAX_ORACLE_EVALUATIONS
+    but a few pairs (`_pareto_argmax`).  The grid's tables, DP rows and
+    the rates found stay in its `_JointGrid` context for the next oracle
+    call on the same grid, such as the dominance margin of a region
+    table's Nash point.  Grids over MAX_ORACLE_EVALUATIONS
     joint pairs are refused with OracleScaleError, as for the dominance
     margin; a best weighted value that is not finite raises
     ArithmeticError.

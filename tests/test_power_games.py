@@ -1460,6 +1460,13 @@ def test_pareto_bounds_match_the_per_level_loop(bins):
         expected = reference_pareto_bounds(*tables, w, scen.grid.bin_width)
         assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
         assert bins == 1 or np.isneginf(got[1]).any() and np.isfinite(got[1]).any()
+        # each row depends on its weight row alone: rows a joint-grid context
+        # holds and rows it builds stack into the same tables
+        joint = power_games._JointGrid(None, tables)
+        for part in (w[::3], w[1::2], w):
+            power_games._pareto_bounds(*tables, part, scen.grid.bin_width, joint)
+            got = power_games._pareto_bounds(*tables, w, scen.grid.bin_width, joint)
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def zero_gain_scenario(bins, user2_gain=0.0):
@@ -1784,7 +1791,7 @@ def one_bin_fig6(tmp_path, levels):
     return path
 
 
-def test_joint_grid_context_holds_nothing_over_the_group_budget(tmp_path, capsys):
+def test_joint_grid_context_holds_nothing_over_the_group_budget(tmp_path):
     # one bin at 1,999 levels: 8M term entries, 4M per DP row, none held; at
     # 299 levels the term tables fit (180,000 entries) and no DP row does
     for levels, held in ((1999, False), (299, True)):
@@ -1833,24 +1840,9 @@ def test_joint_grid_tables_are_built_once_and_read_only(monkeypatch):
     assert again is not joint and all(np.array_equal(a, b) for a, b in zip(again.terms, joint.terms))
 
 
-def test_bound_rows_built_apart_stack_into_those_of_one_group():
-    # each DP row depends on its weight row alone, so the rows a context
-    # holds and the rows it builds stack into the tables of one call
-    w = np.array(WALK_WEIGHTS)
-    for bins in (1, 2, 3, 4):
-        scen = grid_scenario(bins, 3300 + bins)
-        terms = _term_tables(scen.channels, scen.noise, scen.budgets, scen.grid, 5)
-        expected = power_games._pareto_bounds(*terms, w, scen.grid.bin_width)
-        joint = power_games._JointGrid(None, terms)
-        for part in (w[::3], w[1::2], w, w[::-1][:4]):
-            power_games._pareto_bounds(*terms, part, scen.grid.bin_width, joint)
-            got = power_games._pareto_bounds(*terms, w, scen.grid.bin_width, joint)
-            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
-
-
 def joint_grid_cases():
-    # draws 1, 2 and 1 again, then draw 0's ChannelSet between each change
-    # of its budgets, its noise table or its levels and draw 0 as it was
+    # draws 1, 2 and 1 again, then draw 0 as it is, alternating with its
+    # ChannelSet under other budgets, another noise table and other levels
     base = frontier_scenario(0)
     parts = {"grid": base.grid, "channels": base.channels, "noise": base.noise, "budgets": base.budgets}
     budgets = sg.PowerScenario(**{**parts, "budgets": sg.PowerBudget(np.array([150.0, 50.0]))})
