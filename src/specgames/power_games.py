@@ -573,13 +573,14 @@ class _JointGrid:
 
     `rows` maps a scaled weight row to its (c, tails, best_of_row) from
     `_bound_tables`; `pairs` holds rate pairs the Pareto oracle returned,
-    each a grid pair's rates as the scan prices them.  The tables are
-    read-only, and rows and pairs are kept only while everything held fits
-    GROUP_ENTRIES entries (`room` is what is left).
+    each a grid pair's rates as the scan prices them, in a frozenset that
+    is replaced, not changed, so a reader never sees it change.  The
+    tables are read-only, and rows and pairs are kept only while
+    everything held fits GROUP_ENTRIES entries (`room` is what is left).
     """
 
     def __init__(self, key, terms):
-        self.key, self.terms, self.rows, self.pairs = key, terms, {}, set()
+        self.key, self.terms, self.rows, self.pairs = key, terms, {}, frozenset()
         self.room = GROUP_ENTRIES - sum(t.size for t in terms)
         for t in terms:
             t.flags.writeable = False
@@ -604,10 +605,9 @@ class _JointGrid:
 
     def keep_pairs(self, rates):
         """Hold these rate pairs of the grid while they fit."""
-        for pair in {tuple(r.tolist()) for r in rates} - self.pairs:
-            if self.room >= 2:
-                self.pairs.add(pair)
-                self.room -= 2
+        new = sorted({tuple(r.tolist()) for r in rates} - self.pairs)[:max(0, self.room // 2)]
+        self.pairs |= frozenset(new)
+        self.room -= 2 * len(new)
 
 
 def _read_only(a):
