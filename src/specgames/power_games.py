@@ -94,7 +94,7 @@ class StackelbergResult:
     leader_allocation: np.ndarray
     follower_allocation: np.ndarray
     rates: np.ndarray
-    candidates_evaluated: int
+    candidates_evaluated: int  # grid: every split and the Nash row, ranked by bound or price; descent: rows priced
     nash: IwResult  # the iterative-water-filling outcome the search started from
     descent_passes: int = 0  # priced descent passes, the last (no gain) one included; 0 on the grid
 
@@ -290,6 +290,54 @@ def _leader_rates(leader, received, floors, ch, noise, budgets, grid):
     return replies, _rate_of(received, noise.psd[leader] + replies * ch.gain2[follower, leader], grid.bin_width)
 
 
+def _leader_bounds(leader, received, floors, ch, noise, budgets, grid):
+    """Per-bin bounds of the leader's log2 rate terms over `_priced` tables (rows, K).
+
+    The follower spends its whole budget, and its floors F_k = floors / g_FF
+    only rise with the leader's power, so its water level against any leader
+    row is at least mu0, its level against a silent leader, and its power in
+    bin k at least [mu0 - F_k]^+.  The leader's term log2(1 + received /
+    (sigma_L + P_F g_FL)) is then at most its value at that power.
+    """
+    follower, bins = 1 - leader, grid.bin_count
+    gain = ch.gain2[follower, follower]
+    silent = [s / g if g > 0.0 else inf for s, g in zip(noise.psd[follower].tolist(), gain.tolist())]
+    filled = _water_fill_row(silent, float(budgets.budget[follower]), grid.bin_width)
+    mu0 = max(p + f for p, f in zip(filled, silent) if p > 0.0)
+    # Rounding slack, with u = 2**-53 and e = (K + 1) u.  The water-fill
+    # kernels' level, (target + running sum of the `count` lowest floors) /
+    # count, takes at most K + 1 roundings of nonnegative terms, so it is at
+    # least (1 - e) times the exact level of the same floats: that level is
+    # the least of these averages over every count.  Rounding misjudges the
+    # support only at floors within a factor (1 + e) of the level, so the
+    # silent level, and mu0 read back from a wet bin (two more roundings),
+    # exceed the exact silent level by at most a factor (1 + e)**(K + 4), and
+    # every floor a kernel leaves dry is at least (1 - e) times its row's
+    # exact level.  The rows' floats are at least the silent ones, and so are
+    # their exact levels.  mu0 lowered by 2 (K + 5) e, more than these
+    # factors and its own product, thus keeps [mu - F_k]^+ at or below every
+    # reply the kernel computes, dry bins included; rounding is monotone, so
+    # each bound term's argument of log2 is at least the priced one's.
+    mu = mu0 * (1.0 - 2 * (bins + 5) * (bins + 1) * 2.0**-53)
+    with np.errstate(divide="ignore", over="ignore"):
+        power = np.maximum(mu - floors / gain, 0.0)
+    return np.log2(1.0 + received / (noise.psd[leader] + power * ch.gain2[follower, leader]))
+
+
+def _leader_floor(rate, bins, df):
+    """A floor for sums of `_leader_bounds` terms: a row whose priced rate reaches `rate` has a sum at least this.
+
+    np.log2 errs by at most one ulp (numpy's float64 accuracy data), and the
+    terms lie in [0, 1024], so a priced term is at most its bound term times
+    (1 + 4u) plus 2**-1073, with u = 2**-53.  The priced rate sums K terms
+    and multiplies by df, the bound sums K terms: each at most K roundings.
+    So a row whose rate reaches `rate` has a bound sum of at least rate / df
+    (1 - (2K + 5) u) - (2K + 1/df) 2**-1074; the factors 2 absorb the
+    second-order terms and the floor's own three roundings.
+    """
+    return rate / df * (1.0 - 2 * (2 * bins + 5) * 2.0**-53) - 2 * (2 * bins + 1 / df) * math.ulp(0.0)
+
+
 def _joint_rates(leader, row, reply, ch, noise, grid):
     """Both users' rates with the leader on `row` and the follower on `reply`."""
     psd = np.empty((2, ch.bin_count))
@@ -361,12 +409,17 @@ def stackelberg_leader_search(
 
     The follower always water-fills against the leader (the lower level of
     the bi-level program), so the leader only searches its own allocation.
-    For up to four bins the leader enumerates a budget-splitting grid with
-    `levels` steps; for wider grids it runs coordinate descent from the
-    iterative-water-filling allocation, moving budget/levels of power
-    between bin pairs until no such move raises its rate by more than
-    DESCENT_TIE, relative (a local optimum of the descent), or no bin holds
-    a full step.  The Nash allocation is always the first candidate, so
+    For up to four bins the leader ranks every split of a budget-splitting
+    grid with `levels` steps.  The follower's water level is at least its
+    level against a silent leader, which bounds each split's rate from
+    above (`_leader_bounds`).  The Nash row and the splits whose bound
+    reaches IW's leader rate are priced; if none of them reaches that rate,
+    the splits ruled out whose bound reaches the best rate priced are priced
+    too, so the result is that of pricing every candidate.  For wider grids
+    it runs coordinate descent from the iterative-water-filling allocation,
+    moving budget/levels of power between bin pairs until no such move
+    raises its rate by more than DESCENT_TIE, relative (a local optimum of
+    the descent), or no bin holds a full step.  The Nash allocation is always the first candidate, so
     leader 0 never finishes below its Nash rate (leader 1 can, within IW's
     tolerance; in the last bit when IW ended one sweep after its jump to the
     support fixed point).  Candidates are ranked by the leader's rate alone:
@@ -388,33 +441,49 @@ def stackelberg_leader_search(
     ne_row = np.array(nash.allocation.psd[leader])
     evaluated = passes = 0
 
-    def best_of(blocks):
-        # the index over all blocks, follower reply and leader rate of the
-        # best row; ties keep the first row, as a scan accepting only strict
-        # improvements would
-        nonlocal evaluated
-        best, seen = None, 0
-        for received, floors in blocks:
-            replies, rates = _leader_rates(leader, received, floors, ch, noise, budgets, grid)
-            i = int(np.argmax(rates))
-            if best is None or rates[i] > best[2]:
-                best = seen + i, replies[i], rates[i]
-            seen += len(rates)
-        evaluated += seen
-        return best
-
     if bins <= 4:
-        # blocks of BLOCK_SIZE rows gathered from per-bin tables of every
-        # level, with the Nash row as level levels + 1 leading the first block
+        # per-bin tables of every level, with the Nash row as level levels + 1;
+        # a row's entries sit at the flat indices level * bins + bin
         splits = _budget_splits(levels, bins)
         psd = np.repeat(np.arange(levels + 2)[:, None] * step, bins, axis=1)
         psd[-1] = ne_row
         tables = _priced(leader, psd, ch, noise)
-        rows = (np.vstack([np.full(bins, levels + 1), splits[:s + BLOCK_SIZE]]) if s < 0 else splits[s:s + BLOCK_SIZE]
-                for s in range(-1, len(splits), BLOCK_SIZE))
-        at = (r * bins + np.arange(bins) for r in rows)  # flat (level, bin) indices into the tables
-        i, best_reply, best_rate = best_of([t.take(a) for t in tables] for a in at)
-        best_row = splits[i - 1] * step if i else ne_row
+        columns = np.arange(bins)
+        # a split's bound sums its bins' terms in bin order
+        terms = _leader_bounds(leader, *tables, ch, noise, budgets, grid)
+        bounds = np.empty(len(splits))
+        for s in range(0, len(splits), BLOCK_SIZE):
+            block, bound = splits[s:s + BLOCK_SIZE], bounds[s:s + BLOCK_SIZE]
+            bound[:] = terms[block[:, 0], 0]
+            for k in range(1, bins):
+                bound += terms[block[:, k], k]
+
+        def price(index, best=None):
+            # the first best (index, reply, rate) of `best` and these splits
+            # (index -1: the Nash row), priced in index order, BLOCK_SIZE rows
+            # at a time; an equal rate goes to the lower index
+            for s in range(0, len(index), BLOCK_SIZE):
+                part = index[s:s + BLOCK_SIZE]
+                at = splits[part] * bins + columns
+                at[part < 0] = (levels + 1) * bins + columns
+                replies, rates = _leader_rates(leader, *(t.take(at) for t in tables), ch, noise, budgets, grid)
+                j = int(np.argmax(rates))
+                if best is None or rates[j] > best[2] or (rates[j] == best[2] and part[j] < best[0]):
+                    best = int(part[j]), replies[j], rates[j]
+            return best
+
+        # the Nash row and the splits whose bound reaches the floor of IW's
+        # leader rate.  A split ruled out prices below that rate, so it can
+        # win only if nothing priced reaches it; then the splits ruled out
+        # whose bound reaches the best rate priced are priced too
+        cut = float(nash.rates[leader])
+        keep = bounds >= _leader_floor(cut, bins, grid.bin_width)
+        best = price(np.flatnonzero(np.concatenate([[True], keep])) - 1)
+        if not best[2] >= cut:
+            best = price(np.flatnonzero(~keep & (bounds >= _leader_floor(best[2], bins, grid.bin_width))), best)
+        i, best_reply, best_rate = best
+        best_row = splits[i] * step if i >= 0 else ne_row
+        evaluated = len(splits) + 1  # every candidate is ranked, by its bound or by its price
     else:
         pairs = _descent_moves(bins)
         # the first pass prices the Nash row as its row 0, ahead of its moves.

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specgames as sg
@@ -18,7 +19,7 @@ from specgames.errors import NoUsableSpectrumError, OracleScaleError
 from specgames.power_games import (
     _budget_splits, _joint_grid_rates, _margin_walk, _pareto_argmax, _pareto_walk, _term_tables,
 )
-from specgames.scenario import load_scenario
+from specgames.scenario import MAX_PEAK_SNR, load_scenario
 from specgames.spectrum import BUDGET_RTOL, _effective_noise_raw, _rates, _water_fill_rows
 
 from conftest import SCENARIOS, ensemble_channels
@@ -811,6 +812,25 @@ def scalar_leader_search(leader, scen, levels=10):
     return (*current, evaluated)
 
 
+def exhaustive_leader_grid(leader, scen, levels):
+    """Reference: price the Nash row and every grid split at once; the first best wins.
+
+    Each row's joint PSD is priced as `nash_alone_descent` prices it.
+    Returns the row, the follower's reply, both rates and the row count.
+    """
+    ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
+    follower = 1 - leader
+    nash = sg.iterative_water_filling(ch, noise, budgets, grid)
+    rows = np.vstack([nash.allocation.psd[leader], reference_candidate_rows(levels, grid, budgets.budget[leader])])
+    psd = np.zeros((len(rows), 2, grid.bin_count))
+    psd[:, leader] = rows
+    floors = _effective_noise_raw(follower, psd, ch.gain2, noise.psd)
+    psd[:, follower] = _water_fill_rows(ch.gain2[follower, follower], floors, budgets.budget[follower], grid.bin_width)
+    rates = _rates(psd, ch.gain2, noise.psd, grid.bin_width)
+    i = int(np.argmax(rates[:, leader]))
+    return rows[i], psd[i, follower], rates[i], len(rows)
+
+
 def descent_scenario(index):
     grid = sg.FrequencyGrid(8, 8.0)
     return sg.PowerScenario(
@@ -1008,12 +1028,19 @@ def test_blocked_leader_grid_matches_scalar_loop(monkeypatch, draw, leader, bloc
 
 
 def test_leader_grid_prices_bounded_blocks(monkeypatch):
-    scen = grid_scenario(4, 4242)
+    # 135,752 candidates are ranked; the 35,959 the bound cannot rule out are priced in three blocks
+    scen = frontier_scenario(0)
     args = (0, scen.channels, scen.noise, scen.budgets, scen.grid)
     seen = count_priced_blocks(monkeypatch)
     res = sg.stackelberg_leader_search(*args, levels=40)
-    assert res.candidates_evaluated == math.comb(44, 4) + 1 == sum(seen)
+    assert res.candidates_evaluated == math.comb(44, 4) + 1
+    assert sum(seen) <= res.candidates_evaluated
     assert max(seen) <= power_games.BLOCK_SIZE and len(seen) > 1
+    row, reply, rates, evaluated = exhaustive_leader_grid(0, scen, levels=40)
+    assert res.leader_allocation.tobytes() == row.tobytes()
+    assert res.follower_allocation.tobytes() == reply.tobytes()
+    assert res.rates.tobytes() == rates.tobytes()
+    assert res.candidates_evaluated == evaluated
     # one unbounded call picks the same leader row
     monkeypatch.setattr(power_games, "BLOCK_SIZE", res.candidates_evaluated)
     whole = sg.stackelberg_leader_search(*args, levels=40)
@@ -1051,6 +1078,159 @@ def test_table_priced_leader_grid_matches_scalar_loop(data):
     assert np.array_equal(res.follower_allocation, reply)
     assert np.array_equal(res.rates, rates)
     assert res.candidates_evaluated == evaluated
+
+
+def leader_bound_sums(leader, scen, levels, nash_row):
+    """Each grid split's bound, then the Nash row's: its bins' `_leader_bounds` terms summed in bin order."""
+    bins = scen.grid.bin_count
+    step = scen.budgets.budget[leader] / (levels * scen.grid.bin_width)
+    psd = np.repeat(np.arange(levels + 2)[:, None] * step, bins, axis=1)
+    psd[-1] = nash_row
+    terms = power_games._leader_bounds(leader, *power_games._priced(leader, psd, scen.channels, scen.noise),
+                                       scen.channels, scen.noise, scen.budgets, scen.grid)
+    at = np.vstack([_budget_splits(levels, bins), np.full(bins, levels + 1)])
+    return reduce(operator.add, (terms[at[:, k], k] for k in range(bins)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_leader_grid_bounds_cover_every_priced_row(data):
+    # every split and the Nash row priced one by one: each row's bound reaches
+    # the floor of its own rate, so the search never rules out a row that
+    # reaches the cut.  Zero cross gains into the leader make the bound exact;
+    # zero direct gains leave bins unusable; gains and noise near 1e-300 or
+    # 1e300 scale together, within the loader's SNR cap
+    bins, levels = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 12))
+    leader = data.draw(st.sampled_from([0, 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gain2 = rng.uniform(0.05, 2.0, (2, 2, bins))
+    cross = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for n in range(2):
+        dead = rng.random(bins) < data.draw(st.sampled_from([0.0, 0.3, 0.7]))
+        dead[rng.integers(bins)] = False
+        gain2[n, n, dead] = 0.0
+        gain2[n, 1 - n, rng.random(bins) < cross] = 0.0
+    scale = data.draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    gain2 *= scale
+    gain2[[0, 1], [1, 0]] *= data.draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    scen = sg.PowerScenario(
+        grid=sg.FrequencyGrid(bins, bins * data.draw(st.sampled_from([0.5, 1.0, 3.0]))),
+        channels=sg.ChannelSet(gain2),
+        noise=sg.NoiseProfile(rng.uniform(0.1, 3.0, (2, bins)) * scale),
+        budgets=sg.PowerBudget(rng.uniform(0.5, 200.0, 2)),
+    )
+    df = scen.grid.bin_width
+    snr = scen.budgets.budget[:, None] / df * np.diagonal(gain2).T / scen.noise.psd
+    assume(snr.max() <= MAX_PEAK_SNR)
+    ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
+    follower = 1 - leader
+    nash = sg.iterative_water_filling(ch, noise, budgets, grid)
+    rows = np.vstack([reference_candidate_rows(levels, grid, budgets.budget[leader]), nash.allocation.psd[leader]])
+    rates = []
+    for row in rows:
+        psd = np.zeros((2, bins))
+        psd[leader] = row
+        psd[follower] = sg.water_fill(gain2[follower, follower], _effective_noise_raw(follower, psd, gain2, noise.psd),
+                                      budgets.budget[follower], grid)
+        rates.append(_rates(psd, gain2, noise.psd, df)[leader])
+    bounds = leader_bound_sums(leader, scen, levels, nash.allocation.psd[leader])
+    floors = [power_games._leader_floor(r, bins, df) for r in rates]
+    assert all(b >= f for b, f in zip(bounds.tolist(), floors))
+    if not gain2[follower, leader].any():
+        assert (bounds * df).tolist() == rates
+    res = sg.stackelberg_leader_search(leader, ch, noise, budgets, grid, levels=levels)
+    row, reply, best, evaluated = scalar_leader_search(leader, scen, levels=levels)
+    assert res.leader_allocation.tobytes() == row.tobytes()
+    assert res.follower_allocation.tobytes() == reply.tobytes()
+    assert res.rates.tobytes() == best.tobytes()
+    assert res.candidates_evaluated == evaluated == len(rows)
+
+
+@pytest.mark.parametrize("lift", ["far", "near"])
+@pytest.mark.parametrize("draw,leader", [("fig6", 0), ("fig6", 1), ("mirror", 0), (0, 0), (1, 1), ("deaf", 1)])
+def test_leader_grid_prices_the_ruled_out_splits_when_nothing_reaches_the_cut(monkeypatch, draw, leader, lift):
+    # IW reports a leader rate far above every grid rate, or just above the
+    # best: no row priced reaches the cut, so the splits ruled out whose
+    # bound reaches the best rate priced are priced too, and the result is
+    # still the exhaustive one, bit for bit
+    if draw == "fig6":
+        scen = load_scenario(SCENARIOS / "fig6.json").power_scenario()
+    elif draw == "mirror":
+        scen = mirror_scenario()
+    elif draw == "deaf":  # no cross gains: the bound is exact
+        scen = grid_scenario(4, 4040)
+        scen = sg.PowerScenario(grid=scen.grid, channels=sg.ChannelSet(scen.channels.gain2 * np.eye(2)[..., None]),
+                                noise=scen.noise, budgets=scen.budgets)
+    else:
+        scen = grid_scenario(4, 4040 + draw)
+    row, reply, rates, evaluated = scalar_leader_search(leader, scen, levels=10)
+    real = power_games.iterative_water_filling
+
+    def lifted(*args, **kwargs):
+        nash = real(*args, **kwargs)
+        reported = nash.rates.copy()
+        reported[leader] = 1e6 if lift == "far" else rates[leader] * (1.0 + 2.0**-20)
+        return dataclasses.replace(nash, rates=reported)
+
+    monkeypatch.setattr(power_games, "iterative_water_filling", lifted)
+    seen = count_priced_blocks(monkeypatch)
+    res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets, scen.grid, levels=10)
+    assert sum(seen) <= res.candidates_evaluated and max(seen) <= power_games.BLOCK_SIZE
+    if lift == "far":
+        assert seen[0] == 1  # the Nash row alone, then the splits whose bound reaches its rate
+    assert res.leader_allocation.tobytes() == row.tobytes()
+    assert res.follower_allocation.tobytes() == reply.tobytes()
+    assert res.rates.tobytes() == rates.tobytes()
+    assert res.candidates_evaluated == evaluated
+
+
+def test_leader_grid_tie_across_the_two_pricings_keeps_the_first_split(monkeypatch):
+    # the mirror scenario's best split x ties its mirror image y, which comes
+    # later.  Bound terms raised at y's first level keep y (and stay upper
+    # bounds), and a reported IW rate above x's bound rules x out: y is
+    # priced first, x only once nothing reaches the cut, and x still wins
+    scen = mirror_scenario()
+    row, reply, rates, evaluated = scalar_leader_search(0, scen, levels=10)
+    x = np.rint(row / (scen.budgets.budget[0] / (10 * scen.grid.bin_width))).astype(int)
+    assert x[0] < x[1]  # y = x[::-1] comes later
+    nash = sg.iterative_water_filling(scen.channels, scen.noise, scen.budgets, scen.grid)
+    bound_x = leader_bound_sums(0, scen, 10, nash.allocation.psd[0])[_budget_splits(10, 2).tolist().index(x.tolist())]
+    real_bounds, real_iw = power_games._leader_bounds, power_games.iterative_water_filling
+
+    def raised(*args):
+        terms = real_bounds(*args)
+        terms[x[1], 0] += 1e3
+        return terms
+
+    def reported(*args, **kwargs):
+        res = real_iw(*args, **kwargs)
+        return dataclasses.replace(res, rates=np.array([4 * bound_x * scen.grid.bin_width, res.rates[1]]))
+
+    monkeypatch.setattr(power_games, "_leader_bounds", raised)
+    monkeypatch.setattr(power_games, "iterative_water_filling", reported)
+    seen = count_priced_blocks(monkeypatch)
+    res = sg.stackelberg_leader_search(0, scen.channels, scen.noise, scen.budgets, scen.grid, levels=10)
+    assert len(seen) == 2 and sum(seen) <= evaluated
+    assert res.leader_allocation.tobytes() == row.tobytes()
+    assert res.follower_allocation.tobytes() == reply.tobytes()
+    assert res.rates.tobytes() == rates.tobytes()
+
+
+def test_leader_grid_prices_fewer_rows_on_the_frontier_draws(monkeypatch):
+    # every search of the pinned frontier draws ranks 1,002 candidates at 10
+    # levels and prices fewer, one block each
+    seen = count_priced_blocks(monkeypatch)
+    priced = {0: [], 1: []}
+    for leader in (0, 1):
+        for index in range(8):
+            scen = frontier_scenario(index)
+            for pair in FRONTIER_PAIRS:
+                seen.clear()
+                res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, sg.PowerBudget(np.array(pair)),
+                                                   scen.grid, levels=10)
+                assert res.candidates_evaluated == 1002 and len(seen) == 1 and seen[0] < 1002
+                priced[leader].append(seen[0])
+    assert np.median(priced[0]) == 119.5 and np.median(priced[1]) == 157.5
 
 
 def test_budget_split_table_is_built_once_and_read_only():
@@ -1122,7 +1302,16 @@ def test_descent_passes_count_the_priced_batches(monkeypatch, draw, levels):
         seen.clear()
         res = sg.stackelberg_leader_search(leader, scen.channels, scen.noise, scen.budgets,
                                            scen.grid, levels=levels)
-        assert sum(seen) == res.candidates_evaluated
+        if draw == "fig6":
+            # the grid ranks every candidate but prices only those its bound cannot rule out
+            assert sum(seen) <= res.candidates_evaluated and max(seen) <= power_games.BLOCK_SIZE
+            row, reply, rates, evaluated = scalar_leader_search(leader, scen, levels=levels)
+            assert res.leader_allocation.tobytes() == row.tobytes()
+            assert res.follower_allocation.tobytes() == reply.tobytes()
+            assert res.rates.tobytes() == rates.tobytes()
+            assert res.candidates_evaluated == evaluated
+        else:
+            assert sum(seen) == res.candidates_evaluated
         assert res.descent_passes == (0 if draw == "fig6" else len(seen))
         if draw == 23 and leader == 0:
             assert res.descent_passes == 42  # 41 accepted moves and the pass that finds none
