@@ -449,11 +449,13 @@ def stackelberg_leader_search(
         psd[-1] = ne_row
         tables = _priced(leader, psd, ch, noise)
         columns = np.arange(bins)
-        # a split's bound sums its bins' terms in bin order
+        # bounds[1 + i] sums split i's bin terms in bin order; the Nash row,
+        # bounds[0], is never ruled out
         terms = _leader_bounds(leader, *tables, ch, noise, budgets, grid)
-        bounds = np.empty(len(splits))
+        bounds = np.empty(len(splits) + 1)
+        bounds[0] = inf
         for s in range(0, len(splits), BLOCK_SIZE):
-            block, bound = splits[s:s + BLOCK_SIZE], bounds[s:s + BLOCK_SIZE]
+            block, bound = splits[s:s + BLOCK_SIZE], bounds[1 + s:1 + s + BLOCK_SIZE]
             bound[:] = terms[block[:, 0], 0]
             for k in range(1, bins):
                 bound += terms[block[:, k], k]
@@ -478,9 +480,9 @@ def stackelberg_leader_search(
         # whose bound reaches the best rate priced are priced too
         cut = float(nash.rates[leader])
         keep = bounds >= _leader_floor(cut, bins, grid.bin_width)
-        best = price(np.flatnonzero(np.concatenate([[True], keep])) - 1)
+        best = price(np.flatnonzero(keep) - 1)
         if not best[2] >= cut:
-            best = price(np.flatnonzero(~keep & (bounds >= _leader_floor(best[2], bins, grid.bin_width))), best)
+            best = price(np.flatnonzero(~keep & (bounds >= _leader_floor(best[2], bins, grid.bin_width))) - 1, best)
         i, best_reply, best_rate = best
         best_row = splits[i] * step if i >= 0 else ne_row
         evaluated = len(splits) + 1  # every candidate is ranked, by its bound or by its price
