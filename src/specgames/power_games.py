@@ -460,12 +460,15 @@ def stackelberg_leader_search(
             for k in range(1, bins):
                 bound += terms[block[:, k], k]
 
-        def price(index, best=None):
-            # the first best (index, reply, rate) of `best` and these splits
-            # (index -1: the Nash row), priced in index order, BLOCK_SIZE rows
-            # at a time; an equal rate goes to the lower index
-            for s in range(0, len(index), BLOCK_SIZE):
-                part = index[s:s + BLOCK_SIZE]
+        def price(marked, best=None):
+            # the first best (index, reply, rate) of `best` and the rows
+            # marked (row 0: the Nash row, index -1; row 1 + i: split i),
+            # priced in index order, at most BLOCK_SIZE rows at a time; an
+            # equal rate goes to the lower index
+            for s in range(0, len(marked), BLOCK_SIZE):
+                part = np.flatnonzero(marked[s:s + BLOCK_SIZE]) + (s - 1)
+                if not len(part):
+                    continue
                 at = splits[part] * bins + columns
                 at[part < 0] = (levels + 1) * bins + columns
                 replies, rates = _leader_rates(leader, *(t.take(at) for t in tables), ch, noise, budgets, grid)
@@ -480,9 +483,9 @@ def stackelberg_leader_search(
         # whose bound reaches the best rate priced are priced too
         cut = float(nash.rates[leader])
         keep = bounds >= _leader_floor(cut, bins, grid.bin_width)
-        best = price(np.flatnonzero(keep) - 1)
+        best = price(keep)
         if not best[2] >= cut:
-            best = price(np.flatnonzero(~keep & (bounds >= _leader_floor(best[2], bins, grid.bin_width))) - 1, best)
+            best = price(~keep & (bounds >= _leader_floor(best[2], bins, grid.bin_width)), best)
         i, best_reply, best_rate = best
         best_row = splits[i] * step if i >= 0 else ne_row
         evaluated = len(splits) + 1  # every candidate is ranked, by its bound or by its price

@@ -1028,7 +1028,8 @@ def test_blocked_leader_grid_matches_scalar_loop(monkeypatch, draw, leader, bloc
 
 
 def test_leader_grid_prices_bounded_blocks(monkeypatch):
-    # 135,752 candidates are ranked; the 35,959 the bound cannot rule out are priced in three blocks
+    # 135,752 candidates are ranked; the Nash row and the 35,958 splits the bound cannot rule out are
+    # priced in several blocks
     scen = frontier_scenario(0)
     args = (0, scen.channels, scen.noise, scen.budgets, scen.grid)
     seen = count_priced_blocks(monkeypatch)
