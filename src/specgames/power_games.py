@@ -411,26 +411,27 @@ def stackelberg_leader_search(
     the bi-level program), so the leader only searches its own allocation.
     For up to four bins the leader ranks every split of a budget-splitting
     grid with `levels` steps.  The follower's water level is at least its
-    level against a silent leader, which bounds each split's rate from
-    above (`_leader_bounds`).  The Nash row and the splits whose bound
-    reaches IW's leader rate are priced; if none of them reaches that rate,
-    the splits ruled out whose bound reaches the best rate priced are priced
-    too, so the result is that of pricing every candidate.  For wider grids
-    it runs coordinate descent from the iterative-water-filling allocation,
-    moving budget/levels of power between bin pairs until no such move
-    raises its rate by more than DESCENT_TIE, relative (a local optimum of
-    the descent), or no bin holds a full step.  The Nash allocation is always the first candidate, so
-    leader 0 never finishes below its Nash rate (leader 1 can, within IW's
-    tolerance; in the last bit when IW ended one sweep after its jump to the
-    support fixed point).  Candidates are ranked by the leader's rate alone:
-    on the grid the first maximum wins; in a descent pass the first rate
-    within DESCENT_TIE of the best wins, so the Nash row's last bits, which
-    every descent row carries, do not pick between moves that tie.  Only
-    the returned pair is priced for both users; grid rows are gathered from
-    per-bin tables of every level.  A search over MAX_ORACLE_EVALUATIONS
-    candidates is refused with OracleScaleError, and a step that is not
-    positive and finite with ArithmeticError.  The Nash point is iterative
-    water-filling at its default settings; leader must be 0 or 1.
+    level against a silent leader, which bounds each split's rate from above
+    (`_leader_bounds`).  The Nash row and the splits whose bound reaches IW's
+    leader rate are priced; if none of them reaches that rate, the splits
+    ruled out whose bound reaches the best rate priced are priced too, so
+    the result is that of pricing every candidate.  For wider grids it runs
+    coordinate descent from the iterative-water-filling allocation, moving
+    budget/levels of power between bin pairs until no such move raises its
+    rate by more than DESCENT_TIE, relative (a local optimum of the
+    descent), or no bin holds a full step.  The Nash allocation is always the
+    first candidate, so leader 0 never finishes below its Nash rate (leader
+    1 can, within IW's tolerance; in the last bit when IW ended one sweep
+    after its jump to the support fixed point).  Candidates are ranked by the
+    leader's rate alone: on the grid the first maximum wins; in a descent
+    pass the first rate within DESCENT_TIE of the best wins, so the Nash
+    row's last bits, which every descent row carries, do not pick between
+    moves that tie.  Only the returned pair is priced for both users; grid
+    rows are gathered from per-bin tables of every level.  A search over
+    MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError, and
+    a step that is not positive and finite with ArithmeticError.  The Nash
+    point is iterative water-filling at its default settings; leader must be
+    0 or 1.
     """
     _check_inputs(ch, noise, budgets, grid, leader=leader, levels=levels, min_levels=2)
     bins = grid.bin_count
