@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import inf
 from operator import sub
 
@@ -61,7 +60,8 @@ MAX_ORACLE_EVALUATIONS = 4_000_000
 # (temporaries ~128 KB).
 BLOCK_SIZE = 1 << 14
 # Table entries that one group of weight rows of the Pareto walk may take,
-# and that a kept joint-grid context (`_JointGrid`) may hold.
+# and that the joint-grid context (`_JointGrid`) may hold: its term tables,
+# one group of DP rows and 2 per Pareto rate pair.
 GROUP_ENTRIES = 1 << 18
 # Relative gap below which two leader rates of a descent pass tie: about 4,000
 # roundings of a rate, far below what a budget step moves it by.
@@ -585,7 +585,8 @@ def _pareto_bounds(t1, t2, w, df, joint=None):
     past either budget); each root row's best bound, best_of_row[g, a] =
     max over b of c[g, 0, a, b] + V_1[L - a, L - b]; and per row the floor
     that no prefix of a pair the scan could return falls below.  Given the
-    `_JointGrid` whose terms t1 and t2 are, the rows it holds are reused.
+    `_JointGrid` whose terms t1 and t2 are, the rows come from the group it
+    holds when that has them all; else they are built, and held if they fit.
     """
     bins, n, _ = t1.shape
     e = np.frexp(w.max(axis=1))[1]
@@ -644,51 +645,37 @@ def _bound_tables(t1, t2, scaled):
 
 
 class _JointGrid:
-    """One joint grid's `_term_tables`, the bound rows built on them and its Pareto pairs.
+    """One joint grid's `_term_tables`, the DP group last built on them and the last sweep's pairs.
 
-    `rows` maps a scaled weight row to its (c, tails, best_of_row) from
-    `_bound_tables`; `pairs` holds rate pairs the Pareto oracle returned,
-    each a grid pair's rates as the scan prices them, in a frozenset that
-    is replaced, not changed, so a reader never sees it change.  The
-    tables are read-only, and rows and pairs are kept only while
-    everything held fits GROUP_ENTRIES entries (`room` is what is left).
+    `group` is (scaled rows, c, tails, best_of_row) from one `_bound_tables`
+    call; `pairs` holds the rate pairs the last Pareto sweep returned, each
+    a grid pair's rates as the scan prices them.  The tables are read-only,
+    and a group or pairs are held only while the terms, the group and 2
+    entries per pair fit GROUP_ENTRIES.
     """
 
     def __init__(self, key, terms):
-        self.key, self.terms, self.rows, self.pairs = key, terms, {}, frozenset()
-        self.room = GROUP_ENTRIES - sum(t.size for t in terms)
+        self.key, self.terms, self.group, self.pairs = key, terms, (), ()
         for t in terms:
             t.flags.writeable = False
 
+    def fits(self, group, pairs):
+        return sum(a.size for a in (*self.terms, *group)) + 2 * len(pairs) <= GROUP_ENTRIES
+
     def bound_rows(self, scaled):
-        """`_bound_tables` of the scaled rows: the rows held, the others built (and kept while they fit)."""
-        keys = [tuple(row) for row in scaled.tolist()]
-        fresh = [k not in self.rows for k in keys]
-        new = {}
-        if any(fresh):
-            built = _bound_tables(*self.terms, scaled[fresh])
-            new = dict(zip(compress(keys, fresh), zip(built[0], built[1].swapaxes(0, 1), built[2])))
-            for key, row in new.items():
-                size = sum(a.size for a in row)
-                if size <= self.room:
-                    self.rows[key] = tuple(_read_only(a) for a in row)
-                    self.room -= size
-            if all(fresh):
-                return built
-        c, tails, best_of_row = zip(*(new.get(k) or self.rows[k] for k in keys))
-        return np.stack(c), np.stack(tails, axis=1), np.stack(best_of_row)
-
-    def keep_pairs(self, rates):
-        """Hold these rate pairs of the grid while they fit."""
-        new = sorted({tuple(r.tolist()) for r in rates} - self.pairs)[:max(0, self.room // 2)]
-        self.pairs |= frozenset(new)
-        self.room -= 2 * len(new)
-
-
-def _read_only(a):
-    a = a.copy()
-    a.flags.writeable = False
-    return a
+        """`_bound_tables` of the scaled rows: from the group held if it has them all, else built."""
+        if self.group:
+            index = {row: i for i, row in enumerate(map(tuple, self.group[0].tolist()))}
+            at = [index.get(row) for row in map(tuple, scaled.tolist())]
+            if None not in at:
+                _, c, tails, best_of_row = self.group
+                return c[at], tails[:, at], best_of_row[at]
+        group = (scaled, *_bound_tables(*self.terms, scaled))
+        if self.fits(group, self.pairs):
+            for a in group:
+                a.flags.writeable = False
+            self.group = group
+        return group[1:]
 
 
 # The context of the last joint grid asked for, while its term tables fit
@@ -712,7 +699,7 @@ def _joint_grid(ch, noise, budgets, grid, levels):
         return _joint
     _joint = None  # its tables go before the new ones are built
     joint = _JointGrid(key, _term_tables(ch, noise, budgets, grid, levels))
-    if joint.room >= 0:
+    if joint.fits((), ()):
         _joint = joint
     return joint
 
@@ -790,7 +777,7 @@ def _pareto_walk(t1, t2, w, df, budget, joint=None):
     """Each weight row's best (value, pair key, rates), walking the pairs' prefixes.
 
     Each weight row is a group of `_prefix_walk` with its own bound row and
-    fixed floor (`_pareto_bounds`, reusing the rows `joint` holds).
+    fixed floor (`_pareto_bounds`, from `joint`'s group if it has them).
     Children and leaves are taken in index order, BLOCK_SIZE // K at a
     time, and each leaf is priced as the scan prices it, from its users'
     terms summed in bin order; among equal values the lexicographically
@@ -848,12 +835,12 @@ def _margin_walk(t1, t2, target, df, budget, seed=-math.inf, joint=None):
     A pair whose margin reaches m has R_n >= target_n + m for each user, so
     w.R >= w.(target + m) for every w >= 0.  So `_prefix_walk` keeps a
     prefix only if its `_pareto_bounds` bound for each of the rows (1, 0),
-    (0, 1) and (1, 1) (those `joint` holds reused) reaches that row's floor
-    at the incumbent m, less a rounding slack; the per-user rows alone
-    leave many prefixes whose users would each need the other's best bins.
-    The incumbent starts at `seed`, the margin of some grid pair priced as
-    the scan prices it (-inf: none), so the floors start as high as that
-    pair allows.  Children are taken best margin
+    (0, 1) and (1, 1) (from `joint`'s group if it has them) reaches that
+    row's floor at the incumbent m, less a rounding slack; the per-user
+    rows alone leave many prefixes whose users would each need the other's
+    best bins.  The incumbent starts at `seed`, the margin of some grid
+    pair priced as the scan prices it (-inf: none), so the floors start as
+    high as that pair allows.  Children are taken best margin
     bound first, 32 at a time, so that the incumbent rises early; whenever
     the floors have risen, the children not yet taken are tested again in
     one pass.  Leaves are priced as the scan prices them (each user's terms
@@ -986,10 +973,11 @@ def _pareto_argmax(
     pairs left in the scan's arithmetic (`_pareto_walk`).  Weights share
     one walk, as many as keep its tables within GROUP_ENTRIES entries.
     Small, all-zero and tie-heavy grids are scanned (`_walk_else_scan`).
-    The grid's term tables and DP rows come from, and its rate pairs go
-    to, its `_JointGrid`, where the dominance margin finds them.  Refused,
-    like the scan, over MAX_ORACLE_EVALUATIONS joint pairs; raises
-    ArithmeticError when a term or a best weighted value is not finite.
+    The grid's `_JointGrid` gives the term tables and keeps the last group
+    of DP rows built and the rate pairs found, where the dominance margin
+    finds them.  Refused, like the scan, over MAX_ORACLE_EVALUATIONS joint
+    pairs; raises ArithmeticError when a term or a best weighted value is
+    not finite.
     """
     bins, n = grid.bin_count, levels + 1
     args = (ch, noise, budgets, grid, levels)
@@ -1002,7 +990,8 @@ def _pareto_argmax(
         if not math.isfinite(value):
             raise ArithmeticError(f"weighted rate sum for weights {tuple(row)} is not finite")
     rate_list = [rates for _, _, rates in found]
-    joint.keep_pairs(rate_list)
+    pairs = tuple(tuple(r.tolist()) for r in rate_list)
+    joint.pairs = pairs if joint.fits(joint.group, pairs) else ()
     return [float(value) for value, _, _ in found], rate_list
 
 
@@ -1023,11 +1012,12 @@ def grid_dominance_margin(
     df), found by a branch and bound over the pairs' prefixes with the
     weighted-sum oracle's per-bin bounds (`_margin_walk`); small, all-zero
     and tie-heavy grids are scanned (`_walk_else_scan`).  The grid's term
-    tables and DP rows are those its `_JointGrid` holds, as a Pareto sweep
-    of the same draw leaves them, and the best margin of the rate pairs
-    that sweep returned seeds the branch and bound.  Refused over
-    MAX_ORACLE_EVALUATIONS joint pairs; raises ArithmeticError when a term
-    or the margin is not finite.
+    tables are those its `_JointGrid` holds.  Its DP rows come from the
+    group held there when that has them all, as a sweep over weights that
+    include (1, 0), (0, 1) and (1, 1) up to scale leaves it, and the best
+    margin of the rate pairs the grid's last sweep returned seeds the
+    branch and bound.  Refused over MAX_ORACLE_EVALUATIONS joint pairs;
+    raises ArithmeticError when a term or the margin is not finite.
     """
     target = np.asarray(target_rates, dtype=float)
     _check_inputs(ch, noise, budgets, grid, levels=levels, target=target)
@@ -1061,13 +1051,13 @@ def pareto_sweep(
     One RegionSample per weight vector; no weights give no samples.  The
     values, rates and tie choices are those of a scan over every pair of
     splits, found by a per-bin dynamic-program bound that rules out all
-    but a few pairs (`_pareto_argmax`).  The grid's tables, DP rows and
-    the rates found stay in its `_JointGrid` context for the next oracle
-    call on the same grid, such as the dominance margin of a region
-    table's Nash point.  Grids over MAX_ORACLE_EVALUATIONS
-    joint pairs are refused with OracleScaleError, as for the dominance
-    margin; a best weighted value that is not finite raises
-    ArithmeticError.
+    but a few pairs (`_pareto_argmax`).  The grid's term tables, the
+    sweep's last group of DP rows and the rates found stay in its
+    `_JointGrid` context for the next oracle call on the same grid, such
+    as the dominance margin of a region table's Nash point.  Grids over
+    MAX_ORACLE_EVALUATIONS joint pairs are refused with OracleScaleError,
+    as for the dominance margin; a best weighted value that is not finite
+    raises ArithmeticError.
     """
     weights = [tuple(float(x) for x in w) for w in weight_list]
     _check_inputs(ch, noise, budgets, grid, levels=levels, weights=weights)

@@ -5,7 +5,7 @@ import math
 import operator
 import re
 import warnings
-from functools import reduce
+from functools import partial, reduce
 from unittest import mock
 
 import numpy as np
@@ -1966,9 +1966,12 @@ def test_large_weights_match_the_row_loop():
 
 
 def held_entries(joint):
-    """Entries a joint-grid context holds: its term tables, its DP rows and 2 per rate pair."""
-    rows = [a for row in joint.rows.values() for a in row]
-    return sum(a.size for a in (*joint.terms, *rows)) + 2 * len(joint.pairs)
+    """Entries a joint-grid context holds: its term tables, its DP group and 2 per rate pair."""
+    return sum(a.size for a in (*joint.terms, *joint.group)) + 2 * len(joint.pairs)
+
+
+def held_tables(joint):
+    return [*joint.terms, *joint.group]
 
 
 def one_bin_fig6(tmp_path, levels):
@@ -1983,21 +1986,21 @@ def one_bin_fig6(tmp_path, levels):
 
 def test_joint_grid_context_holds_nothing_over_the_group_budget(tmp_path):
     # one bin at 1,999 levels: 8M term entries, 4M per DP row, none held; at
-    # 299 levels the term tables fit (180,000 entries) and no DP row does
+    # 299 levels the term tables fit (180,000 entries) and no DP group does
     for levels, held in ((1999, False), (299, True)):
         path = one_bin_fig6(tmp_path, levels)
         for command in ("pareto", "region"):
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
             joint = power_games._joint
             assert (joint is not None) == held
-    assert not joint.rows and held_entries(joint) == power_games.GROUP_ENTRIES - joint.room
+    assert not joint.group and joint.pairs
     assert held_entries(joint) <= power_games.GROUP_ENTRIES
-    # the frontier grid holds its rows and pairs, within the budget
+    # the frontier grid holds the sweep's group and pairs, within the budget
     scen = frontier_scenario(0)
     sg.pareto_sweep(FRONTIER_WEIGHTS, scen.channels, scen.noise, scen.budgets, scen.grid)
     joint = power_games._joint
-    assert len(joint.rows) == len(FRONTIER_WEIGHTS) and joint.pairs
-    assert held_entries(joint) == power_games.GROUP_ENTRIES - joint.room <= power_games.GROUP_ENTRIES
+    assert len(joint.group[0]) == len(FRONTIER_WEIGHTS) and len(joint.pairs) == len(FRONTIER_WEIGHTS)
+    assert held_entries(joint) <= power_games.GROUP_ENTRIES
 
 
 def test_joint_grid_tables_are_built_once_and_read_only(monkeypatch):
@@ -2006,14 +2009,14 @@ def test_joint_grid_tables_are_built_once_and_read_only(monkeypatch):
     values = sg.pareto_sweep(FRONTIER_WEIGHTS, *args)
     joint = power_games._joint
     assert power_games._joint_grid(*args, 10) is joint
-    tables = [*joint.terms, *(a for row in joint.rows.values() for a in row)]
-    assert len(tables) == 2 + 3 * len(FRONTIER_WEIGHTS) and not any(t.flags.writeable for t in tables)
+    tables = held_tables(joint)
+    assert len(tables) == 2 + 4 and not any(t.flags.writeable for t in tables)
     with pytest.raises(ValueError, match="read-only"):
         joint.terms[0][0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        next(iter(joint.rows.values()))[1][...] = 0.0
-    # the margin's rows (1, 0), (0, 1) and (1, 1) are the sweep's scaled
-    # rows, so neither its terms nor its DP are built again
+        joint.group[2][...] = 0.0
+    # the margin's rows (1, 0), (0, 1) and (1, 1) are rows of the sweep's
+    # scaled group, so neither its terms nor its DP are built again
     def no_work(*args, **kwargs):
         raise AssertionError("the margin built tables the context holds")
 
@@ -2021,8 +2024,8 @@ def test_joint_grid_tables_are_built_once_and_read_only(monkeypatch):
     monkeypatch.setattr(power_games, "_bound_tables", no_work)
     target = values[2].rates * 0.9
     assert sg.grid_dominance_margin(target, *args) == reference_dominance_margin(target, scen, 10)
-    again = sg.pareto_sweep(FRONTIER_WEIGHTS, *args)
-    assert all(np.array_equal(a.rates, b.rates) for a, b in zip(again, values))
+    again = sg.pareto_sweep(FRONTIER_WEIGHTS[::-1], *args)
+    assert all(np.array_equal(a.rates, b.rates) for a, b in zip(again[::-1], values))
     monkeypatch.undo()
     # another grid replaces the context; asking again builds equal tables anew
     sg.pareto_sweep([[1.0, 1.0]], *args, levels=6)
@@ -2064,6 +2067,54 @@ def test_joint_grid_context_answers_only_for_its_own_grid():
             fresh = cleared(dict(calls)[name])
             assert [(s.method, s.params, s.rates.tobytes()) for s in got[name]] == \
                 [(s.method, s.params, s.rates.tobytes()) for s in fresh]
+
+
+def result_bytes(result):
+    if isinstance(result, float):
+        return np.float64(result).tobytes()
+    return [(r.method, r.params, r.rates.tobytes()) for r in result]
+
+
+JOINT_SEQUENCE_DRAWS = [frontier_scenario(i) for i in (4, 5)]
+JOINT_SEQUENCE_TARGETS = [sg.iterative_water_filling(s.channels, s.noise, s.budgets, s.grid).rates
+                          for s in JOINT_SEQUENCE_DRAWS]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_joint_grid_context_keeps_every_call_sequence_exact(data):
+    # sweeps of any weights in any order, margins and region tables on two
+    # grids, margins before sweeps included: each result equals, by bytes,
+    # the same call made with no context held, and the context stays within
+    # its budget and read-only after every call.  Besides the default
+    # budget: 6,430 entries hold the terms (968) and the margin's 3-row
+    # group (5,460) with at most one pair, but no 5-row group; 975 hold the
+    # terms and at most 3 pairs
+    power_games._joint = None
+    entries = data.draw(st.sampled_from([power_games.GROUP_ENTRIES, 6_430, 975]))
+    with mock.patch.object(power_games, "GROUP_ENTRIES", entries):
+        for _ in range(data.draw(st.integers(1, 6))):
+            draw = data.draw(st.integers(0, 1))
+            scen, target = JOINT_SEQUENCE_DRAWS[draw], JOINT_SEQUENCE_TARGETS[draw]
+            args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+            kind = data.draw(st.sampled_from(["pareto", "margin", "region"]))
+            if kind == "pareto":
+                weights = data.draw(st.lists(st.sampled_from(FRONTIER_WEIGHTS), unique=True))
+                call = partial(sg.pareto_sweep, weights, *args)
+            elif kind == "margin":
+                shifted = target * data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+                call = partial(sg.grid_dominance_margin, shifted, *args)
+            else:
+                call = partial(sg.region_comparison, scen, FRONTIER_PAIRS, FRONTIER_WEIGHTS)
+            got = call()
+            joint = power_games._joint
+            # no weights leave the context untouched, none if it is the first call
+            if joint is not None:
+                assert held_entries(joint) <= entries
+                assert not any(t.flags.writeable for t in held_tables(joint))
+            power_games._joint = None
+            assert result_bytes(got) == result_bytes(call())
+            power_games._joint = joint
 
 
 ZERO_CROSS = "zero cross gains"
