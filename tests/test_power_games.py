@@ -2044,6 +2044,12 @@ def joint_grid_cases():
     return cases + [(base, 10), (budgets, 10), (base, 10), (noise, 10), (base, 10), (base, 6), (base, 8), (base, 10)]
 
 
+def result_bytes(result):
+    if isinstance(result, float):
+        return np.float64(result).tobytes()
+    return [(r.method, r.params, r.rates.tobytes()) for r in result]
+
+
 def test_joint_grid_context_answers_only_for_its_own_grid():
     # the three entry points interleaved, in a different order per case;
     # margins against the row loop, Pareto points and tables against calls
@@ -2064,15 +2070,7 @@ def test_joint_grid_context_answers_only_for_its_own_grid():
         assert got["margin"] == reference_dominance_margin(target, scen, levels)
         assert got["margin"] == cleared(sg.grid_dominance_margin, target, *args, levels=levels)
         for name in ("pareto", "region"):
-            fresh = cleared(dict(calls)[name])
-            assert [(s.method, s.params, s.rates.tobytes()) for s in got[name]] == \
-                [(s.method, s.params, s.rates.tobytes()) for s in fresh]
-
-
-def result_bytes(result):
-    if isinstance(result, float):
-        return np.float64(result).tobytes()
-    return [(r.method, r.params, r.rates.tobytes()) for r in result]
+            assert result_bytes(got[name]) == result_bytes(cleared(dict(calls)[name]))
 
 
 JOINT_SEQUENCE_DRAWS = [frontier_scenario(i) for i in (4, 5)]
