@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import inf
-from operator import sub
+from operator import add, sub
 
 import numpy as np
 
@@ -179,9 +179,9 @@ def _support_solve(psd, gain2, sigma, budget, bin_width):
             forms.append(((1.0 / d, -c0 / d, (c0 * a1 - a0) / d), (-c1 / d, 1.0 / d, (c1 * a0 - a1) / d)))
         else:
             forms.append(((1.0, 0.0, -a0) if wet0 else None, (0.0, 1.0, -a1) if wet1 else None))
-    # user n's budget: sum over its support of its PSD = budget_n / bin_width
+    # user n's budget: sum over its support of its PSD = budget_n / bin_width, added in bin order
     (a00, a01, b0), (a10, a11, b1) = (
-        [sum(f[n][i] for f in forms if f[n]) for i in range(3)] for n in (0, 1))
+        [reduce(add, (f[n][i] for f in forms if f[n]), 0.0) for i in range(3)] for n in (0, 1))
     b0, b1 = budget[0] / bin_width - b0, budget[1] / bin_width - b1
     det = a00 * a11 - a01 * a10
     if det == 0.0 or not math.isfinite(det):
@@ -338,11 +338,14 @@ def _leader_floor(rate, bins, df):
     return rate / df * (1.0 - 2 * (2 * bins + 5) * 2.0**-53) - 2 * (2 * bins + 1 / df) * math.ulp(0.0)
 
 
-def _joint_rates(leader, row, reply, ch, noise, grid):
-    """Both users' rates with the leader on `row` and the follower on `reply`."""
-    psd = np.empty((2, ch.bin_count))
-    psd[leader], psd[1 - leader] = row, reply
-    return _rates(psd, ch.gain2, noise.psd, grid.bin_width)
+def _pair_rates(leader, row, reply, rate, ch, noise, grid):
+    """Both users' rates: the leader's `rate` as its `row` was priced, the follower's on `reply` as `_rates` prices it."""
+    follower = 1 - leader
+    rates = np.empty(2)
+    rates[leader] = rate
+    rates[follower] = _rate_of(reply * ch.gain2[follower, follower],
+                               noise.psd[follower] + row * ch.gain2[leader, follower], grid.bin_width)
+    return rates
 
 
 def follower_response_rates(
@@ -365,8 +368,8 @@ def follower_response_rates(
         raise ValueError(f"leader_alloc must hold {ch.bin_count} entries, not shape {rows.shape[1:]}")
     if not (np.isfinite(rows).all() and (rows >= 0.0).all()):
         raise ValueError(f"leader_alloc entries must be finite and >= 0, not {rows[0].tolist()!r}")
-    [reply], _ = _leader_rates(leader, *_priced(leader, rows, ch, noise), ch, noise, budgets, grid)
-    return reply, _joint_rates(leader, rows[0], reply, ch, noise, grid)
+    [reply], [rate] = _leader_rates(leader, *_priced(leader, rows, ch, noise), ch, noise, budgets, grid)
+    return reply, _pair_rates(leader, rows[0], reply, rate, ch, noise, grid)
 
 
 @lru_cache(maxsize=1)
@@ -390,9 +393,10 @@ def _budget_splits(levels: int, bins: int) -> np.ndarray:
 def _descent_moves(bins: int) -> np.ndarray:
     """The descent's (src, dst) moves: every ordered pair of distinct bins, row-major.
 
-    Read-only, and kept for the last bin count asked for.
+    Stored column by column, so its transpose holds the src and dst columns
+    contiguously.  Read-only, and kept for the last bin count asked for.
     """
-    pairs = np.argwhere(~np.eye(bins, dtype=bool))
+    pairs = np.asfortranarray(np.argwhere(~np.eye(bins, dtype=bool)))
     pairs.flags.writeable = False
     return pairs
 
@@ -426,8 +430,11 @@ def stackelberg_leader_search(
     leader's rate alone: on the grid the first maximum wins; in a descent
     pass the first rate within DESCENT_TIE of the best wins, so the Nash
     row's last bits, which every descent row carries, do not pick between
-    moves that tie.  Only the returned pair is priced for both users; grid
-    rows are gathered from per-bin tables of every level.  A search over
+    moves that tie.  The leader's rate is reported as its row was ranked by,
+    and the follower's is priced once, against the returned row; a row's
+    rate does not depend on the batch it is priced in, so the pair is the
+    rate kernel's (`_rates`) on the returned allocations.  Grid rows are
+    gathered from per-bin tables of every level.  A search over
     MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError, and
     a step that is not positive and finite with ArithmeticError.  The Nash
     point is iterative water-filling at its default settings; leader must be
@@ -491,7 +498,7 @@ def stackelberg_leader_search(
         best_row = splits[i] * step if i >= 0 else ne_row
         evaluated = len(splits) + 1  # every candidate is ranked, by its bound or by its price
     else:
-        pairs = _descent_moves(bins)
+        columns = _descent_moves(bins).T
         # the first pass prices the Nash row as its row 0, ahead of its moves.
         # Every row carries the Nash row's last bits, which can split moves
         # that tie exactly, so rates within DESCENT_TIE (relative) of a pass's
@@ -500,7 +507,7 @@ def stackelberg_leader_search(
         # raises the leader's rate, so this ends
         best_row, head = ne_row, 1
         while True:
-            src, dst = pairs[best_row[pairs[:, 0]] >= step].T
+            src, dst = columns[:, best_row[columns[0]] >= step]
             _check_scale(evaluated + head + len(src), "leader descent candidates")
             trials = np.repeat(best_row[None], head + len(src), axis=0)
             moves = np.arange(head, len(trials))
@@ -512,19 +519,21 @@ def stackelberg_leader_search(
             replies, rates = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
             evaluated += len(trials)
             passes += 1
+            values = rates.tolist()
             if head:
-                best_reply, best_rate = replies[0], rates[0]
-            i = int(np.argmax(rates >= rates.max() * (1.0 - DESCENT_TIE)))
-            if not rates[i] > best_rate * (1.0 + DESCENT_TIE):
+                best_reply, best_rate = replies[0], values[0]
+            top = float(rates.max()) * (1.0 - DESCENT_TIE)  # NaN if any rate is: then no row passes
+            i = next((j for j, rate in enumerate(values) if rate >= top), 0)
+            if not values[i] > best_rate * (1.0 + DESCENT_TIE):
                 break
-            best_row, best_reply, best_rate = trials[i], replies[i], rates[i]
+            best_row, best_reply, best_rate = trials[i], replies[i], values[i]
             head = 0
 
     return StackelbergResult(
         leader=leader,
         leader_allocation=np.array(best_row),
         follower_allocation=np.array(best_reply),
-        rates=_joint_rates(leader, best_row, best_reply, ch, noise, grid),
+        rates=_pair_rates(leader, best_row, best_reply, best_rate, ch, noise, grid),
         candidates_evaluated=evaluated,
         nash=nash,
         descent_passes=passes,

@@ -110,7 +110,7 @@ class ChannelSet:
         g = np.array(self.gain2, dtype=float) + 0.0  # -0.0 becomes 0.0, whose floor is +inf
         if g.ndim != 3 or g.shape[0] != g.shape[1]:
             raise ValueError("gain2 must have shape (N, N, K)")
-        if not np.all(np.isfinite(g)) or np.any(g < 0):
+        if not np.isfinite(g).all() or (g < 0).any():
             raise ValueError("gain2 entries must be finite and nonnegative")
         g.setflags(write=False)
         object.__setattr__(self, "gain2", g)
@@ -134,7 +134,7 @@ class NoiseProfile:
         p = np.array(self.psd, dtype=float)
         if p.ndim != 2:
             raise ValueError("noise psd must have shape (N, K)")
-        if not np.all(np.isfinite(p)) or np.any(p <= 0):
+        if not np.isfinite(p).all() or (p <= 0).any():
             raise ValueError("noise psd entries must be finite and strictly positive")
         p.setflags(write=False)
         object.__setattr__(self, "psd", p)
@@ -154,7 +154,7 @@ class PowerBudget:
         b = np.array(self.budget, dtype=float)
         if b.ndim != 1:
             raise ValueError("budget must be a length-N vector")
-        if not np.all(np.isfinite(b)) or np.any(b <= 0):
+        if not np.isfinite(b).all() or (b <= 0).any():
             raise ValueError("budgets must be finite and strictly positive")
         b.setflags(write=False)
         object.__setattr__(self, "budget", b)
@@ -174,7 +174,7 @@ class PowerAllocation:
         p = np.array(self.psd, dtype=float)
         if p.ndim != 2:
             raise ValueError("allocation psd must have shape (N, K)")
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
+        if not np.isfinite(p).all() or (p < 0).any():
             raise ValueError("allocation psd entries must be finite and nonnegative")
         p.setflags(write=False)
         object.__setattr__(self, "psd", p)
@@ -183,7 +183,7 @@ class PowerAllocation:
         """Raise if any user exceeds its power budget beyond the shared slack."""
         used = self.psd.sum(axis=1) * grid.bin_width
         limit = budgets.budget * (1.0 + BUDGET_RTOL)
-        if np.any(used > limit):
+        if (used > limit).any():
             worst = int(np.argmax(used - limit))
             raise ValueError(
                 f"user {worst} spends {used[worst]!r} against budget {budgets.budget[worst]!r}"
@@ -394,12 +394,14 @@ def generate_multipath_channels(
     # link's real parts and then its imaginary parts
     draws = np.random.default_rng(seed).standard_normal((user_count, user_count, 2, tap_count))
     taps = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0)
+    # each link's scale sqrt(power / sum |h|^2), 0 on a link of zero power
+    magnitudes = np.abs(taps)
+    scale = np.zeros((user_count, user_count, 1))
     for i, j in np.ndindex(user_count, user_count):
         power = direct_power if i == j else cross_power
-        if power == 0.0:
-            taps[i, j] = 0.0
-        else:
-            taps[i, j] *= np.sqrt(power / np.abs(taps[i, j]).dot(np.abs(taps[i, j])))
+        if power != 0.0:
+            scale[i, j] = np.sqrt(power / magnitudes[i, j].dot(magnitudes[i, j]))
+    taps *= scale
     # K-point response of each impulse response; taps beyond the grid fold
     # back (alias) onto it, added in delay order
     k = grid.bin_count

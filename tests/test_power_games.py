@@ -509,6 +509,31 @@ def test_jumping_ends_at_the_first_solved_point():
     assert assert_iw_matches_reference(*ensemble_draw(7, 27)).iterations == 71
 
 
+def test_support_solve_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # Python 3.12 and later add floats in the builtin sum with compensation;
+    # the solve adds its coefficient sums left to right, as the water-fill
+    # kernels do, so a compensated `sum` in the module changes no solve
+    solve = power_games._support_solve
+
+    def run():
+        solves = []
+
+        def recorded(*args):
+            rows = solve(*args)
+            solves.append(None if rows is None else np.array(rows).tobytes())
+            return rows
+
+        monkeypatch.setattr(power_games, "_support_solve", recorded)
+        results = [sg.iterative_water_filling(*ensemble_draw(7, draw)) for draw in range(100)]
+        return solves, [(r.allocation.psd.tobytes(), r.rates.tobytes(), r.iterations) for r in results]
+
+    plain = run()
+    monkeypatch.setattr(power_games, "sum", math.fsum, raising=False)
+    compensated = run()
+    assert len(plain[0]) == 115
+    assert compensated == plain
+
+
 @pytest.mark.slow
 def test_jump_keeps_the_plain_loops_equilibrium_on_ensemble_draws():
     sweeps = plain_sweeps = 0
@@ -1426,6 +1451,66 @@ PINNED_DESCENT = "886ea1e2378635aa090f8315283ff40844793efce971b0fc705be02161a294
 def test_leader_search_outputs_are_pinned():
     assert frontier_digest() == PINNED_FRONTIER
     assert descent_digest() == PINNED_DESCENT
+
+
+def joint_rates(leader, row, reply, scen):
+    """`_rates` of the joint PSD with the leader on `row` and the follower on `reply`."""
+    psd = np.zeros((2, scen.grid.bin_count))
+    psd[leader], psd[1 - leader] = row, reply
+    return _rates(psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
+
+
+def assert_reported_rates_are_the_rate_kernels(leader, scen, levels, rng):
+    # the search reports the leader's rate as its batch priced it and prices
+    # the follower's alone: both equal `_rates` of the reported pair, bit for bit
+    args = (scen.channels, scen.noise, scen.budgets, scen.grid)
+    res = sg.stackelberg_leader_search(leader, *args, levels=levels)
+    assert res.rates.dtype == np.float64 and res.rates.shape == (2,)
+    assert res.rates.tobytes() == joint_rates(leader, res.leader_allocation, res.follower_allocation, scen).tobytes()
+    budget = scen.budgets.budget[leader] / scen.grid.bin_width
+    spread = rng.dirichlet(np.ones(scen.grid.bin_count)) * budget
+    for row in (res.leader_allocation, res.nash.allocation.psd[leader], spread, np.zeros(scen.grid.bin_count)):
+        reply, rates = sg.follower_response_rates(leader, row, *args)
+        assert rates.dtype == np.float64 and rates.shape == (2,)
+        assert rates.tobytes() == joint_rates(leader, row, reply, scen).tobytes()
+    return res
+
+
+@pytest.mark.parametrize("leader", [0, 1])
+def test_reported_rates_are_the_rate_kernels_on_frontier_and_descent_draws(leader):
+    rng = np.random.default_rng(leader)
+    for index in range(8):
+        res = assert_reported_rates_are_the_rate_kernels(leader, frontier_scenario(index), 10, rng)
+        assert res.descent_passes == 0
+    for index in range(6):
+        res = assert_reported_rates_are_the_rate_kernels(leader, descent_scenario(index), 10, rng)
+        assert res.descent_passes >= 1
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_reported_rates_are_the_rate_kernels(data):
+    # the grid (K 1-4) and the descent (K 5-12), with zero cross gains and
+    # zero direct gains (bins a user cannot use)
+    bins = data.draw(st.integers(1, 12))
+    levels = data.draw(st.integers(2, 6 if bins <= 4 else 12))
+    leader = data.draw(st.sampled_from([0, 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gain2 = rng.uniform(0.05, 2.0, (2, 2, bins))
+    cross = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for n in range(2):
+        dead = rng.random(bins) < data.draw(st.sampled_from([0.0, 0.3, 0.7]))
+        dead[rng.integers(bins)] = False
+        gain2[n, n, dead] = 0.0
+        gain2[n, 1 - n, rng.random(bins) < cross] = 0.0
+    scen = sg.PowerScenario(
+        grid=sg.FrequencyGrid(bins, bins * data.draw(st.sampled_from([0.5, 1.0, 3.0]))),
+        channels=sg.ChannelSet(gain2),
+        noise=sg.NoiseProfile(rng.uniform(0.1, 3.0, (2, bins))),
+        budgets=sg.PowerBudget(rng.uniform(0.5, 200.0, 2)),
+    )
+    res = assert_reported_rates_are_the_rate_kernels(leader, scen, levels, rng)
+    assert (res.descent_passes == 0) == (bins <= 4)
 
 
 def power_input_case(scen, entry, lead, swap, kwargs):

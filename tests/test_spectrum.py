@@ -292,6 +292,42 @@ def test_batched_channel_draw_matches_link_loop_on_bench_draws():
         assert ch.gain2.tobytes() == loop_multipath_gains(seed, grid, 4, 2, 1.0, 0.5).tobytes()
 
 
+def per_link_multipath_gains(seed, grid, tap_count, user_count, direct_power, cross_power):
+    """gain2 from the batch draw with each link normalized in place, one link at a time.
+
+    This is how `generate_multipath_channels` scaled its taps before it took
+    every magnitude at once and scaled all links with one multiply.
+    """
+    draws = np.random.default_rng(seed).standard_normal((user_count, user_count, 2, tap_count))
+    taps = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0)
+    for i, j in np.ndindex(user_count, user_count):
+        power = direct_power if i == j else cross_power
+        if power == 0.0:
+            taps[i, j] = 0.0
+        else:
+            taps[i, j] *= np.sqrt(power / np.abs(taps[i, j]).dot(np.abs(taps[i, j])))
+    k = grid.bin_count
+    padded = np.zeros((user_count, user_count, k), dtype=complex)
+    for start in range(0, tap_count, k):
+        block = taps[..., start:start + k]
+        padded[..., :block.shape[-1]] += block
+    return sg.ChannelSet(np.abs(np.fft.fft(padded, axis=-1)) ** 2).gain2
+
+
+@pytest.mark.parametrize("bins", [1, 3, 8])
+@pytest.mark.parametrize("users", [1, 2, 3])
+def test_channel_draw_matches_the_per_link_normalization(bins, users):
+    # tap counts 1, 3, K and 2K + 3 (taps beyond the grid alias); zero direct
+    # or zero cross power leaves those links silent
+    grid = sg.FrequencyGrid(bins, float(bins))
+    for seed in [0, 1, 7, 2**32 - 1, np.random.SeedSequence(entropy=7, spawn_key=(3,))]:
+        for taps in sorted({1, 3, bins, 2 * bins + 3}):
+            for direct, cross in [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0), (2.5, 0.0), (0.0, 0.25)]:
+                ch = sg.generate_multipath_channels(seed, grid, taps, users, direct, cross)
+                expect = per_link_multipath_gains(seed, grid, taps, users, direct, cross)
+                assert ch.gain2.tobytes() == expect.tobytes()
+
+
 def test_generator_more_taps_than_bins():
     grid = sg.FrequencyGrid(2, 2.0)
     ch = sg.generate_multipath_channels(5, grid, tap_count=6)
