@@ -36,7 +36,7 @@ from .matrix_games import (
 )
 from .power_games import iterative_water_filling, pareto_sweep, stackelberg_leader_search
 from .scenario import load_scenario
-from .spectrum import _rate_raw, water_fill
+from .spectrum import PowerAllocation, achievable_rate, water_fill
 
 PROFILE_TOKENS = {
     "priv": "private",
@@ -158,11 +158,17 @@ def _require_two_users(doc, command, path=None):
         raise ScenarioError(path, f"{command} needs exactly two users, not {users}")
 
 
-def _region_rows(samples):
-    return [
-        (s.method, s.params[0], s.params[1], float(s.rates[0]), float(s.rates[1]))
-        for s in samples
-    ]
+def _emit_allocation(doc, args, out_dir, psd):
+    """Write the per-bin table `bin, psd_1..psd_N` of a joint allocation psd[n, k]."""
+    header = ("bin",) + tuple(f"psd_{n + 1}" for n in range(len(psd)))
+    rows = [(k, *column) for k, column in enumerate(np.transpose(psd).tolist())]
+    _emit(out_dir, doc.output_base("allocation"), args.format, header, rows)
+
+
+def _emit_region(doc, args, out_dir, samples):
+    """Write the region table `method, param1, param2, R_1, R_2` of rate-region samples."""
+    rows = [(s.method, s.params[0], s.params[1], float(s.rates[0]), float(s.rates[1])) for s in samples]
+    _emit(out_dir, doc.output_base("region"), args.format, ("method", "param1", "param2", "R_1", "R_2"), rows)
 
 
 def _distribution_rows(game, dist: JointDistribution):
@@ -186,7 +192,7 @@ def _cmd_waterfill(doc, args, out_dir):
     )
     psd = np.zeros((scen.user_count, scen.grid.bin_count))
     psd[user] = row  # the other users stay silent
-    rate = _rate_raw(user, psd, scen.channels.gain2, scen.noise.psd, scen.grid.bin_width)
+    rate = achievable_rate(user, PowerAllocation(psd), scen.channels, scen.noise, scen.grid)
     rows = [(k, float(row[k])) for k in range(scen.grid.bin_count)]
     _emit(out_dir, doc.output_base("allocation"), args.format, ("bin", "psd"), rows)
     print(f"user {args.user} single-user rate {_fmt(rate)}")
@@ -196,12 +202,7 @@ def _cmd_waterfill(doc, args, out_dir):
 def _cmd_iw(doc, args, out_dir):
     scen = doc.power_scenario()
     res = iterative_water_filling(scen.channels, scen.noise, scen.budgets, scen.grid)
-    header = ("bin",) + tuple(f"psd_{n + 1}" for n in range(scen.user_count))
-    rows = [
-        (k,) + tuple(float(res.allocation.psd[n, k]) for n in range(scen.user_count))
-        for k in range(scen.grid.bin_count)
-    ]
-    _emit(out_dir, doc.output_base("allocation"), args.format, header, rows)
+    _emit_allocation(doc, args, out_dir, res.allocation.psd)
     rates = ", ".join(map(_fmt, res.rates))
     print(f"converged={res.converged} iterations={res.iterations} residual={_fmt(res.residual)}")
     print(f"rates: {rates}")
@@ -221,9 +222,7 @@ def _cmd_stackelberg(doc, args, out_dir):
     psd = np.zeros((2, scen.grid.bin_count))
     psd[res.leader] = res.leader_allocation
     psd[1 - res.leader] = res.follower_allocation
-    header = ("bin", "psd_1", "psd_2")
-    rows = [(k, float(psd[0, k]), float(psd[1, k])) for k in range(scen.grid.bin_count)]
-    _emit(out_dir, doc.output_base("allocation"), args.format, header, rows)
+    _emit_allocation(doc, args, out_dir, psd)
     print(
         f"leader={args.leader} rates=({_fmt(res.rates[0])}, {_fmt(res.rates[1])}) "
         f"candidates={res.candidates_evaluated}"
@@ -238,10 +237,7 @@ def _cmd_pareto(doc, args, out_dir):
     weights = sweeps.get("weights", [[1.0, 1.0]])
     levels = sweeps.get("levels", 10)
     samples = pareto_sweep(weights, scen.channels, scen.noise, scen.budgets, scen.grid, levels=levels)
-    _emit(
-        out_dir, doc.output_base("region"), args.format,
-        ("method", "param1", "param2", "R_1", "R_2"), _region_rows(samples),
-    )
+    _emit_region(doc, args, out_dir, samples)
     for s in samples:
         print(f"weights={s.params} rates=({_fmt(s.rates[0])}, {_fmt(s.rates[1])})")
     return 0
@@ -257,10 +253,7 @@ def _cmd_region(doc, args, out_dir):
     if levels < 2:
         raise ScenarioError("sweeps.levels", "region's leader search needs at least 2 levels")
     table = region_comparison(scen, budget_pairs, weights, levels=levels)
-    _emit(
-        out_dir, doc.output_base("region"), args.format,
-        ("method", "param1", "param2", "R_1", "R_2"), _region_rows(table),
-    )
+    _emit_region(doc, args, out_dir, table)
     print(f"{len(table)} region samples written")
     return 0
 

@@ -333,7 +333,7 @@ def _player(learner: Learner, game: NormalFormGame, rng):
 
     if kind == "fictitious_play":
         counts = {j: np.zeros(game.action_counts[j]) for j in range(game.player_count) if j != p}
-        table = np.moveaxis(game.payoffs[..., p], p, 0)  # built once per run
+        table = _own_payoffs(game, p)  # built once per run
 
         def observe(profile):
             for j, c in counts.items():
@@ -430,8 +430,7 @@ def _own_rows(game: NormalFormGame, player: int):
     There is one row per opponent profile: a list indexed by the opponent's
     action in a two-player game, else a dict keyed by the opponents' tuple.
     """
-    k = game.action_counts[player]
-    rows = np.moveaxis(game.payoffs[..., player], player, -1).reshape(-1, k).tolist()
+    rows = _own_payoffs(game, player).reshape(game.action_counts[player], -1).T.tolist()
     others = [q for q in range(game.player_count) if q != player]
     if len(others) == 1:
         return rows, itemgetter(others[0])
@@ -447,7 +446,7 @@ def _regret_history(game: NormalFormGame, actions: np.ndarray, player: int) -> n
     """
     rounds = len(actions)
     opponents = [actions[:, q, None] for q in range(game.player_count) if q != player]
-    history = _own_payoffs(game, player, opponents)
+    history = _own_payoffs(game, player)[(np.arange(game.action_counts[player]), *opponents)]
     history -= history[np.arange(rounds), actions[:, player], None]
     np.cumsum(history, axis=0, out=history)
     history /= np.arange(1, rounds + 1)[:, None]

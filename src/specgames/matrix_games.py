@@ -12,14 +12,15 @@ deviating to any other action.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simplex
 from .errors import DegenerateGameError, NoPureNashError, OracleScaleError
-from .power_games import _budget_splits
-from .spectrum import PowerScenario, _integer, _rates, two_channel_scenario
+from .power_games import _budget_splits, _check_scale, _level_step
+from .spectrum import PowerScenario, _check_leader, _integer, _rates, two_channel_scenario
 
 __all__ = [
     "NormalFormGame",
@@ -200,24 +201,26 @@ def discretize_power_game(scen: PowerScenario, levels: int = 10) -> NormalFormGa
     """Finite abstraction of a power scenario on a budget-splitting grid.
 
     Each user's action set holds every split of its full budget over the K
-    bins in steps of budget/levels; payoffs are the achievable rates.
+    bins in steps of budget/levels; payoffs are the achievable rates.  More
+    than MAX_ORACLE_EVALUATIONS joint profiles raise OracleScaleError.
     """
     _integer(levels, "levels", 1)
-    head = _budget_splits(levels, scen.grid.bin_count - 1)
+    bins = scen.grid.bin_count
+    _check_scale(math.comb(levels + bins - 1, bins - 1) ** scen.user_count, "joint profiles")
+    head = _budget_splits(levels, bins - 1)
     splits = np.column_stack([head, levels - head.sum(axis=1)])  # the last bin takes the rest
-    actions = [splits * (b / (levels * scen.grid.bin_width)) for b in scen.budgets.budget]
+    actions = [splits * _level_step(b, levels, scen.grid.bin_width) for b in scen.budgets.budget]
     labels = tuple("-".join(map(str, m)) for m in splits.tolist())
     return build_power_game_from_allocations(scen, actions, (labels,) * scen.user_count)
 
 
-def _own_payoffs(game: NormalFormGame, player: int, opponent_actions) -> np.ndarray:
-    """Utility of `player` for each own action, opponents' actions fixed.
+def _own_payoffs(game: NormalFormGame, player: int) -> np.ndarray:
+    """The player's payoff table: its own action on axis 0, then the opponents' in index order.
 
-    Opponent entries are ints, or (T, 1) integer columns for T rows at once.
+    A view of `game.payoffs`, so `table[(slice(None), *opponent_actions)]`
+    holds the player's utility of each own action against fixed opponents.
     """
-    index = list(opponent_actions)
-    index.insert(player, np.arange(game.action_counts[player]))
-    return game.payoffs[tuple(index) + (player,)]
+    return np.moveaxis(game.payoffs[..., player], player, 0)
 
 
 def best_response(game: NormalFormGame, player: int, opponent_actions) -> list:
@@ -227,9 +230,8 @@ def best_response(game: NormalFormGame, player: int, opponent_actions) -> list:
     opponent_actions = tuple(int(a) for a in opponent_actions)
     if len(opponent_actions) != game.player_count - 1:
         raise ValueError("need one action per opponent")
-    u = _own_payoffs(game, player, opponent_actions)
-    best = u.max()
-    return [int(a) for a in np.flatnonzero(u == best)]
+    u = _own_payoffs(game, player)[(slice(None), *opponent_actions)]
+    return [int(a) for a in np.flatnonzero(u == u.max())]
 
 
 def strictly_dominant_action(game: NormalFormGame, player: int):
@@ -238,7 +240,7 @@ def strictly_dominant_action(game: NormalFormGame, player: int):
     That is the only maximum of every column of the player's (own action x
     opponent profile) payoff table.
     """
-    u = np.moveaxis(game.payoffs[..., player], player, 0).reshape(game.action_counts[player], -1)
+    u = _own_payoffs(game, player).reshape(game.action_counts[player], -1)
     top = u == u.max(axis=0)
     winners = np.flatnonzero(top.all(axis=1))
     if len(winners) == 1 and top.sum() == top.shape[1]:
@@ -323,14 +325,13 @@ def stackelberg_finite(game: NormalFormGame, leader: int):
     For each leader action the follower best-responds; follower ties break
     in the leader's favor, lowest reply index among equals.  Returns
     (profile, utilities) maximizing the leader's payoff, lowest leader
-    action on ties.  leader must be 0 or 1.
+    action on ties.  The leader is player 0 or 1.
     """
     if game.player_count != 2:
         raise ValueError("stackelberg_finite supports exactly two players")
-    if isinstance(leader, bool) or not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
-        raise ValueError("leader must be 0 or 1")
+    _check_leader(leader)
     # (leader action, follower action) tables of both players' payoffs
-    lead, follow = (np.moveaxis(game.payoffs[..., n], leader, 0) for n in (leader, 1 - leader))
+    lead, follow = _own_payoffs(game, leader), _own_payoffs(game, 1 - leader).T
     # the leader's payoff where the follower best-replies, -inf elsewhere
     value = np.where(follow == follow.max(axis=1, keepdims=True), lead, -np.inf)
     a = int(np.argmax(value.max(axis=1)))
@@ -353,7 +354,7 @@ def is_correlated_equilibrium(game: NormalFormGame, dist: JointDistribution, tol
     worst = 0.0
     for n, k in enumerate(game.action_counts):
         mu = np.moveaxis(dist.probs, n, 0)
-        u = np.moveaxis(game.payoffs[..., n], n, 0)
+        u = _own_payoffs(game, n)
         for a in range(k):
             # expected payoff of every action a2 under the recommendation a;
             # a C-ordered product keeps each row's summation order fixed
@@ -366,7 +367,7 @@ def _ce_constraint_rows(game: NormalFormGame):
     profiles = game.payoffs[..., 0].size
     rows = []
     for n, k in enumerate(game.action_counts):
-        u = np.moveaxis(game.payoffs[..., n], n, 0)
+        u = _own_payoffs(game, n)
         a, a2 = np.nonzero(~np.eye(k, dtype=bool))  # each a, then each a2 != a
         block = np.zeros((a.size,) + u.shape)
         block[np.arange(a.size), a] = u[a2] - u[a]  # deviation gain coefficients

@@ -33,6 +33,8 @@ from .spectrum import (
     NoiseProfile,
     PowerAllocation,
     PowerBudget,
+    _check_agreement,
+    _check_leader,
     _integer,
     _rate_of,
     _rates,
@@ -51,10 +53,11 @@ __all__ = [
     "grid_dominance_margin",
 ]
 
-# Joint grid pairs the oracles may range over, or leader candidates the
-# leader search may price, before refusing: at four bins, the leader grid up
-# to twenty levels (comb(24, 4) = 10,626 candidates) and the joint grid up to
-# twelve (comb(16, 4)**2 = 3,312,400 pairs; 5,664,400 at thirteen).
+# Joint grid pairs the oracles may range over, leader candidates the leader
+# search may price, or joint profiles `discretize_power_game` may tabulate,
+# before refusing: at four bins, the leader grid up to twenty levels
+# (comb(24, 4) = 10,626 candidates), the joint grid up to twelve (comb(16, 4)**2
+# = 3,312,400 pairs; 5,664,400 at thirteen) and the two-user game up to twenty.
 MAX_ORACLE_EVALUATIONS = 4_000_000
 # Joint pairs, prefix bounds or leader candidates priced per numpy call
 # (temporaries ~128 KB).
@@ -111,17 +114,10 @@ class RegionSample:
 def _check_inputs(ch, noise, budgets, grid, users=2, leader=0, levels=None, min_levels=1,
                   weights=(), target=None):
     """Refuse mismatched or out-of-range input to a public entry point; users=None allows any count."""
-    n, k = ch.user_count, ch.bin_count
-    if grid.bin_count != k:
-        raise ValueError(f"grid has {grid.bin_count} bins where ch has {k}")
-    if noise.psd.shape != (n, k):
-        raise ValueError(f"noise must be a {n}x{k} PSD table, not {noise.psd.shape}")
-    if budgets.user_count != n:
-        raise ValueError(f"budgets must hold {n} entries, not {budgets.user_count}")
-    if users is not None and n != users:
-        raise ValueError(f"ch must have {users} users, not {n}")
-    if isinstance(leader, bool) or not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
-        raise ValueError("leader must be 0 or 1")
+    _check_agreement(ch, noise, budgets, grid)
+    if users is not None and ch.user_count != users:
+        raise ValueError(f"ch must have {users} users, not {ch.user_count}")
+    _check_leader(leader)
     if levels is not None:
         _integer(levels, "levels", min_levels)
     for w in map(np.array, weights):

@@ -75,6 +75,12 @@ def _integer(value, name: str, least=None, most=None):
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
+def _check_leader(leader):
+    """Refuse a leader index that is not 0 or 1 (a bool is not)."""
+    if isinstance(leader, bool) or not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
+        raise ValueError("leader must be 0 or 1")
+
+
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Uniform discretization of the band [0, total_band] into bin_count bins."""
@@ -200,25 +206,29 @@ class PowerScenario:
     budgets: PowerBudget
 
     def __post_init__(self):
-        n, k = self.channels.user_count, self.channels.bin_count
-        if self.grid.bin_count != k:
-            raise ValueError("grid bin count does not match channel bin count")
-        if self.noise.psd.shape != (n, k):
-            raise ValueError("noise shape does not match channels")
-        if self.budgets.user_count != n:
-            raise ValueError("budget length does not match user count")
+        _check_agreement(self.channels, self.noise, self.budgets, self.grid)
 
     @property
     def user_count(self) -> int:
         return self.channels.user_count
 
 
-def _check_consistent(user, alloc, channels, noise):
+def _check_agreement(ch, noise, budgets=None, grid=None):
+    """Refuse a noise table, budget vector or grid that does not match the channels ch."""
+    n, k = ch.user_count, ch.bin_count
+    if grid is not None and grid.bin_count != k:
+        raise ValueError(f"grid has {grid.bin_count} bins where ch has {k}")
+    if noise.psd.shape != (n, k):
+        raise ValueError(f"noise must be a {n}x{k} PSD table, not {noise.psd.shape}")
+    if budgets is not None and budgets.user_count != n:
+        raise ValueError(f"budgets must hold {n} entries, not {budgets.user_count}")
+
+
+def _check_consistent(user, alloc, channels, noise, grid=None):
+    _check_agreement(channels, noise, grid=grid)
     n, k = channels.user_count, channels.bin_count
     if alloc.psd.shape != (n, k):
         raise ValueError(f"allocation shape {alloc.psd.shape} does not match channels ({n}, {k})")
-    if noise.psd.shape != (n, k):
-        raise ValueError(f"noise shape {noise.psd.shape} does not match channels ({n}, {k})")
     _integer(user, "user", 0, n - 1)
 
 
@@ -266,9 +276,7 @@ def achievable_rate(
     grid: FrequencyGrid,
 ) -> float:
     """Shannon rate of one user with interference treated as noise, bits/s."""
-    _check_consistent(user, alloc, channels, noise)
-    if grid.bin_count != channels.bin_count:
-        raise ValueError("grid bin count does not match channels")
+    _check_consistent(user, alloc, channels, noise, grid)
     return float(_rate_raw(user, alloc.psd, channels.gain2, noise.psd, grid.bin_width))
 
 

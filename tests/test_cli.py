@@ -692,12 +692,18 @@ def test_cached_parser_gives_fresh_results(tmp_path, scenario_dir, capsys):
     assert "usage:" in reused[4][2] and "usage:" in reused[5][1]
 
 
+DROP = object()  # an `_edit` value that removes the field
+
+
 def _edit(doc, path, value):
-    """Set one field of a nested document, addressed by a tuple of keys."""
+    """Set (or with DROP remove) one field of a nested document, addressed by a tuple of keys."""
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is DROP:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
 
 
 THREE_PLAYER = {
@@ -971,6 +977,16 @@ def test_power_game_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case
          ("matrix", "solve"), "actions.levels"),
         ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("matrix", "solve"),
          "learners[0].action"),
+        ("contention.json", [(("ce", "distribution"), [0.5, 0.5])], ("ce", "check"), "ce.distribution"),
+        ("contention.json", [], ("vok", "--profile", "priv,bogus"), "--profile"),
+        ("fig6.json", [(("actions",), {"type": "bogus"})], ("matrix", "solve"), "actions.type"),
+        ("fig6.json", [(("outputs",), {"region": ""})], ("pareto",), "outputs.region"),
+        ("fig6.json", [(("actions",), DROP)], ("matrix", "solve"), "actions"),
+        ("ensemble_default.json", [(("ensemble", "realizations"), DROP)], ("ensemble",),
+         "ensemble.realizations"),
+        ("contention.json", [(("rounds",), DROP)], ("learn",), "rounds"),
+        ("contention.json", [(("learners",), DROP)], ("learn",), "learners"),
+        ("contention.json", [(("knowledge",), DROP)], ("vok",), "knowledge"),
     ],
 )
 def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, edits, argv, field):
@@ -987,6 +1003,30 @@ def test_bad_document_is_a_field_error(tmp_path, scenario_dir, capsys, config, e
     assert f"config error: {field}:" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("matrix", "solve"), ("pareto",), ("stackelberg",)])
+def test_subnormal_budget_step_is_refused_by_every_command(tmp_path, scenario_dir, capsys, argv):
+    # a step of 5e-324 / 10 rounds to zero: no command may quietly silence user 1
+    doc = json.loads((scenario_dir / "fig6.json").read_text())
+    doc.update(budgets=[5e-324, 10.0], actions={"type": "simplex_grid"})
+    cfg = tmp_path / "subnormal.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2, out
+    assert err == "numerical failure: power step 5e-324 / (10 * 1.0) is not positive and finite\n"
+
+
+@pytest.mark.parametrize("levels", [10**6, 10**30])
+def test_matrix_solve_refuses_an_oversized_simplex_grid(tmp_path, scenario_dir, capsys, levels):
+    doc = json.loads((scenario_dir / "fig6.json").read_text())
+    doc["actions"] = {"type": "simplex_grid", "levels": levels}
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == (f"numerical failure: oracle scale exceeded: {(levels + 1) ** 2} joint profiles "
+                   f"over cap 4000000\n")
 
 
 def test_ensemble_honours_document_channels_and_noise(tmp_path, scenario_dir, capsys):

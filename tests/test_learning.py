@@ -68,7 +68,7 @@ def _select(state, game):
     if state.kind == "best_response_myopic":
         if state.last_opponent_profile is None:
             return state.start_action
-        return int(np.argmax(_own_payoffs(game, state.player, state.last_opponent_profile)))
+        return int(np.argmax(_own_payoffs(game, state.player)[(slice(None), *state.last_opponent_profile)]))
     if state.kind == "fictitious_play":
         table = np.moveaxis(game.payoffs[..., state.player], state.player, 0)
         return _fictitious_play_pick(table, state.opponent_counts)
@@ -89,7 +89,7 @@ def _observe(state, game, profile, payoff):
         return
     opponents = profile[:state.player] + profile[state.player + 1:]
     if state.kind == "regret_matching":
-        alternatives = _own_payoffs(game, state.player, opponents)
+        alternatives = _own_payoffs(game, state.player)[(slice(None), *opponents)]
         state.regret_sums += alternatives - alternatives[own]
     elif state.kind == "fictitious_play":
         for j, counts in state.opponent_counts.items():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specgames as sg
+from specgames import matrix_games, power_games
 from specgames.errors import DegenerateGameError, NoPureNashError, OracleScaleError
 from specgames.power_games import _budget_splits
 from specgames.scenario import parse_scenario
@@ -245,6 +246,27 @@ def test_discretize_power_game(two_channel):
     c1 = game.action_labels[0].index("10-0")
     c2 = game.action_labels[1].index("0-10")
     assert game.payoff_vector((c1, c2)) == pytest.approx([math.log2(11.0)] * 2, abs=1e-12)
+
+
+def test_discretize_power_game_refuses_over_the_cap_before_any_table(two_channel, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("split table built")
+
+    monkeypatch.setattr(matrix_games, "_budget_splits", no_table)
+    # two users on two bins: (levels + 1)**2 profiles, 4,000,000 at 1,999 levels
+    assert (1999 + 1) ** 2 == power_games.MAX_ORACLE_EVALUATIONS
+    with pytest.raises(AssertionError, match="split table built"):
+        sg.discretize_power_game(two_channel, levels=1999)
+    for levels in (2000, 10**6, 10**30):
+        with pytest.raises(OracleScaleError, match=f"^oracle scale exceeded: {(levels + 1) ** 2} joint profiles"):
+            sg.discretize_power_game(two_channel, levels=levels)
+
+
+def test_discretize_power_game_refuses_a_step_that_is_not_positive(two_channel):
+    scen = sg.PowerScenario(two_channel.grid, two_channel.channels, two_channel.noise,
+                            sg.PowerBudget([5e-324, 10.0]))
+    with pytest.raises(ArithmeticError, match=r"^power step 5e-324 / \(10 \* 1.0\) is not positive and finite"):
+        sg.discretize_power_game(scen, levels=10)
 
 
 def looped_power_payoffs(scen, levels):

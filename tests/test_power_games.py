@@ -1551,6 +1551,46 @@ def test_power_game_entry_points_refuse_bad_input(entry, lead, swap, kwargs, fie
         call()
 
 
+ALLOC = sg.PowerAllocation(np.ones((2, 4)))
+# Every entry point that checks that its inputs agree with the channels ch
+# (2 users, 4 bins): which of the noise table, the budgets and the grid it
+# takes, and how to call it on them.
+AGREEMENT_ENTRIES = {
+    "PowerScenario": (("noise", "budgets", "grid"),
+                      lambda ch, noise, budgets, grid: sg.PowerScenario(grid, ch, noise, budgets)),
+    "effective_noise": (("noise",),
+                        lambda ch, noise, budgets, grid: sg.effective_noise(0, ALLOC, ch, noise)),
+    "achievable_rate": (("noise", "grid"),
+                        lambda ch, noise, budgets, grid: sg.achievable_rate(1, ALLOC, ch, noise, grid)),
+    "iterative_water_filling": (("noise", "budgets", "grid"), sg.iterative_water_filling),
+    "follower_response_rates": (("noise", "budgets", "grid"),
+                                partial(sg.follower_response_rates, 0, [2.5] * 4)),
+    "stackelberg_leader_search": (("noise", "budgets", "grid"), partial(sg.stackelberg_leader_search, 1)),
+    "pareto_sweep": (("noise", "budgets", "grid"), partial(sg.pareto_sweep, [[1.0, 1.0]])),
+    "grid_dominance_margin": (("noise", "budgets", "grid"),
+                              partial(sg.grid_dominance_margin, [1.0, 1.0])),
+}
+MISMATCHES = {
+    "noise": (NARROW_NOISE, "noise must be a 2x4 PSD table, not (2, 1)"),
+    "budgets": (sg.PowerBudget(np.ones(3)), "budgets must hold 2 entries, not 3"),
+    "grid": (sg.FrequencyGrid(3, 3.0), "grid has 3 bins where ch has 4"),
+}
+
+
+@pytest.mark.parametrize("entry,part", [
+    (entry, part) for entry, (parts, _) in AGREEMENT_ENTRIES.items() for part in parts
+])
+def test_every_entry_point_refuses_a_mismatched_argument_with_its_one_message(entry, part):
+    scen = grid_scenario(4, 4343)
+    parts = {"ch": scen.channels, "noise": scen.noise, "budgets": scen.budgets, "grid": scen.grid}
+    call = AGREEMENT_ENTRIES[entry][1]
+    call(**parts)  # the matching inputs pass
+    bad, message = MISMATCHES[part]
+    with pytest.raises(ValueError) as raised:
+        call(**{**parts, part: bad})
+    assert str(raised.value) == message
+
+
 def reference_joint_grid_rates(scen, levels):
     """Reference: one user-1 split at a time, every bin term recomputed."""
     ch, noise, budgets, grid = scen.channels, scen.noise, scen.budgets, scen.grid
