@@ -1551,10 +1551,10 @@ def test_power_game_entry_points_refuse_bad_input(entry, lead, swap, kwargs, fie
         call()
 
 
-ALLOC = sg.PowerAllocation(np.ones((2, 4)))
 # Every entry point that checks that its inputs agree with the channels ch
 # (2 users, 4 bins): which of the noise table, the budgets and the grid it
 # takes, and how to call it on them.
+ALLOC = sg.PowerAllocation(np.ones((2, 4)))
 AGREEMENT_ENTRIES = {
     "PowerScenario": (("noise", "budgets", "grid"),
                       lambda ch, noise, budgets, grid: sg.PowerScenario(grid, ch, noise, budgets)),
@@ -1565,7 +1565,8 @@ AGREEMENT_ENTRIES = {
     "iterative_water_filling": (("noise", "budgets", "grid"), sg.iterative_water_filling),
     "follower_response_rates": (("noise", "budgets", "grid"),
                                 partial(sg.follower_response_rates, 0, [2.5] * 4)),
-    "stackelberg_leader_search": (("noise", "budgets", "grid"), partial(sg.stackelberg_leader_search, 1)),
+    "stackelberg_leader_search": (("noise", "budgets", "grid"),
+                                  partial(sg.stackelberg_leader_search, 1)),
     "pareto_sweep": (("noise", "budgets", "grid"), partial(sg.pareto_sweep, [[1.0, 1.0]])),
     "grid_dominance_margin": (("noise", "budgets", "grid"),
                               partial(sg.grid_dominance_margin, [1.0, 1.0])),
