@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import inf
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
@@ -161,8 +161,11 @@ def _support_solve(psd, gain2, sigma, budget, bin_width):
     point can be one that the sweeps circle and never reach; jumping onto it
     would report an equilibrium that plain sweeps do not find.
     """
-    # per bin, each user's PSD as (coefficient of mu_0, of mu_1, constant); None where dry
+    # per bin, each user's PSD as (coefficient of mu_0, of mu_1, constant); None where dry.
+    # User n's budget: sum over its support of its PSD = budget_n / bin_width, its three
+    # coefficient sums added in bin order from 0.0 as the walk meets each wet bin
     forms = []
+    a00 = a01 = b0 = a10 = a11 = b1 = 0.0
     for k, (p0, p1) in enumerate(zip(*psd)):
         wet0, wet1 = p0 > 0.0, p1 > 0.0
         a0 = sigma[0][k] / gain2[0][0][k] if wet0 else 0.0
@@ -172,12 +175,14 @@ def _support_solve(psd, gain2, sigma, budget, bin_width):
             d = 1.0 - c0 * c1
             if not d > 0.0:
                 return None
-            forms.append(((1.0 / d, -c0 / d, (c0 * a1 - a0) / d), (-c1 / d, 1.0 / d, (c1 * a0 - a1) / d)))
+            form = f0, f1 = (1.0 / d, -c0 / d, (c0 * a1 - a0) / d), (-c1 / d, 1.0 / d, (c1 * a0 - a1) / d)
         else:
-            forms.append(((1.0, 0.0, -a0) if wet0 else None, (0.0, 1.0, -a1) if wet1 else None))
-    # user n's budget: sum over its support of its PSD = budget_n / bin_width, added in bin order
-    (a00, a01, b0), (a10, a11, b1) = (
-        [reduce(add, (f[n][i] for f in forms if f[n]), 0.0) for i in range(3)] for n in (0, 1))
+            form = f0, f1 = (1.0, 0.0, -a0) if wet0 else None, (0.0, 1.0, -a1) if wet1 else None
+        forms.append(form)
+        if f0:
+            a00, a01, b0 = a00 + f0[0], a01 + f0[1], b0 + f0[2]
+        if f1:
+            a10, a11, b1 = a10 + f1[0], a11 + f1[1], b1 + f1[2]
     b0, b1 = budget[0] / bin_width - b0, budget[1] / bin_width - b1
     det = a00 * a11 - a01 * a10
     if det == 0.0 or not math.isfinite(det):
@@ -386,15 +391,38 @@ def _budget_splits(levels: int, bins: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _descent_moves(bins: int) -> np.ndarray:
-    """The descent's (src, dst) moves: every ordered pair of distinct bins, row-major.
+def _descent_moves(bins: int):
+    """The descent's moves as (src, dst) bin columns, and the K x K identity that spells them out.
 
-    Stored column by column, so its transpose holds the src and dst columns
-    contiguously.  Read-only, and kept for the last bin count asked for.
+    Move 0 is (0, 0), the Nash row at the head of the first pass, whose unit
+    row eye[dst] - eye[src] is all zeros; move 1 + i is the i-th ordered pair
+    of distinct bins, row-major, whose unit row is -1 at src and +1 at dst.
+    Kept as indices rather than as the (K(K-1)+1, K) table of unit rows,
+    which grows as K**3 (1 GB at 512 bins).  Read-only, and kept for the last
+    bin count asked for.
     """
-    pairs = np.asfortranarray(np.argwhere(~np.eye(bins, dtype=bool)))
-    pairs.flags.writeable = False
-    return pairs
+    pairs = np.vstack([[0, 0], np.argwhere(~np.eye(bins, dtype=bool))]).T.copy()
+    eye = np.eye(bins)
+    pairs.flags.writeable = eye.flags.writeable = False
+    return pairs, eye
+
+
+def _descent_trials(row, step, head):
+    """The rows of one descent pass, in `_descent_moves` order.
+
+    `row` itself if head, then row + step * (eye[dst] - eye[src]) for each
+    move whose src holds a full step.  x + 0.0 == x and x + -step == x - step
+    for every entry x >= +0.0, and no descent row holds -0.0, so each row is
+    exactly the one its move makes.
+    """
+    (src, dst), eye = _descent_moves(len(row))
+    use = row[src] >= step
+    use[0] = head
+    trials = eye.take(dst[use], axis=0)
+    trials -= eye.take(src[use], axis=0)
+    trials *= step
+    trials += row
+    return trials
 
 
 def stackelberg_leader_search(
@@ -494,21 +522,16 @@ def stackelberg_leader_search(
         best_row = splits[i] * step if i >= 0 else ne_row
         evaluated = len(splits) + 1  # every candidate is ranked, by its bound or by its price
     else:
-        columns = _descent_moves(bins).T
         # the first pass prices the Nash row as its row 0, ahead of its moves.
         # Every row carries the Nash row's last bits, which can split moves
         # that tie exactly, so rates within DESCENT_TIE (relative) of a pass's
         # best tie and the first wins; the descent ends when that row does not
         # beat the current rate by more than DESCENT_TIE.  Each taken move
         # raises the leader's rate, so this ends
-        best_row, head = ne_row, 1
+        best_row, head = ne_row, True
         while True:
-            src, dst = columns[:, best_row[columns[0]] >= step]
-            _check_scale(evaluated + head + len(src), "leader descent candidates")
-            trials = np.repeat(best_row[None], head + len(src), axis=0)
-            moves = np.arange(head, len(trials))
-            trials[moves, src] -= step
-            trials[moves, dst] += step
+            trials = _descent_trials(best_row, step, head)
+            _check_scale(evaluated + len(trials), "leader descent candidates")
             # a pass is at most K(K-1)+1 rows: one block up to 128 bins, priced without a copy
             blocks = [_leader_rates(leader, *_priced(leader, trials[s:s + BLOCK_SIZE], ch, noise), ch, noise, budgets,
                                     grid) for s in range(0, len(trials), BLOCK_SIZE)]
@@ -523,7 +546,7 @@ def stackelberg_leader_search(
             if not values[i] > best_rate * (1.0 + DESCENT_TIE):
                 break
             best_row, best_reply, best_rate = trials[i], replies[i], values[i]
-            head = 0
+            head = False
 
     return StackelbergResult(
         leader=leader,

@@ -217,7 +217,7 @@ def _check_agreement(ch, noise, budgets=None, grid=None):
     """Refuse a noise table, budget vector or grid that does not match the channels ch."""
     n, k = ch.user_count, ch.bin_count
     if grid is not None and grid.bin_count != k:
-        raise ValueError(f"grid has {grid.bin_count} bins where ch has {k}")
+        raise ValueError(f"grid has {grid.bin_count} bins where the channel gains have {k}")
     if noise.psd.shape != (n, k):
         raise ValueError(f"noise must be a {n}x{k} PSD table, not {noise.psd.shape}")
     if budgets is not None and budgets.user_count != n:
@@ -228,17 +228,17 @@ def _check_consistent(user, alloc, channels, noise, grid=None):
     _check_agreement(channels, noise, grid=grid)
     n, k = channels.user_count, channels.bin_count
     if alloc.psd.shape != (n, k):
-        raise ValueError(f"allocation shape {alloc.psd.shape} does not match channels ({n}, {k})")
+        raise ValueError(f"alloc must be a {n}x{k} PSD table, not {alloc.psd.shape}")
     _integer(user, "user", 0, n - 1)
 
 
 def _effective_noise_raw(user: int, psd: np.ndarray, gain2: np.ndarray, noise_psd: np.ndarray) -> np.ndarray:
-    """Noise plus interference at one receiver for psd[..., N, K], per bin, in index order."""
-    floor = noise_psd[user].copy()
+    """Noise plus interference at one receiver for psd[..., N, K], per bin, in index order; a new array."""
+    floor = noise = noise_psd[user]
     for j in range(psd.shape[-2]):
         if j != user:
             floor = floor + psd[..., j, :] * gain2[j, user]
-    return floor
+    return noise.copy() if floor is noise else floor
 
 
 def effective_noise(user: int, alloc: PowerAllocation, channels: ChannelSet, noise: NoiseProfile) -> np.ndarray:
@@ -263,9 +263,11 @@ def _rate_raw(user, psd, gain2, noise_psd, bin_width) -> np.ndarray:
 
 
 def _rates(psd, gain2, noise_psd, bin_width) -> np.ndarray:
-    """Rate of every user for joint allocations psd[..., N, K]; shape [..., N]."""
-    users = range(psd.shape[-2])
-    return np.stack([_rate_raw(n, psd, gain2, noise_psd, bin_width) for n in users], axis=-1)
+    """Rate of every user for joint allocations psd[..., N, K]; shape [..., N], priced user by user."""
+    rates = np.empty(psd.shape[:-1])
+    for n in range(psd.shape[-2]):
+        rates[..., n] = _rate_raw(n, psd, gain2, noise_psd, bin_width)
+    return rates
 
 
 def achievable_rate(

@@ -534,6 +534,52 @@ def test_support_solve_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
     assert compensated == plain
 
 
+def two_pass_support_solve(psd, gain2, sigma, budget, bin_width):
+    """Reference: the support solve that built every bin's forms, then added each sum with reduce(add, ..., 0.0)."""
+    forms = []
+    for k, (p0, p1) in enumerate(zip(*psd)):
+        wet0, wet1 = p0 > 0.0, p1 > 0.0
+        a0 = sigma[0][k] / gain2[0][0][k] if wet0 else 0.0
+        a1 = sigma[1][k] / gain2[1][1][k] if wet1 else 0.0
+        if wet0 and wet1:
+            c0, c1 = gain2[1][0][k] / gain2[0][0][k], gain2[0][1][k] / gain2[1][1][k]
+            d = 1.0 - c0 * c1
+            if not d > 0.0:
+                return None
+            forms.append(((1.0 / d, -c0 / d, (c0 * a1 - a0) / d), (-c1 / d, 1.0 / d, (c1 * a0 - a1) / d)))
+        else:
+            forms.append(((1.0, 0.0, -a0) if wet0 else None, (0.0, 1.0, -a1) if wet1 else None))
+    (a00, a01, b0), (a10, a11, b1) = (
+        [reduce(operator.add, (f[n][i] for f in forms if f[n]), 0.0) for i in range(3)] for n in (0, 1))
+    b0, b1 = budget[0] / bin_width - b0, budget[1] / bin_width - b1
+    det = a00 * a11 - a01 * a10
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    mu0, mu1 = (b0 * a11 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det
+    rows = [[f[n][0] * mu0 + f[n][1] * mu1 + f[n][2] if f[n] else 0.0 for f in forms] for n in (0, 1)]
+    if not all(0.0 < p < math.inf for row, was in zip(rows, psd) for p, w in zip(row, was) if w > 0.0):
+        return None
+    return rows
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_one_pass_support_solve_equals_the_two_pass_reference_by_bytes(data):
+    # bins wet for both (c_0 c_1 >= 1 among them when the cross gains are large),
+    # bins wet for one user, and users wet nowhere
+    bins = data.draw(st.integers(1, 12))
+    rng, args = support_draw(data, bins)
+    g = args[0].gain2
+    share = [data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])) for _ in range(2)]
+    wet = np.array([g[n, n] > 0.0 for n in range(2)]) & (rng.random((2, bins)) < np.array(share)[:, None])
+    psd = np.where(wet, rng.uniform(0.1, 10.0, (2, bins)), 0.0)
+    lists = (psd.tolist(), g.tolist(), args[1].psd.tolist(), args[2].budget.tolist(), args[3].bin_width)
+    expect, solved = two_pass_support_solve(*lists), power_games._support_solve(*lists)
+    assert (solved is None) == (expect is None)
+    if expect is not None:
+        assert np.array(solved).tobytes() == np.array(expect).tobytes()
+
+
 @pytest.mark.slow
 def test_jump_keeps_the_plain_loops_equilibrium_on_ensemble_draws():
     sweeps = plain_sweeps = 0
@@ -1274,12 +1320,67 @@ def test_budget_split_table_is_built_once_and_read_only():
 def test_descent_moves_are_the_row_major_bin_pairs():
     for bins in range(5, 13):
         loop = [[src, dst] for src in range(bins) for dst in range(bins) if dst != src]
-        table = power_games._descent_moves(bins)
-        assert table.tolist() == loop
-        assert power_games._descent_moves(bins) is table
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
+        moves = power_games._descent_moves(bins)
+        (src, dst), eye = moves
+        assert np.column_stack([src, dst]).tolist() == [[0, 0], *loop]  # the Nash head, then the moves
+        assert np.array_equal(eye, np.eye(bins))
+        assert power_games._descent_moves(bins) is moves
+        for table in moves:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+
+
+def repeat_then_update_trials(row, step, head):
+    """Reference: the descent pass's rows as the row repeated, then each move's src lowered and dst raised in place."""
+    src, dst = np.argwhere(~np.eye(len(row), dtype=bool)).T
+    able = row[src] >= step
+    src, dst = src[able], dst[able]
+    trials = np.repeat(row[None], head + len(src), axis=0)
+    moves = np.arange(head, len(trials))
+    trials[moves, src] -= step
+    trials[moves, dst] += step
+    return trials
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_descent_trials_equal_the_repeat_then_update_rows_by_bytes(data):
+    # entries on the step grid, off it, just below one step, subnormal and exactly zero;
+    # the bytes compare signed zeros too
+    bins = data.draw(st.integers(5, 12))
+    step = data.draw(st.floats(1e-3, 1e3))
+    entry = st.one_of(st.just(0.0), st.integers(1, 5).map(lambda k: k * step), st.floats(0.0, 6.0 * step),
+                      st.just(float(np.nextafter(step, 0.0))), st.just(5e-324))
+    row = np.array(data.draw(st.lists(entry, min_size=bins, max_size=bins)))
+    head = data.draw(st.booleans())
+    trials, expect = power_games._descent_trials(row, step, head), repeat_then_update_trials(row, step, int(head))
+    assert trials.shape == expect.shape and trials.tobytes() == expect.tobytes()
+    assert not np.signbit(trials).any()  # no descent row holds -0.0 (or a negative entry)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_no_descent_row_holds_a_negative_zero(data):
+    # a trial adds +0.0 to every entry its move leaves, which keeps x only for
+    # x >= +0.0: so no row the descent prices, Nash row included, may hold -0.0
+    blocks = []
+    priced = power_games._priced
+
+    def spy(leader, rows, ch, noise):
+        blocks.append(np.array(rows))
+        return priced(leader, rows, ch, noise)
+
+    bins = data.draw(st.integers(5, 12))
+    args = support_draw(data, bins)[1]
+    leader, levels = data.draw(st.sampled_from([0, 1])), data.draw(st.integers(2, 12))
+    with mock.patch.object(power_games, "_priced", spy):
+        try:
+            res = sg.stackelberg_leader_search(leader, *args, levels=levels)
+        except NoUsableSpectrumError:
+            return
+    assert len(blocks) == res.descent_passes
+    assert not any(np.signbit(rows).any() for rows in blocks)
 
 
 def draw_23_scenario():
@@ -1453,6 +1554,47 @@ def test_leader_search_outputs_are_pinned():
     assert descent_digest() == PINNED_DESCENT
 
 
+# The benchmark's seed-7 ensemble draws 0-59 (draw 27 jumps, then sweeps on
+# to 71 sweeps), 94 and 548 (their one support solve is refused at
+# c_0 c_1 >= 1, and they sweep 98 and 400 times).
+ENSEMBLE_DRAWS = [*range(60), 94, 548]
+
+
+def ensemble_search_digest():
+    """sha256 of both leaders' full searches on ENSEMBLE_DRAWS, IW's result included."""
+    h = hashlib.sha256()
+    for draw in ENSEMBLE_DRAWS:
+        for leader in (0, 1):
+            res = sg.stackelberg_leader_search(leader, *ensemble_draw(7, draw))
+            nash = res.nash
+            for array in (res.leader_allocation, res.follower_allocation, res.rates, nash.allocation.psd, nash.rates):
+                h.update(array.tobytes())
+            h.update(repr((res.candidates_evaluated, res.descent_passes, nash.iterations, nash.converged,
+                           float(nash.residual).hex(), float(nash.fixed_point_gap).hex())).encode())
+    return h.hexdigest()
+
+
+# captured before the support solve summed in one pass, the rate kernel priced
+# without copies and the descent built its rows from one cached move table
+PINNED_ENSEMBLE = "11c11abb295521cfccdb2b01ef6e89c80f6464207923d673d894ed7ea456c468"
+
+
+def test_ensemble_leader_searches_are_pinned(monkeypatch):
+    solves = []
+    solve = power_games._support_solve
+
+    def recorded(psd, gain2, *rest):
+        solves.append((solve(psd, gain2, *rest) is None, coupled(np.array(gain2), np.array(psd) > 0.0)))
+        return solve(psd, gain2, *rest)
+
+    monkeypatch.setattr(power_games, "_support_solve", recorded)
+    sweeps = [sg.iterative_water_filling(*ensemble_draw(7, draw)).iterations for draw in (27, 94, 548)]
+    assert sweeps == [71, 98, 400]
+    assert solves == [(False, False), (True, True), (True, True)]  # (refused, some c_0 c_1 >= 1)
+    monkeypatch.undo()
+    assert ensemble_search_digest() == PINNED_ENSEMBLE
+
+
 def joint_rates(leader, row, reply, scen):
     """`_rates` of the joint PSD with the leader on `row` and the follower on `reply`."""
     psd = np.zeros((2, scen.grid.bin_count))
@@ -1552,16 +1694,16 @@ def test_power_game_entry_points_refuse_bad_input(entry, lead, swap, kwargs, fie
 
 
 # Every entry point that checks that its inputs agree with the channels ch
-# (2 users, 4 bins): which of the noise table, the budgets and the grid it
-# takes, and how to call it on them.
+# (2 users, 4 bins): which of the noise table, the budgets, the grid and the
+# allocation it takes, and how to call it on them.
 ALLOC = sg.PowerAllocation(np.ones((2, 4)))
 AGREEMENT_ENTRIES = {
     "PowerScenario": (("noise", "budgets", "grid"),
                       lambda ch, noise, budgets, grid: sg.PowerScenario(grid, ch, noise, budgets)),
-    "effective_noise": (("noise",),
-                        lambda ch, noise, budgets, grid: sg.effective_noise(0, ALLOC, ch, noise)),
-    "achievable_rate": (("noise", "grid"),
-                        lambda ch, noise, budgets, grid: sg.achievable_rate(1, ALLOC, ch, noise, grid)),
+    "effective_noise": (("noise", "alloc"),
+                        lambda ch, noise, budgets, grid, alloc=ALLOC: sg.effective_noise(0, alloc, ch, noise)),
+    "achievable_rate": (("noise", "grid", "alloc"),
+                        lambda ch, noise, budgets, grid, alloc=ALLOC: sg.achievable_rate(1, alloc, ch, noise, grid)),
     "iterative_water_filling": (("noise", "budgets", "grid"), sg.iterative_water_filling),
     "follower_response_rates": (("noise", "budgets", "grid"),
                                 partial(sg.follower_response_rates, 0, [2.5] * 4)),
@@ -1574,7 +1716,8 @@ AGREEMENT_ENTRIES = {
 MISMATCHES = {
     "noise": (NARROW_NOISE, "noise must be a 2x4 PSD table, not (2, 1)"),
     "budgets": (sg.PowerBudget(np.ones(3)), "budgets must hold 2 entries, not 3"),
-    "grid": (sg.FrequencyGrid(3, 3.0), "grid has 3 bins where ch has 4"),
+    "grid": (sg.FrequencyGrid(3, 3.0), "grid has 3 bins where the channel gains have 4"),
+    "alloc": (sg.PowerAllocation(np.ones((2, 3))), "alloc must be a 2x4 PSD table, not (2, 3)"),
 }
 
 

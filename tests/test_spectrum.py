@@ -575,3 +575,43 @@ def test_rate_kernel_broadcasts_over_allocations():
                 for n in range(users):
                     assert rates[i, j, n] == sg.achievable_rate(
                         n, alloc, scen.channels, scen.noise, grid)
+
+
+def stacked_rates(psd, gain2, noise_psd, bin_width):
+    """Reference: one rate array per user, each floor added onto a copy of the noise row, stacked."""
+    def rate(user):
+        floor = noise_psd[user].copy()
+        for j in range(psd.shape[-2]):
+            if j != user:
+                floor = floor + psd[..., j, :] * gain2[j, user]
+        return bin_width * np.log2(1.0 + psd[..., user, :] * gain2[user, user] / floor).sum(axis=-1)
+
+    return np.stack([rate(n) for n in range(psd.shape[-2])], axis=-1)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(users=st.integers(1, 3), bins=st.integers(1, 9), lead=st.sampled_from([(), (4,), (3, 5)]),
+       dead=st.sampled_from(["none", "direct", "cross", "both"]), seed=st.integers(0, 2**32 - 1))
+def test_rate_kernel_equals_the_stacked_reference_by_bytes(users, bins, lead, dead, seed):
+    rng = np.random.default_rng(seed)
+    gain2 = rng.uniform(0.0, 2.0, (users, users, bins))
+    direct = np.eye(users, dtype=bool)[:, :, None]
+    zero = {"none": False, "direct": direct, "cross": ~direct, "both": True}[dead]
+    gain2[zero & (rng.random(gain2.shape) < 0.5)] = 0.0
+    psd = rng.uniform(0.0, 4.0, (*lead, users, bins))
+    psd[rng.random(psd.shape) < 0.3] = 0.0
+    args = (psd, gain2, rng.uniform(0.1, 3.0, (users, bins)), float(rng.choice([0.5, 1.0, 3.0])))
+    rates, expect = _rates(*args), stacked_rates(*args)
+    assert rates.dtype == expect.dtype and rates.shape == expect.shape == (*lead, users)
+    assert rates.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("users", [1, 2, 3])
+def test_effective_noise_is_a_fresh_writeable_array(users):
+    ch = sg.ChannelSet(np.ones((users, users, 3)))
+    noise = sg.NoiseProfile(np.arange(1.0, 1.0 + 3 * users).reshape(users, 3))
+    alloc = sg.PowerAllocation(np.zeros((users, 3)))
+    out = sg.effective_noise(0, alloc, ch, noise)
+    assert np.array_equal(out, noise.psd[0])
+    assert out.flags.writeable
+    assert not np.shares_memory(out, noise.psd) and not np.shares_memory(out, alloc.psd)
