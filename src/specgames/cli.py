@@ -158,28 +158,29 @@ def _require_two_users(doc, command, path=None):
         raise ScenarioError(path, f"{command} needs exactly two users, not {users}")
 
 
-def _emit_allocation(doc, args, out_dir, psd):
-    """Write the per-bin table `bin, psd_1..psd_N` of a joint allocation psd[n, k]."""
+# Each `_cmd_*` takes the document and the parsed flags and returns its
+# tables, each `(record, header, rows[, codes])` as `_emit` takes them, and
+# its stdout lines.  `main` writes the tables in order, then prints the lines.
+
+def _allocation_table(psd):
+    """The per-bin table `bin, psd_1..psd_N` of a joint allocation psd[n, k]."""
     header = ("bin",) + tuple(f"psd_{n + 1}" for n in range(len(psd)))
-    rows = [(k, *column) for k, column in enumerate(np.transpose(psd).tolist())]
-    _emit(out_dir, doc.output_base("allocation"), args.format, header, rows)
+    return "allocation", header, [(k, *column) for k, column in enumerate(np.transpose(psd).tolist())]
 
 
-def _emit_region(doc, args, out_dir, samples):
-    """Write the region table `method, param1, param2, R_1, R_2` of rate-region samples."""
+def _region_table(samples):
+    """The region table `method, param1, param2, R_1, R_2` of rate-region samples."""
     rows = [(s.method, s.params[0], s.params[1], float(s.rates[0]), float(s.rates[1])) for s in samples]
-    _emit(out_dir, doc.output_base("region"), args.format, ("method", "param1", "param2", "R_1", "R_2"), rows)
+    return "region", ("method", "param1", "param2", "R_1", "R_2"), rows
 
 
-def _distribution_rows(game, dist: JointDistribution):
+def _distribution_table(game, dist: JointDistribution):
     flat = dist.probs.reshape(-1)
-    return [
-        (game.label(profile), float(flat[i]))
-        for i, profile in enumerate(game.profiles())
-    ]
+    rows = [(game.label(profile), float(flat[i])) for i, profile in enumerate(game.profiles())]
+    return "distribution", ("profile", "prob"), rows
 
 
-def _cmd_waterfill(doc, args, out_dir):
+def _cmd_waterfill(doc, args):
     scen = doc.power_scenario()
     user = args.user - 1
     if not 0 <= user < scen.user_count:
@@ -194,22 +195,19 @@ def _cmd_waterfill(doc, args, out_dir):
     psd[user] = row  # the other users stay silent
     rate = achievable_rate(user, PowerAllocation(psd), scen.channels, scen.noise, scen.grid)
     rows = [(k, float(row[k])) for k in range(scen.grid.bin_count)]
-    _emit(out_dir, doc.output_base("allocation"), args.format, ("bin", "psd"), rows)
-    print(f"user {args.user} single-user rate {_fmt(rate)}")
-    return 0
+    return [("allocation", ("bin", "psd"), rows)], [f"user {args.user} single-user rate {_fmt(rate)}"]
 
 
-def _cmd_iw(doc, args, out_dir):
+def _cmd_iw(doc, args):
     scen = doc.power_scenario()
     res = iterative_water_filling(scen.channels, scen.noise, scen.budgets, scen.grid)
-    _emit_allocation(doc, args, out_dir, res.allocation.psd)
-    rates = ", ".join(map(_fmt, res.rates))
-    print(f"converged={res.converged} iterations={res.iterations} residual={_fmt(res.residual)}")
-    print(f"rates: {rates}")
-    return 0
+    return [_allocation_table(res.allocation.psd)], [
+        f"converged={res.converged} iterations={res.iterations} residual={_fmt(res.residual)}",
+        f"rates: {', '.join(map(_fmt, res.rates))}",
+    ]
 
 
-def _cmd_stackelberg(doc, args, out_dir):
+def _cmd_stackelberg(doc, args):
     scen = doc.power_scenario()
     _require_two_users(doc, "stackelberg")
     if args.leader not in (1, 2):
@@ -222,28 +220,25 @@ def _cmd_stackelberg(doc, args, out_dir):
     psd = np.zeros((2, scen.grid.bin_count))
     psd[res.leader] = res.leader_allocation
     psd[1 - res.leader] = res.follower_allocation
-    _emit_allocation(doc, args, out_dir, psd)
-    print(
+    return [_allocation_table(psd)], [
         f"leader={args.leader} rates=({_fmt(res.rates[0])}, {_fmt(res.rates[1])}) "
         f"candidates={res.candidates_evaluated}"
-    )
-    return 0
+    ]
 
 
-def _cmd_pareto(doc, args, out_dir):
+def _cmd_pareto(doc, args):
     scen = doc.power_scenario()
     _require_two_users(doc, "pareto")
     sweeps = doc.sweeps()
     weights = sweeps.get("weights", [[1.0, 1.0]])
     levels = sweeps.get("levels", 10)
     samples = pareto_sweep(weights, scen.channels, scen.noise, scen.budgets, scen.grid, levels=levels)
-    _emit_region(doc, args, out_dir, samples)
-    for s in samples:
-        print(f"weights={s.params} rates=({_fmt(s.rates[0])}, {_fmt(s.rates[1])})")
-    return 0
+    return [_region_table(samples)], [
+        f"weights={s.params} rates=({_fmt(s.rates[0])}, {_fmt(s.rates[1])})" for s in samples
+    ]
 
 
-def _cmd_region(doc, args, out_dir):
+def _cmd_region(doc, args):
     scen = doc.power_scenario()
     _require_two_users(doc, "region")
     sweeps = doc.sweeps()
@@ -253,51 +248,47 @@ def _cmd_region(doc, args, out_dir):
     if levels < 2:
         raise ScenarioError("sweeps.levels", "region's leader search needs at least 2 levels")
     table = region_comparison(scen, budget_pairs, weights, levels=levels)
-    _emit_region(doc, args, out_dir, table)
-    print(f"{len(table)} region samples written")
-    return 0
+    return [_region_table(table)], [f"{len(table)} region samples written"]
 
 
-def _cmd_matrix_solve(doc, args, out_dir):
+def _cmd_matrix_solve(doc, args):
     _require_two_users(doc, "matrix solve")
     game = doc.finite_game()
-    rows = []
+    rows, lines = [], []
     nash_profiles = pure_nash(game)
     nash_text = ", ".join(f"({game.label(p).replace('/', ', ')})" for p in nash_profiles)
-    print(f"pure NE: {nash_text if nash_profiles else 'none'}")
+    lines.append(f"pure NE: {nash_text if nash_profiles else 'none'}")
     for p in nash_profiles:
         values = game.payoff_vector(p)
         rows.append(("pure_nash", game.label(p), float(values[0]), float(values[1])))
     for player in range(game.player_count):
         action = strictly_dominant_action(game, player)
         label = "none" if action is None else game.action_labels[player][action]
-        print(f"dominant action player {player + 1}: {label}")
+        lines.append(f"dominant action player {player + 1}: {label}")
         rows.append((f"dominant_{player + 1}", label, "", ""))
     try:
         s1, s2, utilities = mixed_nash_2x2(game)
-        print(
+        lines.append(
             f"mixed NE: p1={_fmt(s1.probs[0])} p2={_fmt(s2.probs[0])} "
             f"value=({_fmt(utilities[0])}, {_fmt(utilities[1])})"
         )
         rows.append(("mixed_nash", f"{_fmt(s1.probs[0])}/{_fmt(s2.probs[0])}",
                      float(utilities[0]), float(utilities[1])))
     except (DegenerateGameError, ValueError):
-        print("mixed NE: none (degenerate)")
+        lines.append("mixed NE: none (degenerate)")
         rows.append(("mixed_nash", "none", "", ""))
     for leader in range(2):
         profile, utilities = stackelberg_finite(game, leader)
-        print(
+        lines.append(
             f"stackelberg leader {leader + 1}: ({game.label(profile).replace('/', ', ')}) "
             f"value=({_fmt(utilities[0])}, {_fmt(utilities[1])})"
         )
         rows.append((f"stackelberg_{leader + 1}", game.label(profile),
                      float(utilities[0]), float(utilities[1])))
-    _emit(out_dir, doc.output_base("solution"), args.format,
-          ("record", "detail", "value_1", "value_2"), rows)
-    return 0
+    return [("solution", ("record", "detail", "value_1", "value_2"), rows)], lines
 
 
-def _cmd_ce_check(doc, args, out_dir):
+def _cmd_ce_check(doc, args):
     if not 0 <= args.tol < math.inf:
         raise ScenarioError("--tol", "must be finite and nonnegative")
     game = doc.finite_game()
@@ -314,26 +305,22 @@ def _cmd_ce_check(doc, args, out_dir):
     ok, violation = is_correlated_equilibrium(game, dist, tol=args.tol)
     values = [float(v) for v in dist.expected_utilities(game)]
     header = ("record", "detail") + tuple(f"value_{p + 1}" for p in range(game.player_count))
-    _emit(out_dir, doc.output_base("solution"), args.format, header,
-          [("ce_check", "pass" if ok else "fail", float(violation)) + ("",) * (len(values) - 1),
-           ("ce_values", "", *values)])
-    print(f"correlated equilibrium: {ok} (max violation {_fmt(violation)})")
-    print(f"expected utilities: ({', '.join(_fmt(v) for v in values)})")
-    return 0
+    rows = [("ce_check", "pass" if ok else "fail", float(violation)) + ("",) * (len(values) - 1),
+            ("ce_values", "", *values)]
+    return [("solution", header, rows)], [
+        f"correlated equilibrium: {ok} (max violation {_fmt(violation)})",
+        f"expected utilities: ({', '.join(_fmt(v) for v in values)})",
+    ]
 
 
-def _cmd_ce_optimize(doc, args, out_dir):
+def _cmd_ce_optimize(doc, args):
     game = doc.finite_game()
-    weights = doc.ce_section().get("weights")
-    dist, value = optimize_ce(game, weights)
-    _emit(out_dir, doc.output_base("distribution"), args.format,
-          ("profile", "prob"), _distribution_rows(game, dist))
-    print(f"optimal CE value {_fmt(value)}")
-    return 0
+    dist, value = optimize_ce(game, doc.ce_section().get("weights"))
+    return [_distribution_table(game, dist)], [f"optimal CE value {_fmt(value)}"]
 
 
-def _cmd_ce(doc, args, out_dir):
-    return (_cmd_ce_check if args.mode == "check" else _cmd_ce_optimize)(doc, args, out_dir)
+def _cmd_ce(doc, args):
+    return (_cmd_ce_check if args.mode == "check" else _cmd_ce_optimize)(doc, args)
 
 
 def _trace_table(trace):
@@ -349,15 +336,15 @@ def _trace_table(trace):
     played, codes = np.unique(np.ravel_multi_index(trace.actions.T, game.action_counts), return_inverse=True)
     profiles = np.unravel_index(played, game.action_counts)
     records = [(*a, *u) for a, u in zip(np.transpose(profiles).tolist(), game.payoffs[profiles].tolist())]
-    return header, records, codes.tolist()
+    return "trace", header, records, codes.tolist()
 
 
-def _cmd_learn(doc, args, out_dir):
-    """Run the repeated game; write its per-round trace and empirical joint distribution.
+def _cmd_learn(doc, args):
+    """Run the repeated game; return its per-round trace and empirical joint distribution.
 
-    The trace goes to `_emit` factored (`_trace_table`): each profile's
-    record is formatted once however many rounds play it, with the bytes
-    of one record per round.
+    The trace table is factored (`_trace_table`): `_emit` formats each
+    profile's record once however many rounds play it, with the bytes of
+    one record per round.
     """
     if args.rounds is not None and args.rounds < 1:
         raise ScenarioError("--rounds", "must be at least 1")
@@ -365,16 +352,12 @@ def _cmd_learn(doc, args, out_dir):
     learners = doc.learners(game)
     rounds = args.rounds if args.rounds is not None else doc.rounds()
     trace = run_repeated_game(game, learners, rounds, args.seed)
-    _emit(out_dir, doc.output_base("trace"), args.format, *_trace_table(trace))
-    dist = empirical_joint_distribution(trace)
-    _emit(out_dir, doc.output_base("distribution"), args.format,
-          ("profile", "prob"), _distribution_rows(game, dist))
+    tables = [_trace_table(trace), _distribution_table(game, empirical_joint_distribution(trace))]
     averages = value_of_learning(trace, (0, trace.rounds))
-    print("time-average utilities: " + ", ".join(map(_fmt, averages)))
-    return 0
+    return tables, ["time-average utilities: " + ", ".join(map(_fmt, averages))]
 
 
-def _cmd_vok(doc, args, out_dir):
+def _cmd_vok(doc, args):
     if args.profile is not None:
         tokens = [t.strip() for t in args.profile.split(",")]
         try:
@@ -396,14 +379,16 @@ def _cmd_vok(doc, args, out_dir):
     else:
         scenario = doc.power_scenario()
         _require_two_users(doc, "vok on a power game")
+        if start is not None:
+            raise ScenarioError("start_profile", "vok on a power game has no actions to start from")
     utilities = value_of_knowledge(scenario, profile, start_profile=start)
     rows = [(n + 1, profile.levels[n], float(u)) for n, u in enumerate(utilities)]
-    _emit(out_dir, doc.output_base("solution"), args.format, ("user", "knowledge", "utility"), rows)
-    print("utilities: (" + ", ".join(map(_fmt, utilities)) + ")")
-    return 0
+    return [("solution", ("user", "knowledge", "utility"), rows)], [
+        "utilities: (" + ", ".join(map(_fmt, utilities)) + ")"
+    ]
 
 
-def _cmd_ensemble(doc, args, out_dir):
+def _cmd_ensemble(doc, args):
     scen = doc.power_scenario()
     _require_two_users(doc, "ensemble")
     section = doc.ensemble_section()
@@ -429,13 +414,10 @@ def _cmd_ensemble(doc, args, out_dir):
         for i in range(report.realizations)
     ]
     rows.append(("mean", float(report.means[0]), float(report.means[1])))
-    _emit(out_dir, doc.output_base("ensemble"), args.format,
-          ("realization", "ratio_1", "ratio_2"), rows)
-    print(
+    return [("ensemble", ("realization", "ratio_1", "ratio_2"), rows)], [
         f"realizations={report.realizations} skipped={report.skipped} "
         f"mean ratios=({_fmt(report.means[0])}, {_fmt(report.means[1])})"
-    )
-    return 0
+    ]
 
 
 @functools.cache
@@ -498,7 +480,12 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError("--out", f"cannot write {exc.filename}: {exc.strerror}") from exc
-        return args.run(doc, args, out_dir)
+        tables, lines = args.run(doc, args)
+        for record, *table in tables:
+            _emit(out_dir, doc.output_base(record), args.format, *table)
+        for line in lines:
+            print(line)
+        return 0
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

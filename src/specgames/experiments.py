@@ -95,7 +95,8 @@ def value_of_knowledge(
     plays the profile maximizing the utility sum, lexicographically first
     on ties.  Continuous power scenarios: iterative water-filling, the
     leader-commitment search, and the equal-weight rate-sum oracle
-    respectively, each at its own default settings.
+    respectively, each at its own default settings; these take no
+    `start_profile`.
     """
     if isinstance(scenario, NormalFormGame):
         if profile.complete:
@@ -110,6 +111,8 @@ def value_of_knowledge(
 
     if not isinstance(scenario, PowerScenario):
         raise ValueError("scenario must be a NormalFormGame or a PowerScenario")
+    if start_profile is not None:
+        raise ValueError("start_profile applies to finite games; a PowerScenario has no actions")
     if scenario.user_count != 2:
         raise ValueError("continuous knowledge evaluation supports two users")
     ch, noise, budgets, grid = scenario.channels, scenario.noise, scenario.budgets, scenario.grid

@@ -380,7 +380,8 @@ def optimize_ce(game: NormalFormGame, weights=None):
 
     Solved as a dense LP over the joint-profile simplex; the polytope is
     never empty for a finite game, so an infeasible report is an internal
-    error.  Returns (JointDistribution, value).
+    error, as are weights under which a profile's objective overflows.
+    Returns (JointDistribution, value).
     """
     m = int(np.prod(game.action_counts))
     if m > MAX_CE_PROFILES:
@@ -391,7 +392,10 @@ def optimize_ce(game: NormalFormGame, weights=None):
     if weights.shape != (game.player_count,) or not np.all(np.isfinite(weights)):
         raise ValueError(f"weights must hold one finite objective weight per player, not {weights!r}")
 
-    c = game.payoffs.reshape(-1, game.player_count) @ weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = game.payoffs.reshape(-1, game.player_count) @ weights
+    if not np.all(np.isfinite(c)):
+        raise ArithmeticError(f"CE objective for weights {tuple(weights.tolist())} is not finite")
     a_ub = _ce_constraint_rows(game)
     result = simplex.solve_lp(
         c,

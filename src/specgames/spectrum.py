@@ -375,7 +375,7 @@ def water_fill(gain, noise_psd, budget: float, grid: FrequencyGrid) -> np.ndarra
     if not np.isfinite(budget) or budget <= 0:
         raise ValueError("budget must be a positive real")
     floors = [s / g if g > 0.0 else inf for s, g in zip(noise_psd.tolist(), gain.tolist())]
-    return np.array(_water_fill_row(floors, budget, grid.bin_width))
+    return np.array(_water_fill_row(floors, float(budget), grid.bin_width))
 
 
 def generate_multipath_channels(

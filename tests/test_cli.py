@@ -283,6 +283,32 @@ def test_overflowing_weights_are_a_numerical_failure(tmp_path, scenario_dir, cap
     assert out == "" and list((tmp_path / "out").iterdir()) == []
 
 
+def test_overflowing_ce_weights_are_a_numerical_failure(tmp_path, scenario_dir, capsys):
+    # at weights (1e308, 1e308) contention's weighted utilities overflow,
+    # which used to send NaN costs into the simplex until its pivot cap
+    doc = json.loads((scenario_dir / "contention.json").read_text(encoding="utf-8"))
+    doc["ce"]["weights"] = [1e308, 1e308]
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "ce", "optimize", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "numerical failure: CE objective for weights (1e+308, 1e+308) is not finite\n"
+    assert out == "" and list((tmp_path / "out").iterdir()) == []
+
+
+def test_waterfill_failure_shows_no_numpy_repr(tmp_path, scenario_dir, capsys):
+    # bins 5e299 wide leave the fill of a budget of 10 nothing to spend
+    doc = json.loads((scenario_dir / "fig6.json").read_text(encoding="utf-8"))
+    doc["grid"]["band"] = 1e300
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "waterfill", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: water-filling failed: spent 0.0 of 10.0\n"
+
+
 @pytest.mark.parametrize("command", ["pareto", "region", "stackelberg"])
 def test_overflowing_power_step_is_a_numerical_failure(tmp_path, capsys, command):
     # bins 8.5e307 wide: levels * df overflows, which used to zero every power
@@ -586,7 +612,7 @@ def test_factored_trace_matches_plain_rows(data, counts, rounds, seed, fmt):
     pool = rng.integers(0, counts, size=(data.draw(st.integers(1, 6)), n))
     actions = pool[rng.integers(0, len(pool), size=rounds)] if seed % 2 else rng.integers(0, counts, size=(rounds, n))
     trace = LearningTrace(game, actions)
-    header, records, codes = _trace_table(trace)
+    _, header, records, codes = _trace_table(trace)
     assert len(records) == len(np.unique(actions, axis=0)) and len(codes) == rounds
     with tempfile.TemporaryDirectory() as tmp:
         new = _emit(Path(tmp) / "new", "trace", fmt, header, records, codes)
@@ -644,11 +670,11 @@ def test_every_subcommand_is_dispatched_from_the_parser(monkeypatch):
         assert callable(args.run), argv
         runs[" ".join(argv)] = args.run
     assert len(runs) == 11 and len(set(runs.values())) == 10  # ce check and optimize share one
-    monkeypatch.setattr(cli, "_cmd_ce_check", lambda doc, args, out_dir: "check")
-    monkeypatch.setattr(cli, "_cmd_ce_optimize", lambda doc, args, out_dir: "optimize")
+    monkeypatch.setattr(cli, "_cmd_ce_check", lambda doc, args: "check")
+    monkeypatch.setattr(cli, "_cmd_ce_optimize", lambda doc, args: "optimize")
     for mode in ("check", "optimize"):
         args = _build_parser().parse_args(["ce", mode, "--config", "doc.json"])
-        assert args.run(None, args, None) == mode
+        assert args.run(None, args) == mode
 
 
 def test_fixed_learner_without_action_is_refused_by_every_subcommand(tmp_path, scenario_dir, capsys):
@@ -661,6 +687,50 @@ def test_fixed_learner_without_action_is_refused_by_every_subcommand(tmp_path, s
         assert (code, out) == (1, ""), argv
         assert err == "config error: learners[0].action: a fixed learner needs an action\n", argv
     assert not (tmp_path / "out").exists()
+
+
+# per subcommand: a document it runs on, the record of a table it writes and
+# its flags; learn's distribution table is the second of its two
+WRITTEN = {
+    "waterfill": ("fig6.json", "allocation", ()),
+    "iw": ("fig6.json", "allocation", ()),
+    "stackelberg": ("fig6.json", "allocation", ()),
+    "pareto": ("fig6.json", "region", ()),
+    "region": ("fig6.json", "region", ()),
+    "matrix solve": ("fig6.json", "solution", ()),
+    "ce check": ("contention.json", "solution", ()),
+    "ce optimize": ("contention.json", "distribution", ()),
+    "learn": ("contention.json", "distribution", ("--rounds", "20")),
+    "vok": ("fig6.json", "solution", ()),
+    "ensemble": ("ensemble_default.json", "ensemble", ("--realizations", "2")),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_that_cannot_be_written_leaves_stdout_empty(tmp_path, scenario_dir, capsys, fmt):
+    argvs = list(subcommand_argvs())
+    assert sorted(" ".join(argv) for argv in argvs) == sorted(WRITTEN)
+    for argv in argvs:
+        config, record, extra = WRITTEN[" ".join(argv)]
+        out_dir = tmp_path / "-".join(argv)
+        (out_dir / f"{record}.{fmt}").mkdir(parents=True)
+        code, out, err = run(capsys, *argv, *extra, "--config", str(scenario_dir / config),
+                             "--out", str(out_dir), "--format", fmt)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"config error: --out: cannot write {out_dir / record}.{fmt}: "), argv
+        assert err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("fmt, table", [("csv", b"method,param1,param2,R_1,R_2\n"), ("json", b"[]\n")])
+def test_pareto_without_weights_prints_nothing(tmp_path, scenario_dir, capsys, fmt, table):
+    doc = json.loads((scenario_dir / "fig6.json").read_text(encoding="utf-8"))
+    doc["sweeps"]["weights"] = []
+    config = tmp_path / "none.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "pareto", "--config", str(config), "--out", str(tmp_path / "out"),
+                         "--format", fmt)
+    assert (code, out, err) == (0, "", "")
+    assert read(tmp_path / "out" / f"region.{fmt}") == table
 
 
 def test_cached_parser_gives_fresh_results(tmp_path, scenario_dir, capsys):
@@ -915,6 +985,49 @@ def test_power_game_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case
     assert digests == POWER_PINS[case, fmt]
 
 
+# sha256 of the matrix solve and ce check outputs and stdout, captured while
+# each subcommand still wrote its own table and printed its own lines.
+SOLUTION_PINS = {
+    ("matrix-contention", "csv"): {
+        "solution.csv": "ac4d7053933fbc819c915a2b70968336b8df39497d9db3276860951f3f64399d",
+        "stdout": "0c352383c2ae4ed3b3e1e612179ac7f8b255f96e8e4aed4b6592f80b544a045b",
+    },
+    ("matrix-contention", "json"): {
+        "solution.json": "00d45d13646fd73268a0a41a2d157b7787b4c7f37dfe15c282117bd1e55acc7f",
+        "stdout": "0c352383c2ae4ed3b3e1e612179ac7f8b255f96e8e4aed4b6592f80b544a045b",
+    },
+    ("matrix-fig6", "csv"): {
+        "solution.csv": "92d42f7399c1f75f5ac27bf15db3beed8527034547994d9080c3728f9977b5d1",
+        "stdout": "c358bb25353db231c3063a888b5c7fdb2b64a298aee9b810703638870cbd1591",
+    },
+    ("matrix-fig6", "json"): {
+        "solution.json": "084162a2838fa5fbfd49504b3466ad0ccfe25c0dc8507cb8069634a3142b4690",
+        "stdout": "c358bb25353db231c3063a888b5c7fdb2b64a298aee9b810703638870cbd1591",
+    },
+    ("ce-check", "csv"): {
+        "solution.csv": "d5027dcbd9a954f7e28409bda8f2f1407592995ab2c6b1479a84423b928fe7b2",
+        "stdout": "3c2747161282f6231604b62e285c16b4e36bfc1a1281764956cab4b97520d5da",
+    },
+    ("ce-check", "json"): {
+        "solution.json": "fcb4a8c63acda49051a0c398f184032fd6498850f8b13176eb20072e3cd2597e",
+        "stdout": "3c2747161282f6231604b62e285c16b4e36bfc1a1281764956cab4b97520d5da",
+    },
+}
+SOLUTION_CASES = {
+    "matrix-contention": ("contention.json", ("matrix", "solve")),
+    "matrix-fig6": ("fig6.json", ("matrix", "solve")),
+    "ce-check": ("contention.json", ("ce", "check")),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(SOLUTION_CASES))
+def test_solution_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case, fmt):
+    config, command = SOLUTION_CASES[case]
+    digests = output_digests(tmp_path, scenario_dir, capsys, command, config, (), fmt)
+    assert digests == SOLUTION_PINS[case, fmt]
+
+
 @pytest.mark.parametrize(
     "config, edits, argv, field",
     [
@@ -925,6 +1038,7 @@ def test_power_game_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case
         ("contention.json", [(("learners", 0), {"kind": "fixed"})], ("learn",),
          "learners[0].action"),
         ("contention.json", [(("start_profile",), [0, 7])], ("vok",), "start_profile[1]"),
+        ("fig6.json", [(("actions",), DROP), (("start_profile",), [5, 9])], ("vok",), "start_profile"),
         ("contention.json", [(("knowledge",), ["heterogeneous_leader"] * 2)], ("vok",),
          "knowledge"),
         ("contention.json", [], ("vok", "--profile", "priv"), "--profile"),

@@ -42,6 +42,12 @@ def test_vok_no_pure_nash_reported():
         sg.value_of_knowledge(pennies, sg.KnowledgeProfile(("private", "private")))
 
 
+def test_vok_refuses_a_start_profile_on_a_power_scenario(two_channel):
+    # a start profile indexes finite actions; a power scenario has none
+    with pytest.raises(ValueError, match="^start_profile"):
+        sg.value_of_knowledge(two_channel, sg.KnowledgeProfile(("private", "private")), start_profile=(0, 0))
+
+
 def test_vok_continuous_matches_solvers(two_channel):
     nash = sg.iterative_water_filling(two_channel.channels, two_channel.noise,
                                       two_channel.budgets, two_channel.grid)

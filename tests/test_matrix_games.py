@@ -340,6 +340,14 @@ def test_optimize_ce_refuses_non_finite_weights(contention, weights):
         sg.optimize_ce(contention, weights=weights)
 
 
+def test_optimize_ce_refuses_an_overflowing_objective(contention):
+    # contention's payoffs reach 7, so 1e308 overflows and 1e307 does not
+    with pytest.raises(ArithmeticError, match=r"^CE objective for weights \(1e\+308, 1e\+308\) is not finite$"):
+        sg.optimize_ce(contention, weights=[1e308, 1e308])
+    _, value = sg.optimize_ce(contention, weights=[1e307, 1e307])
+    assert value == pytest.approx(10.5e307)
+
+
 @pytest.mark.parametrize("levels", [2.5, True, "3"])
 def test_discretize_refuses_non_integer_levels(two_channel, levels):
     with pytest.raises(ValueError, match="^levels must be an integer"):

@@ -165,6 +165,15 @@ def test_water_fill_no_usable_spectrum():
         sg.water_fill([0.0, 0.0], [1.0, 1.0], 4.0, grid)
 
 
+def test_water_fill_diagnostic_shows_plain_floats():
+    # a numpy-scalar budget, as a scenario's budget vector hands it over;
+    # bins 5e299 wide leave a budget of 10 nothing to spend
+    grid = sg.FrequencyGrid(2, 1e300)
+    with pytest.raises(ArithmeticError) as info:
+        sg.water_fill([1.0, 1.0], [1.0, 1.0], np.float64(10.0), grid)
+    assert str(info.value) == "water-filling failed: spent 0.0 of 10.0"
+
+
 def test_water_fill_validation():
     grid = sg.FrequencyGrid(2, 2.0)
     with pytest.raises(ValueError):
