@@ -27,7 +27,6 @@ from .experiments import channel_ensemble_study, region_comparison, value_of_kno
 from .learning import empirical_joint_distribution, run_repeated_game, value_of_learning
 from .matrix_games import (
     is_correlated_equilibrium,
-    JointDistribution,
     mixed_nash_2x2,
     optimize_ce,
     pure_nash,
@@ -150,14 +149,6 @@ def _emit(out_dir: Path, base: str, fmt: str, header, rows, codes=None) -> Path:
     return path
 
 
-def _require_two_users(doc, command, path=None):
-    """Reject a document that does not have exactly two users, before any output."""
-    users = doc.user_count()
-    if users != 2:
-        path = path or ("budgets" if doc.kind == "power_game" else "actions")
-        raise ScenarioError(path, f"{command} needs exactly two users, not {users}")
-
-
 # Each `_cmd_*` takes the document and the parsed flags and returns its
 # tables, each `(record, header, rows[, codes])` as `_emit` takes them, and
 # its stdout lines.  `main` writes the tables in order, then prints the lines.
@@ -174,7 +165,7 @@ def _region_table(samples):
     return "region", ("method", "param1", "param2", "R_1", "R_2"), rows
 
 
-def _distribution_table(game, dist: JointDistribution):
+def _distribution_table(game, dist):
     flat = dist.probs.reshape(-1)
     rows = [(game.label(profile), float(flat[i])) for i, profile in enumerate(game.profiles())]
     return "distribution", ("profile", "prob"), rows
@@ -209,7 +200,7 @@ def _cmd_iw(doc, args):
 
 def _cmd_stackelberg(doc, args):
     scen = doc.power_scenario()
-    _require_two_users(doc, "stackelberg")
+    doc._require_two_users("stackelberg")
     if args.leader not in (1, 2):
         raise ScenarioError("--leader", "leader must be in 1..2")
     if args.levels < 2:
@@ -228,10 +219,8 @@ def _cmd_stackelberg(doc, args):
 
 def _cmd_pareto(doc, args):
     scen = doc.power_scenario()
-    _require_two_users(doc, "pareto")
-    sweeps = doc.sweeps()
-    weights = sweeps.get("weights", [[1.0, 1.0]])
-    levels = sweeps.get("levels", 10)
+    doc._require_two_users("pareto")
+    _, weights, levels = doc.sweep()
     samples = pareto_sweep(weights, scen.channels, scen.noise, scen.budgets, scen.grid, levels=levels)
     return [_region_table(samples)], [
         f"weights={s.params} rates=({_fmt(s.rates[0])}, {_fmt(s.rates[1])})" for s in samples
@@ -240,11 +229,8 @@ def _cmd_pareto(doc, args):
 
 def _cmd_region(doc, args):
     scen = doc.power_scenario()
-    _require_two_users(doc, "region")
-    sweeps = doc.sweeps()
-    budget_pairs = sweeps.get("budget_pairs", [list(scen.budgets.budget)])
-    weights = sweeps.get("weights", [[1.0, 1.0]])
-    levels = sweeps.get("levels", 10)
+    doc._require_two_users("region")
+    budget_pairs, weights, levels = doc.sweep()
     if levels < 2:
         raise ScenarioError("sweeps.levels", "region's leader search needs at least 2 levels")
     table = region_comparison(scen, budget_pairs, weights, levels=levels)
@@ -252,7 +238,7 @@ def _cmd_region(doc, args):
 
 
 def _cmd_matrix_solve(doc, args):
-    _require_two_users(doc, "matrix solve")
+    doc._require_two_users("matrix solve")
     game = doc.finite_game()
     rows, lines = [], []
     nash_profiles = pure_nash(game)
@@ -292,16 +278,7 @@ def _cmd_ce_check(doc, args):
     if not 0 <= args.tol < math.inf:
         raise ScenarioError("--tol", "must be finite and nonnegative")
     game = doc.finite_game()
-    section = doc.ce_section()
-    if "distribution" not in section:
-        raise ScenarioError("ce.distribution", "ce check needs a distribution in the config")
-    flat = np.asarray(section["distribution"], dtype=float)
-    if flat.size != int(np.prod(game.action_counts)):
-        raise ScenarioError("ce.distribution", f"expected {int(np.prod(game.action_counts))} entries")
-    try:
-        dist = JointDistribution.from_flat(flat, game.action_counts)
-    except ValueError as exc:
-        raise ScenarioError("ce.distribution", str(exc))
+    dist = doc.ce_distribution(game)
     ok, violation = is_correlated_equilibrium(game, dist, tol=args.tol)
     values = [float(v) for v in dist.expected_utilities(game)]
     header = ("record", "detail") + tuple(f"value_{p + 1}" for p in range(game.player_count))
@@ -315,7 +292,7 @@ def _cmd_ce_check(doc, args):
 
 def _cmd_ce_optimize(doc, args):
     game = doc.finite_game()
-    dist, value = optimize_ce(game, doc.ce_section().get("weights"))
+    dist, value = optimize_ce(game, doc.ce_weights())
     return [_distribution_table(game, dist)], [f"optimal CE value {_fmt(value)}"]
 
 
@@ -358,29 +335,14 @@ def _cmd_learn(doc, args):
 
 
 def _cmd_vok(doc, args):
+    levels = None
     if args.profile is not None:
         tokens = [t.strip() for t in args.profile.split(",")]
         try:
             levels = [PROFILE_TOKENS[t] for t in tokens]
         except KeyError as exc:
             raise ScenarioError("--profile", f"unknown knowledge token {exc.args[0]!r}")
-        profile = doc.knowledge_profile(levels)
-    else:
-        profile = doc.knowledge_profile()
-    start = doc.start_profile()
-    if doc.kind == "matrix_game" or "actions" in doc.raw:
-        if profile.leader is not None:
-            path = "knowledge" if args.profile is None else "--profile"
-            _require_two_users(doc, "vok with a leader", path)
-        scenario = doc.finite_game()
-        for n, (a, count) in enumerate(zip(start or (), scenario.action_counts)):
-            if a >= count:
-                raise ScenarioError(f"start_profile[{n}]", f"must be below the player's action count {count}")
-    else:
-        scenario = doc.power_scenario()
-        _require_two_users(doc, "vok on a power game")
-        if start is not None:
-            raise ScenarioError("start_profile", "vok on a power game has no actions to start from")
+    scenario, profile, start = doc.vok_inputs(levels)
     utilities = value_of_knowledge(scenario, profile, start_profile=start)
     rows = [(n + 1, profile.levels[n], float(u)) for n, u in enumerate(utilities)]
     return [("solution", ("user", "knowledge", "utility"), rows)], [
@@ -389,26 +351,7 @@ def _cmd_vok(doc, args):
 
 
 def _cmd_ensemble(doc, args):
-    scen = doc.power_scenario()
-    _require_two_users(doc, "ensemble")
-    section = doc.ensemble_section()
-    if args.realizations is not None and args.realizations < 1:
-        raise ScenarioError("--realizations", "must be at least 1")
-    realizations = args.realizations if args.realizations is not None else section.get("realizations")
-    if realizations is None:
-        raise ScenarioError("ensemble.realizations", "ensemble needs a realization count")
-    channels = doc.raw["channels"]
-    if "gains" in channels:
-        raise ScenarioError("channels.gains", "the ensemble draws its own channels; give seed and taps")
-    if isinstance(doc.raw["noise"], list):
-        raise ScenarioError("noise", "the ensemble needs one scalar noise level")
-    report = channel_ensemble_study(
-        int(realizations), args.seed, scen.grid, scen.budgets,
-        tap_count=section.get("taps", channels["taps"]),
-        noise_level=float(scen.noise.psd[0, 0]),
-        direct_power=float(channels.get("direct_power", 1.0)),
-        cross_power=float(channels.get("cross_power", 0.5)),
-    )
+    report = channel_ensemble_study(seed=args.seed, **doc.ensemble_inputs(args.realizations))
     rows = [
         (i, float(report.ratios[i, 0]), float(report.ratios[i, 1]))
         for i in range(report.realizations)
@@ -472,7 +415,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ScenarioError("--config", f"cannot read {args.config}: {exc.strerror}") from exc
         if args.seed is None:
-            args.seed = doc.seed(default=0)
+            args.seed = doc.seed()
         if args.seed < 0:
             raise ScenarioError("--seed", "seed must be nonnegative")
         out_dir = Path(args.out)

@@ -20,7 +20,7 @@ import numpy as np
 from . import simplex
 from .errors import DegenerateGameError, NoPureNashError, OracleScaleError
 from .power_games import _budget_splits, _check_scale, _level_step
-from .spectrum import PowerScenario, _check_leader, _integer, _rates, two_channel_scenario
+from .spectrum import PowerScenario, _check_leader, _finite_array, _integer, _rates, two_channel_scenario
 
 __all__ = [
     "NormalFormGame",
@@ -102,10 +102,9 @@ class MixedStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("mixed strategy must be a finite probability vector summing to 1")
-        p.setflags(write=False)
+        p = _finite_array(self.probs, "mixed strategy", 1)
+        if abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError("mixed strategy must sum to 1")
         object.__setattr__(self, "probs", p)
 
 
@@ -116,10 +115,9 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("joint distribution must be finite, nonnegative and sum to 1")
-        p.setflags(write=False)
+        p = _finite_array(self.probs, "joint distribution")
+        if abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError("joint distribution must sum to 1")
         object.__setattr__(self, "probs", p)
 
     @classmethod

@@ -35,6 +35,7 @@ from .spectrum import (
     PowerBudget,
     _check_agreement,
     _check_leader,
+    _finite_array,
     _integer,
     _rate_of,
     _rates,
@@ -364,11 +365,9 @@ def follower_response_rates(
     joint allocation).
     """
     _check_inputs(ch, noise, budgets, grid, leader=leader)
-    rows = np.asarray(leader_alloc, dtype=float)[None]
+    rows = _finite_array(leader_alloc, "leader_alloc", 1)[None]
     if rows.shape != (1, ch.bin_count):
         raise ValueError(f"leader_alloc must hold {ch.bin_count} entries, not shape {rows.shape[1:]}")
-    if not (np.isfinite(rows).all() and (rows >= 0.0).all()):
-        raise ValueError(f"leader_alloc entries must be finite and >= 0, not {rows[0].tolist()!r}")
     [reply], [rate] = _leader_rates(leader, *_priced(leader, rows, ch, noise), ch, noise, budgets, grid)
     return reply, _pair_rates(leader, rows[0], reply, rate, ch, noise, grid)
 

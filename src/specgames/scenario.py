@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ScenarioError
 from .experiments import KNOWLEDGE_LEVELS, KnowledgeProfile
 from .learning import LEARNER_KINDS, make_learner
-from .matrix_games import NormalFormGame, concentrate_spread_game, discretize_power_game
+from .matrix_games import JointDistribution, NormalFormGame, concentrate_spread_game, discretize_power_game
 from .spectrum import (
     ChannelSet,
     FrequencyGrid,
@@ -103,7 +103,7 @@ def _expect_list(value, path, length=None):
 
 @dataclass(frozen=True, eq=False)
 class ScenarioDocument:
-    """A validated scenario; accessors build the domain objects on demand."""
+    """A validated scenario, read only through accessors that fill in its defaults."""
 
     raw: dict
 
@@ -114,14 +114,13 @@ class ScenarioDocument:
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)
 
-    def seed(self, default: int = 0) -> int:
-        return int(self.raw.get("seed", default))
+    def seed(self) -> int:
+        return self.raw.get("seed", 0)
 
-    def rounds(self, default: int | None = None) -> int:
-        value = self.raw.get("rounds", default)
-        if value is None:
+    def rounds(self) -> int:
+        if "rounds" not in self.raw:
             _fail("rounds", "this command needs a round count (config key or --rounds)")
-        return int(value)
+        return self.raw["rounds"]
 
     def user_count(self) -> int:
         if self.kind == "power_game":
@@ -132,32 +131,35 @@ class ScenarioDocument:
         outputs = self.raw.get("outputs", {})
         return outputs.get(record, DEFAULT_OUTPUTS[record])
 
+    def _require_two_users(self, command, path=None):
+        """Reject a document that does not have exactly two users, before any output."""
+        users = self.user_count()
+        if users != 2:
+            path = path or ("budgets" if self.kind == "power_game" else "actions")
+            _fail(path, f"{command} needs exactly two users, not {users}")
+
     # -- power-game accessors -------------------------------------------------
 
-    def grid(self) -> FrequencyGrid:
+    def _drawn_channels(self, taps=None) -> dict:
+        """Generated channels' tap count (`taps`, else `channels.taps`) and link powers."""
+        spec = self.raw["channels"]
+        return dict(tap_count=spec["taps"] if taps is None else taps,
+                    direct_power=float(spec.get("direct_power", 1.0)), cross_power=float(spec.get("cross_power", 0.5)))
+
+    def power_scenario(self) -> PowerScenario:
         if self.kind != "power_game":
             _fail("kind", "this command needs a power_game scenario")
         g = self.raw["grid"]
         try:
-            return FrequencyGrid(bin_count=g["bins"], total_band=float(g["band"]))
+            grid = FrequencyGrid(bin_count=g["bins"], total_band=float(g["band"]))
         except ValueError as exc:  # a subnormal band loses its width to rounding
             _fail("grid.band", str(exc))
-
-    def power_scenario(self) -> PowerScenario:
-        grid = self.grid()
         users = self.user_count()
         spec = self.raw["channels"]
         if "gains" in spec:
             channels = ChannelSet(np.asarray(spec["gains"], dtype=float))
         else:
-            channels = generate_multipath_channels(
-                spec["seed"],
-                grid,
-                spec["taps"],
-                user_count=users,
-                direct_power=float(spec.get("direct_power", 1.0)),
-                cross_power=float(spec.get("cross_power", 0.5)),
-            )
+            channels = generate_multipath_channels(spec["seed"], grid, user_count=users, **self._drawn_channels())
         noise_psd = np.asarray(self.raw["noise"], dtype=float)  # a scalar is flat over users and bins
         noise = NoiseProfile(np.broadcast_to(noise_psd, (users, grid.bin_count)))
         budgets = PowerBudget(np.asarray(self.raw["budgets"], dtype=float))
@@ -171,6 +173,29 @@ class ScenarioDocument:
         if not snr[n, k] <= MAX_PEAK_SNR:
             _fail(f"budgets[{n}]", f"peak SNR {snr[n, k]:.3g} in bin {k + 1} is over {MAX_PEAK_SNR:.0e}")
         return scen
+
+    def sweep(self) -> tuple:
+        """`(budget_pairs, weights, levels)`: by default the budgets, equal weights and 10 levels."""
+        sweeps = self.raw.get("sweeps", {})
+        budget_pairs = sweeps.get("budget_pairs", [self.raw["budgets"]])
+        return budget_pairs, sweeps.get("weights", [[1.0, 1.0]]), sweeps.get("levels", 10)
+
+    def ensemble_inputs(self, realizations=None) -> dict:
+        """`channel_ensemble_study`'s arguments but its seed; `realizations` is `--realizations`."""
+        scen = self.power_scenario()
+        self._require_two_users("ensemble")
+        if realizations is not None and realizations < 1:
+            _fail("--realizations", "must be at least 1")
+        ensemble = self.raw.get("ensemble", {})
+        realizations = ensemble.get("realizations") if realizations is None else realizations
+        if realizations is None:
+            _fail("ensemble.realizations", "ensemble needs a realization count")
+        if "gains" in self.raw["channels"]:
+            _fail("channels.gains", "the ensemble draws its own channels; give seed and taps")
+        if isinstance(self.raw["noise"], list):
+            _fail("noise", "the ensemble needs one scalar noise level")
+        return dict(realizations=realizations, grid=scen.grid, budgets=scen.budgets,
+                    noise_level=float(scen.noise.psd[0, 0]), **self._drawn_channels(ensemble.get("taps")))
 
     # -- finite-game accessors ------------------------------------------------
 
@@ -190,11 +215,10 @@ class ScenarioDocument:
         return discretize_power_game(scen, levels=actions.get("levels", 10))
 
     def learners(self, game: NormalFormGame) -> list:
+        """One learner per player; loading pins their count to the user count."""
         spec = self.raw.get("learners")
         if spec is None:
             _fail("learners", "this command needs learner assignments")
-        if len(spec) != game.player_count:
-            _fail("learners", f"expected one learner per player ({game.player_count})")
         out = []
         for p, entry in enumerate(spec):
             count = game.action_counts[p]
@@ -205,30 +229,53 @@ class ScenarioDocument:
             out.append(make_learner(entry["kind"], game, p, **options))
         return out
 
-    def knowledge_profile(self, override=None) -> KnowledgeProfile:
-        levels = override if override is not None else self.raw.get("knowledge")
+    def ce_weights(self):
+        """`ce.weights`, or None for equal weights."""
+        return self.raw.get("ce", {}).get("weights")
+
+    def ce_distribution(self, game: NormalFormGame) -> JointDistribution:
+        """`ce.distribution`, a joint distribution over the game's profiles."""
+        flat = self.raw.get("ce", {}).get("distribution")
+        if flat is None:
+            _fail("ce.distribution", "ce check needs a distribution in the config")
+        size = int(np.prod(game.action_counts))
+        if len(flat) != size:
+            _fail("ce.distribution", f"expected {size} entries")
+        try:
+            return JointDistribution.from_flat(flat, game.action_counts)
+        except ValueError as exc:
+            _fail("ce.distribution", str(exc))
+
+    def vok_inputs(self, levels=None) -> tuple:
+        """What `vok` prices: `(scenario, knowledge profile, start profile)`; `levels` is `--profile`.
+
+        `start_profile` is read on a finite game and refused on a power game without `actions`.
+        """
+        path = "knowledge" if levels is None else "--profile"
         if levels is None:
-            _fail("knowledge", "this command needs knowledge levels (config key or --profile)")
-        path = "knowledge" if override is None else "--profile"
+            levels = self.raw.get("knowledge")
+            if levels is None:
+                _fail("knowledge", "this command needs knowledge levels (config key or --profile)")
         if len(levels) != self.user_count():
             _fail(path, f"expected one knowledge level per user ({self.user_count()})")
         try:
-            return KnowledgeProfile(tuple(levels))
+            profile = KnowledgeProfile(tuple(levels))
         except ValueError as exc:
             _fail(path, str(exc))
-
-    def start_profile(self):
-        value = self.raw.get("start_profile")
-        return tuple(int(a) for a in value) if value is not None else None
-
-    def sweeps(self) -> dict:
-        return self.raw.get("sweeps", {})
-
-    def ce_section(self) -> dict:
-        return self.raw.get("ce", {})
-
-    def ensemble_section(self) -> dict:
-        return self.raw.get("ensemble", {})
+        start = self.raw.get("start_profile")
+        if self.kind == "matrix_game" or "actions" in self.raw:
+            if profile.leader is not None:
+                self._require_two_users("vok with a leader", path)
+            scenario = self.finite_game()
+            for n, (a, count) in enumerate(zip(start or (), scenario.action_counts)):
+                if a >= count:
+                    _fail(f"start_profile[{n}]", f"must be below the player's action count {count}")
+        else:
+            scenario = self.power_scenario()
+            self._require_two_users("vok on a power game")
+            if start is not None:
+                _fail("start_profile", "vok on a power game has no actions to start from")
+        return scenario, profile, None if start is None else tuple(start)
 
 
 def _validate_power(doc: dict):
@@ -399,14 +446,25 @@ def parse_scenario(doc: dict) -> ScenarioDocument:
     return ScenarioDocument(raw=copy.deepcopy(doc))
 
 
+def _unique_keys(pairs) -> dict:
+    """An object's dict; a key given twice is refused, where JSON would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return obj
+
+
 def load_scenario(path) -> ScenarioDocument:
-    """Load and validate a scenario document from a JSON file."""
+    """Load and validate a scenario document from a UTF-8 JSON file without repeated keys."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ScenarioError(
                 str(path), f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, a repeated key, a too-long integer; too deep
+            raise ScenarioError(str(path), str(exc)) from exc
     _validate(doc)
     return ScenarioDocument(raw=doc)  # nothing else holds the freshly parsed dict

@@ -75,6 +75,22 @@ def _integer(value, name: str, least=None, most=None):
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
+def _finite_array(values, name: str, ndim=None, positive=False) -> np.ndarray:
+    """A read-only float copy of `values` with -0.0 made 0.0 (whose floor is +inf).
+
+    Refuses a copy without `ndim` axes (any count when None), or with an
+    entry that is not finite and >= 0 (> 0 when `positive`).
+    """
+    a = np.array(values, dtype=float)
+    a += 0.0
+    if ndim is not None and a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, not shape {a.shape}")
+    if not np.isfinite(a).all() or (a <= 0.0 if positive else a < 0.0).any():
+        raise ValueError(f"{name} entries must be finite and {'> 0' if positive else '>= 0'}")
+    a.setflags(write=False)
+    return a
+
+
 def _check_leader(leader):
     """Refuse a leader index that is not 0 or 1 (a bool is not)."""
     if isinstance(leader, bool) or not isinstance(leader, (int, np.integer)) or leader not in (0, 1):
@@ -113,12 +129,9 @@ class ChannelSet:
     gain2: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gain2, dtype=float) + 0.0  # -0.0 becomes 0.0, whose floor is +inf
-        if g.ndim != 3 or g.shape[0] != g.shape[1]:
+        g = _finite_array(self.gain2, "gain2", 3)
+        if g.shape[0] != g.shape[1]:
             raise ValueError("gain2 must have shape (N, N, K)")
-        if not np.isfinite(g).all() or (g < 0).any():
-            raise ValueError("gain2 entries must be finite and nonnegative")
-        g.setflags(write=False)
         object.__setattr__(self, "gain2", g)
 
     @property
@@ -137,13 +150,7 @@ class NoiseProfile:
     psd: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.psd, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("noise psd must have shape (N, K)")
-        if not np.isfinite(p).all() or (p <= 0).any():
-            raise ValueError("noise psd entries must be finite and strictly positive")
-        p.setflags(write=False)
-        object.__setattr__(self, "psd", p)
+        object.__setattr__(self, "psd", _finite_array(self.psd, "noise psd", 2, positive=True))
 
     @classmethod
     def flat(cls, level: float, user_count: int, bin_count: int) -> "NoiseProfile":
@@ -157,13 +164,7 @@ class PowerBudget:
     budget: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.budget, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("budget must be a length-N vector")
-        if not np.isfinite(b).all() or (b <= 0).any():
-            raise ValueError("budgets must be finite and strictly positive")
-        b.setflags(write=False)
-        object.__setattr__(self, "budget", b)
+        object.__setattr__(self, "budget", _finite_array(self.budget, "budget", 1, positive=True))
 
     @property
     def user_count(self) -> int:
@@ -177,13 +178,7 @@ class PowerAllocation:
     psd: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.psd, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("allocation psd must have shape (N, K)")
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ValueError("allocation psd entries must be finite and nonnegative")
-        p.setflags(write=False)
-        object.__setattr__(self, "psd", p)
+        object.__setattr__(self, "psd", _finite_array(self.psd, "allocation psd", 2))
 
     def check_budget(self, grid: FrequencyGrid, budgets: PowerBudget) -> None:
         """Raise if any user exceeds its power budget beyond the shared slack."""
@@ -364,14 +359,10 @@ def water_fill(gain, noise_psd, budget: float, grid: FrequencyGrid) -> np.ndarra
     found in closed form from the sorted floors and the level is solved
     exactly on it, so the budget is met to machine precision.
     """
-    gain = np.asarray(gain, dtype=float)
-    noise_psd = np.asarray(noise_psd, dtype=float)
-    if gain.ndim != 1 or gain.shape != noise_psd.shape or gain.shape[0] != grid.bin_count:
+    gain = _finite_array(gain, "gain", 1)
+    noise_psd = _finite_array(noise_psd, "noise_psd", 1, positive=True)
+    if gain.shape != noise_psd.shape or gain.shape[0] != grid.bin_count:
         raise ValueError("gain and noise_psd must be length-K vectors matching the grid")
-    if not np.all(np.isfinite(gain)) or np.any(gain < 0):
-        raise ValueError("gains must be finite and nonnegative")
-    if not np.all(np.isfinite(noise_psd)) or np.any(noise_psd <= 0):
-        raise ValueError("noise floor must be finite and strictly positive")
     if not np.isfinite(budget) or budget <= 0:
         raise ValueError("budget must be a positive real")
     floors = [s / g if g > 0.0 else inf for s, g in zip(noise_psd.tolist(), gain.tolist())]

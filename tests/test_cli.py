@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 
 from specgames import cli
 from specgames.cli import _BLOCK, _build_parser, _emit, _trace_table, main
+from specgames.errors import ScenarioError
 from specgames.experiments import KNOWLEDGE_LEVELS
 from specgames.learning import LearningTrace
 from specgames.matrix_games import NormalFormGame
+from specgames.scenario import load_scenario
 
 from test_acceptance import CLI_CASES
 from test_experiments import unsettled_scenario
@@ -152,6 +155,40 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "iw", "--config", str(bad))
     assert code == 1
     assert "line" in err
+
+
+RAW_DOCUMENTS = {
+    "utf-16": (lambda text: text.encode("utf-16"), "'utf-8' codec can't decode byte 0xff"),
+    "deep-array": (lambda text: b"[" * 100_000, "maximum recursion depth exceeded"),
+    "repeated-top-key": (lambda text: text.replace('"noise": 1.0', '"noise": 1.0, "noise": 2.0').encode(),
+                         "repeated key 'noise'"),
+    "repeated-nested-key": (lambda text: text.replace('"bins": 2', '"bins": 2, "bins": 3').encode(),
+                            "repeated key 'bins'"),
+    "utf-8-bom": (lambda text: b"\xef\xbb\xbf" + text.encode(), "Unexpected UTF-8 BOM"),
+    "long-integer": (lambda text: text.replace('"seed": 7', '"seed": ' + "1" * 5000).encode(),
+                     "integer string conversion"),
+}
+
+
+@pytest.mark.parametrize("case", list(RAW_DOCUMENTS))
+def test_unreadable_document_bytes_are_a_config_error(tmp_path, scenario_dir, capsys, case):
+    make, reason = RAW_DOCUMENTS[case]
+    text = (scenario_dir / "fig6.json").read_text(encoding="utf-8")
+    assert text.count('"noise": 1.0') == text.count('"bins": 2') == text.count('"seed": 7') == 1
+    cfg = tmp_path / "raw.json"
+    cfg.write_bytes(make(text))
+    with pytest.raises(ScenarioError, match=re.escape(reason)):
+        load_scenario(cfg)
+    code, out, err = run(capsys, "iw", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {cfg}: ") and err.count("\n") == 1, err
+    assert reason in err
+
+
+def test_cli_reads_the_document_only_through_its_accessors():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert re.findall(r"\.(?:raw|kind)\b", source) == []
 
 
 def test_unknown_field_exit_code(tmp_path, scenario_dir, capsys):

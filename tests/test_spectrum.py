@@ -32,17 +32,48 @@ def test_grid_invariants():
         sg.FrequencyGrid(4, -1.0)
 
 
-def test_type_validation():
+def _variant(valid, case):
+    """`valid` with one axis too many, or with its first entry replaced; a finite
+    replacement moves the difference onto the second entry, so a probability
+    vector still sums to 1."""
+    a = np.array(valid, dtype=float)
+    if case == "axes":
+        return a[None]
+    value = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -a.flat[0], "zero": 0.0}[case]
+    if np.isfinite(value):
+        a.flat[1] += a.flat[0] - value
+    a.flat[0] = value
+    return a
+
+
+def test_type_validation(two_channel):
+    grid = sg.FrequencyGrid(2, 2.0)
+    ch, noise, budgets = two_channel.channels, two_channel.noise, two_channel.budgets
+    # site -> (call on the array, a valid array, entries must be > 0, the axis count is checked)
+    sites = {
+        "ChannelSet": (sg.ChannelSet, np.ones((2, 2, 2)), False, True),
+        "NoiseProfile": (sg.NoiseProfile, np.ones((2, 2)), True, True),
+        "PowerBudget": (sg.PowerBudget, np.ones(2), True, True),
+        "PowerAllocation": (sg.PowerAllocation, np.ones((2, 2)), False, True),
+        "water_fill gain": (lambda a: sg.water_fill(a, [1.0, 1.0], 4.0, grid), np.ones(2), False, True),
+        "water_fill noise": (lambda a: sg.water_fill([1.0, 1.0], a, 4.0, grid), np.ones(2), True, True),
+        "follower_response_rates": (
+            lambda a: sg.follower_response_rates(0, a, ch, noise, budgets, grid), np.ones(2), False, True),
+        "MixedStrategy": (sg.MixedStrategy, np.full(2, 0.5), False, True),
+        "JointDistribution": (sg.JointDistribution, np.full((2, 2), 0.25), False, False),
+    }
+    for site, (call, valid, positive, axes) in sites.items():
+        call(valid)
+        for case in ("nan", "inf", "-inf", "negative", "zero", "axes"):
+            try:
+                call(_variant(valid, case))
+                refused = False
+            except ValueError:
+                refused = True
+            assert refused == {"zero": positive, "axes": axes}.get(case, True), (site, case)
     with pytest.raises(ValueError):
         sg.ChannelSet(np.ones((2, 3, 4)))
-    with pytest.raises(ValueError):
-        sg.ChannelSet(-np.ones((2, 2, 4)))
-    with pytest.raises(ValueError):
-        sg.NoiseProfile(np.zeros((1, 4)))
-    with pytest.raises(ValueError):
-        sg.PowerBudget(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        sg.PowerAllocation(-np.ones((1, 4)))
+    assert not np.signbit(sg.ChannelSet(-np.zeros((2, 2, 4))).gain2).any()
 
 
 def test_arrays_are_frozen(two_channel):
