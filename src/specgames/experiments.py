@@ -23,7 +23,7 @@ from .power_games import (
     stackelberg_leader_search,
 )
 from .spectrum import (
-    FrequencyGrid, NoiseProfile, PowerBudget, PowerScenario, _integer, generate_multipath_channels,
+    FrequencyGrid, NoiseProfile, PowerBudget, PowerScenario, _allocated, _integer, generate_multipath_channels,
 )
 
 __all__ = [
@@ -150,7 +150,7 @@ def channel_ensemble_study(
     _integer(realizations, "realizations", 1)
     _integer(seed, "seed", 0)
     noise = NoiseProfile.flat(noise_level, 2, grid.bin_count)
-    ratios = np.zeros((realizations, 2))
+    ratios = _allocated(np.zeros, (realizations, 2))
     collected = 0
     attempt = 0
     skipped = 0

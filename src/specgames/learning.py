@@ -58,7 +58,7 @@ from operator import add, itemgetter
 import numpy as np
 
 from .matrix_games import JointDistribution, NormalFormGame, _own_payoffs
-from .spectrum import _integer
+from .spectrum import _allocated, _integer
 
 __all__ = [
     "LEARNER_KINDS",
@@ -276,7 +276,7 @@ def run_repeated_game(
         advances = [advance for advance in advances if advance is not None]
     widest = max(1, _FAST_ENTRIES // (max(game.action_counts) + 1))
 
-    actions = np.empty((rounds, n), dtype=int)
+    actions = _allocated(np.empty, (rounds, n), dtype=int)
     previous, window = None, _FIRST_WINDOW
     for start in range(0, rounds, _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, rounds)

@@ -280,29 +280,26 @@ def iterative_water_filling(
     return IwResult(PowerAllocation(psd), rates, sweeps, converged, residual, fixed_point_gap)
 
 
-def _priced(leader, rows, ch, noise):
-    """The leader's received power p g_LL and the follower's floors sigma_F + p g_LF, as `_rates` forms them."""
-    return rows * ch.gain2[leader, leader], noise.psd[1 - leader] + rows * ch.gain2[leader, 1 - leader]
-
-
-def _leader_rates(leader, received, floors, ch, noise, budgets, grid):
-    """Follower water-fill replies to a block of leader rows (B, K) as `_priced` gives them, and the leader's rates."""
+def _leader_rates(leader, rows, ch, noise, budgets, grid):
+    """Follower water-fill replies to leader rows p (B, K), and the leader's rates, formed as `_rates` forms them."""
     follower = 1 - leader
+    floors = noise.psd[follower] + rows * ch.gain2[leader, follower]
     replies = _water_fill_rows(ch.gain2[follower, follower], floors, budgets.budget[follower], grid.bin_width)
+    received = rows * ch.gain2[leader, leader]
     return replies, _rate_of(received, noise.psd[leader] + replies * ch.gain2[follower, leader], grid.bin_width)
 
 
-def _leader_bounds(leader, received, floors, ch, noise, budgets, grid):
-    """Per-bin bounds of the leader's log2 rate terms over `_priced` tables (rows, K).
+def _leader_bounds(leader, rows, ch, noise, budgets, grid):
+    """Per-bin bounds of the leader's log2 rate terms for leader rows p (R, K), formed as `_leader_rates` forms them.
 
     The follower spends its whole budget, and its floors F_k = floors / g_FF
     only rise with the leader's power, so its water level against any leader
     row is at least mu0, its level against a silent leader, and its power in
-    bin k at least [mu0 - F_k]^+.  The leader's term log2(1 + received /
+    bin k at least [mu0 - F_k]^+.  The leader's term log2(1 + p g_LL /
     (sigma_L + P_F g_FL)) is then at most its value at that power.
     """
     follower, bins = 1 - leader, grid.bin_count
-    gain = ch.gain2[follower, follower]
+    gain, floors = ch.gain2[follower, follower], noise.psd[follower] + rows * ch.gain2[leader, follower]
     silent = [s / g if g > 0.0 else inf for s, g in zip(noise.psd[follower].tolist(), gain.tolist())]
     filled = _water_fill_row(silent, float(budgets.budget[follower]), grid.bin_width)
     mu0 = max(p + f for p, f in zip(filled, silent) if p > 0.0)
@@ -323,7 +320,7 @@ def _leader_bounds(leader, received, floors, ch, noise, budgets, grid):
     mu = mu0 * (1.0 - 2 * (bins + 5) * (bins + 1) * 2.0**-53)
     with np.errstate(divide="ignore", over="ignore"):
         power = np.maximum(mu - floors / gain, 0.0)
-    return np.log2(1.0 + received / (noise.psd[leader] + power * ch.gain2[follower, leader]))
+    return np.log2(1.0 + rows * ch.gain2[leader, leader] / (noise.psd[leader] + power * ch.gain2[follower, leader]))
 
 
 def _leader_floor(rate, bins, df):
@@ -368,7 +365,7 @@ def follower_response_rates(
     rows = _finite_array(leader_alloc, "leader_alloc", 1)[None]
     if rows.shape != (1, ch.bin_count):
         raise ValueError(f"leader_alloc must hold {ch.bin_count} entries, not shape {rows.shape[1:]}")
-    [reply], [rate] = _leader_rates(leader, *_priced(leader, rows, ch, noise), ch, noise, budgets, grid)
+    [reply], [rate] = _leader_rates(leader, rows, ch, noise, budgets, grid)
     return reply, _pair_rates(leader, rows[0], reply, rate, ch, noise, grid)
 
 
@@ -456,8 +453,8 @@ def stackelberg_leader_search(
     moves that tie.  The leader's rate is reported as its row was ranked by,
     and the follower's is priced once, against the returned row; a row's
     rate does not depend on the batch it is priced in, so the pair is the
-    rate kernel's (`_rates`) on the returned allocations.  Grid rows are
-    gathered from per-bin tables of every level.  A search over
+    rate kernel's (`_rates`) on the returned allocations.  A grid row is its
+    split's levels times the step.  A search over
     MAX_ORACLE_EVALUATIONS candidates is refused with OracleScaleError, and
     a step that is not positive and finite with ArithmeticError.  The Nash
     point is iterative water-filling at its default settings; leader must be
@@ -473,16 +470,13 @@ def stackelberg_leader_search(
     evaluated = passes = 0
 
     if bins <= 4:
-        # per-bin tables of every level, with the Nash row as level levels + 1;
-        # a row's entries sit at the flat indices level * bins + bin
+        # one row per level, with the Nash row as level levels + 1
         splits = _budget_splits(levels, bins)
         psd = np.repeat(np.arange(levels + 2)[:, None] * step, bins, axis=1)
         psd[-1] = ne_row
-        tables = _priced(leader, psd, ch, noise)
-        columns = np.arange(bins)
         # bounds[1 + i] sums split i's bin terms in bin order; the Nash row,
         # bounds[0], is never ruled out
-        terms = _leader_bounds(leader, *tables, ch, noise, budgets, grid)
+        terms = _leader_bounds(leader, psd, ch, noise, budgets, grid)
         bounds = np.empty(len(splits) + 1)
         bounds[0] = inf
         for s in range(0, len(splits), BLOCK_SIZE):
@@ -500,9 +494,9 @@ def stackelberg_leader_search(
                 part = np.flatnonzero(marked[s:s + BLOCK_SIZE]) + (s - 1)
                 if not len(part):
                     continue
-                at = splits[part] * bins + columns
-                at[part < 0] = (levels + 1) * bins + columns
-                replies, rates = _leader_rates(leader, *(t.take(at) for t in tables), ch, noise, budgets, grid)
+                rows = splits[part] * step
+                rows[part < 0] = ne_row
+                replies, rates = _leader_rates(leader, rows, ch, noise, budgets, grid)
                 j = int(np.argmax(rates))
                 if best is None or rates[j] > best[2] or (rates[j] == best[2] and part[j] < best[0]):
                     best = int(part[j]), replies[j], rates[j]
@@ -532,8 +526,8 @@ def stackelberg_leader_search(
             trials = _descent_trials(best_row, step, head)
             _check_scale(evaluated + len(trials), "leader descent candidates")
             # a pass is at most K(K-1)+1 rows: one block up to 128 bins, priced without a copy
-            blocks = [_leader_rates(leader, *_priced(leader, trials[s:s + BLOCK_SIZE], ch, noise), ch, noise, budgets,
-                                    grid) for s in range(0, len(trials), BLOCK_SIZE)]
+            blocks = [_leader_rates(leader, trials[s:s + BLOCK_SIZE], ch, noise, budgets, grid)
+                      for s in range(0, len(trials), BLOCK_SIZE)]
             replies, rates = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
             evaluated += len(trials)
             passes += 1

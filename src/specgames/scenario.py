@@ -421,8 +421,8 @@ def _validate_common(doc: dict):
         outputs = _expect_mapping(doc["outputs"], "outputs")
         _expect_keys(outputs, "outputs", set(), set(DEFAULT_OUTPUTS))
         for key, value in outputs.items():
-            if not isinstance(value, str) or not value:
-                _fail(f"outputs.{key}", "output names must be nonempty strings")
+            if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\0" in value:
+                _fail(f"outputs.{key}", "output names must be file names: nonempty, no '/' or NUL, not . or ..")
 
 
 def _validate(doc) -> None:

@@ -75,6 +75,14 @@ def _integer(value, name: str, least=None, most=None):
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
+def _allocated(make, shape, **kwargs) -> np.ndarray:
+    """make(shape, **kwargs), with a shape past numpy's index range raised as MemoryError, like one too big to hold."""
+    try:
+        return make(shape, **kwargs)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded" or "array is too big; ..."
+        raise MemoryError(f"cannot make an array of shape {shape}: {exc}") from exc
+
+
 def _finite_array(values, name: str, ndim=None, positive=False) -> np.ndarray:
     """A read-only float copy of `values` with -0.0 made 0.0 (whose floor is +inf).
 
@@ -252,16 +260,12 @@ def _rate_of(received, floor, bin_width) -> np.ndarray:
     return bin_width * np.log2(1.0 + received / floor).sum(axis=-1)
 
 
-def _rate_raw(user, psd, gain2, noise_psd, bin_width) -> np.ndarray:
-    floor = _effective_noise_raw(user, psd, gain2, noise_psd)
-    return _rate_of(psd[..., user, :] * gain2[user, user], floor, bin_width)
-
-
 def _rates(psd, gain2, noise_psd, bin_width) -> np.ndarray:
     """Rate of every user for joint allocations psd[..., N, K]; shape [..., N], priced user by user."""
     rates = np.empty(psd.shape[:-1])
     for n in range(psd.shape[-2]):
-        rates[..., n] = _rate_raw(n, psd, gain2, noise_psd, bin_width)
+        floor = _effective_noise_raw(n, psd, gain2, noise_psd)
+        rates[..., n] = _rate_of(psd[..., n, :] * gain2[n, n], floor, bin_width)
     return rates
 
 
@@ -274,7 +278,7 @@ def achievable_rate(
 ) -> float:
     """Shannon rate of one user with interference treated as noise, bits/s."""
     _check_consistent(user, alloc, channels, noise, grid)
-    return float(_rate_raw(user, alloc.psd, channels.gain2, noise.psd, grid.bin_width))
+    return float(_rates(alloc.psd, channels.gain2, noise.psd, grid.bin_width)[user])
 
 
 def _water_fill_rows(gain: np.ndarray, noise_rows: np.ndarray, budget: float, bin_width: float) -> np.ndarray:
@@ -393,7 +397,7 @@ def generate_multipath_channels(
 
     # one draw in the order of a link at a time: links row-major, each
     # link's real parts and then its imaginary parts
-    draws = np.random.default_rng(seed).standard_normal((user_count, user_count, 2, tap_count))
+    draws = _allocated(np.random.default_rng(seed).standard_normal, (user_count, user_count, 2, tap_count))
     taps = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0)
     # each link's scale sqrt(power / sum |h|^2), 0 on a link of zero power
     magnitudes = np.abs(taps)
@@ -406,7 +410,7 @@ def generate_multipath_channels(
     # K-point response of each impulse response; taps beyond the grid fold
     # back (alias) onto it, added in delay order
     k = grid.bin_count
-    padded = np.zeros((user_count, user_count, k), dtype=complex)
+    padded = _allocated(np.zeros, (user_count, user_count, k), dtype=complex)
     for start in range(0, tap_count, k):
         block = taps[..., start:start + k]
         padded[..., :block.shape[-1]] += block

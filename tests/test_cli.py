@@ -381,6 +381,39 @@ def test_unallocatable_run_is_a_one_line_failure(tmp_path, scenario_dir, capsys,
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("config, edits, argv", [
+    ("contention.json", {}, ("learn", "--rounds", str(10**20))),
+    ("contention.json", {}, ("learn", "--rounds", str(2**62))),
+    ("ensemble_default.json", {}, ("ensemble", "--realizations", str(10**20))),
+    ("ensemble_default.json", {"grid": {"bins": 10**20, "band": 8.0}}, ("iw",)),
+    ("ensemble_default.json", {"grid": {"bins": 10**20, "band": 8.0}}, ("ensemble",)),
+    ("ensemble_default.json", {"ensemble": {"realizations": 1, "taps": 10**20}}, ("ensemble",)),
+])
+def test_unindexable_run_is_a_one_line_failure(tmp_path, scenario_dir, capsys, config, edits, argv):
+    # past numpy's index range numpy refuses the shape with ValueError, not MemoryError
+    doc = json.loads((scenario_dir / config).read_text())
+    doc.update(edits)
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("out of memory: cannot make an array of shape ") and err.count("\n") == 1
+    assert out == "" and list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["../escaped", "{tmp}/escaped", "sub/../escaped", ".."])
+def test_output_names_stay_in_the_out_directory(tmp_path, scenario_dir, capsys, name):
+    # a name that could leave --out is refused at load, before anything is written
+    doc = json.loads((scenario_dir / "fig6.json").read_text())
+    doc["outputs"] = {"allocation": name.format(tmp=tmp_path)}
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "iw", "--config", str(cfg), "--out", str(tmp_path / "out" / "run"))
+    assert (code, out) == (1, "")
+    assert err.startswith("config error: outputs.allocation: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["named.json"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1132,6 +1165,13 @@ def test_solution_output_bytes_are_pinned(tmp_path, scenario_dir, capsys, case, 
         ("contention.json", [], ("vok", "--profile", "priv,bogus"), "--profile"),
         ("fig6.json", [(("actions",), {"type": "bogus"})], ("matrix", "solve"), "actions.type"),
         ("fig6.json", [(("outputs",), {"region": ""})], ("pareto",), "outputs.region"),
+        ("fig6.json", [(("outputs",), {"allocation": "../escaped"})], ("iw",), "outputs.allocation"),
+        ("fig6.json", [(("outputs",), {"allocation": "/dev/null/escaped"})], ("iw",), "outputs.allocation"),
+        ("fig6.json", [(("outputs",), {"allocation": "sub/name"})], ("iw",), "outputs.allocation"),
+        ("fig6.json", [(("outputs",), {"allocation": "."})], ("iw",), "outputs.allocation"),
+        ("fig6.json", [(("outputs",), {"allocation": ".."})], ("iw",), "outputs.allocation"),
+        ("fig6.json", [(("outputs",), {"region": "nul\0name"})], ("pareto",), "outputs.region"),
+        ("fig6.json", [], ("ensemble",), "ensemble.realizations"),
         ("fig6.json", [(("actions",), DROP)], ("matrix", "solve"), "actions"),
         ("ensemble_default.json", [(("ensemble", "realizations"), DROP)], ("ensemble",),
          "ensemble.realizations"),

@@ -1158,8 +1158,7 @@ def leader_bound_sums(leader, scen, levels, nash_row):
     step = scen.budgets.budget[leader] / (levels * scen.grid.bin_width)
     psd = np.repeat(np.arange(levels + 2)[:, None] * step, bins, axis=1)
     psd[-1] = nash_row
-    terms = power_games._leader_bounds(leader, *power_games._priced(leader, psd, scen.channels, scen.noise),
-                                       scen.channels, scen.noise, scen.budgets, scen.grid)
+    terms = power_games._leader_bounds(leader, psd, scen.channels, scen.noise, scen.budgets, scen.grid)
     at = np.vstack([_budget_splits(levels, bins), np.full(bins, levels + 1)])
     return reduce(operator.add, (terms[at[:, k], k] for k in range(bins)))
 
@@ -1365,16 +1364,16 @@ def test_no_descent_row_holds_a_negative_zero(data):
     # a trial adds +0.0 to every entry its move leaves, which keeps x only for
     # x >= +0.0: so no row the descent prices, Nash row included, may hold -0.0
     blocks = []
-    priced = power_games._priced
+    priced = power_games._leader_rates
 
-    def spy(leader, rows, ch, noise):
+    def spy(leader, rows, *rest):
         blocks.append(np.array(rows))
-        return priced(leader, rows, ch, noise)
+        return priced(leader, rows, *rest)
 
     bins = data.draw(st.integers(5, 12))
     args = support_draw(data, bins)[1]
     leader, levels = data.draw(st.sampled_from([0, 1])), data.draw(st.integers(2, 12))
-    with mock.patch.object(power_games, "_priced", spy):
+    with mock.patch.object(power_games, "_leader_rates", spy):
         try:
             res = sg.stackelberg_leader_search(leader, *args, levels=levels)
         except NoUsableSpectrumError:
